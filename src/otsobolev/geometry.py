@@ -137,21 +137,6 @@ def check_point(M: ModelManifold, x: np.ndarray, tol: float = 1e-12) -> None:
         check_point(M.base, x[..., : M.base.embedding_dim], tol)
 
 
-def check_tangent(M: ModelManifold, x: np.ndarray, v: np.ndarray,
-                  tol: float = 1e-10) -> None:
-    if M.variant == SPHERE:
-        r = abs(float(np.dot(x, v)))
-        if r > tol * max(1.0, np.linalg.norm(v)):
-            raise ValueError(f"vector not tangent (residual {r:.2e})")
-    elif M.variant == HYPERBOLIC:
-        r = abs(float(metric_inner(M, x, v)))
-        if r > tol * max(1.0, norm(M, v)):
-            raise ValueError(f"vector not tangent (residual {r:.2e})")
-    elif M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        check_tangent(M.base, x[..., :k], v[..., :k], tol)
-
-
 # ---------------------------------------------------------------------------
 # exp / log / distance
 
@@ -352,10 +337,6 @@ class ParallelFrame:
                          self.vectors[0],
                          np.broadcast_to(self.velocity, self.vectors[0].shape))
         self.velocity_components = np.asarray(g, dtype=float)
-
-    @property
-    def n_vectors(self) -> int:
-        return self.vectors.shape[1]
 
     def gram_residual(self) -> float:
         """Worst deviation of the frame Gram matrix from the identity."""

@@ -26,7 +26,6 @@ from .geometry import ModelManifold
 from .submanifold import SubmanifoldMesh
 
 REPORT_TOL = 0.02
-ANALYTIC_REPORT_TOL = 1e-9
 
 ANNULUS = "annulus_around_sigma"
 WHOLE_MANIFOLD = "whole_manifold"
@@ -414,18 +413,14 @@ def hypersurface_lift(manifold: ModelManifold, mesh: SubmanifoldMesh):
                              np.zeros((N, 1, d + 1))], axis=1)
     normal[:, -1, -1] = 1.0
     sff = np.concatenate([mesh.sff, np.zeros((N, 1, mesh.n, mesh.n))], axis=1)
-    old_embed = mesh.embed
-
-    def embed(p):
-        return pad_pts(old_embed(p)) if old_embed is not None else None
-
+    embed = mesh.embed
     out = SubmanifoldMesh(
-        lifted, mesh.n, mesh.m + 1, mesh.chart_id, dict(mesh.chart_args),
+        lifted, mesh.n, mesh.m + 1, mesh.chart,
         mesh.params.copy(), mesh.stencil_coords.copy(), pad_pts(mesh.points),
         mesh.weights.copy(), tangent, normal, mesh.stencil_to_frame.copy(),
         sff, pad_pts(mesh.mean_curvature), pad_pts(mesh.boundary_points),
         mesh.boundary_weights.copy(), mesh.boundary_params.copy(),
-        h=mesh.h, embed=embed if old_embed is not None else None,
+        h=mesh.h, embed=lambda p: pad_pts(embed(p)),
         param_cell=mesh.param_cell)
     return lifted, out
 

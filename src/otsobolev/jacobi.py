@@ -291,10 +291,9 @@ def jacobian_bound_check(traj: JacobiTrajectory, n: Optional[int] = None,
     return float(margin), float(bound), det1
 
 
-def lap_lower_bound_check(traj: JacobiTrajectory,
-                          lap_slack_factor: float = LAP_SLACK_FACTOR) -> float:
+def lap_lower_bound_check(traj: JacobiTrajectory) -> float:
     """Margin of n - delta_phi - <H, v> >= 0 (report-only; the slack
-    covering Hessian-fit bias is lap_slack_factor * n)."""
+    covering Hessian-fit bias is LAP_SLACK_FACTOR * n)."""
     return float(traj.n - traj.lam)
 
 

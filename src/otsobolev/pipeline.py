@@ -21,23 +21,15 @@ from .errors import (
     ConfigError,
     DenominatorVanishesError,
     NormalizationDriftError,
+    ResolutionTooCoarseError,
     SingularPError,
-    SizeCapError,
+    UnsupportedChartError,
 )
 from .fields import constant_field, field_from_expression
 from .geometry import ModelManifold
-from .submanifold import SubmanifoldMesh
 
 CHECK_NAMES = ("tangency", "fiber_mass", "semiconcavity", "jacobi", "ibp",
                "inequality")
-
-_CHART_BY_NAME = {
-    "flat_disk": submanifold.FlatDisk,
-    "graph_over_disk": submanifold.GraphOverDisk,
-    "sphere_geodesic_ball": submanifold.GeodesicBallInSubsphere,
-    "hyperbolic_geodesic_disk": submanifold.GeodesicDiskInHyperbolicSubspace,
-    "equatorial_subsphere": submanifold.EquatorialSubsphereBand,
-}
 
 
 @dataclass
@@ -96,16 +88,14 @@ class ScenarioConfig:
         lift = cp.getboolean("manifold", "lift", fallback=False)
 
         chart = need("submanifold", "chart")
-        if chart not in _CHART_BY_NAME:
+        if chart not in submanifold.CHARTS:
             raise ConfigError(f"submanifold.chart: unknown chart {chart!r}")
-        chart_params = {}
-        if chart != "equatorial_subsphere":
-            chart_params["radius"] = cp.getfloat("submanifold", "radius")
-        if chart == "graph_over_disk":
-            chart_params["height"] = need("submanifold", "height")
-        if chart in ("flat_disk", "graph_over_disk"):
-            chart_params["codim"] = cp.getint("submanifold", "codim",
-                                              fallback=ambient_dim - 2)
+        try:
+            chart_params = submanifold.parse_chart_params(
+                chart, dict(cp.items("submanifold")), ambient_dim)
+        except KeyError as exc:
+            raise ConfigError(
+                f"missing required field submanifold.{exc.args[0]}") from exc
         resolution = cp.getint("submanifold", "resolution")
 
         field_kind = cp.get("field", "kind", fallback="constant")
@@ -228,7 +218,6 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
                   report: RunReport):
     ii, jj, mm = _choose_atoms(coupling, config.jacobi_atoms)
     hn = mesh.mean_curvature_normal_components()
-    tf = mesh._metric_frames(mesh.tangent_frames)
     nf = mesh._metric_frames(mesh.normal_frames)
     K = M.curvature
     stats = {
@@ -353,8 +342,11 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
 
     t = clock()
     M = config.build_manifold()
-    chart = _CHART_BY_NAME[config.chart](**config.chart_params)
-    mesh = submanifold.build_submanifold(M, chart, config.resolution)
+    chart = submanifold.CHARTS[config.chart](**config.chart_params)
+    try:
+        mesh = submanifold.build_submanifold(M, chart, config.resolution)
+    except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
+        raise ConfigError(f"submanifold: {exc}") from exc
     if mesh.m == 1:
         if not config.lift:
             raise ConfigError("manifold.lift: codimension-1 submanifolds "

@@ -3,17 +3,22 @@
 Built-in charts only: flat disks and graphs over disks in Euclidean
 space, geodesic balls in totally geodesic subspheres / hyperbolic
 subspaces, and the closed equatorial subsphere used for tube
-calibration.  Frames, second fundamental forms and mean curvature are
-analytic per chart; quadrature is midpoint-rule on polar grids.
+calibration.  Each chart (a ``Chart`` subclass, registered by name in
+``CHARTS``) gives its polar parameter domain, one embedding, and
+analytic frames, second fundamental form and mean curvature;
+``build_submanifold`` assembles every mesh from these, with
+midpoint-rule quadrature on the polar grid.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property, partial
+from typing import Callable, ClassVar, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -33,43 +38,307 @@ MIN_INTERIOR_NODES = 16
 
 
 # ---------------------------------------------------------------------------
-# chart specifications
+# charts
+
+
+class Chart:
+    """A 2-dim chart over the polar parameter domain (alpha, phi) in
+    [0, alpha_max] x [0, 2 pi), with a boundary circle at alpha_max
+    unless the chart is ``closed``.
+
+    Subclasses are frozen dataclasses whose fields are the chart's
+    parameters; ``CHARTS`` maps each chart ``name`` to its class.  A
+    chart validates itself against the ambient manifold (``check``),
+    gives its domain (``alpha_max``, ``rings_per_resolution``, and
+    ``alpha_clamp`` for distance refinement), embeds parameters
+    (``embed``), and gives the analytic area density, frames, second
+    fundamental form and mean curvature at the nodes
+    (``node_geometry``) and the length density of its boundary circle
+    (``boundary_length``).  Stencil coordinates are
+    ``stencil_scale * alpha * (cos phi, sin phi)``.
+    """
+
+    name: ClassVar[str]
+    rings_per_resolution: ClassVar[int] = 1
+    closed: ClassVar[bool] = False
+
+
+class _NodeGeometry(NamedTuple):
+    area: np.ndarray              # (N,) area density per unit d(alpha) d(phi)
+    tangent: np.ndarray           # (N, n, d)
+    normal: np.ndarray            # (N, m, d)
+    stencil_to_frame: np.ndarray  # (N, n, n)
+    sff: np.ndarray               # (N, m, n, n)
+    mean_curvature: np.ndarray    # (N, d)
+
+
+def _polar_stencil(scale: float, params: np.ndarray) -> np.ndarray:
+    return np.stack([scale * params[..., 0] * np.cos(params[..., 1]),
+                     scale * params[..., 0] * np.sin(params[..., 1])], axis=-1)
+
+
+def _axis_normals(N: int, m: int, d: int) -> np.ndarray:
+    """Normal frames along the last m coordinate axes."""
+    normal = np.zeros((N, m, d))
+    for a in range(m):
+        normal[:, a, d - m + a] = 1.0
+    return normal
+
+
+class _DiskChart(Chart):
+    """Polar coordinates (r, theta) on the disk of ``radius`` in the
+    x1-x2 plane of Euclidean R^{2+codim}."""
+
+    def check(self, manifold: ModelManifold) -> None:
+        if manifold.variant != geometry.EUCLIDEAN:
+            raise UnsupportedChartError(
+                f"{type(self).__name__} requires a Euclidean ambient space")
+        if manifold.ambient_dim != 2 + self.codim:
+            raise UnsupportedChartError("ambient dimension must equal 2 + codim")
+
+    def alpha_max(self, manifold: ModelManifold) -> float:
+        return self.radius
+
+    def alpha_clamp(self) -> float:
+        return self.radius
+
+    def stencil_scale(self, manifold: ModelManifold) -> float:
+        return 1.0
+
+    def embed(self, manifold: ModelManifold, params) -> np.ndarray:
+        u = _polar_stencil(1.0, np.asarray(params, dtype=float))
+        out = np.zeros(u.shape[:-1] + (manifold.embedding_dim,))
+        out[..., :2] = u
+        return out
 
 
 @dataclass(frozen=True)
-class FlatDisk:
+class FlatDisk(_DiskChart):
     """Flat 2-disk in the x1-x2 plane of Euclidean R^{2+codim}."""
 
     radius: float
     codim: int = 2
+    name: ClassVar[str] = "flat_disk"
+
+    def node_geometry(self, manifold, params) -> _NodeGeometry:
+        N, m, d = len(params), self.codim, manifold.embedding_dim
+        tangent = np.zeros((N, 2, d))
+        tangent[:, 0, 0] = 1.0
+        tangent[:, 1, 1] = 1.0
+        return _NodeGeometry(
+            params[:, 0], tangent, _axis_normals(N, m, d),
+            np.broadcast_to(np.eye(2), (N, 2, 2)).copy(),
+            np.zeros((N, m, 2, 2)), np.zeros((N, d)))
+
+    def boundary_length(self, manifold, bparams) -> np.ndarray:
+        return bparams[:, 0]
 
 
 @dataclass(frozen=True)
-class GraphOverDisk:
+class GraphOverDisk(_DiskChart):
     """Graph {(u, h(u), 0, ...)} over a 2-disk in Euclidean R^{2+codim}."""
 
     radius: float
     height: str  # expression of u1, u2 in the safe field grammar
     codim: int = 2
+    name: ClassVar[str] = "graph_over_disk"
+
+    @cached_property
+    def _height(self):
+        """(value, gradient, Hessian) functions of the height."""
+        return height_from_expression(self.height)
+
+    def embed(self, manifold: ModelManifold, params) -> np.ndarray:
+        out = super().embed(manifold, params)
+        out[..., 2] = self._height[0](out[..., :2])
+        return out
+
+    def node_geometry(self, manifold, params) -> _NodeGeometry:
+        _, hgrad, hhess = self._height
+        N, m, d = len(params), self.codim, manifold.embedding_dim
+        u = _polar_stencil(1.0, params)
+        g = hgrad(u)                      # (N, 2)
+        gnorm2 = np.sum(g * g, axis=1)
+
+        # chart basis dX/du_i as columns, orthonormalized by QR per node
+        J = np.zeros((N, d, 2))
+        J[:, 0, 0] = 1.0
+        J[:, 1, 1] = 1.0
+        J[:, 2] = g
+        q, rr = np.linalg.qr(J)           # (N, d, 2), (N, 2, 2)
+        sign = np.sign(np.diagonal(rr, axis1=1, axis2=2))
+        sign[sign == 0] = 1.0
+        tangent = np.ascontiguousarray((q * sign[:, None, :]).transpose(0, 2, 1))
+        s2f = np.ascontiguousarray(
+            np.linalg.inv(sign[:, :, None] * rr).transpose(0, 2, 1))
+
+        normal = _axis_normals(N, m, d)
+        nu1 = np.zeros((N, d))
+        nu1[:, 0] = -g[:, 0]
+        nu1[:, 1] = -g[:, 1]
+        nu1[:, 2] = 1.0
+        nu1 /= np.sqrt(1.0 + gnorm2)[:, None]
+        normal[:, 0] = nu1
+
+        Huu = hhess(u)                    # (N, 2, 2) chart Hessian of the height
+        # II in the orthonormal tangent frame; only the graph normal sees it
+        II_frame = np.einsum("nai,nij,nbj->nab", s2f, Huu, s2f)
+        cosg = 1.0 / np.sqrt(1.0 + gnorm2)
+        sff = np.zeros((N, m, 2, 2))
+        sff[:, 0] = II_frame * cosg[:, None, None]
+        H = (np.trace(sff[:, 0], axis1=1, axis2=2))[:, None] * nu1
+        return _NodeGeometry(np.sqrt(1.0 + gnorm2) * params[:, 0],
+                             tangent, normal, s2f, sff, H)
+
+    def boundary_length(self, manifold, bparams) -> np.ndarray:
+        """|dX/dtheta| along the boundary circle."""
+        ub = _polar_stencil(1.0, bparams)
+        tb = np.stack([-ub[:, 1], ub[:, 0]], axis=1)
+        dh = np.sum(self._height[1](ub) * tb, axis=1)
+        return np.sqrt(np.sum(tb * tb, axis=1) + dh * dh)
+
+
+class _SpaceForm(NamedTuple):
+    sin: Callable          # sin / sinh of the geodesic radius
+    cos: Callable          # cos / cosh
+    scalar_sin: Callable   # libm sin / sinh of the boundary radius
+    pole: int              # embedding axis of the pole
+    plane: tuple           # embedding axes of the circles around the pole
+    pole_sign: float       # sign of the pole component of d/d(alpha)
+
+
+_SPACE_FORMS = {
+    geometry.SPHERE: _SpaceForm(np.sin, np.cos, math.sin, 2, (0, 1), -1.0),
+    geometry.HYPERBOLIC: _SpaceForm(np.sinh, np.cosh, math.sinh, 0, (1, 2),
+                                    1.0),
+}
+
+
+class _SpaceFormChart(Chart):
+    """Geodesic polar coordinates (alpha, phi) around the pole of a
+    totally geodesic 2-dim subspace of a sphere or hyperbolic space: the
+    subspace is totally geodesic, so II and H vanish.  Stencil
+    coordinates are geodesic normal coordinates around the pole."""
+
+    def alpha_max(self, manifold: ModelManifold) -> float:
+        return self.radius / manifold.radius
+
+    def alpha_clamp(self) -> float:
+        """Refinement candidates stay within half a cell of the grid, so a
+        geodesic ball needs no upper clamp."""
+        return math.inf
+
+    def stencil_scale(self, manifold: ModelManifold) -> float:
+        return manifold.radius
+
+    def embed(self, manifold: ModelManifold, params) -> np.ndarray:
+        sf = _SPACE_FORMS[manifold.variant]
+        R = manifold.radius
+        p = np.asarray(params, dtype=float)
+        out = np.zeros(p.shape[:-1] + (manifold.embedding_dim,))
+        out[..., sf.plane[0]] = R * sf.sin(p[..., 0]) * np.cos(p[..., 1])
+        out[..., sf.plane[1]] = R * sf.sin(p[..., 0]) * np.sin(p[..., 1])
+        out[..., sf.pole] = R * sf.cos(p[..., 0])
+        return out
+
+    def node_geometry(self, manifold, params) -> _NodeGeometry:
+        sf = _SPACE_FORMS[manifold.variant]
+        N, m, d = len(params), manifold.ambient_dim - 2, manifold.embedding_dim
+        al, ph = params[:, 0], params[:, 1]
+        tangent = np.zeros((N, 2, d))
+        tangent[:, 0, sf.plane[0]] = sf.cos(al) * np.cos(ph)
+        tangent[:, 0, sf.plane[1]] = sf.cos(al) * np.sin(ph)
+        tangent[:, 0, sf.pole] = sf.pole_sign * sf.sin(al)
+        tangent[:, 1, sf.plane[0]] = -np.sin(ph)
+        tangent[:, 1, sf.plane[1]] = np.cos(ph)
+        s2f = np.zeros((N, 2, 2))
+        s2f[:, 0] = np.stack([np.cos(ph), np.sin(ph)], axis=1)
+        s2f[:, 1] = (al / sf.sin(al))[:, None] * np.stack(
+            [-np.sin(ph), np.cos(ph)], axis=1)
+        return _NodeGeometry(
+            manifold.radius**2 * sf.sin(al), tangent, _axis_normals(N, m, d),
+            s2f, np.zeros((N, m, 2, 2)), np.zeros((N, d)))
+
+    def boundary_length(self, manifold, bparams) -> np.ndarray:
+        # libm, not numpy: their sinh differ in the last bit at some radii,
+        # and the boundary weights enter the reports
+        sf = _SPACE_FORMS[manifold.variant]
+        return np.full(len(bparams), manifold.radius * sf.scalar_sin(
+            self.alpha_max(manifold)))
 
 
 @dataclass(frozen=True)
-class GeodesicBallInSubsphere:
+class GeodesicBallInSubsphere(_SpaceFormChart):
     """Geodesic ball in a totally geodesic S^2 inside the ambient sphere."""
 
     radius: float  # geodesic radius
+    name: ClassVar[str] = "sphere_geodesic_ball"
+
+    def check(self, manifold: ModelManifold) -> None:
+        if manifold.variant != geometry.SPHERE:
+            raise UnsupportedChartError("GeodesicBallInSubsphere requires a sphere")
+        if manifold.ambient_dim < 3:
+            raise UnsupportedChartError("ambient sphere dimension must be >= 3")
+        if not 0 < self.radius < math.pi * manifold.radius:
+            raise UnsupportedChartError("ball radius must lie in (0, pi R)")
 
 
 @dataclass(frozen=True)
-class GeodesicDiskInHyperbolicSubspace:
+class GeodesicDiskInHyperbolicSubspace(_SpaceFormChart):
     """Geodesic disk in a totally geodesic H^2 inside the ambient hyperbolic space."""
 
     radius: float
+    name: ClassVar[str] = "hyperbolic_geodesic_disk"
+
+    def check(self, manifold: ModelManifold) -> None:
+        if manifold.variant != geometry.HYPERBOLIC:
+            raise UnsupportedChartError(
+                "GeodesicDiskInHyperbolicSubspace requires a hyperbolic ambient space")
+        if manifold.ambient_dim < 3:
+            raise UnsupportedChartError("ambient dimension must be >= 3")
 
 
 @dataclass(frozen=True)
-class EquatorialSubsphereBand:
+class EquatorialSubsphereBand(_SpaceFormChart):
     """Full equatorial subsphere of codimension 1 (tube-volume calibration)."""
+
+    name: ClassVar[str] = "equatorial_subsphere"
+    rings_per_resolution: ClassVar[int] = 2  # colatitude runs over (0, pi)
+    closed: ClassVar[bool] = True
+
+    def check(self, manifold: ModelManifold) -> None:
+        if manifold.variant != geometry.SPHERE or manifold.ambient_dim != 3:
+            raise UnsupportedChartError(
+                "EquatorialSubsphereBand requires the ambient 3-sphere")
+
+    def alpha_max(self, manifold: ModelManifold) -> float:
+        return math.pi
+
+    def alpha_clamp(self) -> float:
+        return math.pi
+
+
+CHARTS = {chart.name: chart for chart in (
+    FlatDisk, GraphOverDisk, GeodesicBallInSubsphere,
+    GeodesicDiskInHyperbolicSubspace, EquatorialSubsphereBand)}
+
+
+def parse_chart_params(name: str, options, ambient_dim: int) -> dict:
+    """Typed parameters of chart ``name`` from string-valued ``options``.
+
+    ``codim`` defaults to ``ambient_dim - 2``, the only value the disk
+    charts accept; every other parameter is required.  Raises KeyError
+    with the name of a missing parameter, ValueError for a bad value.
+    """
+    cls = CHARTS[name]
+    types = get_type_hints(cls)
+    params = {}
+    for f in dataclasses.fields(cls):
+        if f.name == "codim" and f.name not in options:
+            params[f.name] = ambient_dim - 2
+        else:
+            params[f.name] = types[f.name](options[f.name])
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +350,7 @@ class SubmanifoldMesh:
     manifold: ModelManifold
     n: int
     m: int
-    chart_id: str
-    chart_args: dict
+    chart: Chart
     params: np.ndarray          # (N, 2) chart parameters
     stencil_coords: np.ndarray  # (N, 2) coordinates for LSQ stencils
     points: np.ndarray          # (N, d)
@@ -96,9 +364,13 @@ class SubmanifoldMesh:
     boundary_weights: np.ndarray
     boundary_params: np.ndarray
     h: float
-    embed: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    param_cell: tuple = (0.0, 0.0)  # grid spacing per chart parameter
+    embed: Callable[[np.ndarray], np.ndarray]  # chart parameters -> points
+    param_cell: tuple  # grid spacing per chart parameter
     _tree: Optional[cKDTree] = field(default=None, repr=False)
+
+    @property
+    def chart_id(self) -> str:
+        return self.chart.name
 
     @property
     def node_count(self) -> int:
@@ -116,25 +388,14 @@ class SubmanifoldMesh:
 
     def _metric_frames(self, frames: np.ndarray) -> np.ndarray:
         # frames are stored as embedded vectors; pairing uses the ambient metric
-        if self.manifold.variant == geometry.HYPERBOLIC:
-            g = frames.copy()
-            g[..., 0] = -g[..., 0]
-            return g
-        if self.manifold.variant == geometry.PRODUCT_WITH_LINE and \
-                self.manifold.base.variant == geometry.HYPERBOLIC:
-            g = frames.copy()
-            g[..., 0] = -g[..., 0]
-            return g
-        return frames
-
-    def tangent_components(self, vectors: np.ndarray) -> np.ndarray:
-        """(N, n) components of per-node ambient vectors against the tangent frame."""
-        return np.einsum("nad,nd->na", self._metric_frames(self.tangent_frames),
-                         vectors)
-
-    def normal_components(self, vectors: np.ndarray) -> np.ndarray:
-        return np.einsum("nad,nd->na", self._metric_frames(self.normal_frames),
-                         vectors)
+        M = self.manifold
+        if M.variant == geometry.PRODUCT_WITH_LINE:
+            M = M.base
+        if M.variant != geometry.HYPERBOLIC:
+            return frames
+        g = frames.copy()
+        g[..., 0] = -g[..., 0]
+        return g
 
     def frame_gram_residual(self) -> float:
         """Worst deviation of the combined frame Gram matrices from identity."""
@@ -144,346 +405,42 @@ class SubmanifoldMesh:
         return float(np.abs(g - eye).max())
 
 
-def geometry_at_node(mesh: SubmanifoldMesh, node_index: int):
-    """Stored extrinsic data at one node: (tangent frame, normal frame, II, H)."""
-    if not 0 <= node_index < mesh.node_count:
-        raise IndexError(f"node index {node_index} out of range")
-    return (mesh.tangent_frames[node_index], mesh.normal_frames[node_index],
-            mesh.sff[node_index], mesh.mean_curvature[node_index])
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def build_submanifold(manifold: ModelManifold, chart_spec,
+def build_submanifold(manifold: ModelManifold, chart_spec: Chart,
                       resolution: int) -> SubmanifoldMesh:
     """Construct a quadrature mesh for one of the built-in charts.
 
-    ``resolution`` is the number of radial (or colatitude) subdivisions.
+    ``resolution`` is the number of radial (or colatitude) subdivisions;
+    the grid is midpoint-rule, with ``4 * resolution`` angular cells.
     """
-    if isinstance(chart_spec, FlatDisk):
-        mesh = _build_flat_disk(manifold, chart_spec, resolution)
-    elif isinstance(chart_spec, GraphOverDisk):
-        mesh = _build_graph(manifold, chart_spec, resolution)
-    elif isinstance(chart_spec, GeodesicBallInSubsphere):
-        mesh = _build_sphere_ball(manifold, chart_spec, resolution)
-    elif isinstance(chart_spec, GeodesicDiskInHyperbolicSubspace):
-        mesh = _build_hyperbolic_disk(manifold, chart_spec, resolution)
-    elif isinstance(chart_spec, EquatorialSubsphereBand):
-        mesh = _build_equatorial_subsphere(manifold, chart_spec, resolution)
-    else:
+    if not isinstance(chart_spec, Chart):
         raise UnsupportedChartError(f"unknown chart spec {chart_spec!r}")
-    if mesh.node_count < MIN_INTERIOR_NODES:
+    chart_spec.check(manifold)
+    alpha_max = chart_spec.alpha_max(manifold)
+    if not alpha_max > 0:
+        raise UnsupportedChartError("chart radius must be positive")
+    rings = chart_spec.rings_per_resolution * resolution
+    sectors = 4 * resolution
+    nodes = rings * sectors if resolution > 0 else 0
+    if nodes < MIN_INTERIOR_NODES:
         raise ResolutionTooCoarseError(
-            f"{mesh.node_count} interior nodes < {MIN_INTERIOR_NODES}")
-    return mesh
-
-
-def _polar_grid(nr: int, rmax: float, ntheta: Optional[int] = None):
-    if ntheta is None:
-        ntheta = 4 * nr
-    hr = rmax / nr
-    ht = 2 * math.pi / ntheta
-    r = (np.arange(nr) + 0.5) * hr
-    th = (np.arange(ntheta) + 0.5) * ht
-    R, T = np.meshgrid(r, th, indexing="ij")
-    return R.ravel(), T.ravel(), hr, ht, ntheta
-
-
-def _build_flat_disk(manifold, spec: FlatDisk, nr: int) -> SubmanifoldMesh:
-    if manifold.variant != geometry.EUCLIDEAN:
-        raise UnsupportedChartError("FlatDisk requires a Euclidean ambient space")
-    m = spec.codim
-    if manifold.ambient_dim != 2 + m:
-        raise UnsupportedChartError("ambient dimension must equal 2 + codim")
-    d = manifold.embedding_dim
-    r, th, hr, ht, ntheta = _polar_grid(nr, spec.radius)
-    N = len(r)
-    params = np.stack([r, th], axis=1)
-    u = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    points = np.zeros((N, d))
-    points[:, :2] = u
-    weights = r * hr * ht
-    tangent = np.zeros((N, 2, d))
-    tangent[:, 0, 0] = 1.0
-    tangent[:, 1, 1] = 1.0
-    normal = np.zeros((N, m, d))
-    for a in range(m):
-        normal[:, a, 2 + a] = 1.0
-    thb = (np.arange(ntheta) + 0.5) * ht
-    bpts = np.zeros((ntheta, d))
-    bpts[:, 0] = spec.radius * np.cos(thb)
-    bpts[:, 1] = spec.radius * np.sin(thb)
-
-    def embed(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (d,))
-        out[..., 0] = p[..., 0] * np.cos(p[..., 1])
-        out[..., 1] = p[..., 0] * np.sin(p[..., 1])
-        return out
-
+            f"{nodes} interior nodes < {MIN_INTERIOR_NODES}")
+    ha = alpha_max / rings
+    hp = 2 * math.pi / sectors
+    phi = (np.arange(sectors) + 0.5) * hp
+    A, P = np.meshgrid((np.arange(rings) + 0.5) * ha, phi, indexing="ij")
+    params = np.stack([A.ravel(), P.ravel()], axis=1)
+    bparams = np.zeros((0, 2)) if chart_spec.closed else np.stack(
+        [np.full(sectors, alpha_max), phi], axis=1)
+    embed = partial(chart_spec.embed, manifold)
+    scale = chart_spec.stencil_scale(manifold)
+    geo = chart_spec.node_geometry(manifold, params)
     return SubmanifoldMesh(
-        manifold, 2, m, "flat_disk",
-        {"radius": spec.radius, "codim": m},
-        params, u, points, weights, tangent, normal,
-        np.broadcast_to(np.eye(2), (N, 2, 2)).copy(),
-        np.zeros((N, m, 2, 2)), np.zeros((N, d)),
-        bpts, np.full(ntheta, spec.radius * ht),
-        np.stack([np.full(ntheta, spec.radius), thb], axis=1),
-        h=hr, embed=embed, param_cell=(hr, ht))
-
-
-def _build_graph(manifold, spec: GraphOverDisk, nr: int) -> SubmanifoldMesh:
-    if manifold.variant != geometry.EUCLIDEAN:
-        raise UnsupportedChartError("GraphOverDisk requires a Euclidean ambient space")
-    m = spec.codim
-    if manifold.ambient_dim != 2 + m:
-        raise UnsupportedChartError("ambient dimension must equal 2 + codim")
-    d = manifold.embedding_dim
-    hval, hgrad, hhess = height_from_expression(spec.height)
-    r, th, hr, ht, ntheta = _polar_grid(nr, spec.radius)
-    N = len(r)
-    params = np.stack([r, th], axis=1)
-    u = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-
-    def embed_u(uu):
-        uu = np.asarray(uu, dtype=float)
-        out = np.zeros(uu.shape[:-1] + (d,))
-        out[..., :2] = uu
-        out[..., 2] = hval(uu)
-        return out
-
-    points = embed_u(u)
-    g = hgrad(u)                      # (N, 2)
-    gnorm2 = np.sum(g * g, axis=1)
-    weights = np.sqrt(1.0 + gnorm2) * r * hr * ht
-
-    # chart basis dX/du_i, orthonormalized by QR per node
-    J = np.zeros((N, 2, d))
-    J[:, 0, 0] = 1.0
-    J[:, 1, 1] = 1.0
-    J[:, 0, 2] = g[:, 0]
-    J[:, 1, 2] = g[:, 1]
-    tangent = np.zeros((N, 2, d))
-    s2f = np.zeros((N, 2, 2))
-    for i in range(N):
-        q, rr = np.linalg.qr(J[i].T)   # (d,2), (2,2)
-        sign = np.sign(np.diag(rr))
-        sign[sign == 0] = 1.0
-        q = q * sign
-        rr = sign[:, None] * rr
-        tangent[i] = q.T
-        s2f[i] = np.linalg.inv(rr).T
-
-    normal = np.zeros((N, m, d))
-    nu1 = np.zeros((N, d))
-    nu1[:, 0] = -g[:, 0]
-    nu1[:, 1] = -g[:, 1]
-    nu1[:, 2] = 1.0
-    nu1 /= np.sqrt(1.0 + gnorm2)[:, None]
-    normal[:, 0] = nu1
-    for a in range(1, m):
-        normal[:, a, 2 + a] = 1.0
-
-    Huu = hhess(u)                    # (N, 2, 2) chart Hessian of the height
-    # II in the orthonormal tangent frame; only the graph normal sees it
-    II_frame = np.einsum("nai,nij,nbj->nab", s2f, Huu, s2f)
-    cosg = 1.0 / np.sqrt(1.0 + gnorm2)
-    sff = np.zeros((N, m, 2, 2))
-    sff[:, 0] = II_frame * cosg[:, None, None]
-    H = (np.trace(sff[:, 0], axis1=1, axis2=2))[:, None] * nu1
-
-    thb = (np.arange(ntheta) + 0.5) * ht
-    ub = np.stack([spec.radius * np.cos(thb), spec.radius * np.sin(thb)], axis=1)
-    bpts = embed_u(ub)
-    gb = hgrad(ub)
-    # |dX/dtheta| along the boundary circle
-    tb = np.stack([-ub[:, 1], ub[:, 0]], axis=1)
-    dh = np.sum(gb * tb, axis=1)
-    bspeed = np.sqrt(np.sum(tb * tb, axis=1) + dh * dh)
-
-    def embed(p):
-        p = np.asarray(p, dtype=float)
-        uu = np.stack([p[..., 0] * np.cos(p[..., 1]),
-                       p[..., 0] * np.sin(p[..., 1])], axis=-1)
-        return embed_u(uu)
-
-    return SubmanifoldMesh(
-        manifold, 2, m, "graph_over_disk",
-        {"radius": spec.radius, "codim": m, "height": spec.height},
-        params, u, points, weights, tangent, normal, s2f, sff, H,
-        bpts, bspeed * ht,
-        np.stack([np.full(ntheta, spec.radius), thb], axis=1),
-        h=hr, embed=embed, param_cell=(hr, ht))
-
-
-def _build_sphere_ball(manifold, spec: GeodesicBallInSubsphere,
-                       nr: int) -> SubmanifoldMesh:
-    if manifold.variant != geometry.SPHERE:
-        raise UnsupportedChartError("GeodesicBallInSubsphere requires a sphere")
-    if manifold.ambient_dim < 3:
-        raise UnsupportedChartError("ambient sphere dimension must be >= 3")
-    R = manifold.radius
-    if not 0 < spec.radius < math.pi * R:
-        raise UnsupportedChartError("ball radius must lie in (0, pi R)")
-    d = manifold.embedding_dim
-    m = manifold.ambient_dim - 2
-    amax = spec.radius / R
-    al, ph, ha, hp, nphi = _polar_grid(nr, amax)
-    N = len(al)
-    params = np.stack([al, ph], axis=1)
-    points = np.zeros((N, d))
-    points[:, 0] = R * np.sin(al) * np.cos(ph)
-    points[:, 1] = R * np.sin(al) * np.sin(ph)
-    points[:, 2] = R * np.cos(al)
-    weights = R**2 * np.sin(al) * ha * hp
-    tangent = np.zeros((N, 2, d))
-    tangent[:, 0, 0] = np.cos(al) * np.cos(ph)
-    tangent[:, 0, 1] = np.cos(al) * np.sin(ph)
-    tangent[:, 0, 2] = -np.sin(al)
-    tangent[:, 1, 0] = -np.sin(ph)
-    tangent[:, 1, 1] = np.cos(ph)
-    normal = np.zeros((N, m, d))
-    for a in range(m):
-        normal[:, a, 3 + a] = 1.0
-    # geodesic normal coordinates around the pole for stencil fits
-    w = np.stack([R * al * np.cos(ph), R * al * np.sin(ph)], axis=1)
-    s2f = np.zeros((N, 2, 2))
-    wr = np.stack([np.cos(ph), np.sin(ph)], axis=1)
-    wt = np.stack([-np.sin(ph), np.cos(ph)], axis=1)
-    s2f[:, 0] = wr
-    s2f[:, 1] = (al / np.sin(al))[:, None] * wt
-
-    phb = (np.arange(nphi) + 0.5) * hp
-    bpts = np.zeros((nphi, d))
-    bpts[:, 0] = R * np.sin(amax) * np.cos(phb)
-    bpts[:, 1] = R * np.sin(amax) * np.sin(phb)
-    bpts[:, 2] = R * np.cos(amax)
-
-    def embed(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (d,))
-        out[..., 0] = R * np.sin(p[..., 0]) * np.cos(p[..., 1])
-        out[..., 1] = R * np.sin(p[..., 0]) * np.sin(p[..., 1])
-        out[..., 2] = R * np.cos(p[..., 0])
-        return out
-
-    return SubmanifoldMesh(
-        manifold, 2, m, "sphere_geodesic_ball", {"radius": spec.radius},
-        params, w, points, weights, tangent, normal, s2f,
-        np.zeros((N, m, 2, 2)), np.zeros((N, d)),
-        bpts, np.full(nphi, R * math.sin(amax) * hp),
-        np.stack([np.full(nphi, amax), phb], axis=1),
-        h=R * ha, embed=embed, param_cell=(ha, hp))
-
-
-def _build_hyperbolic_disk(manifold, spec: GeodesicDiskInHyperbolicSubspace,
-                           nr: int) -> SubmanifoldMesh:
-    if manifold.variant != geometry.HYPERBOLIC:
-        raise UnsupportedChartError(
-            "GeodesicDiskInHyperbolicSubspace requires a hyperbolic ambient space")
-    if manifold.ambient_dim < 3:
-        raise UnsupportedChartError("ambient dimension must be >= 3")
-    R = manifold.radius
-    d = manifold.embedding_dim
-    m = manifold.ambient_dim - 2
-    amax = spec.radius / R
-    al, ph, ha, hp, nphi = _polar_grid(nr, amax)
-    N = len(al)
-    params = np.stack([al, ph], axis=1)
-    points = np.zeros((N, d))
-    points[:, 0] = R * np.cosh(al)
-    points[:, 1] = R * np.sinh(al) * np.cos(ph)
-    points[:, 2] = R * np.sinh(al) * np.sin(ph)
-    weights = R**2 * np.sinh(al) * ha * hp
-    tangent = np.zeros((N, 2, d))
-    tangent[:, 0, 0] = np.sinh(al)
-    tangent[:, 0, 1] = np.cosh(al) * np.cos(ph)
-    tangent[:, 0, 2] = np.cosh(al) * np.sin(ph)
-    tangent[:, 1, 1] = -np.sin(ph)
-    tangent[:, 1, 2] = np.cos(ph)
-    normal = np.zeros((N, m, d))
-    for a in range(m):
-        normal[:, a, 3 + a] = 1.0
-    w = np.stack([R * al * np.cos(ph), R * al * np.sin(ph)], axis=1)
-    s2f = np.zeros((N, 2, 2))
-    wr = np.stack([np.cos(ph), np.sin(ph)], axis=1)
-    wt = np.stack([-np.sin(ph), np.cos(ph)], axis=1)
-    s2f[:, 0] = wr
-    s2f[:, 1] = (al / np.sinh(al))[:, None] * wt
-
-    phb = (np.arange(nphi) + 0.5) * hp
-    bpts = np.zeros((nphi, d))
-    bpts[:, 0] = R * math.cosh(amax)
-    bpts[:, 1] = R * math.sinh(amax) * np.cos(phb)
-    bpts[:, 2] = R * math.sinh(amax) * np.sin(phb)
-
-    def embed(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (d,))
-        out[..., 0] = R * np.cosh(p[..., 0])
-        out[..., 1] = R * np.sinh(p[..., 0]) * np.cos(p[..., 1])
-        out[..., 2] = R * np.sinh(p[..., 0]) * np.sin(p[..., 1])
-        return out
-
-    return SubmanifoldMesh(
-        manifold, 2, m, "hyperbolic_geodesic_disk", {"radius": spec.radius},
-        params, w, points, weights, tangent, normal, s2f,
-        np.zeros((N, m, 2, 2)), np.zeros((N, d)),
-        bpts, np.full(nphi, R * math.sinh(amax) * hp),
-        np.stack([np.full(nphi, amax), phb], axis=1),
-        h=R * ha, embed=embed, param_cell=(ha, hp))
-
-
-def _build_equatorial_subsphere(manifold, spec: EquatorialSubsphereBand,
-                                nr: int) -> SubmanifoldMesh:
-    if manifold.variant != geometry.SPHERE or manifold.ambient_dim != 3:
-        raise UnsupportedChartError(
-            "EquatorialSubsphereBand requires the ambient 3-sphere")
-    R = manifold.radius
-    d = manifold.embedding_dim
-    ha = math.pi / (2 * nr)
-    nphi = 4 * nr
-    hp = 2 * math.pi / nphi
-    al = (np.arange(2 * nr) + 0.5) * ha
-    ph = (np.arange(nphi) + 0.5) * hp
-    A, P = np.meshgrid(al, ph, indexing="ij")
-    al, ph = A.ravel(), P.ravel()
-    N = len(al)
-    params = np.stack([al, ph], axis=1)
-    points = np.zeros((N, d))
-    points[:, 0] = R * np.sin(al) * np.cos(ph)
-    points[:, 1] = R * np.sin(al) * np.sin(ph)
-    points[:, 2] = R * np.cos(al)
-    weights = R**2 * np.sin(al) * ha * hp
-    tangent = np.zeros((N, 2, d))
-    tangent[:, 0, 0] = np.cos(al) * np.cos(ph)
-    tangent[:, 0, 1] = np.cos(al) * np.sin(ph)
-    tangent[:, 0, 2] = -np.sin(al)
-    tangent[:, 1, 0] = -np.sin(ph)
-    tangent[:, 1, 1] = np.cos(ph)
-    normal = np.zeros((N, 1, d))
-    normal[:, 0, 3] = 1.0
-    w = np.stack([R * al * np.cos(ph), R * al * np.sin(ph)], axis=1)
-    s2f = np.zeros((N, 2, 2))
-    s2f[:, 0] = np.stack([np.cos(ph), np.sin(ph)], axis=1)
-    s2f[:, 1] = (al / np.sin(al))[:, None] * np.stack([-np.sin(ph), np.cos(ph)], axis=1)
-
-    def embed(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape[:-1] + (d,))
-        out[..., 0] = R * np.sin(p[..., 0]) * np.cos(p[..., 1])
-        out[..., 1] = R * np.sin(p[..., 0]) * np.sin(p[..., 1])
-        out[..., 2] = R * np.cos(p[..., 0])
-        return out
-
-    return SubmanifoldMesh(
-        manifold, 2, 1, "equatorial_subsphere", {},
-        params, w, points, weights, tangent, normal, s2f,
-        np.zeros((N, 1, 2, 2)), np.zeros((N, d)),
-        np.zeros((0, d)), np.zeros(0), np.zeros((0, 2)),
-        h=R * ha, embed=embed, param_cell=(ha, hp))
+        manifold, 2, manifold.ambient_dim - 2, chart_spec,
+        params, _polar_stencil(scale, params), embed(params),
+        geo.area * ha * hp, geo.tangent, geo.normal, geo.stencil_to_frame,
+        geo.sff, geo.mean_curvature,
+        embed(bparams), chart_spec.boundary_length(manifold, bparams) * hp,
+        bparams, h=scale * ha, embed=embed, param_cell=(ha, hp))
 
 
 def boundary_stencil_coords(mesh: SubmanifoldMesh) -> np.ndarray:
@@ -491,15 +448,7 @@ def boundary_stencil_coords(mesh: SubmanifoldMesh) -> np.ndarray:
     p = mesh.boundary_params
     if len(p) == 0:
         return np.zeros((0, mesh.n))
-    if mesh.chart_id in ("flat_disk", "graph_over_disk"):
-        return np.stack([p[:, 0] * np.cos(p[:, 1]),
-                         p[:, 0] * np.sin(p[:, 1])], axis=1)
-    if mesh.chart_id in ("sphere_geodesic_ball", "hyperbolic_geodesic_disk"):
-        R = mesh.manifold.radius
-        return np.stack([R * p[:, 0] * np.cos(p[:, 1]),
-                         R * p[:, 0] * np.sin(p[:, 1])], axis=1)
-    raise UnsupportedChartError(
-        f"no boundary chart coordinates for {mesh.chart_id}")
+    return _polar_stencil(mesh.chart.stencil_scale(mesh.manifold), p)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +556,7 @@ def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
     D = geometry.pairwise_distances(M, np.asarray(pts, float), mesh.points)
     nearest = np.argmin(D, axis=1)
     base = D[np.arange(len(pts)), nearest]
-    if mesh.embed is None or refine <= 1:
+    if refine <= 1:
         return base
     ca, cb = mesh.param_cell
     da = np.linspace(-0.5 * ca, 0.5 * ca, refine)
@@ -616,14 +565,7 @@ def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
     offsets = np.stack([DA.ravel(), DB.ravel()], axis=1)  # (K, 2)
     cand = mesh.params[nearest][:, None, :] + offsets[None, :, :]
     # clamp the radial-type parameter into its valid range
-    if mesh.chart_id in ("flat_disk", "graph_over_disk"):
-        rmax = mesh.chart_args["radius"]
-        cand[..., 0] = np.clip(cand[..., 0], 0.0, rmax)
-    elif mesh.chart_id in ("sphere_geodesic_ball", "hyperbolic_geodesic_disk"):
-        amax = mesh.params[:, 0].max() + 0.5 * ca
-        cand[..., 0] = np.clip(cand[..., 0], 0.0, amax)
-    elif mesh.chart_id == "equatorial_subsphere":
-        cand[..., 0] = np.clip(cand[..., 0], 0.0, math.pi)
+    cand[..., 0] = np.clip(cand[..., 0], 0.0, mesh.chart.alpha_clamp())
     cpts = mesh.embed(cand)  # (P, K, d)
     dists = geometry.distance(M, np.asarray(pts, float)[:, None, :], cpts)
     return np.minimum(base, dists.min(axis=1))
@@ -685,7 +627,7 @@ def write_mesh(mesh: SubmanifoldMesh, path) -> None:
     buf = io.StringIO()
     buf.write(f"otsobolev-mesh {_MESH_FORMAT_VERSION}\n")
     buf.write(f"chart {mesh.chart_id}\n")
-    for k, v in sorted(mesh.chart_args.items()):
+    for k, v in sorted(dataclasses.asdict(mesh.chart).items()):
         buf.write(f"arg {k} {v!r}\n")
     buf.write(f"manifold {mesh.manifold.variant} {mesh.manifold.ambient_dim} "
               f"{mesh.manifold.curvature!r}\n")
@@ -719,6 +661,8 @@ def read_mesh(path) -> SubmanifoldMesh:
     if header[0] != "otsobolev-mesh" or int(header[1]) != _MESH_FORMAT_VERSION:
         raise ValueError("not a mesh record of a supported version")
     chart_id = next(it).split(maxsplit=1)[1]
+    if chart_id not in CHARTS:
+        raise ValueError(f"unknown chart {chart_id!r}")
     chart_args = {}
     line = next(it)
     while line.startswith("arg "):
@@ -726,14 +670,9 @@ def read_mesh(path) -> SubmanifoldMesh:
         chart_args[key] = ast.literal_eval(val)
         line = next(it)
     _, variant, adim, curv = line.split()
-    if variant == geometry.EUCLIDEAN:
-        manifold = geometry.euclidean(int(adim))
-    elif variant == geometry.SPHERE:
-        manifold = geometry.sphere(int(adim), float(curv))
-    elif variant == geometry.HYPERBOLIC:
-        manifold = geometry.hyperbolic(int(adim), float(curv))
-    else:
+    if variant not in (geometry.EUCLIDEAN, geometry.SPHERE, geometry.HYPERBOLIC):
         raise ValueError(f"cannot import meshes on variant {variant}")
+    manifold = ModelManifold(variant, int(adim), float(curv))
     n, m = map(int, next(it).split()[1:])
     h, ca, cb = map(float, next(it).split()[1:])
     count = int(next(it).split()[1])
@@ -750,32 +689,11 @@ def read_mesh(path) -> SubmanifoldMesh:
         bparams = np.zeros((0, 2))
         bw = np.zeros((0, 1))
         bpts = np.zeros((0, d))
-    mesh = SubmanifoldMesh(
-        manifold, n, m, chart_id, chart_args,
+    chart = CHARTS[chart_id](**chart_args)
+    return SubmanifoldMesh(
+        manifold, n, m, chart,
         params, stencil, pts, w.ravel(),
         tf.reshape(count, n, d), nf.reshape(count, m, d),
         s2f.reshape(count, n, n), sff.reshape(count, m, n, n), H,
-        bpts, bw.ravel(), bparams, h=h, param_cell=(ca, cb))
-    # rebuild the chart embedding for distance refinement
-    try:
-        rebuilt = _rebuild_embed(manifold, chart_id, chart_args)
-        mesh.embed = rebuilt
-    except UnsupportedChartError:
-        mesh.embed = None
-    return mesh
-
-
-def _rebuild_embed(manifold, chart_id, chart_args):
-    spec_by_id = {
-        "flat_disk": lambda a: FlatDisk(a["radius"], a.get("codim", 2)),
-        "graph_over_disk": lambda a: GraphOverDisk(a["radius"], a["height"],
-                                                   a.get("codim", 2)),
-        "sphere_geodesic_ball": lambda a: GeodesicBallInSubsphere(a["radius"]),
-        "hyperbolic_geodesic_disk":
-            lambda a: GeodesicDiskInHyperbolicSubspace(a["radius"]),
-        "equatorial_subsphere": lambda a: EquatorialSubsphereBand(),
-    }
-    if chart_id not in spec_by_id:
-        raise UnsupportedChartError(chart_id)
-    tiny = build_submanifold(manifold, spec_by_id[chart_id](chart_args), 4)
-    return tiny.embed
+        bpts, bw.ravel(), bparams, h=h, embed=partial(chart.embed, manifold),
+        param_cell=(ca, cb))

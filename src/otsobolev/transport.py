@@ -268,8 +268,6 @@ class FiberReconstruction:
     mass: np.ndarray
     normal_vectors: np.ndarray       # (K, m) frame components of (log)^perp
     tangential_residuals: np.ndarray  # (K,)
-    log_vectors_tangent: np.ndarray  # (K, n)
-    node_mass_residual: np.ndarray   # (N,)
     stats: dict = field(default_factory=dict)
 
 
@@ -290,16 +288,13 @@ def tangency_residuals(manifold: ModelManifold, mesh: SubmanifoldMesh,
     ut = np.einsum("kad,kd->ka", tf, u)
     un = np.einsum("kad,kd->ka", nf, u)
     tau = np.linalg.norm(ut + grad_phi[ii], axis=1)
-    row = np.bincount(coupling.rows, weights=coupling.mass,
-                      minlength=mesh.node_count)
-    node_resid = np.abs(row - coupling.source.weights)
     stats = {
         "median": float(np.median(tau)),
         "p90": float(np.quantile(tau, 0.9)),
         "max": float(tau.max()),
         "atom_count": int(len(tau)),
     }
-    return FiberReconstruction(ii, jj, mm, un, tau, ut, node_resid, stats)
+    return FiberReconstruction(ii, jj, mm, un, tau, stats)
 
 
 @dataclass

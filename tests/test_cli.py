@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -29,6 +30,9 @@ value = 1.0
 [checks]
 inequality = nonneg_limit
 """
+
+
+BALL_CFG = cli.bundled_scenario_path("sphere_ball_closed.cfg")
 
 
 @pytest.fixture
@@ -120,6 +124,26 @@ class TestRunCommand:
         assert res.exit_code == 2
         assert "chart" in res.output
 
+    @pytest.mark.parametrize("old, new", [
+        ("resolution = 24", "resolution = 0"),
+        ("resolution = 24", "resolution = -3"),
+        ("resolution = 24", "resolution = 1"),
+        ("chart = sphere_geodesic_ball", "chart = flat_disk"),
+        ("radius = 1.5707963267948966", "radius = 4.0"),
+        ("chart = sphere_geodesic_ball", "chart = equatorial_subsphere"),
+    ])
+    def test_bad_chart_exit_two(self, runner, tmp_path, old, new):
+        """Chart/manifold mismatches and bad resolutions are config errors."""
+        text = Path(BALL_CFG).read_text()
+        assert old in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        res = runner.invoke(cli.main, ["run", str(cfg),
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "config error" in res.output
+
     def test_missing_file_exit_two(self, runner):
         res = runner.invoke(cli.main, ["run", "/nonexistent/x.cfg"])
         assert res.exit_code == 2
@@ -144,6 +168,14 @@ class TestSweepCommand:
         res = runner.invoke(cli.main, ["sweep", tiny_cfg, "--grid",
                                        "radius0.5,1.0"])
         assert res.exit_code == 2
+
+    def test_bad_chart_at_grid_point_exit_two(self, runner, tmp_path):
+        res = runner.invoke(cli.main, [
+            "sweep", BALL_CFG, "--grid", "submanifold.radius=4.0",
+            "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "config error at radius=4.0" in res.output
 
     def test_unsupported_target_exit_two(self, runner, tiny_cfg, tmp_path):
         res = runner.invoke(cli.main, [

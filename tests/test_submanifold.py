@@ -140,6 +140,16 @@ def test_chart_manifold_mismatch():
             submanifold.GeodesicBallInSubsphere(radius=1.0), 8)
 
 
+@pytest.mark.parametrize("manifold, chart", [
+    (geometry.euclidean(4), submanifold.FlatDisk(radius=0.0)),
+    (geometry.hyperbolic(3, -1.0),
+     submanifold.GeodesicDiskInHyperbolicSubspace(radius=-0.5)),
+])
+def test_nonpositive_radius_rejected(manifold, chart):
+    with pytest.raises(UnsupportedChartError):
+        submanifold.build_submanifold(manifold, chart, 8)
+
+
 class TestDerivatives:
     def test_gradient_of_expression_field(self):
         mesh = flat_disk_mesh(res=16)
@@ -213,6 +223,11 @@ class TestMeshRoundTrip:
         lambda: submanifold.build_submanifold(
             geometry.hyperbolic(3, -1.0),
             submanifold.GeodesicDiskInHyperbolicSubspace(radius=0.7), 8),
+        lambda: submanifold.build_submanifold(
+            geometry.euclidean(4),
+            submanifold.GraphOverDisk(radius=1.0, height="u1*u2 + u1**2/5"), 8),
+        lambda: submanifold.build_submanifold(
+            geometry.sphere(3, 1.0), submanifold.EquatorialSubsphereBand(), 8),
     ])
     def test_write_read_round_trip(self, make, tmp_path):
         mesh = make()
@@ -221,9 +236,10 @@ class TestMeshRoundTrip:
         back = submanifold.read_mesh(path)
         assert back.chart_id == mesh.chart_id
         assert back.n == mesh.n and back.m == mesh.m
-        for attr in ("points", "weights", "params", "tangent_frames",
-                     "normal_frames", "sff", "mean_curvature",
-                     "boundary_points", "boundary_weights"):
+        for attr in ("points", "weights", "params", "stencil_coords",
+                     "tangent_frames", "normal_frames", "stencil_to_frame",
+                     "sff", "mean_curvature", "boundary_points",
+                     "boundary_weights"):
             assert np.array_equal(getattr(back, attr), getattr(mesh, attr)), attr
         # the rebuilt chart map supports refined distance queries
         q = mesh.points[:3] if mesh.manifold.variant != geometry.EUCLIDEAN \
@@ -231,3 +247,23 @@ class TestMeshRoundTrip:
         d0 = submanifold.distance_to_mesh(mesh, q)
         d1 = submanifold.distance_to_mesh(back, q)
         assert np.allclose(d0, d1, atol=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [4, 11])
+@pytest.mark.parametrize("manifold, chart", [
+    (geometry.euclidean(4), submanifold.FlatDisk(radius=1.0)),
+    (geometry.euclidean(4),
+     submanifold.GraphOverDisk(radius=1.0, height="u1*u2 + u1**2/5")),
+    (geometry.sphere(4, 1.0), submanifold.GeodesicBallInSubsphere(radius=1.2)),
+    (geometry.hyperbolic(3, -1.0),
+     submanifold.GeodesicDiskInHyperbolicSubspace(radius=0.7)),
+    (geometry.sphere(3, 1.0), submanifold.EquatorialSubsphereBand()),
+], ids=lambda v: getattr(v, "name", None) or v.variant)
+def test_nodes_are_the_chart_embedding(manifold, chart, resolution):
+    """Interior and boundary nodes are the chart's embedding of their
+    parameters, bit for bit."""
+    mesh = submanifold.build_submanifold(manifold, chart, resolution)
+    assert mesh.points.tobytes() == mesh.embed(mesh.params).tobytes()
+    bpts = mesh.embed(mesh.boundary_params)
+    assert bpts.shape == mesh.boundary_points.shape
+    assert mesh.boundary_points.tobytes() == bpts.tobytes()
