@@ -193,20 +193,24 @@ def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
 
 def _apply_override(config: ScenarioConfig, section: str, key: str,
                     value: str) -> None:
-    if section == "domain":
-        if key == "samples":
-            config.domain_samples = int(value)
+    try:
+        if section == "domain":
+            if key == "samples":
+                config.domain_samples = int(value)
+            else:
+                config.domain_params[key] = float(value)
+        elif section == "submanifold" and key == "resolution":
+            config.resolution = int(value)
+        elif section == "submanifold" and key == "radius":
+            config.chart_params["radius"] = float(value)
+        elif section == "jacobi" and key in ("steps", "atoms"):
+            setattr(config, f"jacobi_{key}", int(value))
         else:
-            config.domain_params[key] = float(value)
-    elif section == "submanifold" and key == "resolution":
-        config.resolution = int(value)
-    elif section == "submanifold" and key == "radius":
-        config.chart_params["radius"] = float(value)
-    elif section == "jacobi" and key in ("steps", "atoms"):
-        setattr(config, f"jacobi_{key}", int(value))
-    else:
-        raise ConfigError(f"unsupported sweep target {section}.{key}")
+            raise ConfigError(f"unsupported sweep target {section}.{key}")
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
     config.raw.setdefault(section, {})[key] = value
+    config.validate()
 
 
 @main.command("list-scenarios")

@@ -46,23 +46,13 @@ class JacobiTrajectory:
     delta_phi: float           # surface Laplacian of the potential at the node
     h_dot_v: float             # <H, v> at the node
     S: np.ndarray              # constant curvature matrix in the parallel frame
-    det_p: np.ndarray = field(init=False)
-    Q: np.ndarray = field(init=False)           # (T, d, d), nan where undefined
-    q_defined: np.ndarray = field(init=False)   # (T,) bool
+    det_p: np.ndarray          # (T,)
+    Q: np.ndarray              # (T, d, d), nan where undefined
+    q_defined: np.ndarray      # (T,) bool
     trq1: np.ndarray = field(init=False)
     trq3: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        T, d, _ = self.P.shape
-        self.det_p = np.linalg.det(self.P)
-        self.Q = np.full((T, d, d), np.nan)
-        self.q_defined = np.zeros(T, dtype=bool)
-        with np.errstate(all="ignore"):
-            cond = np.linalg.cond(self.P)
-        ok = np.isfinite(cond) & (cond < COND_LIMIT)
-        if ok.any():
-            self.Q[ok] = np.linalg.solve(self.P[ok], self.Pp[ok])
-            self.q_defined = ok
         self.trq1 = np.einsum("tii->t", self.Q[:, :self.n, :self.n])
         self.trq3 = np.einsum("tii->t", self.Q[:, self.n:, self.n:])
 
@@ -125,29 +115,26 @@ def initial_conditions(mesh: SubmanifoldMesh, node: int, v_normal: np.ndarray,
     return P0, P0p
 
 
-def propagate(manifold: ModelManifold, frame: ParallelFrame,
-              P0: np.ndarray, P0p: np.ndarray, steps: int = 1000,
-              delta_phi: float = 0.0, h_dot_v: float = 0.0,
-              n: Optional[int] = None) -> JacobiTrajectory:
-    """Classical 4th-order one-step integration of P'' = -PS on [0, 1].
+def rk4_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray,
+              steps: int = 1000):
+    """Classical 4th-order one-step integration of P'' = -PS on [0, 1]
+    for a stack of atoms.
 
-    S is evaluated once in the parallel frame, where it is constant for
-    the model spaces.
+    ``S``, ``P0`` and ``P0p`` are (A, d, d): per atom, the constant
+    curvature matrix and the initial data.  Returns P and P' as
+    (A, steps + 1, d, d), so each atom's trajectory is a contiguous
+    view.  Every operation acts on each atom's (d, d) matrices alone,
+    so an atom's trajectory is bitwise the same in any stack.
     """
     if steps < 100:
         raise ValueError("steps must be >= 100")
-    S = geometry.curvature_matrix(manifold, frame, 0.0)
-    d = S.shape[0]
-    if P0.shape != (d, d) or P0p.shape != (d, d):
+    if P0.shape != S.shape or P0p.shape != S.shape:
         raise ValueError("initial data must match the frame dimension")
-    if n is None:
-        n = frame.n_tangent
-    m = d - n
-    times = np.linspace(0.0, 1.0, steps + 1)
+    A, d, _ = S.shape
     dt = 1.0 / steps
-    P = np.empty((steps + 1, d, d))
-    Pp = np.empty((steps + 1, d, d))
-    P[0], Pp[0] = P0, P0p
+    P = np.empty((A, steps + 1, d, d))
+    Pp = np.empty((A, steps + 1, d, d))
+    P[:, 0], Pp[:, 0] = P0, P0p
 
     def rhs(p, pp):
         return pp, -p @ S
@@ -160,10 +147,58 @@ def propagate(manifold: ModelManifold, frame: ParallelFrame,
         k4p, k4v = rhs(p + dt * k3p, pp + dt * k3v)
         p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         pp = pp + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        P[k + 1], Pp[k + 1] = p, pp
-    traj = JacobiTrajectory(frame, times, P, Pp, n, m, delta_phi, h_dot_v, S)
-    det_win = traj.det_p[traj.trim_index:]
-    if np.any(det_win <= 0):
+        P[:, k + 1], Pp[:, k + 1] = p, pp
+    return P, Pp
+
+
+def propagate_atoms(manifold: ModelManifold, frames: list,
+                    P0: np.ndarray, P0p: np.ndarray, delta_phi, h_dot_v,
+                    steps: int = 1000, n: Optional[int] = None) -> list:
+    """``propagate`` for a stack of atoms, integrated together.
+
+    ``P0``/``P0p`` are (A, d, d), with one frame and one value of
+    ``delta_phi`` and ``h_dot_v`` per atom.  Returns one trajectory per
+    atom, or None for an atom whose det P changes sign on the trimmed
+    window (where ``propagate`` raises SingularPError).  The
+    trajectories are views of the stacked arrays.
+    """
+    S = np.stack([geometry.curvature_matrix(manifold, f, 0.0)
+                  for f in frames])
+    P, Pp = rk4_stack(S, P0, P0p, steps)
+    # det P and Q = P^{-1} P', matrix by matrix over the whole stack
+    det_p = np.linalg.det(P)
+    Q = np.full(P.shape, np.nan)
+    with np.errstate(all="ignore"):
+        cond = np.linalg.cond(P)
+    ok = np.isfinite(cond) & (cond < COND_LIMIT)
+    if ok.any():
+        Q[ok] = np.linalg.solve(P[ok], Pp[ok])
+    times = np.linspace(0.0, 1.0, steps + 1)
+    out = []
+    for a, frame in enumerate(frames):
+        if np.any(det_p[a, TRIM_SAMPLES:] <= 0):
+            out.append(None)
+            continue
+        na = frame.n_tangent if n is None else n
+        out.append(JacobiTrajectory(
+            frame, times, P[a], Pp[a], na, S.shape[1] - na, delta_phi[a],
+            h_dot_v[a], S[a], det_p[a], Q[a], ok[a]))
+    return out
+
+
+def propagate(manifold: ModelManifold, frame: ParallelFrame,
+              P0: np.ndarray, P0p: np.ndarray, steps: int = 1000,
+              delta_phi: float = 0.0, h_dot_v: float = 0.0,
+              n: Optional[int] = None) -> JacobiTrajectory:
+    """Classical 4th-order one-step integration of P'' = -PS on [0, 1].
+
+    S is evaluated once in the parallel frame, where it is constant for
+    the model spaces.  The one-atom case of ``propagate_atoms``.
+    """
+    (traj,) = propagate_atoms(manifold, [frame], np.asarray(P0)[None],
+                              np.asarray(P0p)[None], [delta_phi], [h_dot_v],
+                              steps, n)
+    if traj is None:
         raise SingularPError("det P changes sign before t = 1 "
                              "(conjugate-point degeneracy)")
     return traj
@@ -431,9 +466,12 @@ class TraceComparisonReport:
 
 def trace_comparison_check(traj: JacobiTrajectory, profile: ComparisonProfile,
                            tol: Optional[float] = None,
-                           ode_tol: float = 1e-6) -> TraceComparisonReport:
+                           ode_tol: float = 1e-6,
+                           riccati: Optional[float] = None
+                           ) -> TraceComparisonReport:
     """Pointwise trQ1/trQ3 envelope check plus the Riccati residual on
-    the trimmed window (report-only)."""
+    the trimmed window (report-only).  ``riccati`` is
+    ``riccati_residual(traj)`` if the caller has it already."""
     i0 = traj.trim_index
     ok = traj.q_defined.copy()
     ok[:i0] = False
@@ -442,6 +480,7 @@ def trace_comparison_check(traj: JacobiTrajectory, profile: ComparisonProfile,
         tol = 1e-6 * traj.m / traj.t0
     e1 = traj.trq1[ok] - profile.trq1_bound(t)
     e3 = traj.trq3[ok] - profile.trq3_bound(t)
-    res = riccati_residual(traj)
-    return TraceComparisonReport(float(e1.max()), float(e3.max()), res,
+    if riccati is None:
+        riccati = riccati_residual(traj)
+    return TraceComparisonReport(float(e1.max()), float(e3.max()), riccati,
                                  float(tol), ode_tol)

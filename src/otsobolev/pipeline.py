@@ -22,7 +22,6 @@ from .errors import (
     DenominatorVanishesError,
     NormalizationDriftError,
     ResolutionTooCoarseError,
-    SingularPError,
     UnsupportedChartError,
 )
 from .fields import constant_field, field_from_expression
@@ -30,6 +29,11 @@ from .geometry import ModelManifold
 
 CHECK_NAMES = ("tangency", "fiber_mass", "semiconcavity", "jacobi", "ibp",
                "inequality")
+# the [domain] keys each target-domain variant reads
+DOMAIN_KEYS = {inequalities.ANNULUS: ("sigma", "r"),
+               inequalities.COMPLEMENT_OF_TUBE: ("eps",),
+               inequalities.GEODESIC_BALL: ("r",),
+               inequalities.WHOLE_MANIFOLD: ()}
 
 
 @dataclass
@@ -111,20 +115,13 @@ class ScenarioConfig:
         domain_samples = 0
         if cp.has_section("domain"):
             domain_variant = need("domain", "variant")
-            if domain_variant not in (inequalities.ANNULUS,
-                                      inequalities.WHOLE_MANIFOLD,
-                                      inequalities.COMPLEMENT_OF_TUBE,
-                                      inequalities.GEODESIC_BALL):
+            if domain_variant not in DOMAIN_KEYS:
                 raise ConfigError(
                     f"domain.variant: unknown variant {domain_variant!r}")
             domain_samples = cp.getint("domain", "samples", fallback=1000)
             for key in ("sigma", "r", "eps"):
                 if cp.has_option("domain", key):
                     domain_params[key] = cp.getfloat("domain", key)
-            if "sigma" in domain_params and not 0 < domain_params["sigma"] < 1:
-                raise ConfigError(
-                    f"domain.sigma: value {domain_params['sigma']} "
-                    "outside (0, 1)")
 
         solver = cp.get("solver", "method", fallback="exact")
         if solver not in ("exact", "entropic"):
@@ -158,11 +155,37 @@ class ScenarioConfig:
             if cp.has_section("jacobi") else 200
 
         raw = {s: dict(cp.items(s)) for s in cp.sections()}
-        return cls(name, seed, variant, curvature, ambient_dim, lift,
-                   chart, chart_params, resolution, field_kind, field_spec,
-                   domain_variant, domain_params, domain_samples,
-                   solver, eps_reg, size_cap, checks, inequality_variant,
-                   jacobi_steps, jacobi_atoms, raw)
+        config = cls(name, seed, variant, curvature, ambient_dim, lift,
+                     chart, chart_params, resolution, field_kind, field_spec,
+                     domain_variant, domain_params, domain_samples,
+                     solver, eps_reg, size_cap, checks, inequality_variant,
+                     jacobi_steps, jacobi_atoms, raw)
+        config.validate()
+        return config
+
+    def validate(self) -> None:
+        """Raise ConfigError for values a run would die on: a curvature
+        of the wrong sign for the manifold variant, a [domain] key its
+        variant needs, sigma outside (0, 1), fewer than 100 Jacobi steps
+        or no Jacobi atom.  Runs on load and after each sweep override."""
+        rule, holds = {geometry.EUCLIDEAN: ("= 0", lambda K: K == 0),
+                       geometry.SPHERE: ("> 0", lambda K: K > 0),
+                       geometry.HYPERBOLIC: ("< 0", lambda K: K < 0),
+                       }[self.manifold_variant]
+        if not holds(self.curvature):
+            raise ConfigError(f"manifold.curvature: {self.manifold_variant} "
+                              f"requires K {rule}, got {self.curvature}")
+        for key in DOMAIN_KEYS.get(self.domain_variant, ()):
+            if key not in self.domain_params:
+                raise ConfigError(f"missing required field domain.{key}")
+        sigma = self.domain_params.get("sigma")
+        if sigma is not None and not 0 < sigma < 1:
+            raise ConfigError(f"domain.sigma: value {sigma} outside (0, 1)")
+        if self.jacobi_steps < 100:
+            raise ConfigError(
+                f"jacobi.steps: {self.jacobi_steps} is below 100")
+        if self.jacobi_atoms < 1:
+            raise ConfigError(f"jacobi.atoms: {self.jacobi_atoms} is below 1")
 
     def needs_transport(self) -> bool:
         return any(self.checks.get(k) for k in
@@ -214,12 +237,17 @@ def _choose_atoms(coupling, limit):
     return ii[order][:limit], jj[order][:limit], mm[order][:limit]
 
 
+# Atoms the Jacobi stage propagates together: stacking spreads the
+# per-step Python work of RK4 over the chunk, and the bound keeps the
+# stacked (atoms, steps + 1, d, d) trajectories of one chunk at a few MB.
+JACOBI_CHUNK = 16
+
+
 def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
                   report: RunReport):
-    ii, jj, mm = _choose_atoms(coupling, config.jacobi_atoms)
+    ii, jj, _ = _choose_atoms(coupling, config.jacobi_atoms)
     hn = mesh.mean_curvature_normal_components()
     nf = mesh._metric_frames(mesh.normal_frames)
-    K = M.curvature
     stats = {
         "atom_count": int(len(ii)),
         "sym_residual_max": 0.0,
@@ -235,35 +263,73 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
         "singular_atoms": 0,
         "flagged_atoms": 0,
     }
-    mono_applies = K >= 0.0
     first_series = None
-    neg_r = config.domain_params.get("r")
-    for a in range(len(ii)):
-        i, j = int(ii[a]), int(jj[a])
+    for start in range(0, len(ii), JACOBI_CHUNK):
+        chunk = slice(start, start + JACOBI_CHUNK)
+        series = _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi,
+                               hn, nf, ii[chunk], jj[chunk], stats,
+                               want_series=first_series is None)
+        if first_series is None:
+            first_series = series
+    for k in ("bound_margin_min", "lap_margin_min"):
+        if not math.isfinite(stats[k]):
+            stats[k] = 0.0
+    for k in ("trq1_excess_max", "trq3_excess_max"):
+        if not math.isfinite(stats[k]):
+            stats[k] = 0.0
+    passed = (stats["sym_residual_max"] <= 1e-8
+              and stats["riccati_residual_max"] <= 1e-6
+              and stats["mono_failures"] == 0
+              and stats["singular_atoms"] == 0
+              and stats["bound_margin_min"] >= 0.0
+              and stats["lap_margin_min"] >= -jacobi.LAP_SLACK_FACTOR * mesh.n)
+    report.checks["jacobi"] = {"passed": bool(passed), **stats}
+    if first_series is not None:
+        report.series["jacobi_profile"] = first_series
+    if not passed:
+        report.warnings.append("jacobi")
+
+
+def _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi, hn, nf,
+                  ii, jj, stats, want_series):
+    """Propagate the atoms (ii, jj) together and fold their checks into
+    ``stats``; ``hn``/``nf`` are the mesh's normal components of H and
+    metric-paired normal frames.  Returns the plot series of the first
+    evaluated atom if ``want_series``.  The stacked trajectories are
+    freed on return."""
+    frames, P0, P0p, dphi, hdv, logs = [], [], [], [], [], []
+    for i, j in zip(ii.tolist(), jj.tolist()):
         x = mesh.points[i]
         zeta = coupling.target.points[j]
         u = geometry.log_map(M, x, zeta)
-        frame = geometry.build_parallel_frame(
+        frames.append(geometry.build_parallel_frame(
             M, x, u, list(mesh.tangent_frames[i]),
-            list(mesh.normal_frames[i]), samples=2)
+            list(mesh.normal_frames[i]), samples=2))
         v_norm = nf[i] @ u
-        P0, P0p = jacobi.initial_conditions(mesh, i, v_norm, hess_phi[i],
+        p0, p0p = jacobi.initial_conditions(mesh, i, v_norm, hess_phi[i],
                                             grad_phi[i])
-        dphi = float(np.trace(hess_phi[i]))
-        hdv = float(hn[i] @ v_norm)
-        try:
-            traj = jacobi.propagate(M, frame, P0, P0p,
-                                    steps=config.jacobi_steps,
-                                    delta_phi=dphi, h_dot_v=hdv)
-        except SingularPError:
+        P0.append(p0)
+        P0p.append(p0p)
+        dphi.append(float(np.trace(hess_phi[i])))
+        hdv.append(float(hn[i] @ v_norm))
+        logs.append(u)
+    trajs = jacobi.propagate_atoms(M, frames, np.stack(P0), np.stack(P0p),
+                                   dphi, hdv, steps=config.jacobi_steps)
+    K = M.curvature
+    mono_applies = K >= 0.0
+    neg_r = config.domain_params.get("r")
+    series = None
+    for traj, u in zip(trajs, logs):
+        if traj is None:
             stats["singular_atoms"] += 1
             continue
+        riccati = jacobi.riccati_residual(traj)
         stats["sym_residual_max"] = max(stats["sym_residual_max"],
                                         traj.symmetry_residual())
         stats["q_sym_residual_max"] = max(stats["q_sym_residual_max"],
                                           traj.q_symmetry_residual())
         stats["riccati_residual_max"] = max(stats["riccati_residual_max"],
-                                            jacobi.riccati_residual(traj))
+                                            riccati)
         stats["lap_margin_min"] = min(stats["lap_margin_min"],
                                       jacobi.lap_lower_bound_check(traj))
         if mono_applies:
@@ -295,7 +361,8 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
                 stats["flagged_atoms"] += 1
                 continue
         try:
-            rep = jacobi.trace_comparison_check(traj, profile)
+            rep = jacobi.trace_comparison_check(traj, profile,
+                                                riccati=riccati)
         except (DenominatorVanishesError, ArgOutOfDomainError):
             stats["flagged_atoms"] += 1
             continue
@@ -303,10 +370,10 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
                                        rep.worst_trq1_excess)
         stats["trq3_excess_max"] = max(stats["trq3_excess_max"],
                                        rep.worst_trq3_excess)
-        if first_series is None:
+        if want_series and series is None:
             i0 = traj.trim_index
             t = traj.times[i0:]
-            first_series = {
+            series = {
                 "t": t.tolist(),
                 "det_p": traj.det_p[i0:].tolist(),
                 "det_envelope": np.asarray(
@@ -316,23 +383,7 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
                 "trq3": traj.trq3[i0:].tolist(),
                 "trq3_bound": np.asarray(profile.trq3_bound(t)).tolist(),
             }
-    for k in ("bound_margin_min", "lap_margin_min"):
-        if not math.isfinite(stats[k]):
-            stats[k] = 0.0
-    for k in ("trq1_excess_max", "trq3_excess_max"):
-        if not math.isfinite(stats[k]):
-            stats[k] = 0.0
-    passed = (stats["sym_residual_max"] <= 1e-8
-              and stats["riccati_residual_max"] <= 1e-6
-              and stats["mono_failures"] == 0
-              and stats["singular_atoms"] == 0
-              and stats["bound_margin_min"] >= 0.0
-              and stats["lap_margin_min"] >= -jacobi.LAP_SLACK_FACTOR * mesh.n)
-    report.checks["jacobi"] = {"passed": bool(passed), **stats}
-    if first_series is not None:
-        report.series["jacobi_profile"] = first_series
-    if not passed:
-        report.warnings.append("jacobi")
+    return series
 
 
 def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
@@ -404,7 +455,7 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
             report.theorem_failures.append("certification")
         report.stage_seconds["transport"] = clock() - t
 
-    grad_phi = hess_phi = fiber = None
+    grad_phi = hess_phi = tangency = None
     if coupling is not None:
         t = clock()
         ii, jj, _ = coupling.atoms()
@@ -416,11 +467,11 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         grad_phi, cap_flags = transport.potential_gradient_on_sigma(
             mesh, coupling.phi_cc, per_node_max)
         hess_phi = submanifold.lsq_hessian(mesh, coupling.phi_cc)
-        fiber = transport.tangency_residuals(M, mesh, coupling, grad_phi)
+        tangency = transport.tangency_residuals(M, mesh, coupling, grad_phi)
         report.stage_seconds["potential"] = clock() - t
 
     if config.checks.get("tangency"):
-        st = fiber.stats
+        st = tangency.stats
         report.checks["tangency"] = {
             "passed": True, "median": st["median"], "p90": st["p90"],
             "max": st["max"], "atom_count": st["atom_count"],
@@ -444,7 +495,7 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
                 * 0.5 * mesh.m * geometry.ball_volume(mesh.m) \
                 * r**mesh.m * (1.0 - sigma**2)
         fm = transport.fiber_mass_residual(
-            mesh, coupling, fiber,
+            coupling,
             domain_volume=None if domain is None else domain.volume,
             envelope=envelope)
         rec = {"passed": bool(fm.marginal_residual.max() <= 1e-6),

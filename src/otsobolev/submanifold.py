@@ -386,12 +386,15 @@ class SubmanifoldMesh:
         return np.einsum("nad,nd->na", self._metric_frames(self.normal_frames),
                          self.mean_curvature)
 
+    @property
+    def chart_manifold(self) -> ModelManifold:
+        """The space form the chart lives in (the base of a lifted mesh)."""
+        M = self.manifold
+        return M.base if M.variant == geometry.PRODUCT_WITH_LINE else M
+
     def _metric_frames(self, frames: np.ndarray) -> np.ndarray:
         # frames are stored as embedded vectors; pairing uses the ambient metric
-        M = self.manifold
-        if M.variant == geometry.PRODUCT_WITH_LINE:
-            M = M.base
-        if M.variant != geometry.HYPERBOLIC:
+        if self.chart_manifold.variant != geometry.HYPERBOLIC:
             return frames
         g = frames.copy()
         g[..., 0] = -g[..., 0]
@@ -448,7 +451,7 @@ def boundary_stencil_coords(mesh: SubmanifoldMesh) -> np.ndarray:
     p = mesh.boundary_params
     if len(p) == 0:
         return np.zeros((0, mesh.n))
-    return _polar_stencil(mesh.chart.stencil_scale(mesh.manifold), p)
+    return _polar_stencil(mesh.chart.stencil_scale(mesh.chart_manifold), p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ atoms, fiber mass balance, semiconcavity of the potential).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -260,41 +260,33 @@ def potential_gradient_on_sigma(mesh: SubmanifoldMesh,
 
 
 @dataclass
-class FiberReconstruction:
-    """Per-atom normal-fiber decomposition of the transport plan."""
+class TangencyReport:
+    """Statistics of the per-atom tangential residuals."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    mass: np.ndarray
-    normal_vectors: np.ndarray       # (K, m) frame components of (log)^perp
-    tangential_residuals: np.ndarray  # (K,)
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
 
 def tangency_residuals(manifold: ModelManifold, mesh: SubmanifoldMesh,
                        coupling: DiscreteCoupling,
-                       grad_phi: np.ndarray) -> FiberReconstruction:
+                       grad_phi: np.ndarray) -> TangencyReport:
     """Check that plan atoms leave Sigma with velocity -grad phi + normal.
 
     For every atom (x_i, zeta_j): u = log_{x_i} zeta_j; the tangential
     residual is |u^T + grad phi(x_i)| and should vanish in the continuum.
     """
-    ii, jj, mm = coupling.atoms()
+    ii, jj, _ = coupling.atoms()
     x = mesh.points[ii]
     z = coupling.target.points[jj]
     u = geometry.log_map(manifold, x, z)
     tf = mesh._metric_frames(mesh.tangent_frames)[ii]
-    nf = mesh._metric_frames(mesh.normal_frames)[ii]
     ut = np.einsum("kad,kd->ka", tf, u)
-    un = np.einsum("kad,kd->ka", nf, u)
     tau = np.linalg.norm(ut + grad_phi[ii], axis=1)
-    stats = {
+    return TangencyReport({
         "median": float(np.median(tau)),
         "p90": float(np.quantile(tau, 0.9)),
         "max": float(tau.max()),
         "atom_count": int(len(tau)),
-    }
-    return FiberReconstruction(ii, jj, mm, un, tau, stats)
+    })
 
 
 @dataclass
@@ -306,8 +298,7 @@ class FiberMassReport:
     envelope_ok: Optional[bool] = None
 
 
-def fiber_mass_residual(mesh: SubmanifoldMesh, coupling: DiscreteCoupling,
-                        fiber: FiberReconstruction,
+def fiber_mass_residual(coupling: DiscreteCoupling,
                         domain_volume: Optional[float] = None,
                         envelope: Optional[np.ndarray] = None,
                         envelope_slack: float = 0.05) -> FiberMassReport:

@@ -33,6 +33,7 @@ inequality = nonneg_limit
 
 
 BALL_CFG = cli.bundled_scenario_path("sphere_ball_closed.cfg")
+ANNULUS_CFG = cli.bundled_scenario_path("flat_disk_annulus.cfg")
 
 
 @pytest.fixture
@@ -144,6 +145,33 @@ class TestRunCommand:
         assert isinstance(res.exception, SystemExit)
         assert "config error" in res.output
 
+    @pytest.mark.parametrize("scenario, old, new, named", [
+        ("flat_disk_annulus", "steps = 1000", "steps = 50", "jacobi.steps"),
+        ("flat_disk_annulus", "atoms = 250", "atoms = 0", "jacobi.atoms"),
+        ("sphere_ball_closed", "curvature = 1.0", "curvature = -1.0",
+         "manifold.curvature"),
+        ("hyperbolic_disk_r2", "curvature = -1.0", "curvature = 1.0",
+         "manifold.curvature"),
+        ("flat_disk_annulus", "variant = euclidean",
+         "variant = euclidean\ncurvature = 0.5", "manifold.curvature"),
+        ("flat_disk_annulus", "r = 6.0\n", "", "domain.r"),
+        ("flat_disk_annulus", "sigma = 0.6\n", "", "domain.sigma"),
+        ("sphere_tube_005", "eps = 0.05\n", "", "domain.eps"),
+        ("hyperbolic_disk_r2", "r = 2.0\n", "", "domain.r"),
+    ])
+    def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
+                                       new, named):
+        """Values a run would die on are config errors naming the field."""
+        text = Path(cli.bundled_scenario_path(f"{scenario}.cfg")).read_text()
+        assert old in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(old, new))
+        res = runner.invoke(cli.main, ["run", str(cfg),
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "config error" in res.output and named in res.output
+
     def test_missing_file_exit_two(self, runner):
         res = runner.invoke(cli.main, ["run", "/nonexistent/x.cfg"])
         assert res.exit_code == 2
@@ -176,6 +204,22 @@ class TestSweepCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "config error at radius=4.0" in res.output
+
+    @pytest.mark.parametrize("grid, named", [
+        ("jacobi.steps=50", "jacobi.steps"),
+        ("jacobi.atoms=0", "jacobi.atoms"),
+        ("jacobi.steps=many", "jacobi.steps"),
+        ("domain.sigma=1.5", "domain.sigma"),
+    ])
+    def test_bad_value_at_grid_point_exit_two(self, runner, tmp_path, grid,
+                                              named):
+        """Sweep overrides are validated like the config file."""
+        res = runner.invoke(cli.main, [
+            "sweep", ANNULUS_CFG, "--grid", grid,
+            "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "config error at" in res.output and named in res.output
 
     def test_unsupported_target_exit_two(self, runner, tiny_cfg, tmp_path):
         res = runner.invoke(cli.main, [

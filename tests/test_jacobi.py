@@ -1,17 +1,20 @@
 """Jacobi/Riccati propagation: closed-form oracles, profiles, envelopes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from otsobolev import geometry, jacobi, submanifold
+from otsobolev import (geometry, inequalities, jacobi, pipeline, submanifold,
+                       transport)
 from otsobolev.errors import (
     ArgOutOfDomainError,
     NonSymmetricHessianError,
     NormalizationDriftError,
     SingularPError,
 )
+from otsobolev.fields import constant_field
 
 
 def sphere_frame(K=1.0, speed=0.5):
@@ -264,3 +267,176 @@ class TestComparisonProfiles:
         assert rep.passed
         assert rep.worst_trq1_excess <= rep.tol
         assert rep.worst_trq3_excess <= rep.tol
+
+
+def rk4_reference(S, P0, P0p, steps):
+    """One atom's RK4 on (d, d) matrices, step for step as the kernel."""
+    dt = 1.0 / steps
+    P, Pp = [P0], [P0p]
+    p, pp = P0.copy(), P0p.copy()
+    for _ in range(steps):
+        k1p, k1v = pp, -p @ S
+        k2p, k2v = pp + 0.5 * dt * k1v, -(p + 0.5 * dt * k1p) @ S
+        k3p, k3v = pp + 0.5 * dt * k2v, -(p + 0.5 * dt * k2p) @ S
+        k4p, k4v = pp + dt * k3v, -(p + dt * k3p) @ S
+        p = p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        pp = pp + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        P.append(p)
+        Pp.append(pp)
+    return np.array(P), np.array(Pp)
+
+
+def atom_stack(make_frame, count, seed=5):
+    """``count`` atoms on distinct geodesics, ``make_frame(speed)``, with
+    transport-shaped data: P0 = diag(1, 1, 0), P0' = diag(a, b, 1) plus
+    a symmetric tweak."""
+    rng = np.random.default_rng(seed)
+    frames, P0, P0p = [], [], []
+    for _ in range(count):
+        M, frame = make_frame(float(rng.uniform(0.2, 0.9)))
+        tweak = 0.05 * rng.standard_normal((3, 3))
+        frames.append(frame)
+        P0.append(np.diag([1.0, 1.0, 0.0]))
+        P0p.append(np.diag([*rng.uniform(-0.5, 0.5, 2), 1.0])
+                   + tweak + tweak.T)
+    return M, frames, np.array(P0), np.array(P0p)
+
+
+def flat_atom(speed):
+    return euclidean_frame(3, speed)
+
+
+def positive_atom(speed):
+    return sphere_frame(1.0, speed)
+
+
+def negative_atom(speed):
+    return hyperbolic_frame(-1.0, speed)
+
+
+TRAJ_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "trq1", "trq3")
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("make_frame",
+                             [flat_atom, positive_atom, negative_atom])
+    def test_stack_equals_single_atom_bitwise(self, make_frame):
+        M, frames, P0, P0p = atom_stack(make_frame, 17)
+        lam = np.linspace(-0.4, 0.4, 17)
+        stacked = jacobi.propagate_atoms(M, frames, P0, P0p, lam, -lam,
+                                         steps=300)
+        for a, traj in enumerate(stacked):
+            single = jacobi.propagate(M, frames[a], P0[a], P0p[a], steps=300,
+                                      delta_phi=lam[a], h_dot_v=-lam[a])
+            for name in TRAJ_ARRAYS:
+                assert getattr(traj, name).tobytes() == \
+                    getattr(single, name).tobytes(), name
+            assert (traj.lam, traj.n, traj.m) == (single.lam, 2, 1)
+            P, Pp = rk4_reference(single.S, P0[a], P0p[a], 300)
+            assert single.P.tobytes() == P.tobytes()
+            assert single.Pp.tobytes() == Pp.tobytes()
+
+    def test_trajectories_are_contiguous_views(self):
+        M, frames, P0, P0p = atom_stack(positive_atom, 3)
+        trajs = jacobi.propagate_atoms(M, frames, P0, P0p, np.zeros(3),
+                                       np.zeros(3), steps=200)
+        for traj in trajs:
+            assert traj.P.flags.c_contiguous and traj.P.base is not None
+            assert traj.P.shape == (201, 3, 3)
+
+    def test_singular_atom_mid_stack(self):
+        """A conjugate point in one atom leaves its neighbours alone."""
+        M, frames, P0, P0p = atom_stack(positive_atom, 17)
+        _, frames[8] = sphere_frame(K=1.0, speed=2.0)
+        P0[8], P0p[8] = np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])
+        trajs = jacobi.propagate_atoms(M, frames, P0, P0p, np.zeros(17),
+                                       np.zeros(17))
+        assert [a for a, t in enumerate(trajs) if t is None] == [8]
+        with pytest.raises(SingularPError):
+            jacobi.propagate(M, frames[8], P0[8], P0p[8])
+        last = jacobi.propagate(M, frames[16], P0[16], P0p[16])
+        assert trajs[16].Q.tobytes() == last.Q.tobytes()
+
+    def test_stack_rejects_few_steps_and_bad_shapes(self):
+        M, frames, P0, P0p = atom_stack(positive_atom, 2)
+        zero = np.zeros(2)
+        with pytest.raises(ValueError):
+            jacobi.propagate_atoms(M, frames, P0, P0p, zero, zero, steps=99)
+        with pytest.raises(ValueError):
+            jacobi.propagate_atoms(M, frames, P0[:, :2, :2], P0p[:, :2, :2],
+                                   zero, zero)
+
+
+@pytest.fixture(scope="module")
+def annulus_transport():
+    """Exact transport from a small flat disk to its annulus: the inputs
+    of the pipeline's Jacobi stage."""
+    M = geometry.euclidean(4)
+    mesh = submanifold.build_submanifold(
+        M, submanifold.FlatDisk(radius=1.0), 6)
+    params = dict(sigma=0.6, r=6.0)
+    dom = inequalities.build_target_domain(
+        M, mesh, inequalities.ANNULUS, params, 200, 20240602)
+    mu = transport.source_measure(mesh, constant_field(mesh, 1.0))
+    nu = transport.target_measure(dom.points)
+    C = transport.cost_matrix(M, mu, nu)
+    cpl = transport.solve_exact(mu, nu, C)
+    transport.certify_support(cpl)
+    grad, _ = transport.potential_gradient_on_sigma(
+        mesh, cpl.phi_cc, max_target_distance=float(np.sqrt(2.0 * C.max())))
+    hess = submanifold.lsq_hessian(mesh, cpl.phi_cc)
+    return params, M, mesh, cpl, grad, hess
+
+
+def run_stage(inputs, atoms, monkeypatch, chunk):
+    """The Jacobi stage on ``atoms`` atoms, JACOBI_CHUNK = ``chunk``;
+    returns the report and the number of Riccati residuals evaluated."""
+    params, *args = inputs
+    config = SimpleNamespace(jacobi_atoms=atoms, jacobi_steps=200,
+                             domain_params=params)
+    calls = []
+    residual = jacobi.riccati_residual
+    monkeypatch.setattr(jacobi, "riccati_residual",
+                        lambda traj: calls.append(1) or residual(traj))
+    monkeypatch.setattr(pipeline, "JACOBI_CHUNK", chunk)
+    report = pipeline.RunReport("stage", 0, {})
+    pipeline._jacobi_stage(config, *args, report)
+    return report, len(calls)
+
+
+class TestChunkedStage:
+    @pytest.mark.parametrize("atoms", [1, 16, 17, 33])
+    def test_chunks_match_one_atom_at_a_time(self, annulus_transport,
+                                             monkeypatch, atoms):
+        """Chunk boundaries change nothing: the report equals that of
+        propagating each atom alone, and every atom that is not singular
+        has exactly one Riccati residual evaluated."""
+        chunked, calls = run_stage(annulus_transport, atoms, monkeypatch,
+                                   pipeline.JACOBI_CHUNK)
+        alone, _ = run_stage(annulus_transport, atoms, monkeypatch, 1)
+        rec = chunked.checks["jacobi"]
+        assert rec == alone.checks["jacobi"]
+        assert chunked.series == alone.series
+        assert rec["atom_count"] == atoms and rec["passed"]
+        assert calls == atoms - rec["singular_atoms"]
+
+    def test_singular_atom_mid_chunk(self, annulus_transport, monkeypatch):
+        """Atom 8 of 33 gets data whose det P changes sign: it is counted
+        once as singular and the 32 others are still evaluated."""
+        seen = []
+        initial = jacobi.initial_conditions
+
+        def conjugate_at_eighth(*args):
+            P0, P0p = initial(*args)
+            seen.append(1)
+            if len(seen) == 9:
+                P0p[0, 0] = -3.0     # P_11 = 1 - 3t crosses zero
+            return P0, P0p
+
+        monkeypatch.setattr(jacobi, "initial_conditions", conjugate_at_eighth)
+        report, calls = run_stage(annulus_transport, 33, monkeypatch,
+                                  pipeline.JACOBI_CHUNK)
+        rec = report.checks["jacobi"]
+        assert rec["singular_atoms"] == 1 and not rec["passed"]
+        assert rec["flagged_atoms"] == 0
+        assert calls == 32

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as scint
 
-from otsobolev import geometry, submanifold
+from otsobolev import geometry, inequalities, submanifold
 from otsobolev.errors import (
     DegenerateStencilError,
     LengthMismatchError,
@@ -122,6 +122,19 @@ class TestCurvedCharts:
         assert np.isclose(mesh.weights.sum(), 4 * math.pi, rtol=1e-3)
         assert len(mesh.boundary_points) == 0
         assert np.abs(mesh.mean_curvature).max() < 1e-12
+
+
+def test_lifted_ball_boundary_stencil():
+    """A hypersurface lift keeps the boundary stencil coordinates; the
+    scale comes from the base sphere, not the product with a line."""
+    M = geometry.sphere(3, 4.0)
+    mesh = submanifold.build_submanifold(
+        M, submanifold.GeodesicBallInSubsphere(radius=0.5), 8)
+    _, lifted = inequalities.hypersurface_lift(M, mesh)
+    coords = submanifold.boundary_stencil_coords(mesh)
+    assert len(coords) == 32
+    assert submanifold.boundary_stencil_coords(lifted).tobytes() \
+        == coords.tobytes()
 
 
 def test_resolution_too_coarse():
