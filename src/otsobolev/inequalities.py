@@ -275,6 +275,23 @@ def _require(cond: bool, msg: str) -> None:
         raise HypothesisViolationError(msg)
 
 
+def annulus_fiber_envelope(manifold: ModelManifold, mesh: SubmanifoldMesh,
+                           phi_values: np.ndarray, sigma: float,
+                           r: float) -> np.ndarray:
+    """Per-node bound on the fiber volume over the annulus domain: the
+    node weight times (1 - Lap phi / n + |H| r / n)^n times the
+    ``fiber_bound`` constant of ``nonneg_finite``."""
+    # wider stencil: the discrete potential is piecewise smooth, so the
+    # envelope Laplacian must average over several kink cells
+    lap = np.einsum("naa->n", submanifold.lsq_hessian(
+        mesh, phi_values, stencil_radius=4.0))
+    hnorm = _mean_curvature_norms(manifold, mesh)
+    n = mesh.n
+    return mesh.weights * (1.0 - lap / n + hnorm * r / n) ** n \
+        * 0.5 * mesh.m * geometry.ball_volume(mesh.m) \
+        * r**mesh.m * (1.0 - sigma**2)
+
+
 def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         f: ScalarField, variant: str, params: dict,
                         domain: Optional[TargetDomain] = None,
@@ -490,12 +507,13 @@ def sharpness_scan(family: str, grid, resolution: int = 24,
 
 
 def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
-                               phi_values: np.ndarray, r_bound: float,
+                               hess: np.ndarray, r_bound: float,
                                slack: float = 0.05):
     """-int f Lap phi <= r (int_boundary f + int |grad f|), with slack
-    covering the discrete Hessian-trace surrogate.  Returns (margin,
-    lhs, rhs); margin >= 0 means the inequality holds within slack."""
-    hess = submanifold.lsq_hessian(mesh, np.asarray(phi_values, float))
+    covering the discrete Hessian-trace surrogate; ``hess`` is the
+    fitted Hessian of phi (``submanifold.lsq_hessian``).  Returns
+    (margin, lhs, rhs); margin >= 0 means the inequality holds within
+    slack."""
     lap = np.einsum("naa->n", hess)
     lhs = -submanifold.integrate(mesh, f.values * lap)
     grad = submanifold.intrinsic_gradient(mesh, f)

@@ -11,7 +11,8 @@ import configparser
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .errors import (
 from .fields import constant_field, field_from_expression
 from .geometry import ModelManifold
 
-CHECK_NAMES = ("tangency", "fiber_mass", "semiconcavity", "jacobi", "ibp",
-               "inequality")
 # the [domain] keys each target-domain variant reads
 DOMAIN_KEYS = {inequalities.ANNULUS: ("sigma", "r"),
                inequalities.COMPLEMENT_OF_TUBE: ("eps",),
@@ -164,10 +163,9 @@ class ScenarioConfig:
         return config
 
     def validate(self) -> None:
-        """Raise ConfigError for values a run would die on: a curvature
-        of the wrong sign for the manifold variant, a [domain] key its
-        variant needs, sigma outside (0, 1), fewer than 100 Jacobi steps
-        or no Jacobi atom.  Runs on load and after each sweep override."""
+        """Raise ConfigError for values a run would die on (curvature
+        sign, lift, [domain] section and keys, sigma, [jacobi] steps and
+        atoms).  Runs on load and after each sweep override."""
         rule, holds = {geometry.EUCLIDEAN: ("= 0", lambda K: K == 0),
                        geometry.SPHERE: ("> 0", lambda K: K > 0),
                        geometry.HYPERBOLIC: ("< 0", lambda K: K < 0),
@@ -175,6 +173,13 @@ class ScenarioConfig:
         if not holds(self.curvature):
             raise ConfigError(f"manifold.curvature: {self.manifold_variant} "
                               f"requires K {rule}, got {self.curvature}")
+        # every chart is 2-dimensional: ambient dimension 3 is a hypersurface
+        if self.ambient_dim == 3 and not self.lift:
+            raise ConfigError("manifold.lift: codimension-1 submanifolds "
+                              "require lift = true")
+        if self.needs_transport() and self.domain_variant is None:
+            raise ConfigError("domain: transport checks need a [domain] "
+                              "section")
         for key in DOMAIN_KEYS.get(self.domain_variant, ()):
             if key not in self.domain_params:
                 raise ConfigError(f"missing required field domain.{key}")
@@ -188,9 +193,8 @@ class ScenarioConfig:
             raise ConfigError(f"jacobi.atoms: {self.jacobi_atoms} is below 1")
 
     def needs_transport(self) -> bool:
-        return any(self.checks.get(k) for k in
-                   ("tangency", "fiber_mass", "semiconcavity", "jacobi",
-                    "ibp"))
+        return any(self.checks.get(name) for name, check in CHECKS.items()
+                   if check.transport)
 
     def build_manifold(self) -> ModelManifold:
         if self.manifold_variant == geometry.EUCLIDEAN:
@@ -230,11 +234,102 @@ class RunReport:
         return not self.theorem_failures
 
 
-def _choose_atoms(coupling, limit):
-    """Deterministic atom selection: heaviest first, ties by index."""
-    ii, jj, mm = coupling.atoms()
-    order = np.lexsort((jj, ii, -mm))
-    return ii[order][:limit], jj[order][:limit], mm[order][:limit]
+@dataclass
+class RunContext:
+    """What the checks of one run read.  The plan atoms, their
+    distances, the gradient and Hessian of phi^cc and the tangency
+    statistics are computed at most once, when a check first reads them.
+    ``coupling`` is None when no enabled check needs transport."""
+
+    config: ScenarioConfig
+    M: ModelManifold
+    mesh: submanifold.SubmanifoldMesh
+    f: object
+    domain: Optional[inequalities.TargetDomain]
+    coupling: Optional[transport.DiscreteCoupling]
+    report: RunReport
+
+    @cached_property
+    def atoms(self):
+        return self.coupling.atoms()
+
+    @cached_property
+    def atom_distances(self) -> np.ndarray:
+        ii, jj, _ = self.atoms
+        return geometry.distance(self.M, self.mesh.points[ii],
+                                 self.coupling.target.points[jj])
+
+    @cached_property
+    def gradient(self):
+        """(grad phi^cc on Sigma, cap flags); each node's gradient is
+        capped by the distance to its farthest atom."""
+        ii, _, _ = self.atoms
+        dist = self.atom_distances
+        per_node_max = np.zeros(self.mesh.node_count)
+        np.maximum.at(per_node_max, ii, dist)
+        per_node_max[per_node_max == 0] = dist.max()
+        return transport.potential_gradient_on_sigma(
+            self.mesh, self.coupling.phi_cc, per_node_max)
+
+    @cached_property
+    def hess_phi(self) -> np.ndarray:
+        return submanifold.lsq_hessian(self.mesh, self.coupling.phi_cc)
+
+    @cached_property
+    def tangency(self) -> dict:
+        return transport.tangency_residuals(self.M, self.mesh, self.coupling,
+                                            self.gradient[0])
+
+
+def _certification(ctx):
+    """Support certification of the plan; sets ``coupling.phi_cc``,
+    which every later transport check reads."""
+    coupling = ctx.coupling
+    if ctx.config.solver == "exact":
+        cert_tol = 1e-8
+    else:
+        # entropic support violations scale like reg * log(mass / floor)
+        cert_tol = 50.0 * coupling.reg * math.log(
+            max(coupling.source.size * coupling.target.size, 2))
+    cert = transport.certify_support(coupling, tol=cert_tol)
+    mres = coupling.marginal_residual()
+    return {
+        "passed": bool(cert.passed and coupling.converged),
+        "worst_violation": cert.worst_violation,
+        "atom_count": cert.atom_count,
+        "marginal_residual_source": mres[0],
+        "marginal_residual_target": mres[1],
+        "cost": coupling.cost,
+        "duality_gap": coupling.duality_gap,
+        "solver": coupling.solver,
+    }
+
+
+def _tangency(ctx):
+    return {"passed": True, **ctx.tangency,
+            "capped_nodes": int(ctx.gradient[1].sum())}
+
+
+def _fiber_mass(ctx):
+    envelope = None
+    if ctx.config.domain_variant == inequalities.ANNULUS:
+        envelope = inequalities.annulus_fiber_envelope(
+            ctx.M, ctx.mesh, ctx.coupling.phi_cc,
+            ctx.config.domain_params["sigma"], ctx.config.domain_params["r"])
+    fm = transport.fiber_mass_residual(
+        ctx.coupling, domain_volume=ctx.domain.volume, envelope=envelope)
+    worst = float(fm.marginal_residual.max())
+    rec = {"passed": worst <= 1e-6 and fm.envelope_ok is not False,
+           "marginal_residual_max": worst}
+    if fm.envelope_ok is not None:
+        rec["envelope_ok"] = fm.envelope_ok
+    return rec
+
+
+def _semiconcavity(ctx):
+    sc = transport.semiconcavity_check(ctx.M, ctx.mesh, ctx.hess_phi,
+                                       ctx.coupling, slack=0.5)
+    return {"passed": bool(sc.passed), "worst_margin": sc.worst_margin}
 
 
 # Atoms the Jacobi stage propagates together: stacking spreads the
@@ -243,9 +338,14 @@ def _choose_atoms(coupling, limit):
 JACOBI_CHUNK = 16
 
 
-def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
-                  report: RunReport):
-    ii, jj, _ = _choose_atoms(coupling, config.jacobi_atoms)
+def _jacobi(ctx):
+    """Jacobi propagation and comparison checks on the heaviest atoms;
+    the plot series of the first evaluated atom goes to the report."""
+    mesh = ctx.mesh
+    ii, jj, mm = ctx.atoms
+    # heaviest first, ties by index
+    order = np.lexsort((jj, ii, -mm))[:ctx.config.jacobi_atoms]
+    ii, jj = ii[order], jj[order]
     hn = mesh.mean_curvature_normal_components()
     nf = mesh._metric_frames(mesh.normal_frames)
     stats = {
@@ -266,15 +366,12 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
     first_series = None
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
-        series = _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi,
-                               hn, nf, ii[chunk], jj[chunk], stats,
+        series = _jacobi_chunk(ctx, hn, nf, ii[chunk], jj[chunk], stats,
                                want_series=first_series is None)
         if first_series is None:
             first_series = series
-    for k in ("bound_margin_min", "lap_margin_min"):
-        if not math.isfinite(stats[k]):
-            stats[k] = 0.0
-    for k in ("trq1_excess_max", "trq3_excess_max"):
+    for k in ("bound_margin_min", "lap_margin_min", "trq1_excess_max",
+              "trq3_excess_max"):
         if not math.isfinite(stats[k]):
             stats[k] = 0.0
     passed = (stats["sym_residual_max"] <= 1e-8
@@ -283,20 +380,26 @@ def _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi,
               and stats["singular_atoms"] == 0
               and stats["bound_margin_min"] >= 0.0
               and stats["lap_margin_min"] >= -jacobi.LAP_SLACK_FACTOR * mesh.n)
-    report.checks["jacobi"] = {"passed": bool(passed), **stats}
     if first_series is not None:
-        report.series["jacobi_profile"] = first_series
-    if not passed:
-        report.warnings.append("jacobi")
+        ctx.report.series["jacobi_profile"] = first_series
+    return {"passed": bool(passed), **stats}
 
 
-def _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi, hn, nf,
-                  ii, jj, stats, want_series):
+def _fold(stats, **values):
+    """Fold per-atom values into the running extremes of ``stats``:
+    minima for the ``*_min`` keys, maxima for the others."""
+    for key, value in values.items():
+        stats[key] = (min if key.endswith("_min") else max)(stats[key], value)
+
+
+def _jacobi_chunk(ctx, hn, nf, ii, jj, stats, want_series):
     """Propagate the atoms (ii, jj) together and fold their checks into
     ``stats``; ``hn``/``nf`` are the mesh's normal components of H and
     metric-paired normal frames.  Returns the plot series of the first
     evaluated atom if ``want_series``.  The stacked trajectories are
     freed on return."""
+    M, mesh, coupling = ctx.M, ctx.mesh, ctx.coupling
+    grad_phi, hess_phi = ctx.gradient[0], ctx.hess_phi
     frames, P0, P0p, dphi, hdv, logs = [], [], [], [], [], []
     for i, j in zip(ii.tolist(), jj.tolist()):
         x = mesh.points[i]
@@ -314,37 +417,30 @@ def _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi, hn, nf,
         hdv.append(float(hn[i] @ v_norm))
         logs.append(u)
     trajs = jacobi.propagate_atoms(M, frames, np.stack(P0), np.stack(P0p),
-                                   dphi, hdv, steps=config.jacobi_steps)
+                                   dphi, hdv, steps=ctx.config.jacobi_steps)
     K = M.curvature
     mono_applies = K >= 0.0
-    neg_r = config.domain_params.get("r")
+    neg_r = ctx.config.domain_params.get("r")
     series = None
     for traj, u in zip(trajs, logs):
         if traj is None:
             stats["singular_atoms"] += 1
             continue
         riccati = jacobi.riccati_residual(traj)
-        stats["sym_residual_max"] = max(stats["sym_residual_max"],
-                                        traj.symmetry_residual())
-        stats["q_sym_residual_max"] = max(stats["q_sym_residual_max"],
-                                          traj.q_symmetry_residual())
-        stats["riccati_residual_max"] = max(stats["riccati_residual_max"],
-                                            riccati)
-        stats["lap_margin_min"] = min(stats["lap_margin_min"],
-                                      jacobi.lap_lower_bound_check(traj))
+        _fold(stats, sym_residual_max=traj.symmetry_residual(),
+              q_sym_residual_max=traj.q_symmetry_residual(),
+              riccati_residual_max=riccati,
+              lap_margin_min=jacobi.lap_lower_bound_check(traj))
         if mono_applies:
             try:
-                tw, prof, mono, worst = jacobi.monotonicity_profile(traj)
-                stats["mono_worst_increase"] = max(
-                    stats["mono_worst_increase"], worst)
+                _, _, mono, worst = jacobi.monotonicity_profile(traj)
+                _fold(stats, mono_worst_increase=worst)
                 if not mono:
                     stats["mono_failures"] += 1
-                margin, bound, det1 = jacobi.jacobian_bound_check(traj)
-                stats["bound_margin_min"] = min(stats["bound_margin_min"],
-                                                margin)
-                first, limit = jacobi.normalization_limit(traj)
-                stats["normalization_worst"] = max(
-                    stats["normalization_worst"], abs(limit - 1.0))
+                margin, _, _ = jacobi.jacobian_bound_check(traj)
+                _fold(stats, bound_margin_min=margin)
+                _, limit = jacobi.normalization_limit(traj)
+                _fold(stats, normalization_worst=abs(limit - 1.0))
             except (DenominatorVanishesError, NormalizationDriftError):
                 stats["flagged_atoms"] += 1
                 continue
@@ -366,10 +462,8 @@ def _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi, hn, nf,
         except (DenominatorVanishesError, ArgOutOfDomainError):
             stats["flagged_atoms"] += 1
             continue
-        stats["trq1_excess_max"] = max(stats["trq1_excess_max"],
-                                       rep.worst_trq1_excess)
-        stats["trq3_excess_max"] = max(stats["trq3_excess_max"],
-                                       rep.worst_trq3_excess)
+        _fold(stats, trq1_excess_max=rep.worst_trq1_excess,
+              trq3_excess_max=rep.worst_trq3_excess)
         if want_series and series is None:
             i0 = traj.trim_index
             t = traj.times[i0:]
@@ -386,8 +480,65 @@ def _jacobi_chunk(config, M, mesh, coupling, grad_phi, hess_phi, hn, nf,
     return series
 
 
+def _ibp(ctx):
+    r_bound = float(ctx.atom_distances.max())
+    margin, lhs, rhs = inequalities.integration_by_parts_check(
+        ctx.mesh, ctx.f, ctx.hess_phi, r_bound)
+    return {"passed": bool(margin >= 0.0), "margin": margin, "lhs": lhs,
+            "rhs": rhs, "r_bound": r_bound}
+
+
+def _inequality(ctx):
+    """Both sides of the configured inequality; the full record goes to
+    ``report.inequality``."""
+    rep = inequalities.evaluate_inequality(
+        ctx.M, ctx.mesh, ctx.f, ctx.config.inequality_variant,
+        dict(ctx.config.domain_params), domain=ctx.domain)
+    ctx.report.inequality = {
+        "variant": rep.variant, "lhs": rep.lhs, "rhs": rep.rhs,
+        "ratio": rep.ratio, "passed": bool(rep.passed),
+        "terms": rep.terms, "constants": rep.constants,
+        "volume": rep.volume, "volume_stderr": rep.volume_stderr,
+        "volume_provenance": rep.volume_provenance,
+        "report_tol": rep.report_tol,
+    }
+    return {"passed": bool(rep.passed), "ratio": rep.ratio}
+
+
+class Check(NamedTuple):
+    """A registry entry.  ``run(ctx)`` returns the check's record, whose
+    ``passed`` key is the verdict.  A failed check is a theorem failure
+    if ``fatal``, else a warning (a failure under ``--strict``).  A
+    ``transport`` check reads the coupling.  A ``configured`` check runs
+    when its [checks] key is set; the others run whenever a coupling is
+    built."""
+
+    run: Callable[[RunContext], dict]
+    transport: bool
+    fatal: bool = False
+    configured: bool = True
+
+
+# Every check, in the order it runs and its warnings are listed.
+CHECKS = {
+    "certification": Check(_certification, transport=True, fatal=True,
+                           configured=False),
+    "tangency": Check(_tangency, transport=True),
+    "fiber_mass": Check(_fiber_mass, transport=True),
+    "semiconcavity": Check(_semiconcavity, transport=True),
+    "jacobi": Check(_jacobi, transport=True),
+    "ibp": Check(_ibp, transport=True),
+    "inequality": Check(_inequality, transport=False, fatal=True),
+}
+# the [checks] keys
+CHECK_NAMES = tuple(name for name, check in CHECKS.items()
+                    if check.configured)
+
+
 def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
-    """Execute the full pipeline for one scenario configuration."""
+    """Execute the full pipeline for one scenario configuration: build
+    the mesh, the target domain and the coupling, then run the enabled
+    checks of ``CHECKS`` in order."""
     report = RunReport(config.name, config.seed, config.raw)
     clock = time.perf_counter
 
@@ -399,9 +550,6 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
     except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
         raise ConfigError(f"submanifold: {exc}") from exc
     if mesh.m == 1:
-        if not config.lift:
-            raise ConfigError("manifold.lift: codimension-1 submanifolds "
-                              "require lift = true")
         M, mesh = inequalities.hypersurface_lift(M, mesh)
     if config.field_kind == "constant":
         f = constant_field(mesh, float(config.field_spec))
@@ -419,9 +567,6 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
 
     coupling = None
     if config.needs_transport():
-        if domain is None:
-            raise ConfigError("domain: transport checks need a [domain] "
-                              "section")
         t = clock()
         mu = transport.source_measure(mesh, f)
         nu = transport.target_measure(domain.points)
@@ -433,123 +578,19 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
             if eps_reg is None:
                 eps_reg = 5e-3 * float(C.mean())
             coupling = transport.solve_entropic(mu, nu, C, eps_reg)
-        if config.solver == "exact":
-            cert_tol = 1e-8
-        else:
-            # entropic support violations scale like reg * log(mass / floor)
-            cert_tol = 50.0 * coupling.reg * math.log(
-                max(mu.size * nu.size, 2))
-        cert = transport.certify_support(coupling, tol=cert_tol)
-        mres = coupling.marginal_residual()
-        report.checks["certification"] = {
-            "passed": bool(cert.passed and coupling.converged),
-            "worst_violation": cert.worst_violation,
-            "atom_count": cert.atom_count,
-            "marginal_residual_source": mres[0],
-            "marginal_residual_target": mres[1],
-            "cost": coupling.cost,
-            "duality_gap": coupling.duality_gap,
-            "solver": coupling.solver,
-        }
-        if not (cert.passed and coupling.converged):
-            report.theorem_failures.append("certification")
         report.stage_seconds["transport"] = clock() - t
 
-    grad_phi = hess_phi = tangency = None
-    if coupling is not None:
+    ctx = RunContext(config, M, mesh, f, domain, coupling, report)
+    for name, check in CHECKS.items():
+        if not (config.checks.get(name) if check.configured
+                else coupling is not None):
+            continue
         t = clock()
-        ii, jj, _ = coupling.atoms()
-        dist = geometry.distance(M, mesh.points[ii],
-                                 coupling.target.points[jj])
-        per_node_max = np.zeros(mesh.node_count)
-        np.maximum.at(per_node_max, ii, dist)
-        per_node_max[per_node_max == 0] = dist.max()
-        grad_phi, cap_flags = transport.potential_gradient_on_sigma(
-            mesh, coupling.phi_cc, per_node_max)
-        hess_phi = submanifold.lsq_hessian(mesh, coupling.phi_cc)
-        tangency = transport.tangency_residuals(M, mesh, coupling, grad_phi)
-        report.stage_seconds["potential"] = clock() - t
-
-    if config.checks.get("tangency"):
-        st = tangency.stats
-        report.checks["tangency"] = {
-            "passed": True, "median": st["median"], "p90": st["p90"],
-            "max": st["max"], "atom_count": st["atom_count"],
-            "capped_nodes": int(cap_flags.sum()),
-        }
-
-    if config.checks.get("fiber_mass"):
-        envelope = None
-        if config.domain_variant == inequalities.ANNULUS:
-            sigma = config.domain_params["sigma"]
-            r = config.domain_params["r"]
-            # wider stencil: the discrete potential is piecewise smooth, so
-            # the envelope Laplacian must average over several kink cells
-            lap = np.einsum("naa->n", submanifold.lsq_hessian(
-                mesh, coupling.phi_cc, stencil_radius=4.0))
-            hnorm = np.sqrt(np.maximum(geometry.metric_inner(
-                M, mesh.mean_curvature, mesh.mean_curvature), 0.0))
-            n = mesh.n
-            envelope = mesh.weights * (
-                1.0 - lap / n + hnorm * r / n) ** n \
-                * 0.5 * mesh.m * geometry.ball_volume(mesh.m) \
-                * r**mesh.m * (1.0 - sigma**2)
-        fm = transport.fiber_mass_residual(
-            coupling,
-            domain_volume=None if domain is None else domain.volume,
-            envelope=envelope)
-        rec = {"passed": bool(fm.marginal_residual.max() <= 1e-6),
-               "marginal_residual_max": float(fm.marginal_residual.max())}
-        if fm.envelope_ok is not None:
-            rec["envelope_ok"] = bool(fm.envelope_ok)
-            rec["passed"] = rec["passed"] and bool(fm.envelope_ok)
-        report.checks["fiber_mass"] = rec
-        if not rec["passed"]:
-            report.warnings.append("fiber_mass")
-
-    if config.checks.get("semiconcavity"):
-        sc = transport.semiconcavity_check(M, mesh, coupling.phi_cc, coupling,
-                                           slack=0.5)
-        report.checks["semiconcavity"] = {
-            "passed": bool(sc.passed), "worst_margin": sc.worst_margin}
-        if not sc.passed:
-            report.warnings.append("semiconcavity")
-
-    if config.checks.get("jacobi"):
-        t = clock()
-        _jacobi_stage(config, M, mesh, coupling, grad_phi, hess_phi, report)
-        report.stage_seconds["jacobi"] = clock() - t
-
-    if config.checks.get("ibp"):
-        ii, jj, _ = coupling.atoms()
-        r_bound = float(geometry.distance(
-            M, mesh.points[ii], coupling.target.points[jj]).max())
-        margin, lhs, rhs = inequalities.integration_by_parts_check(
-            mesh, f, coupling.phi_cc, r_bound)
-        report.checks["ibp"] = {"passed": bool(margin >= 0.0),
-                                "margin": margin, "lhs": lhs, "rhs": rhs,
-                                "r_bound": r_bound}
-        if margin < 0.0:
-            report.warnings.append("ibp")
-
-    if config.inequality_variant is not None:
-        t = clock()
-        rep = inequalities.evaluate_inequality(
-            M, mesh, f, config.inequality_variant,
-            dict(config.domain_params), domain=domain)
-        report.inequality = {
-            "variant": rep.variant, "lhs": rep.lhs, "rhs": rep.rhs,
-            "ratio": rep.ratio, "passed": bool(rep.passed),
-            "terms": rep.terms, "constants": rep.constants,
-            "volume": rep.volume, "volume_stderr": rep.volume_stderr,
-            "volume_provenance": rep.volume_provenance,
-            "report_tol": rep.report_tol,
-        }
-        report.checks["inequality"] = {"passed": bool(rep.passed),
-                                       "ratio": rep.ratio}
-        if not rep.passed:
-            report.theorem_failures.append("inequality")
-        report.stage_seconds["inequality"] = clock() - t
+        rec = report.checks[name] = check.run(ctx)
+        report.stage_seconds[name] = clock() - t
+        if rec["passed"] is False:
+            (report.theorem_failures if check.fatal
+             else report.warnings).append(name)
 
     if strict and report.warnings:
         report.theorem_failures.extend(

@@ -259,20 +259,14 @@ def potential_gradient_on_sigma(mesh: SubmanifoldMesh,
     return grad, flags
 
 
-@dataclass
-class TangencyReport:
-    """Statistics of the per-atom tangential residuals."""
-
-    stats: dict
-
-
 def tangency_residuals(manifold: ModelManifold, mesh: SubmanifoldMesh,
                        coupling: DiscreteCoupling,
-                       grad_phi: np.ndarray) -> TangencyReport:
+                       grad_phi: np.ndarray) -> dict:
     """Check that plan atoms leave Sigma with velocity -grad phi + normal.
 
     For every atom (x_i, zeta_j): u = log_{x_i} zeta_j; the tangential
     residual is |u^T + grad phi(x_i)| and should vanish in the continuum.
+    Returns its median, p90 and max over the atoms, and the atom count.
     """
     ii, jj, _ = coupling.atoms()
     x = mesh.points[ii]
@@ -281,25 +275,20 @@ def tangency_residuals(manifold: ModelManifold, mesh: SubmanifoldMesh,
     tf = mesh._metric_frames(mesh.tangent_frames)[ii]
     ut = np.einsum("kad,kd->ka", tf, u)
     tau = np.linalg.norm(ut + grad_phi[ii], axis=1)
-    return TangencyReport({
-        "median": float(np.median(tau)),
-        "p90": float(np.quantile(tau, 0.9)),
-        "max": float(tau.max()),
-        "atom_count": int(len(tau)),
-    })
+    return {"median": float(np.median(tau)),
+            "p90": float(np.quantile(tau, 0.9)),
+            "max": float(tau.max()),
+            "atom_count": int(len(tau))}
 
 
 @dataclass
 class FiberMassReport:
     marginal_residual: np.ndarray   # (N,) |row mass - mu_i|
-    mass_per_node: np.ndarray
-    fiber_volume_proxy: Optional[np.ndarray] = None
-    envelope: Optional[np.ndarray] = None
+    fiber_volume_proxy: np.ndarray  # (N,) row mass * vol(Omega)
     envelope_ok: Optional[bool] = None
 
 
-def fiber_mass_residual(coupling: DiscreteCoupling,
-                        domain_volume: Optional[float] = None,
+def fiber_mass_residual(coupling: DiscreteCoupling, domain_volume: float,
                         envelope: Optional[np.ndarray] = None,
                         envelope_slack: float = 0.05) -> FiberMassReport:
     """Discrete surrogate of the change-of-variable identity.
@@ -309,21 +298,15 @@ def fiber_mass_residual(coupling: DiscreteCoupling,
     against a Jacobian-bound envelope.
     """
     row = coupling.row_masses()
-    resid = np.abs(row - coupling.source.weights)
-    proxy = None
-    ok = None
-    if domain_volume is not None:
-        proxy = row * domain_volume
-        if envelope is not None:
-            ok = bool(np.all(proxy <= envelope * (1.0 + envelope_slack)))
-    return FiberMassReport(resid, row, proxy, envelope, ok)
+    proxy = row * domain_volume
+    ok = None if envelope is None else bool(
+        np.all(proxy <= envelope * (1.0 + envelope_slack)))
+    return FiberMassReport(np.abs(row - coupling.source.weights), proxy, ok)
 
 
 @dataclass
 class SemiconcavityReport:
     worst_margin: float
-    second_differences: np.ndarray  # (N, n)
-    bounds: np.ndarray              # (N, n)
 
     @property
     def passed(self) -> bool:
@@ -331,28 +314,25 @@ class SemiconcavityReport:
 
 
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
-                        phi_values: np.ndarray, coupling: DiscreteCoupling,
+                        hess: np.ndarray, coupling: DiscreteCoupling,
                         slack: float = 0.1) -> SemiconcavityReport:
-    """Hessian-type upper bound on the potential along frame directions.
+    """Hessian-type upper bound on the potential along frame directions;
+    ``hess`` is the fitted Hessian of the potential
+    (``submanifold.lsq_hessian``).
 
     The bound is (1/2)[4 b(d sqrt(-k)/2) + 2 d |II(e_i,e_i)|] + slack with
     b(s) = s coth(s) (b = 1 in the k >= 0 limit), d the distance to the
     node's assigned target, and k the curvature lower bound of the model.
     Report-only: negative margins flag the scenario, nothing raises.
     """
-    hess = submanifold.lsq_hessian(mesh, np.asarray(phi_values, float))
     second_diff = np.einsum("naa->na", hess)
-    # heaviest atom per node picks the assigned target
+    # heaviest atom per node (the first of equals) picks the assigned target
     ii, jj, mm = coupling.atoms()
-    best = {}
-    for k in range(len(ii)):
-        i = ii[k]
-        if i not in best or mm[k] > mm[best[i]]:
-            best[i] = k
+    order = np.lexsort((-mm, ii))
+    nodes, first = np.unique(ii[order], return_index=True)
     d = np.zeros(mesh.node_count)
-    for i, k in best.items():
-        d[i] = geometry.distance(manifold, mesh.points[i],
-                                 coupling.target.points[jj[k]])
+    d[nodes] = geometry.distance(manifold, mesh.points[nodes],
+                                 coupling.target.points[jj[order[first]]])
     kneg = min(manifold.curvature, 0.0)
 
     def b(s):
@@ -364,7 +344,7 @@ def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
     ii_norm = np.linalg.norm(np.einsum("nmii->nim", mesh.sff), axis=2)
     bounds = 0.5 * (4.0 * bval[:, None] + 2.0 * d[:, None] * ii_norm) + slack
     margins = bounds - second_diff
-    return SemiconcavityReport(float(margins.min()), second_diff, bounds)
+    return SemiconcavityReport(float(margins.min()))
 
 
 # ---------------------------------------------------------------------------

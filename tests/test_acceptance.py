@@ -188,7 +188,7 @@ def test_criterion_6_tangency_convergence(capsys):
         grad, _ = transport.potential_gradient_on_sigma(
             mesh, cpl.phi_cc, max_target_distance=cap)
         fib = transport.tangency_residuals(M, mesh, cpl, grad)
-        medians.append(fib.stats["median"])
+        medians.append(fib["median"])
     r1 = medians[0] / medians[1]
     r2 = medians[1] / medians[2]
     ok = min(r1, r2) >= 1.0 / 0.75

@@ -342,7 +342,8 @@ class TestIntegrationByParts:
         f = constant_field(mesh, 1.0)
         phi = -0.5 * np.sum(mesh.stencil_coords**2, axis=1)
         margin, lhs, rhs = inequalities.integration_by_parts_check(
-            mesh, f, phi, r_bound=rho, slack=0.05)
+            mesh, f, submanifold.lsq_hessian(mesh, phi), r_bound=rho,
+            slack=0.05)
         assert np.isclose(lhs, 2 * math.pi * rho**2, atol=1e-9)
         assert np.isclose(rhs, 2 * math.pi * rho, atol=1e-9)
         assert np.isclose(margin, 0.05 * rhs, atol=1e-9)

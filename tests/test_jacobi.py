@@ -391,7 +391,7 @@ def annulus_transport():
 def run_stage(inputs, atoms, monkeypatch, chunk):
     """The Jacobi stage on ``atoms`` atoms, JACOBI_CHUNK = ``chunk``;
     returns the report and the number of Riccati residuals evaluated."""
-    params, *args = inputs
+    params, M, mesh, cpl, grad, hess = inputs
     config = SimpleNamespace(jacobi_atoms=atoms, jacobi_steps=200,
                              domain_params=params)
     calls = []
@@ -400,7 +400,9 @@ def run_stage(inputs, atoms, monkeypatch, chunk):
                         lambda traj: calls.append(1) or residual(traj))
     monkeypatch.setattr(pipeline, "JACOBI_CHUNK", chunk)
     report = pipeline.RunReport("stage", 0, {})
-    pipeline._jacobi_stage(config, *args, report)
+    ctx = pipeline.RunContext(config, M, mesh, None, None, cpl, report)
+    ctx.gradient, ctx.hess_phi = (grad, None), hess
+    report.checks["jacobi"] = pipeline.CHECKS["jacobi"].run(ctx)
     return report, len(calls)
 
 
