@@ -77,7 +77,7 @@ def _summarize(report: RunReport) -> str:
     lines = [f"scenario {report.name} (seed {report.seed})"]
     for name in sorted(report.checks):
         rec = report.checks[name]
-        mark = "PASS" if rec.get("passed") else "FAIL"
+        mark = {True: "PASS", False: "FAIL", None: "INFO"}[rec["passed"]]
         lines.append(f"  [{mark}] {name}")
     if report.inequality is not None:
         lines.append(f"  ratio = {report.inequality['ratio']:.6f} "

@@ -45,10 +45,6 @@ class NoConvergenceError(OTSobolevError):
     """Iterative solver hit the iteration cap before reaching tolerance."""
 
 
-class CertificationFailedError(OTSobolevError):
-    """Support certification found a violation above tolerance."""
-
-
 class NonSymmetricHessianError(OTSobolevError):
     """Hessian input fails the symmetry check."""
 

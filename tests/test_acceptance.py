@@ -180,7 +180,7 @@ def test_criterion_6_tangency_convergence(capsys):
         nu = transport.target_measure(dom.points)
         C = transport.cost_matrix(M, mu, nu)
         cpl = transport.solve_exact(mu, nu, C, size_cap=(5000, 5000))
-        transport.certify_support(cpl)
+        assert transport.certify_support(cpl).passed
         dists = np.sqrt(2.0 * C)
         ii, jj, _ = cpl.atoms()
         cap = np.zeros(C.shape[0])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from otsobolev import cli
+from otsobolev import cli, transport
 
 TINY_CFG = """\
 [scenario]
@@ -34,6 +34,20 @@ inequality = nonneg_limit
 
 BALL_CFG = cli.bundled_scenario_path("sphere_ball_closed.cfg")
 ANNULUS_CFG = cli.bundled_scenario_path("flat_disk_annulus.cfg")
+
+
+def small_annulus(tmp_path):
+    """flat_disk_annulus shrunk to a run of about a second."""
+    text = Path(ANNULUS_CFG).read_text()
+    for old, new in (("resolution = 11", "resolution = 6"),
+                     ("samples = 1000", "samples = 150"),
+                     ("steps = 1000", "steps = 100"),
+                     ("atoms = 250", "atoms = 4")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "small_annulus.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.fixture
@@ -171,6 +185,43 @@ class TestRunCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "config error" in res.output and named in res.output
+
+    def test_tangency_is_report_only(self, runner, tmp_path):
+        """Tangency has no verdict: null in the report, an empty CSV
+        cell, INFO on the console; the run passes."""
+        cfg = small_annulus(tmp_path)
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, ["run", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert "[INFO] tangency" in res.output
+        recs = [json.loads(line) for line in
+                (out / "flat_disk_annulus.jsonl").read_text().splitlines()]
+        tangency = next(r for r in recs if r.get("name") == "tangency")
+        assert tangency["passed"] is None and tangency["atom_count"] > 0
+        res = runner.invoke(cli.main, ["run", cfg, "--out", str(out),
+                                       "--format", "csv"])
+        assert res.exit_code == 0, res.output
+        with open(out / "flat_disk_annulus_checks.csv", newline="") as fh:
+            rows = {r["check"]: r["passed"] for r in csv.DictReader(fh)}
+        assert rows["tangency"] == "" and rows["certification"] == "True"
+
+    def test_failed_certification_is_a_theorem_failure(
+            self, runner, tmp_path, monkeypatch):
+        """A plan that fails certification is recorded, not raised: the
+        other checks still run and the run exits 1."""
+        certify = transport.certify_support
+        monkeypatch.setattr(transport, "certify_support",
+                            lambda cpl, tol: certify(cpl, tol=-1.0))
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, ["run", small_annulus(tmp_path),
+                                       "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "[FAIL] certification" in res.output
+        assert "[PASS] inequality" in res.output
+        verdict = json.loads((out / "flat_disk_annulus.jsonl").read_text()
+                             .splitlines()[-1])
+        assert verdict["theorem_failures"] == ["certification"]
 
     def test_missing_file_exit_two(self, runner):
         res = runner.invoke(cli.main, ["run", "/nonexistent/x.cfg"])

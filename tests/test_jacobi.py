@@ -381,7 +381,7 @@ def annulus_transport():
     nu = transport.target_measure(dom.points)
     C = transport.cost_matrix(M, mu, nu)
     cpl = transport.solve_exact(mu, nu, C)
-    transport.certify_support(cpl)
+    assert transport.certify_support(cpl).passed
     grad, _ = transport.potential_gradient_on_sigma(
         mesh, cpl.phi_cc, max_target_distance=float(np.sqrt(2.0 * C.max())))
     hess = submanifold.lsq_hessian(mesh, cpl.phi_cc)
