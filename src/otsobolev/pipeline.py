@@ -339,9 +339,17 @@ def _semiconcavity(ctx):
 JACOBI_CHUNK = 16
 
 
+# the exceptions that flag an atom, each with the record key counting it
+FLAG_REASONS = {DenominatorVanishesError: "flagged_denominator_vanishes",
+                NormalizationDriftError: "flagged_normalization_drift",
+                ArgOutOfDomainError: "flagged_arg_out_of_domain"}
+
+
 def _jacobi(ctx):
     """Jacobi propagation and comparison checks on the heaviest atoms;
-    the plot series of the first evaluated atom goes to the report."""
+    the plot series of the first evaluated atom goes to the report.  A
+    metric is null when its sub-check ran on no atom, and the check
+    fails when no atom was evaluated."""
     mesh = ctx.mesh
     ii, jj, mm = ctx.atoms
     # heaviest first, ties by index
@@ -349,21 +357,15 @@ def _jacobi(ctx):
     ii, jj = ii[order], jj[order]
     hn = mesh.mean_curvature_normal_components()
     nf = mesh._metric_frames(mesh.normal_frames)
-    stats = {
-        "atom_count": int(len(ii)),
-        "sym_residual_max": 0.0,
-        "q_sym_residual_max": 0.0,
-        "riccati_residual_max": 0.0,
-        "mono_worst_increase": 0.0,
-        "mono_failures": 0,
-        "bound_margin_min": math.inf,
-        "lap_margin_min": math.inf,
-        "normalization_worst": 0.0,
-        "trq1_excess_max": -math.inf,
-        "trq3_excess_max": -math.inf,
-        "singular_atoms": 0,
-        "flagged_atoms": 0,
-    }
+    stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
+             "singular_atoms": 0, "flagged_atoms": 0,
+             **dict.fromkeys(FLAG_REASONS.values(), 0),
+             **dict.fromkeys((
+                 "sym_residual_max", "q_sym_residual_max",
+                 "riccati_residual_max", "lap_margin_min",
+                 "mono_worst_increase", "mono_failures", "bound_margin_min",
+                 "normalization_worst", "trq1_excess_max",
+                 "trq3_excess_max"))}
     first_series = None
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
@@ -371,15 +373,14 @@ def _jacobi(ctx):
                                want_series=first_series is None)
         if first_series is None:
             first_series = series
-    for k in ("bound_margin_min", "lap_margin_min", "trq1_excess_max",
-              "trq3_excess_max"):
-        if not math.isfinite(stats[k]):
-            stats[k] = 0.0
-    passed = (stats["sym_residual_max"] <= 1e-8
+    # mono_failures and bound_margin_min are null on the K < 0 path
+    passed = (stats["evaluated_atoms"] >= 1
+              and stats["sym_residual_max"] <= 1e-8
               and stats["riccati_residual_max"] <= 1e-6
-              and stats["mono_failures"] == 0
+              and not stats["mono_failures"]
               and stats["singular_atoms"] == 0
-              and stats["bound_margin_min"] >= 0.0
+              and (stats["bound_margin_min"] is None
+                   or stats["bound_margin_min"] >= 0.0)
               and stats["lap_margin_min"] >= -jacobi.LAP_SLACK_FACTOR * mesh.n)
     if first_series is not None:
         ctx.report.series["jacobi_profile"] = first_series
@@ -388,9 +389,12 @@ def _jacobi(ctx):
 
 def _fold(stats, **values):
     """Fold per-atom values into the running extremes of ``stats``:
-    minima for the ``*_min`` keys, maxima for the others."""
+    minima for the ``*_min`` keys, maxima for the others.  A key is None
+    until its sub-check first runs."""
     for key, value in values.items():
-        stats[key] = (min if key.endswith("_min") else max)(stats[key], value)
+        prev = stats[key]
+        stats[key] = value if prev is None else (
+            min if key.endswith("_min") else max)(prev, value)
 
 
 def _jacobi_chunk(ctx, hn, nf, ii, jj, stats, want_series):
@@ -420,7 +424,6 @@ def _jacobi_chunk(ctx, hn, nf, ii, jj, stats, want_series):
     trajs = jacobi.propagate_atoms(M, frames, np.stack(P0), np.stack(P0p),
                                    dphi, hdv, steps=ctx.config.jacobi_steps)
     K = M.curvature
-    mono_applies = K >= 0.0
     neg_r = ctx.config.domain_params.get("r")
     series = None
     for traj, u in zip(trajs, logs):
@@ -432,37 +435,32 @@ def _jacobi_chunk(ctx, hn, nf, ii, jj, stats, want_series):
               q_sym_residual_max=traj.q_symmetry_residual(),
               riccati_residual_max=riccati,
               lap_margin_min=jacobi.lap_lower_bound_check(traj))
-        if mono_applies:
-            try:
+        try:
+            if K >= 0.0:
                 _, _, mono, worst = jacobi.monotonicity_profile(traj)
-                _fold(stats, mono_worst_increase=worst)
-                if not mono:
-                    stats["mono_failures"] += 1
+                # a profile that never increases has worst increase 0
+                _fold(stats, mono_worst_increase=max(0.0, worst))
+                stats["mono_failures"] = (stats["mono_failures"] or 0) \
+                    + (not mono)
                 margin, _, _ = jacobi.jacobian_bound_check(traj)
                 _fold(stats, bound_margin_min=margin)
                 _, limit = jacobi.normalization_limit(traj)
                 _fold(stats, normalization_worst=abs(limit - 1.0))
-            except (DenominatorVanishesError, NormalizationDriftError):
-                stats["flagged_atoms"] += 1
-                continue
-            profile = jacobi.comparison_profiles(
-                "nonneg", traj.delta_phi, traj.h_dot_v, traj.n, traj.m)
-        else:
-            r = neg_r if neg_r is not None else 2.0 * math.sqrt(
-                geometry.metric_inner(M, u, u))
-            try:
+                profile = jacobi.comparison_profiles(
+                    "nonneg", traj.delta_phi, traj.h_dot_v, traj.n, traj.m)
+            else:
+                r = neg_r if neg_r is not None else 2.0 * math.sqrt(
+                    geometry.metric_inner(M, u, u))
                 profile = jacobi.comparison_profiles(
                     "negative", traj.delta_phi, traj.h_dot_v, traj.n, traj.m,
                     k1=K, k2=K, r=float(r))
-            except ArgOutOfDomainError:
-                stats["flagged_atoms"] += 1
-                continue
-        try:
             rep = jacobi.trace_comparison_check(traj, profile,
                                                 riccati=riccati)
-        except (DenominatorVanishesError, ArgOutOfDomainError):
+        except tuple(FLAG_REASONS) as exc:
             stats["flagged_atoms"] += 1
+            stats[FLAG_REASONS[type(exc)]] += 1
             continue
+        stats["evaluated_atoms"] += 1
         _fold(stats, trq1_excess_max=rep.worst_trq1_excess,
               trq3_excess_max=rep.worst_trq3_excess)
         if want_series and series is None:

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from otsobolev import (geometry, inequalities, jacobi, pipeline, submanifold,
-                       transport)
+from otsobolev import (cli, geometry, inequalities, jacobi, pipeline,
+                       submanifold, transport)
 from otsobolev.errors import (
     ArgOutOfDomainError,
+    DenominatorVanishesError,
     NonSymmetricHessianError,
     NormalizationDriftError,
     SingularPError,
@@ -442,3 +443,38 @@ class TestChunkedStage:
         assert rec["singular_atoms"] == 1 and not rec["passed"]
         assert rec["flagged_atoms"] == 0
         assert calls == 32
+
+    def test_every_atom_flagged_fails(self, annulus_transport, monkeypatch):
+        """With no evaluated atom the stage fails, counts each flag by its
+        reason and writes the comparison metrics as null."""
+        def vanishing(*args, **kwargs):
+            raise DenominatorVanishesError("envelope blows up")
+
+        monkeypatch.setattr(jacobi, "comparison_profiles", vanishing)
+        report, _ = run_stage(annulus_transport, 5, monkeypatch,
+                              pipeline.JACOBI_CHUNK)
+        rec = report.checks["jacobi"]
+        assert not rec["passed"] and rec["evaluated_atoms"] == 0
+        assert rec["flagged_atoms"] == 5
+        assert rec["flagged_denominator_vanishes"] == 5
+        assert rec["flagged_normalization_drift"] == 0
+        assert rec["flagged_arg_out_of_domain"] == 0
+        assert rec["trq1_excess_max"] is None
+        assert rec["trq3_excess_max"] is None
+        assert "jacobi_profile" not in report.series
+
+
+def test_negative_curvature_leaves_nonneg_metrics_null():
+    """On the K < 0 path the monotonicity, endpoint-bound and
+    normalization sub-checks never run: their metrics are null, and the
+    stage passes on the metrics that did run."""
+    config = pipeline.ScenarioConfig.load(
+        cli.bundled_scenario_path("hyperbolic_disk_r1.cfg"))
+    config.resolution, config.domain_samples = 6, 150
+    config.jacobi_atoms, config.jacobi_steps = 4, 100
+    rec = pipeline.run_scenario(config).checks["jacobi"]
+    for key in ("mono_worst_increase", "mono_failures", "bound_margin_min",
+                "normalization_worst"):
+        assert rec[key] is None, key
+    assert rec["evaluated_atoms"] == rec["atom_count"] == 4
+    assert rec["passed"] and rec["lap_margin_min"] is not None
