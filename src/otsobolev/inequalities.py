@@ -38,6 +38,25 @@ CLOSED_POSITIVE = "closed_positive"
 POSITIVE_TUBE = "positive_tube"
 NEGATIVE_LOCAL = "negative_local"
 
+# For each inequality variant: the ambient spaces it holds on, named by
+# ``ambient_name`` (so after the lift of a hypersurface), and the
+# target-domain variant whose [domain] keys it reads (None: none).
+INEQUALITY_SCOPE = {
+    NONNEG_LIMIT: ((geometry.EUCLIDEAN, "euclidean_x_line"), None),
+    NONNEG_FINITE: ((geometry.EUCLIDEAN,), ANNULUS),
+    CLOSED_POSITIVE: ((geometry.SPHERE,), None),
+    POSITIVE_TUBE: ((geometry.SPHERE,), COMPLEMENT_OF_TUBE),
+    NEGATIVE_LOCAL: ((geometry.HYPERBOLIC,), GEODESIC_BALL),
+}
+
+
+def ambient_name(manifold: ModelManifold) -> str:
+    """The manifold's variant; ``<base variant>_x_line`` for the product
+    of a space form with a line."""
+    if manifold.variant == geometry.PRODUCT_WITH_LINE:
+        return f"{manifold.base.variant}_x_line"
+    return manifold.variant
+
 
 def _sinc(x: float) -> float:
     return float(np.sinc(x / math.pi))
@@ -275,6 +294,15 @@ def _require(cond: bool, msg: str) -> None:
         raise HypothesisViolationError(msg)
 
 
+def _domain_volume(variant: str, domain: Optional[TargetDomain]):
+    """(volume, stderr, provenance) of the target domain ``variant``
+    integrates over."""
+    want = INEQUALITY_SCOPE[variant][1]
+    if domain is None or domain.variant != want:
+        raise ValueError(f"{variant} needs a {want} target domain")
+    return domain.volume, domain.volume_stderr, domain.volume_provenance
+
+
 def annulus_fiber_envelope(manifold: ModelManifold, mesh: SubmanifoldMesh,
                            phi_values: np.ndarray, sigma: float,
                            r: float) -> np.ndarray:
@@ -297,6 +325,12 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         domain: Optional[TargetDomain] = None,
                         report_tol: float = REPORT_TOL) -> InequalityReport:
     """Assemble LHS and RHS of one inequality variant with exact constants."""
+    if variant not in INEQUALITY_SCOPE:
+        raise ValueError(f"unknown inequality variant {variant!r}")
+    holds_on = INEQUALITY_SCOPE[variant][0]
+    _require(ambient_name(manifold) in holds_on,
+             f"{variant} holds on {', '.join(holds_on)}, not on "
+             f"{ambient_name(manifold)}")
     n, m = mesh.n, mesh.m
     terms = inequality_terms(manifold, mesh, f)
     fp = terms["int_f_power"] ** ((n - 1) / n)
@@ -308,10 +342,6 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
     vol_src = "analytic"
 
     if variant == NONNEG_LIMIT:
-        _require(manifold.variant == geometry.EUCLIDEAN
-                 or (manifold.variant == geometry.PRODUCT_WITH_LINE
-                     and K == 0.0),
-                 "nonnegative-curvature noncompact variant required")
         theta = geometry.asymptotic_volume_ratio(manifold)
         const = n * theta ** (1.0 / n) * (
             (n + m) * geometry.ball_volume(n + m)
@@ -322,14 +352,9 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                      "ball_volume_nm": geometry.ball_volume(n + m),
                      "ball_volume_m": geometry.ball_volume(m)}
     elif variant == NONNEG_FINITE:
-        _require(manifold.variant == geometry.EUCLIDEAN,
-                 "finite annulus variant requires a Euclidean ambient space")
         sigma, r = float(params["sigma"]), float(params["r"])
         _require(0.0 < sigma < 1.0, f"sigma = {sigma} outside (0, 1)")
-        if domain is None or domain.variant != ANNULUS:
-            raise ValueError("nonneg_finite needs an annulus target domain")
-        vol, vol_se = domain.volume, domain.volume_stderr
-        vol_src = domain.volume_provenance
+        vol, vol_se, vol_src = _domain_volume(variant, domain)
         const = n * (2.0 * vol / (m * geometry.ball_volume(m)
                                   * (1.0 - sigma**2))) ** (1.0 / n)
         lhs = const * fp
@@ -341,8 +366,6 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                      "fiber_bound": 0.5 * m * geometry.ball_volume(m)
                      * r**m * (1.0 - sigma**2)}
     elif variant in (CLOSED_POSITIVE, POSITIVE_TUBE):
-        _require(manifold.variant == geometry.SPHERE,
-                 "positive-curvature closed variant required")
         diam = geometry.manifold_diameter(manifold)
         if variant == CLOSED_POSITIVE:
             vol = geometry.manifold_volume(manifold)
@@ -359,12 +382,7 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
             if eps == 0.0:
                 vol = geometry.manifold_volume(manifold)
             else:
-                if domain is None or domain.variant != COMPLEMENT_OF_TUBE:
-                    raise ValueError(
-                        "positive_tube with eps > 0 needs a tube-complement "
-                        "target domain")
-                vol, vol_se = domain.volume, domain.volume_stderr
-                vol_src = domain.volume_provenance
+                vol, vol_se, vol_src = _domain_volume(variant, domain)
             a1 = eps * math.sqrt(k1 * (n - 1) / n)
             a2 = eps * math.sqrt(k2 * (m - 1) / m)
             lhs = (vol / (geometry.ball_volume(m) * diam**m
@@ -375,15 +393,12 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
             constants = {"diam": diam, "eps": eps, "k1": k1, "k2": k2,
                          "cos_factor": math.cos(a1), "sinc_a1": _sinc(a1),
                          "sinc_a2": _sinc(a2)}
-    elif variant == NEGATIVE_LOCAL:
-        _require(manifold.variant == geometry.HYPERBOLIC,
-                 "negative-curvature variant required")
+    else:
         r = float(params["r"])
         k1 = float(params.get("k1", K))
         k2 = float(params.get("k2", K))
         _require(k1 < 0 and k2 < 0, "negative curvature bounds required")
-        if domain is None or domain.variant != GEODESIC_BALL:
-            raise ValueError("negative_local needs a geodesic-ball domain")
+        vol, vol_se, vol_src = _domain_volume(variant, domain)
         center = np.asarray(domain.meta["center"], dtype=float)
         max_d = float(geometry.distance(
             manifold, mesh.points, np.broadcast_to(
@@ -391,8 +406,6 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
         _require(max_d <= r / 2.0 + 1e-9,
                  f"submanifold not contained in the r/2 ball "
                  f"(max node distance {max_d:.4f} > {r / 2:.4f})")
-        vol, vol_se = domain.volume, domain.volume_stderr
-        vol_src = domain.volume_provenance
         s1 = math.sqrt(-k1)
         s2 = math.sqrt(-k2)
         lhs = (vol * (-k2) ** (m / 2.0)
@@ -405,8 +418,6 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
         constants = {"r": r, "k1": k1, "k2": k2,
                      "cosh_factor": math.cosh(r * s1),
                      "sinh_factor": math.sinh(r * s1) / (n * s1)}
-    else:
-        raise ValueError(f"unknown inequality variant {variant!r}")
     return InequalityReport(variant, float(lhs), float(rhs), terms, constants,
                             vol, vol_se, vol_src, report_tol)
 

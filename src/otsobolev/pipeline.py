@@ -140,10 +140,7 @@ class ScenarioConfig:
         inequality_variant = cp.get("checks", "inequality", fallback="none")
         if inequality_variant in ("none", ""):
             inequality_variant = None
-        elif inequality_variant not in (
-                inequalities.NONNEG_LIMIT, inequalities.NONNEG_FINITE,
-                inequalities.CLOSED_POSITIVE, inequalities.POSITIVE_TUBE,
-                inequalities.NEGATIVE_LOCAL):
+        elif inequality_variant not in inequalities.INEQUALITY_SCOPE:
             raise ConfigError(
                 f"checks.inequality: unknown variant {inequality_variant!r}")
         checks["inequality"] = inequality_variant is not None
@@ -165,7 +162,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigError for values a run would die on (curvature
         sign, lift, [domain] section and keys, sigma, [jacobi] steps and
-        atoms).  Runs on load and after each sweep override."""
+        atoms) and for an inequality whose manifold or [domain] variant
+        it does not hold on or read (``inequalities.INEQUALITY_SCOPE``).
+        Runs on load and after each sweep override."""
         rule, holds = {geometry.EUCLIDEAN: ("= 0", lambda K: K == 0),
                        geometry.SPHERE: ("> 0", lambda K: K > 0),
                        geometry.HYPERBOLIC: ("< 0", lambda K: K < 0),
@@ -177,6 +176,20 @@ class ScenarioConfig:
         if self.ambient_dim == 3 and not self.lift:
             raise ConfigError("manifold.lift: codimension-1 submanifolds "
                               "require lift = true")
+        if self.inequality_variant is not None:
+            holds_on, reads = inequalities.INEQUALITY_SCOPE[
+                self.inequality_variant]
+            M = self.build_manifold()
+            ambient = inequalities.ambient_name(
+                geometry.product_with_line(M) if self.ambient_dim == 3 else M)
+            if ambient not in holds_on:
+                raise ConfigError(
+                    f"checks.inequality: {self.inequality_variant} holds on "
+                    f"{', '.join(holds_on)}, not on {ambient}")
+            if reads is not None and self.domain_variant != reads:
+                raise ConfigError(
+                    f"checks.inequality: {self.inequality_variant} reads "
+                    f"[domain] variant {reads}, not {self.domain_variant}")
         if self.needs_transport() and self.domain_variant is None:
             raise ConfigError("domain: transport checks need a [domain] "
                               "section")

@@ -62,6 +62,31 @@ def tiny_cfg(tmp_path):
     return str(path)
 
 
+# an inequality on a manifold it does not hold on, or without the
+# [domain] variant it reads
+INEQUALITY_MISMATCHES = [
+    ("sphere_tube_005",
+     "[domain]\nvariant = complement_of_tube\neps = 0.05\nsamples = 1000\n",
+     "", "checks.inequality"),
+    ("sphere_tube_005", "inequality = positive_tube",
+     "inequality = nonneg_finite", "checks.inequality"),
+    ("flat_disk_sharp", "inequality = nonneg_limit",
+     "inequality = negative_local", "checks.inequality"),
+    ("sphere_ball_closed", "ambient_dim = 4", "ambient_dim = 3\nlift = true",
+     "checks.inequality"),
+    ("flat_disk_annulus", "variant = annulus_around_sigma",
+     "variant = complement_of_tube\neps = 0.1", "checks.inequality"),
+]
+
+
+def mutated(tmp_path, scenario, old, new):
+    text = Path(cli.bundled_scenario_path(f"{scenario}.cfg")).read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    return str(cfg)
+
+
 class TestRunCommand:
     def test_pass_exit_zero_and_summary(self, runner, tiny_cfg, tmp_path):
         out = tmp_path / "rep"
@@ -172,15 +197,12 @@ class TestRunCommand:
         ("flat_disk_annulus", "sigma = 0.6\n", "", "domain.sigma"),
         ("sphere_tube_005", "eps = 0.05\n", "", "domain.eps"),
         ("hyperbolic_disk_r2", "r = 2.0\n", "", "domain.r"),
-    ])
+    ] + INEQUALITY_MISMATCHES)
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
         """Values a run would die on are config errors naming the field."""
-        text = Path(cli.bundled_scenario_path(f"{scenario}.cfg")).read_text()
-        assert old in text
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text.replace(old, new))
-        res = runner.invoke(cli.main, ["run", str(cfg),
+        cfg = mutated(tmp_path, scenario, old, new)
+        res = runner.invoke(cli.main, ["run", cfg,
                                        "--out", str(tmp_path / "rep")])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
@@ -271,6 +293,19 @@ class TestSweepCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "config error at" in res.output and named in res.output
+
+    @pytest.mark.parametrize("scenario, old, new, named",
+                             INEQUALITY_MISMATCHES)
+    def test_inequality_mismatch_at_grid_point_exit_two(
+            self, runner, tmp_path, scenario, old, new, named):
+        res = runner.invoke(cli.main, [
+            "sweep", mutated(tmp_path, scenario, old, new),
+            "--grid", "submanifold.resolution=6",
+            "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "config error at resolution=6" in res.output
+        assert named in res.output
 
     def test_unsupported_target_exit_two(self, runner, tiny_cfg, tmp_path):
         res = runner.invoke(cli.main, [
