@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 theorem/certification failure, 2 config error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib.resources
 import json
 import os
@@ -14,6 +15,7 @@ import sys
 
 import click
 
+from . import submanifold
 from .errors import ConfigError, OTSobolevError
 from .pipeline import RunReport, ScenarioConfig, run_scenario
 
@@ -201,8 +203,16 @@ def _apply_override(config: ScenarioConfig, section: str, key: str,
                 config.domain_params[key] = float(value)
         elif section == "submanifold" and key == "resolution":
             config.resolution = int(value)
-        elif section == "submanifold" and key == "radius":
-            config.chart_params["radius"] = float(value)
+        elif section == "submanifold":
+            fields = dataclasses.fields(submanifold.CHARTS[config.chart])
+            if key not in {f.name for f in fields}:
+                raise ConfigError(
+                    f"unsupported sweep target submanifold.{key}: chart "
+                    f"{config.chart} has fields "
+                    f"{', '.join(f.name for f in fields) or 'none'}")
+            config.chart_params = submanifold.parse_chart_params(
+                config.chart, {**config.raw["submanifold"], key: value},
+                config.ambient_dim)
         elif section == "jacobi" and key in ("steps", "atoms"):
             setattr(config, f"jacobi_{key}", int(value))
         else:

@@ -307,6 +307,44 @@ class TestSweepCommand:
         assert "config error at resolution=6" in res.output
         assert named in res.output
 
+    @pytest.mark.parametrize("grid, named", [
+        ("submanifold.radius=0.5", "unsupported sweep target"),
+        ("submanifold.height=u1", "unsupported sweep target"),
+        ("submanifold.codim=1", "unsupported sweep target"),
+    ])
+    def test_chart_override_follows_chart_fields(self, runner, tmp_path,
+                                                 grid, named):
+        """A [submanifold] grid key must be a field of the config's chart:
+        the equatorial subsphere has none."""
+        cfg = tmp_path / "subsphere.cfg"
+        cfg.write_text(
+            "[scenario]\nname = subsphere\nseed = 1\n\n"
+            "[manifold]\nvariant = sphere\nambient_dim = 3\nlift = true\n\n"
+            "[submanifold]\nchart = equatorial_subsphere\nresolution = 8\n")
+        assert runner.invoke(cli.main, [
+            "run", str(cfg), "--out", str(tmp_path / "rep")]).exit_code == 0
+        res = runner.invoke(cli.main, [
+            "sweep", str(cfg), "--grid", grid,
+            "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert named in res.output
+
+    def test_graph_height_sweep(self, runner, tmp_path):
+        """Any field of the chart is a sweep target, typed by the chart."""
+        text = Path(cli.bundled_scenario_path("flat_graph.cfg")).read_text()
+        cfg = tmp_path / "graph.cfg"
+        cfg.write_text(text.replace("resolution = 30", "resolution = 10"))
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, [
+            "sweep", str(cfg), "--grid", "submanifold.height=0*u1,u1*u2*0.25",
+            "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["grid_value"] for r in rows] == ["0*u1", "u1*u2*0.25"]
+        assert float(rows[0]["ratio"]) != float(rows[1]["ratio"])
+
     def test_unsupported_target_exit_two(self, runner, tiny_cfg, tmp_path):
         res = runner.invoke(cli.main, [
             "sweep", tiny_cfg, "--grid", "field.value=1,2",
