@@ -94,6 +94,7 @@ def _load_config(path, seed):
     if seed is not None:
         config.seed = seed
         config.raw.setdefault("scenario", {})["seed"] = str(seed)
+        config.validate()
     return config
 
 

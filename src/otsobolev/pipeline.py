@@ -160,11 +160,21 @@ class ScenarioConfig:
         return config
 
     def validate(self) -> None:
-        """Raise ConfigError for values a run would die on (curvature
-        sign, lift, [domain] section and keys, sigma, [jacobi] steps and
-        atoms) and for an inequality whose manifold or [domain] variant
-        it does not hold on or read (``inequalities.INEQUALITY_SCOPE``).
-        Runs on load and after each sweep override."""
+        """Raise ConfigError for values a run would die on (counts and
+        sizes below their least value, curvature sign, lift, [domain]
+        section, keys and ranges) and for an inequality whose manifold
+        or [domain] variant it does not hold on or read
+        (``inequalities.INEQUALITY_SCOPE``).  Runs on load, after a
+        ``--seed`` override and after each sweep override."""
+        least = {"scenario.seed": (self.seed, 0),
+                 "manifold.ambient_dim": (self.ambient_dim, 3),
+                 "jacobi.steps": (self.jacobi_steps, 100),
+                 "jacobi.atoms": (self.jacobi_atoms, 1)}
+        if self.domain_variant is not None:
+            least["domain.samples"] = (self.domain_samples, 1)
+        for name, (value, bound) in least.items():
+            if value < bound:
+                raise ConfigError(f"{name}: {value} is below {bound}")
         rule, holds = {geometry.EUCLIDEAN: ("= 0", lambda K: K == 0),
                        geometry.SPHERE: ("> 0", lambda K: K > 0),
                        geometry.HYPERBOLIC: ("< 0", lambda K: K < 0),
@@ -196,14 +206,15 @@ class ScenarioConfig:
         for key in DOMAIN_KEYS.get(self.domain_variant, ()):
             if key not in self.domain_params:
                 raise ConfigError(f"missing required field domain.{key}")
-        sigma = self.domain_params.get("sigma")
-        if sigma is not None and not 0 < sigma < 1:
+        sigma = self.domain_params.get("sigma", 0.5)
+        if not 0 < sigma < 1:
             raise ConfigError(f"domain.sigma: value {sigma} outside (0, 1)")
-        if self.jacobi_steps < 100:
-            raise ConfigError(
-                f"jacobi.steps: {self.jacobi_steps} is below 100")
-        if self.jacobi_atoms < 1:
-            raise ConfigError(f"jacobi.atoms: {self.jacobi_atoms} is below 1")
+        if not self.domain_params.get("r", 1.0) > 0:
+            raise ConfigError(f"domain.r: value {self.domain_params['r']} "
+                              "is not positive")
+        if not self.domain_params.get("eps", 0.0) >= 0:
+            raise ConfigError(f"domain.eps: value {self.domain_params['eps']}"
+                              " is negative")
 
     def needs_transport(self) -> bool:
         return any(self.checks.get(name) for name, check in CHECKS.items()
@@ -564,10 +575,13 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         raise ConfigError(f"submanifold: {exc}") from exc
     if mesh.m == 1:
         M, mesh = inequalities.hypersurface_lift(M, mesh)
-    if config.field_kind == "constant":
-        f = constant_field(mesh, float(config.field_spec))
-    else:
-        f = field_from_expression(mesh, config.field_spec)
+    try:
+        if config.field_kind == "constant":
+            f = constant_field(mesh, float(config.field_spec))
+        else:
+            f = field_from_expression(mesh, config.field_spec)
+    except ValueError as exc:  # not a number, or not positive on the mesh
+        raise ConfigError(f"field: {exc}") from exc
     report.stage_seconds["mesh"] = clock() - t
 
     domain = None

@@ -197,6 +197,18 @@ class TestRunCommand:
         ("flat_disk_annulus", "sigma = 0.6\n", "", "domain.sigma"),
         ("sphere_tube_005", "eps = 0.05\n", "", "domain.eps"),
         ("hyperbolic_disk_r2", "r = 2.0\n", "", "domain.r"),
+        ("sphere_ball_closed", "seed = 20240604", "seed = -1",
+         "scenario.seed"),
+        ("flat_disk_sharp", "ambient_dim = 4", "ambient_dim = 0",
+         "manifold.ambient_dim"),
+        ("flat_disk_sharp", "value = 1.0", "value = 0", "field"),
+        ("flat_disk_sharp", "value = 1.0", "value = abc", "field"),
+        ("flat_graph", "expression = 1 + u1 * u2 / 4", "expression = -1",
+         "field"),
+        ("sphere_tube_005", "samples = 1000", "samples = 0",
+         "domain.samples"),
+        ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
+        ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
     ] + INEQUALITY_MISMATCHES)
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
@@ -244,6 +256,12 @@ class TestRunCommand:
         verdict = json.loads((out / "flat_disk_annulus.jsonl").read_text()
                              .splitlines()[-1])
         assert verdict["theorem_failures"] == ["certification"]
+
+    def test_negative_seed_override_exit_two(self, runner, tiny_cfg):
+        res = runner.invoke(cli.main, ["run", tiny_cfg, "--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "scenario.seed" in res.output
 
     def test_missing_file_exit_two(self, runner):
         res = runner.invoke(cli.main, ["run", "/nonexistent/x.cfg"])
