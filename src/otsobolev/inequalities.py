@@ -327,10 +327,9 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
     """Assemble LHS and RHS of one inequality variant with exact constants."""
     if variant not in INEQUALITY_SCOPE:
         raise ValueError(f"unknown inequality variant {variant!r}")
-    holds_on = INEQUALITY_SCOPE[variant][0]
-    _require(ambient_name(manifold) in holds_on,
-             f"{variant} holds on {', '.join(holds_on)}, not on "
-             f"{ambient_name(manifold)}")
+    holds_on, ambient = INEQUALITY_SCOPE[variant][0], ambient_name(manifold)
+    _require(ambient in holds_on,
+             f"{variant} holds on {', '.join(holds_on)}, not on {ambient}")
     n, m = mesh.n, mesh.m
     terms = inequality_terms(manifold, mesh, f)
     fp = terms["int_f_power"] ** ((n - 1) / n)

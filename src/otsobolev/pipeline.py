@@ -1,5 +1,5 @@
-"""Scenario orchestration: mesh -> domain -> transport -> Jacobi checks
--> inequality report.
+"""Scenario orchestration: mesh -> domain -> transport -> the checks of
+the registry ``CHECKS`` -> report.
 
 Configs are line-oriented INI files; every random draw derives from the
 scenario seed, so a fixed (config, seed) pair yields identical reports.
@@ -25,7 +25,7 @@ from .errors import (
     ResolutionTooCoarseError,
     UnsupportedChartError,
 )
-from .fields import constant_field, field_from_expression
+from .fields import ScalarField, constant_field, field_from_expression
 from .geometry import ModelManifold
 
 # the [domain] keys each target-domain variant reads
@@ -268,7 +268,7 @@ class RunContext:
     config: ScenarioConfig
     M: ModelManifold
     mesh: submanifold.SubmanifoldMesh
-    f: object
+    f: ScalarField
     domain: Optional[inequalities.TargetDomain]
     coupling: Optional[transport.DiscreteCoupling]
     report: RunReport
