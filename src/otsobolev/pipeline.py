@@ -370,17 +370,21 @@ FLAG_REASONS = {DenominatorVanishesError: "flagged_denominator_vanishes",
 
 
 def _jacobi(ctx):
-    """Jacobi propagation and comparison checks on the heaviest atoms;
-    the plot series of the first evaluated atom goes to the report.  A
-    metric is null when its sub-check ran on no atom, and the check
-    fails when no atom was evaluated."""
-    mesh = ctx.mesh
+    """Jacobi propagation and comparison checks on the heaviest atoms,
+    propagated JACOBI_CHUNK at a time; the plot series of the first
+    evaluated atom goes to the report.  A metric is null when its
+    sub-check ran on no atom, and the check fails when no atom was
+    evaluated."""
+    M, mesh, coupling = ctx.M, ctx.mesh, ctx.coupling
+    grad_phi, hess_phi = ctx.gradient[0], ctx.hess_phi
     ii, jj, mm = ctx.atoms
     # heaviest first, ties by index
     order = np.lexsort((jj, ii, -mm))[:ctx.config.jacobi_atoms]
     ii, jj = ii[order], jj[order]
     hn = mesh.mean_curvature_normal_components()
     nf = mesh._metric_frames(mesh.normal_frames)
+    K = M.curvature
+    neg_r = ctx.config.domain_params.get("r")
     stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
              "singular_atoms": 0, "flagged_atoms": 0,
              **dict.fromkeys(FLAG_REASONS.values(), 0),
@@ -390,13 +394,33 @@ def _jacobi(ctx):
                  "mono_worst_increase", "mono_failures", "bound_margin_min",
                  "normalization_worst", "trq1_excess_max",
                  "trq3_excess_max"))}
-    first_series = None
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
-        series = _jacobi_chunk(ctx, hn, nf, ii[chunk], jj[chunk], stats,
-                               want_series=first_series is None)
-        if first_series is None:
-            first_series = series
+        frames, P0, P0p, dphi, hdv, logs = [], [], [], [], [], []
+        for i, j in zip(ii[chunk].tolist(), jj[chunk].tolist()):
+            x = mesh.points[i]
+            u = geometry.log_map(M, x, coupling.target.points[j])
+            frames.append(geometry.build_parallel_frame(
+                M, x, u, list(mesh.tangent_frames[i]),
+                list(mesh.normal_frames[i]), samples=2))
+            v_norm = nf[i] @ u
+            p0, p0p = jacobi.initial_conditions(mesh, i, v_norm, hess_phi[i],
+                                                grad_phi[i])
+            P0.append(p0)
+            P0p.append(p0p)
+            dphi.append(float(np.trace(hess_phi[i])))
+            hdv.append(float(hn[i] @ v_norm))
+            logs.append(u)
+        trajs = jacobi.propagate_atoms(M, frames, np.stack(P0),
+                                       np.stack(P0p), dphi, hdv,
+                                       steps=ctx.config.jacobi_steps)
+        for traj, u in zip(trajs, logs):
+            if traj is not None:
+                _jacobi_atom(ctx, traj, u, K, neg_r, stats)
+            else:
+                stats["singular_atoms"] += 1
+        # free this chunk's stacked trajectories before the next is built
+        del trajs, traj
     # mono_failures and bound_margin_min are null on the K < 0 path
     passed = (stats["evaluated_atoms"] >= 1
               and stats["sym_residual_max"] <= 1e-8
@@ -406,8 +430,6 @@ def _jacobi(ctx):
               and (stats["bound_margin_min"] is None
                    or stats["bound_margin_min"] >= 0.0)
               and stats["lap_margin_min"] >= -jacobi.LAP_SLACK_FACTOR * mesh.n)
-    if first_series is not None:
-        ctx.report.series["jacobi_profile"] = first_series
     return {"passed": bool(passed), **stats}
 
 
@@ -421,86 +443,52 @@ def _fold(stats, **values):
             min if key.endswith("_min") else max)(prev, value)
 
 
-def _jacobi_chunk(ctx, hn, nf, ii, jj, stats, want_series):
-    """Propagate the atoms (ii, jj) together and fold their checks into
-    ``stats``; ``hn``/``nf`` are the mesh's normal components of H and
-    metric-paired normal frames.  Returns the plot series of the first
-    evaluated atom if ``want_series``.  The stacked trajectories are
-    freed on return."""
-    M, mesh, coupling = ctx.M, ctx.mesh, ctx.coupling
-    grad_phi, hess_phi = ctx.gradient[0], ctx.hess_phi
-    frames, P0, P0p, dphi, hdv, logs = [], [], [], [], [], []
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        x = mesh.points[i]
-        zeta = coupling.target.points[j]
-        u = geometry.log_map(M, x, zeta)
-        frames.append(geometry.build_parallel_frame(
-            M, x, u, list(mesh.tangent_frames[i]),
-            list(mesh.normal_frames[i]), samples=2))
-        v_norm = nf[i] @ u
-        p0, p0p = jacobi.initial_conditions(mesh, i, v_norm, hess_phi[i],
-                                            grad_phi[i])
-        P0.append(p0)
-        P0p.append(p0p)
-        dphi.append(float(np.trace(hess_phi[i])))
-        hdv.append(float(hn[i] @ v_norm))
-        logs.append(u)
-    trajs = jacobi.propagate_atoms(M, frames, np.stack(P0), np.stack(P0p),
-                                   dphi, hdv, steps=ctx.config.jacobi_steps)
-    K = M.curvature
-    neg_r = ctx.config.domain_params.get("r")
-    series = None
-    for traj, u in zip(trajs, logs):
-        if traj is None:
-            stats["singular_atoms"] += 1
-            continue
-        riccati = jacobi.riccati_residual(traj)
-        _fold(stats, sym_residual_max=traj.symmetry_residual(),
-              q_sym_residual_max=traj.q_symmetry_residual(),
-              riccati_residual_max=riccati,
-              lap_margin_min=jacobi.lap_lower_bound_check(traj))
-        try:
-            if K >= 0.0:
-                _, _, mono, worst = jacobi.monotonicity_profile(traj)
-                # a profile that never increases has worst increase 0
-                _fold(stats, mono_worst_increase=max(0.0, worst))
-                stats["mono_failures"] = (stats["mono_failures"] or 0) \
-                    + (not mono)
-                margin, _, _ = jacobi.jacobian_bound_check(traj)
-                _fold(stats, bound_margin_min=margin)
-                _, limit = jacobi.normalization_limit(traj)
-                _fold(stats, normalization_worst=abs(limit - 1.0))
-                profile = jacobi.comparison_profiles(
-                    "nonneg", traj.delta_phi, traj.h_dot_v, traj.n, traj.m)
-            else:
-                r = neg_r if neg_r is not None else 2.0 * math.sqrt(
-                    geometry.metric_inner(M, u, u))
-                profile = jacobi.comparison_profiles(
-                    "negative", traj.delta_phi, traj.h_dot_v, traj.n, traj.m,
-                    k1=K, k2=K, r=float(r))
-            rep = jacobi.trace_comparison_check(traj, profile,
-                                                riccati=riccati)
-        except tuple(FLAG_REASONS) as exc:
-            stats["flagged_atoms"] += 1
-            stats[FLAG_REASONS[type(exc)]] += 1
-            continue
-        stats["evaluated_atoms"] += 1
-        _fold(stats, trq1_excess_max=rep.worst_trq1_excess,
-              trq3_excess_max=rep.worst_trq3_excess)
-        if want_series and series is None:
-            i0 = traj.trim_index
-            t = traj.times[i0:]
-            series = {
-                "t": t.tolist(),
-                "det_p": traj.det_p[i0:].tolist(),
-                "det_envelope": np.asarray(
-                    profile.det_envelope(t)).tolist(),
-                "trq1": traj.trq1[i0:].tolist(),
-                "trq1_bound": np.asarray(profile.trq1_bound(t)).tolist(),
-                "trq3": traj.trq3[i0:].tolist(),
-                "trq3_bound": np.asarray(profile.trq3_bound(t)).tolist(),
-            }
-    return series
+def _jacobi_atom(ctx, traj, u, K, neg_r, stats):
+    """Run the checks of one propagated atom (log vector ``u``) and fold
+    them into ``stats``; the first evaluated atom gives the plot series."""
+    riccati = jacobi.riccati_residual(traj)
+    _fold(stats, sym_residual_max=traj.symmetry_residual(),
+          q_sym_residual_max=traj.q_symmetry_residual(),
+          riccati_residual_max=riccati,
+          lap_margin_min=jacobi.lap_lower_bound_check(traj))
+    try:
+        if K >= 0.0:
+            _, _, mono, worst = jacobi.monotonicity_profile(traj)
+            # a profile that never increases has worst increase 0
+            _fold(stats, mono_worst_increase=max(0.0, worst))
+            stats["mono_failures"] = (stats["mono_failures"] or 0) + (not mono)
+            margin, _, _ = jacobi.jacobian_bound_check(traj)
+            _fold(stats, bound_margin_min=margin)
+            _, limit = jacobi.normalization_limit(traj)
+            _fold(stats, normalization_worst=abs(limit - 1.0))
+            profile = jacobi.comparison_profiles(
+                "nonneg", traj.delta_phi, traj.h_dot_v, traj.n, traj.m)
+        else:
+            r = neg_r if neg_r is not None else 2.0 * math.sqrt(
+                geometry.metric_inner(ctx.M, u, u))
+            profile = jacobi.comparison_profiles(
+                "negative", traj.delta_phi, traj.h_dot_v, traj.n, traj.m,
+                k1=K, k2=K, r=float(r))
+        rep = jacobi.trace_comparison_check(traj, profile, riccati=riccati)
+    except tuple(FLAG_REASONS) as exc:
+        stats["flagged_atoms"] += 1
+        stats[FLAG_REASONS[type(exc)]] += 1
+        return
+    stats["evaluated_atoms"] += 1
+    _fold(stats, trq1_excess_max=rep.worst_trq1_excess,
+          trq3_excess_max=rep.worst_trq3_excess)
+    if "jacobi_profile" not in ctx.report.series:
+        i0 = traj.trim_index
+        t = traj.times[i0:]
+        ctx.report.series["jacobi_profile"] = {
+            "t": t.tolist(),
+            "det_p": traj.det_p[i0:].tolist(),
+            "det_envelope": np.asarray(profile.det_envelope(t)).tolist(),
+            "trq1": traj.trq1[i0:].tolist(),
+            "trq1_bound": np.asarray(profile.trq1_bound(t)).tolist(),
+            "trq3": traj.trq3[i0:].tolist(),
+            "trq3_bound": np.asarray(profile.trq3_bound(t)).tolist(),
+        }
 
 
 def _ibp(ctx):
