@@ -1,10 +1,13 @@
 """Discrete optimal transport: solvers, duality certification, fibers."""
 
+import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otsobolev import geometry, submanifold, transport
 from otsobolev.errors import (
@@ -23,6 +26,62 @@ def small_instance(seed=5, ns=12, nt=20):
     nu = transport.DiscreteMeasure(zs, np.full(nt, 1.0 / nt))
     C = transport.cost_matrix(M, mu, nu)
     return M, mu, nu, C
+
+
+def criterion5_instance():
+    """The 50 x 50 instance of acceptance criterion 5."""
+    rng = np.random.default_rng(42)
+    M = geometry.euclidean(3)
+    xs = rng.standard_normal((50, 3))
+    zs = rng.standard_normal((50, 3)) + np.array([2.0, 0.0, 0.0])
+    mu = transport.DiscreteMeasure(xs, np.full(50, 0.02))
+    nu = transport.DiscreteMeasure(zs, np.full(50, 0.02))
+    return M, mu, nu, transport.cost_matrix(M, mu, nu)
+
+
+def reference_solve_entropic(mu, nu, C, eps_reg, max_iter=20000,
+                             stop_tol=1e-9):
+    """solve_entropic as it was before its buffers were reused: the same
+    loop on fresh temporaries and scipy's logsumexp, the bitwise
+    reference for the solver."""
+    ns, nt = mu.size, nu.size
+    log_mu = np.log(mu.weights)
+    log_nu = np.log(nu.weights)
+    f = np.zeros(ns)
+    g = np.zeros(nt)
+    scale = float(C.mean())
+    eps_schedule = []
+    e = max(eps_reg, 0.1 * scale if scale > 0 else eps_reg)
+    while e > eps_reg * 1.5:
+        eps_schedule.append(e)
+        e /= 2.0
+    eps_schedule.append(eps_reg)
+    it = 0
+    converged = False
+    for eps in eps_schedule:
+        last = eps == eps_reg
+        while it < max_iter:
+            it += 1
+            f = -eps * logsumexp((g[None, :] - C) / eps + log_nu[None, :], axis=1)
+            g = -eps * logsumexp((f[:, None] - C) / eps + log_mu[:, None], axis=0)
+            log_plan = (f[:, None] + g[None, :] - C) / eps \
+                + log_mu[:, None] + log_nu[None, :]
+            row = np.exp(logsumexp(log_plan, axis=1))
+            col = np.exp(logsumexp(log_plan, axis=0))
+            resid = max(np.abs(row - mu.weights).max(),
+                        np.abs(col - nu.weights).max())
+            if resid < (stop_tol if last else 1e-4):
+                if last:
+                    converged = True
+                break
+    plan = np.exp(log_plan)
+    plan /= plan.sum()
+    cost = float((plan * C).sum())
+    gap = cost - float(f @ mu.weights + g @ nu.weights)
+    ii, jj = np.nonzero(plan > 1e-12 * mu.weights.min())
+    return transport.DiscreteCoupling(mu, nu, ii, jj, plan[ii, jj], C, cost,
+                                      f, g, solver="entropic", reg=eps_reg,
+                                      duality_gap=gap, converged=converged)
 
 
 class TestMeasures:
@@ -129,6 +188,91 @@ class TestEntropicSolver:
         rep = transport.certify_support(ent, tol=50.0 * scale)
         assert rep.passed
         assert rep.worst_violation > 0.0
+
+
+    @pytest.mark.parametrize("instance, reg_factor, max_iter, converged", [
+        (functools.partial(small_instance, ns=30, nt=40), 5e-3, 20000, True),
+        (criterion5_instance, 1e-4, 20000, True),
+        (small_instance, 0.1, 20000, True),    # a one-stage schedule
+        (criterion5_instance, 1e-4, 3, False),  # stopped by the cap
+    ], ids=["small_30x40", "criterion5", "one_stage", "max_iter_3"])
+    def test_bitwise_equal_to_reference(self, instance, reg_factor,
+                                        max_iter, converged):
+        _, mu, nu, C = instance()
+        reg = reg_factor * float(C.mean())
+        got = transport.solve_entropic(mu, nu, C, reg, max_iter=max_iter)
+        ref = reference_solve_entropic(mu, nu, C, reg, max_iter=max_iter)
+        assert ref.converged is converged
+        for name in ("rows", "cols", "mass", "phi", "psi", "cost",
+                     "duality_gap", "converged"):
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(ref, name))
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("max_iter", [7, 20000])
+    def test_four_logsumexp_calls_per_iteration(self, monkeypatch, max_iter):
+        """The benchmark counts Sinkhorn iterations as transport.logsumexp
+        calls / 4; the count must match the reference's iterations."""
+        _, mu, nu, C = small_instance(ns=30, nt=40)
+        reg = 5e-3 * float(C.mean())
+        calls = {"new": 0, "reference": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transport, "logsumexp",
+                            counting("new", transport.logsumexp))
+        monkeypatch.setattr(sys.modules[__name__], "logsumexp",
+                            counting("reference", logsumexp))
+        transport.solve_entropic(mu, nu, C, reg, max_iter=max_iter)
+        reference_solve_entropic(mu, nu, C, reg, max_iter=max_iter)
+        assert calls["new"] == calls["reference"]
+        if max_iter == 7:
+            assert calls["new"] == 4 * 7
+        else:
+            assert calls["new"] % 4 == 0 and calls["new"] > 4 * 7
+
+
+def _lse_inputs():
+    """(label, array) pairs covering the cases the kernel must match."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((37, 53)) * 30.0
+    ties = np.round(rng.standard_normal((20, 30)))
+    ties[:, 3] = ties.max()                     # every row ties at the max
+    scattered = rng.standard_normal((25, 40))
+    scattered[rng.random(scattered.shape) < 0.3] = -np.inf
+    all_neg_inf = rng.standard_normal((6, 9))
+    all_neg_inf[2] = -np.inf
+    all_neg_inf[:, 4] = -np.inf
+    pos_inf = rng.standard_normal((5, 7))
+    pos_inf[1, 2] = np.inf
+    huge = 1e300 * (0.9 + 0.1 * rng.random((8, 11)))
+    huge[0] *= -1.0
+    return [("random", x), ("tied", ties), ("scattered_neg_inf", scattered),
+            ("all_neg_inf_row", all_neg_inf), ("pos_inf", pos_inf),
+            ("near_1e300", huge), ("one_column", x[:, :1]),
+            ("one_row", x[:1]), ("fortran_order", np.asfortranarray(x))]
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("label, a", _lse_inputs(),
+                             ids=[label for label, _ in _lse_inputs()])
+    def test_bitwise_equal_to_scipy(self, label, a, axis):
+        with np.errstate(invalid="ignore"):
+            want = logsumexp(a, axis=axis)
+            got = transport.logsumexp(a.copy(order="K"), axis=axis)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_nonfinite_max_leaves_input_to_scipy(self):
+        a = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+        before = a.copy()
+        transport.logsumexp(a, axis=1)
+        assert a.tobytes() == before.tobytes()
 
 
 class TestCTransform:
