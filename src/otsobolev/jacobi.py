@@ -311,11 +311,15 @@ def normalization_limit(traj: JacobiTrajectory):
 
 
 def jacobian_bound_check(traj: JacobiTrajectory, n: Optional[int] = None,
-                         bound_slack_factor: float = BOUND_SLACK_FACTOR):
+                         bound_slack_factor: float = BOUND_SLACK_FACTOR,
+                         limit: Optional[float] = None):
     """Endpoint bound det P(1) <= (1 - lam/n)^n, with the t -> 0
-    normalization pinned first.  Returns (margin, bound, det_p1)."""
+    normalization pinned first; ``limit`` is the second value of
+    ``normalization_limit(traj)``, computed here if not given.  Returns
+    (margin, bound, det_p1)."""
     n = traj.n if n is None else n
-    first, limit = normalization_limit(traj)
+    if limit is None:
+        _, limit = normalization_limit(traj)
     if abs(limit - 1.0) > NORMALIZATION_TOL:
         raise NormalizationDriftError(
             f"t^-m det P limit {limit:.8f} deviates from 1 by "

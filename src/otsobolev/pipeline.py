@@ -457,10 +457,10 @@ def _jacobi_atom(ctx, traj, u, K, neg_r, stats):
             # a profile that never increases has worst increase 0
             _fold(stats, mono_worst_increase=max(0.0, worst))
             stats["mono_failures"] = (stats["mono_failures"] or 0) + (not mono)
-            margin, _, _ = jacobi.jacobian_bound_check(traj)
-            _fold(stats, bound_margin_min=margin)
             _, limit = jacobi.normalization_limit(traj)
-            _fold(stats, normalization_worst=abs(limit - 1.0))
+            margin, _, _ = jacobi.jacobian_bound_check(traj, limit=limit)
+            _fold(stats, bound_margin_min=margin,
+                  normalization_worst=abs(limit - 1.0))
             profile = jacobi.comparison_profiles(
                 "nonneg", traj.delta_phi, traj.h_dot_v, traj.n, traj.m)
         else:
