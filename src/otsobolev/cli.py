@@ -164,7 +164,9 @@ def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
         try:
             config = _load_config(config_path, seed)
             _apply_override(config, section, key, value)
-            config.name = f"{config.name}_{key}_{value}"
+            # the name is the report's file name: no path separators
+            config.name = f"{config.name}_{key}_{value}".replace(
+                "/", "_").replace("\\", "_")
             report = run_scenario(config, strict=strict)
         except ConfigError as exc:
             click.echo(f"config error at {key}={value}: {exc}", err=True)

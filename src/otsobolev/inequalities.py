@@ -49,6 +49,15 @@ INEQUALITY_SCOPE = {
     NEGATIVE_LOCAL: ((geometry.HYPERBOLIC,), GEODESIC_BALL),
 }
 
+# For each target-domain variant: the ambient spaces it is built for,
+# named by ``ambient_name``, and the [domain] keys it reads.
+DOMAIN_SCOPE = {
+    ANNULUS: ((geometry.EUCLIDEAN,), ("sigma", "r")),
+    WHOLE_MANIFOLD: ((geometry.SPHERE,), ()),
+    COMPLEMENT_OF_TUBE: ((geometry.SPHERE,), ("eps",)),
+    GEODESIC_BALL: ((geometry.HYPERBOLIC,), ("r",)),
+}
+
 
 def ambient_name(manifold: ModelManifold) -> str:
     """The manifold's variant; ``<base variant>_x_line`` for the product
@@ -115,6 +124,13 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         seed: int) -> TargetDomain:
     """Seeded-rejection samples satisfying the variant's distance
     constraints, with analytic or Monte Carlo volume."""
+    if variant not in DOMAIN_SCOPE:
+        raise ValueError(f"unknown target-domain variant {variant!r}")
+    built_for, ambient = DOMAIN_SCOPE[variant][0], ambient_name(manifold)
+    if ambient not in built_for:
+        raise UnsupportedVariantError(
+            f"{variant} domains are built for {', '.join(built_for)}, "
+            f"not for {ambient}")
     ss = np.random.SeedSequence(seed)
     s_pts, s_vol = ss.spawn(2)
     rng = np.random.default_rng(s_pts)
@@ -159,9 +175,6 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         sigma, r = float(params["sigma"]), float(params["r"])
         if not 0.0 < sigma < 1.0:
             raise ValueError(f"sigma = {sigma} outside (0, 1)")
-        if manifold.variant != geometry.EUCLIDEAN:
-            raise UnsupportedVariantError(
-                "annulus domains are built for Euclidean ambient spaces")
         center = np.average(mesh.points, axis=0, weights=mesh.weights)
         extent = float(np.linalg.norm(mesh.points - center, axis=1).max())
         d_amb = manifold.embedding_dim
@@ -201,9 +214,6 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                                   "acceptance": rate})
     if variant == GEODESIC_BALL:
         half = float(params["r"]) / 2.0
-        if manifold.variant != geometry.HYPERBOLIC:
-            raise UnsupportedVariantError(
-                "geodesic-ball domains are built for hyperbolic ambient spaces")
         R = manifold.radius
         d_amb = manifold.ambient_dim
         center = params.get("center")
@@ -229,7 +239,6 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                             np.full(n_samples, 1.0 / n_samples),
                             vol, 0.0, "analytic", seed,
                             meta={"center": center.tolist()})
-    raise ValueError(f"unknown target-domain variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,6 @@ from .errors import (
 from .fields import ScalarField, constant_field, field_from_expression
 from .geometry import ModelManifold
 
-# the [domain] keys each target-domain variant reads
-DOMAIN_KEYS = {inequalities.ANNULUS: ("sigma", "r"),
-               inequalities.COMPLEMENT_OF_TUBE: ("eps",),
-               inequalities.GEODESIC_BALL: ("r",),
-               inequalities.WHOLE_MANIFOLD: ()}
-
 
 @dataclass
 class ScenarioConfig:
@@ -114,7 +108,7 @@ class ScenarioConfig:
         domain_samples = 0
         if cp.has_section("domain"):
             domain_variant = need("domain", "variant")
-            if domain_variant not in DOMAIN_KEYS:
+            if domain_variant not in inequalities.DOMAIN_SCOPE:
                 raise ConfigError(
                     f"domain.variant: unknown variant {domain_variant!r}")
             domain_samples = cp.getint("domain", "samples", fallback=1000)
@@ -162,10 +156,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigError for values a run would die on (counts and
         sizes below their least value, curvature sign, lift, [domain]
-        section, keys and ranges) and for an inequality whose manifold
-        or [domain] variant it does not hold on or read
-        (``inequalities.INEQUALITY_SCOPE``).  Runs on load, after a
-        ``--seed`` override and after each sweep override."""
+        section, keys and ranges), for an inequality whose manifold or
+        [domain] variant it does not hold on or read
+        (``inequalities.INEQUALITY_SCOPE``) and for a [domain] variant
+        not built for the manifold (``inequalities.DOMAIN_SCOPE``).
+        Runs on load, after a ``--seed`` override and after each sweep
+        override."""
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
                  "jacobi.steps": (self.jacobi_steps, 100),
@@ -186,12 +182,13 @@ class ScenarioConfig:
         if self.ambient_dim == 3 and not self.lift:
             raise ConfigError("manifold.lift: codimension-1 submanifolds "
                               "require lift = true")
+        M = self.build_manifold()
+        # the space the run works in: hypersurfaces are lifted
+        ambient = inequalities.ambient_name(
+            geometry.product_with_line(M) if self.ambient_dim == 3 else M)
         if self.inequality_variant is not None:
             holds_on, reads = inequalities.INEQUALITY_SCOPE[
                 self.inequality_variant]
-            M = self.build_manifold()
-            ambient = inequalities.ambient_name(
-                geometry.product_with_line(M) if self.ambient_dim == 3 else M)
             if ambient not in holds_on:
                 raise ConfigError(
                     f"checks.inequality: {self.inequality_variant} holds on "
@@ -203,9 +200,15 @@ class ScenarioConfig:
         if self.needs_transport() and self.domain_variant is None:
             raise ConfigError("domain: transport checks need a [domain] "
                               "section")
-        for key in DOMAIN_KEYS.get(self.domain_variant, ()):
-            if key not in self.domain_params:
-                raise ConfigError(f"missing required field domain.{key}")
+        if self.domain_variant is not None:
+            built_for, keys = inequalities.DOMAIN_SCOPE[self.domain_variant]
+            if ambient not in built_for:
+                raise ConfigError(
+                    f"domain.variant: {self.domain_variant} is built for "
+                    f"{', '.join(built_for)}, not for {ambient}")
+            for key in keys:
+                if key not in self.domain_params:
+                    raise ConfigError(f"missing required field domain.{key}")
         sigma = self.domain_params.get("sigma", 0.5)
         if not 0 < sigma < 1:
             raise ConfigError(f"domain.sigma: value {sigma} outside (0, 1)")

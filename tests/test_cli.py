@@ -79,11 +79,38 @@ INEQUALITY_MISMATCHES = [
 ]
 
 
+# a [domain] variant on a manifold it is not built for, with no
+# inequality that reads it
+DOMAIN_MISMATCHES = [
+    ("sphere_tube_005",
+     ("variant = complement_of_tube\neps = 0.05", "inequality = positive_tube"),
+     ("variant = annulus_around_sigma\nsigma = 0.5\nr = 1.0",
+      "inequality = none"), "domain.variant"),
+    ("flat_disk_annulus",
+     ("variant = annulus_around_sigma", "inequality = nonneg_finite"),
+     ("variant = geodesic_ball", "inequality = none"), "domain.variant"),
+    ("flat_disk_sharp", "[checks]",
+     "[domain]\nvariant = complement_of_tube\neps = 0.1\n\n[checks]",
+     "domain.variant"),
+    ("flat_disk_sharp", "[checks]",
+     "[domain]\nvariant = whole_manifold\n\n[checks]", "domain.variant"),
+    ("sphere_transport", ("ambient_dim = 4", "inequality = closed_positive"),
+     ("ambient_dim = 3\nlift = true", "inequality = none"),
+     "domain.variant"),
+]
+
+
 def mutated(tmp_path, scenario, old, new):
+    """The bundled config with ``old`` replaced by ``new`` (or each of a
+    tuple of replacements in turn)."""
     text = Path(cli.bundled_scenario_path(f"{scenario}.cfg")).read_text()
-    assert old in text
+    if isinstance(old, str):
+        old, new = (old,), (new,)
+    for o, n in zip(old, new):
+        assert o in text
+        text = text.replace(o, n)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text.replace(old, new))
+    cfg.write_text(text)
     return str(cfg)
 
 
@@ -209,7 +236,7 @@ class TestRunCommand:
          "domain.samples"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
-    ] + INEQUALITY_MISMATCHES)
+    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES)
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
         """Values a run would die on are config errors naming the field."""
@@ -316,9 +343,19 @@ class TestSweepCommand:
                              INEQUALITY_MISMATCHES)
     def test_inequality_mismatch_at_grid_point_exit_two(
             self, runner, tmp_path, scenario, old, new, named):
+        self.check_grid_point_exit_two(
+            runner, tmp_path, mutated(tmp_path, scenario, old, new), named)
+
+    @pytest.mark.parametrize("scenario, old, new, named", DOMAIN_MISMATCHES)
+    def test_domain_mismatch_at_grid_point_exit_two(
+            self, runner, tmp_path, scenario, old, new, named):
+        self.check_grid_point_exit_two(
+            runner, tmp_path, mutated(tmp_path, scenario, old, new), named)
+
+    @staticmethod
+    def check_grid_point_exit_two(runner, tmp_path, cfg, named):
         res = runner.invoke(cli.main, [
-            "sweep", mutated(tmp_path, scenario, old, new),
-            "--grid", "submanifold.resolution=6",
+            "sweep", cfg, "--grid", "submanifold.resolution=6",
             "--out", str(tmp_path / "rep")])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
@@ -362,6 +399,21 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert [r["grid_value"] for r in rows] == ["0*u1", "u1*u2*0.25"]
         assert float(rows[0]["ratio"]) != float(rows[1]["ratio"])
+
+    def test_grid_value_with_path_separator(self, runner, tmp_path):
+        """A grid value with a '/' names its report file with '_'."""
+        text = Path(cli.bundled_scenario_path("flat_graph.cfg")).read_text()
+        cfg = tmp_path / "graph.cfg"
+        cfg.write_text(text.replace("resolution = 30", "resolution = 10"))
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, [
+            "sweep", str(cfg), "--grid", "submanifold.height=u1*u2/4",
+            "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert (out / "flat_graph_height_u1*u2_4.jsonl").exists()
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["grid_value"] for r in csv.DictReader(fh)] == [
+                "u1*u2/4"]
 
     def test_unsupported_target_exit_two(self, runner, tiny_cfg, tmp_path):
         res = runner.invoke(cli.main, [
