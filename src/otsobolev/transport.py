@@ -182,6 +182,8 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     """
     if eps_reg <= 0:
         raise ValueError("eps_reg must be positive")
+    if max_iter < 1:  # the plan comes from the last iteration's buffer
+        raise ValueError("max_iter must be at least 1")
     ns, nt = mu.size, nu.size
     log_mu = np.log(mu.weights)[:, None]
     log_nu = np.log(nu.weights)[None, :]

@@ -209,6 +209,13 @@ class TestEntropicSolver:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
 
+    def test_bad_arguments_rejected(self):
+        _, mu, nu, C = small_instance()
+        with pytest.raises(ValueError):
+            transport.solve_entropic(mu, nu, C, eps_reg=0.0)
+        with pytest.raises(ValueError):
+            transport.solve_entropic(mu, nu, C, eps_reg=1.0, max_iter=0)
+
     @pytest.mark.parametrize("max_iter", [7, 20000])
     def test_four_logsumexp_calls_per_iteration(self, monkeypatch, max_iter):
         """The benchmark counts Sinkhorn iterations as transport.logsumexp
