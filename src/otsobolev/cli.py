@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from . import submanifold
+from . import inequalities, submanifold
 from .errors import ConfigError, OTSobolevError
 from .pipeline import RunReport, ScenarioConfig, run_scenario
 
@@ -200,6 +200,16 @@ def _apply_override(config: ScenarioConfig, section: str, key: str,
                     value: str) -> None:
     try:
         if section == "domain":
+            if config.domain_variant is None:
+                raise ConfigError(f"unsupported sweep target domain.{key}: "
+                                  "the config has no [domain] section")
+            keys = ("samples",) + inequalities.DOMAIN_SCOPE[
+                config.domain_variant][1]
+            if key not in keys:
+                raise ConfigError(
+                    f"unsupported sweep target domain.{key}: [domain] "
+                    f"variant {config.domain_variant} has keys "
+                    f"{', '.join(keys)}")
             if key == "samples":
                 config.domain_samples = int(value)
             else:

@@ -34,7 +34,7 @@ class LengthMismatchError(OTSobolevError):
 
 
 class UnboundedDomainError(OTSobolevError):
-    """Monte Carlo sampling on a noncompact manifold without a bounding ball."""
+    """Uniform Monte Carlo sampling of a noncompact ambient space."""
 
 
 class SizeCapError(OTSobolevError):

@@ -67,12 +67,6 @@ class ModelManifold:
             return 1.0 / math.sqrt(-self.curvature)
         raise UnsupportedVariantError(f"no radius for variant {self.variant}")
 
-    @property
-    def is_compact(self) -> bool:
-        if self.variant == SPHERE:
-            return True
-        return False
-
 
 def euclidean(dim: int) -> ModelManifold:
     return ModelManifold(EUCLIDEAN, dim, 0.0)

@@ -1,8 +1,7 @@
 """Sobolev-type inequalities for submanifolds, with exact constants.
 
-Builds the target domains each inequality variant requires, evaluates
-both sides by submanifold quadrature, and runs sharpness scans across
-scenario families.
+Builds the target domains each inequality variant requires and
+evaluates both sides by submanifold quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .errors import (
     HypothesisViolationError,
     UnsupportedVariantError,
 )
-from .fields import ScalarField, constant_field
+from .fields import ScalarField
 from .geometry import ModelManifold
 from .submanifold import SubmanifoldMesh
 
@@ -252,11 +251,8 @@ def _mean_curvature_norms(manifold: ModelManifold,
     return np.sqrt(np.maximum(h2, 0.0))
 
 
-def inequality_terms(manifold: ModelManifold, mesh: SubmanifoldMesh,
-                     f: ScalarField) -> dict:
-    """All submanifold integrals entering the inequalities."""
-    n = mesh.n
-    p = n / (n - 1)
+def _boundary_and_gradient_integrals(mesh: SubmanifoldMesh, f: ScalarField):
+    """(int_boundary f, int |grad f|) over the mesh."""
     grad = submanifold.intrinsic_gradient(mesh, f)
     gnorm = np.linalg.norm(grad, axis=1)
     if len(mesh.boundary_points):
@@ -267,12 +263,21 @@ def inequality_terms(manifold: ModelManifold, mesh: SubmanifoldMesh,
         int_bdy = submanifold.integrate(mesh, fb, "boundary")
     else:
         int_bdy = 0.0
+    return int_bdy, submanifold.integrate(mesh, gnorm)
+
+
+def inequality_terms(manifold: ModelManifold, mesh: SubmanifoldMesh,
+                     f: ScalarField) -> dict:
+    """All submanifold integrals entering the inequalities."""
+    n = mesh.n
+    p = n / (n - 1)
+    int_bdy, int_grad = _boundary_and_gradient_integrals(mesh, f)
     hnorm = _mean_curvature_norms(manifold, mesh)
     return {
         "int_f": submanifold.integrate(mesh, f.values),
         "int_f_power": submanifold.integrate(mesh, f.values**p),
-        "int_grad_f": submanifold.integrate(mesh, gnorm),
-        "int_boundary_f": float(int_bdy),
+        "int_grad_f": int_grad,
+        "int_boundary_f": int_bdy,
         "int_f_H": submanifold.integrate(mesh, f.values * hnorm),
     }
 
@@ -462,67 +467,7 @@ def hypersurface_lift(manifold: ModelManifold, mesh: SubmanifoldMesh):
 
 
 # ---------------------------------------------------------------------------
-# sharpness scans and the integration-by-parts check
-
-
-def sharpness_scan(family: str, grid, resolution: int = 24,
-                   seed: int = 0, n_samples: int = 4000) -> list[dict]:
-    """Evaluate one inequality family across a parameter grid.
-
-    Families: flat_disk_radius (sharp Euclidean case), sphere_ball_radius
-    (closed positive case), tube_eps (tube sweep on a fixed hemisphere),
-    hyperbolic_r (local negative case with a fixed disk).
-    """
-    rows = []
-    if family == "flat_disk_radius":
-        M = geometry.euclidean(4)
-        for rho in grid:
-            mesh = submanifold.build_submanifold(
-                M, submanifold.FlatDisk(float(rho)), resolution)
-            rep = evaluate_inequality(M, mesh, constant_field(mesh, 1.0),
-                                      NONNEG_LIMIT, {})
-            rows.append({"param": float(rho), "lhs": rep.lhs, "rhs": rep.rhs,
-                         "ratio": rep.ratio})
-    elif family == "sphere_ball_radius":
-        M = geometry.sphere(4)
-        for rho in grid:
-            mesh = submanifold.build_submanifold(
-                M, submanifold.GeodesicBallInSubsphere(float(rho)), resolution)
-            rep = evaluate_inequality(M, mesh, constant_field(mesh, 1.0),
-                                      CLOSED_POSITIVE, {})
-            rows.append({"param": float(rho), "lhs": rep.lhs, "rhs": rep.rhs,
-                         "ratio": rep.ratio})
-    elif family == "tube_eps":
-        M = geometry.sphere(4)
-        mesh = submanifold.build_submanifold(
-            M, submanifold.GeodesicBallInSubsphere(math.pi / 2), resolution)
-        f = constant_field(mesh, 1.0)
-        for eps in grid:
-            eps = float(eps)
-            dom = None
-            if eps > 0.0:
-                dom = build_target_domain(M, mesh, COMPLEMENT_OF_TUBE,
-                                          {"eps": eps}, n_samples, seed)
-            rep = evaluate_inequality(M, mesh, f, POSITIVE_TUBE,
-                                      {"eps": eps}, domain=dom)
-            rows.append({"param": eps, "lhs": rep.lhs, "rhs": rep.rhs,
-                         "ratio": rep.ratio})
-    elif family == "hyperbolic_r":
-        M = geometry.hyperbolic(4)
-        mesh = submanifold.build_submanifold(
-            M, submanifold.GeodesicDiskInHyperbolicSubspace(
-                min(float(g) for g in grid) / 2.0), resolution)
-        f = constant_field(mesh, 1.0)
-        for r in grid:
-            dom = build_target_domain(M, mesh, GEODESIC_BALL,
-                                      {"r": float(r)}, n_samples, seed)
-            rep = evaluate_inequality(M, mesh, f, NEGATIVE_LOCAL,
-                                      {"r": float(r)}, domain=dom)
-            rows.append({"param": float(r), "lhs": rep.lhs, "rhs": rep.rhs,
-                         "ratio": rep.ratio})
-    else:
-        raise ValueError(f"unknown scan family {family!r}")
-    return rows
+# the integration-by-parts check
 
 
 def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
@@ -535,13 +480,7 @@ def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
     slack."""
     lap = np.einsum("naa->n", hess)
     lhs = -submanifold.integrate(mesh, f.values * lap)
-    grad = submanifold.intrinsic_gradient(mesh, f)
-    gnorm = np.linalg.norm(grad, axis=1)
-    if len(mesh.boundary_points):
-        fb = f.value_chart(submanifold.boundary_stencil_coords(mesh))
-        bint = submanifold.integrate(mesh, fb, "boundary")
-    else:
-        bint = 0.0
-    rhs = r_bound * (bint + submanifold.integrate(mesh, gnorm))
+    bint, gint = _boundary_and_gradient_integrals(mesh, f)
+    rhs = r_bound * (bint + gint)
     margin = rhs * (1.0 + slack) - lhs
     return float(margin), float(lhs), float(rhs)

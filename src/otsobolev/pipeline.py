@@ -47,7 +47,6 @@ class ScenarioConfig:
     domain_samples: int
     solver: str
     eps_reg: Optional[float]
-    size_cap: tuple
     checks: dict
     inequality_variant: Optional[str]
     jacobi_steps: int
@@ -121,10 +120,6 @@ class ScenarioConfig:
             raise ConfigError(f"solver.method: unknown method {solver!r}")
         eps_reg = cp.getfloat("solver", "eps_reg", fallback=None) \
             if cp.has_option("solver", "eps_reg") else None
-        size_cap = (cp.getint("solver", "max_sources",
-                              fallback=transport.EXACT_SIZE_CAP[0]),
-                    cp.getint("solver", "max_targets",
-                              fallback=transport.EXACT_SIZE_CAP[1]))
 
         checks = {}
         for key in CHECK_NAMES:
@@ -148,7 +143,7 @@ class ScenarioConfig:
         config = cls(name, seed, variant, curvature, ambient_dim, lift,
                      chart, chart_params, resolution, field_kind, field_spec,
                      domain_variant, domain_params, domain_samples,
-                     solver, eps_reg, size_cap, checks, inequality_variant,
+                     solver, eps_reg, checks, inequality_variant,
                      jacobi_steps, jacobi_atoms, raw)
         config.validate()
         return config
@@ -158,8 +153,9 @@ class ScenarioConfig:
         sizes below their least value, curvature sign, lift, [domain]
         section, keys and ranges), for an inequality whose manifold or
         [domain] variant it does not hold on or read
-        (``inequalities.INEQUALITY_SCOPE``) and for a [domain] variant
-        not built for the manifold (``inequalities.DOMAIN_SCOPE``).
+        (``inequalities.INEQUALITY_SCOPE``), for a [domain] variant
+        not built for the manifold (``inequalities.DOMAIN_SCOPE``) and
+        for fiber_mass without the annulus domain its envelope needs.
         Runs on load, after a ``--seed`` override and after each sweep
         override."""
         least = {"scenario.seed": (self.seed, 0),
@@ -209,6 +205,12 @@ class ScenarioConfig:
             for key in keys:
                 if key not in self.domain_params:
                     raise ConfigError(f"missing required field domain.{key}")
+        if self.checks["fiber_mass"] and \
+                self.domain_variant != inequalities.ANNULUS:
+            raise ConfigError(
+                f"checks.fiber_mass: the fiber-volume envelope exists only "
+                f"on {inequalities.ANNULUS} domains, not on "
+                f"{self.domain_variant}")
         sigma = self.domain_params.get("sigma", 0.5)
         if not 0 < sigma < 1:
             raise ConfigError(f"domain.sigma: value {sigma} outside (0, 1)")
@@ -339,19 +341,16 @@ def _tangency(ctx):
 
 
 def _fiber_mass(ctx):
-    envelope = None
-    if ctx.config.domain_variant == inequalities.ANNULUS:
-        envelope = inequalities.annulus_fiber_envelope(
-            ctx.M, ctx.mesh, ctx.coupling.phi_cc,
-            ctx.config.domain_params["sigma"], ctx.config.domain_params["r"])
+    """Marginals and the fiber-volume envelope; ``validate`` admits the
+    check only on the annulus domain, the one with an envelope."""
+    envelope = inequalities.annulus_fiber_envelope(
+        ctx.M, ctx.mesh, ctx.coupling.phi_cc,
+        ctx.config.domain_params["sigma"], ctx.config.domain_params["r"])
     fm = transport.fiber_mass_residual(
         ctx.coupling, domain_volume=ctx.domain.volume, envelope=envelope)
     worst = float(fm.marginal_residual.max())
-    rec = {"passed": worst <= 1e-6 and fm.envelope_ok is not False,
-           "marginal_residual_max": worst}
-    if fm.envelope_ok is not None:
-        rec["envelope_ok"] = fm.envelope_ok
-    return rec
+    return {"passed": worst <= 1e-6 and fm.envelope_ok,
+            "marginal_residual_max": worst, "envelope_ok": fm.envelope_ok}
 
 
 def _semiconcavity(ctx):
@@ -590,7 +589,7 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         nu = transport.target_measure(domain.points)
         C = transport.cost_matrix(M, mu, nu)
         if config.solver == "exact":
-            coupling = transport.solve_exact(mu, nu, C, config.size_cap)
+            coupling = transport.solve_exact(mu, nu, C)
         else:
             eps_reg = config.eps_reg
             if eps_reg is None:

@@ -543,7 +543,7 @@ def lsq_hessian(mesh: SubmanifoldMesh, values: np.ndarray,
 class TubularVolumeResult:
     tube_volume: float
     standard_error: float
-    complement_volume: Optional[float]
+    complement_volume: float
     ambient_volume: float
     samples: int
 
@@ -574,39 +574,23 @@ def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
     return np.minimum(base, dists.min(axis=1))
 
 
-def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator,
-                    bounding_center=None, bounding_radius=None):
-    """Uniform samples of the ambient space (sphere) or a bounding ball."""
-    if M.variant == geometry.SPHERE:
-        g = rng.standard_normal((n, M.embedding_dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return M.radius * g, geometry.manifold_volume(M)
-    if M.variant == geometry.EUCLIDEAN:
-        if bounding_radius is None:
-            raise UnboundedDomainError(
-                "noncompact ambient space needs a bounding ball")
-        d = M.embedding_dim
-        center = np.zeros(d) if bounding_center is None else np.asarray(
-            bounding_center, float)
-        dirs = rng.standard_normal((n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = bounding_radius * rng.random(n) ** (1.0 / d)
-        vol = geometry.ball_volume(d) * bounding_radius**d
-        return center + radii[:, None] * dirs, vol
-    raise UnboundedDomainError(
-        f"uniform ambient sampling unsupported for variant {M.variant}")
+def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator):
+    """Uniform samples of the ambient sphere and its volume."""
+    if M.variant != geometry.SPHERE:
+        raise UnboundedDomainError(
+            f"uniform ambient sampling unsupported for variant {M.variant}")
+    g = rng.standard_normal((n, M.embedding_dim))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return M.radius * g, geometry.manifold_volume(M)
 
 
 def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
-                   seed: int, n_samples: int = 20000,
-                   bounding_center=None,
-                   bounding_radius=None) -> TubularVolumeResult:
+                   seed: int, n_samples: int = 20000) -> TubularVolumeResult:
     """Monte Carlo estimate of vol(N_eps), reproducible for a fixed seed."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
-    pts, vol_ambient = ambient_samples(manifold, n_samples, rng,
-                                       bounding_center, bounding_radius)
+    pts, vol_ambient = ambient_samples(manifold, n_samples, rng)
     inside = np.zeros(n_samples, dtype=bool)
     chunk = 4096
     for k in range(0, n_samples, chunk):
@@ -615,8 +599,8 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     p = inside.mean()
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)
-    comp = vol_ambient - est if manifold.is_compact else None
-    return TubularVolumeResult(est, se, comp, vol_ambient, n_samples)
+    return TubularVolumeResult(est, se, vol_ambient - est, vol_ambient,
+                               n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -325,22 +325,21 @@ def tangency_residuals(manifold: ModelManifold, mesh: SubmanifoldMesh,
 class FiberMassReport:
     marginal_residual: np.ndarray   # (N,) |row mass - mu_i|
     fiber_volume_proxy: np.ndarray  # (N,) row mass * vol(Omega)
-    envelope_ok: Optional[bool] = None
+    envelope_ok: bool
 
 
 def fiber_mass_residual(coupling: DiscreteCoupling, domain_volume: float,
-                        envelope: Optional[np.ndarray] = None,
+                        envelope: np.ndarray,
                         envelope_slack: float = 0.05) -> FiberMassReport:
     """Discrete surrogate of the change-of-variable identity.
 
-    The transported mass per node must match mu_i (marginal identity).
-    Optionally compares the fiber-volume proxy row_mass * vol(Omega)
-    against a Jacobian-bound envelope.
+    The transported mass per node must match mu_i (marginal identity),
+    and the fiber-volume proxy row_mass * vol(Omega) must stay below the
+    per-node Jacobian-bound ``envelope``.
     """
     row = coupling.row_masses()
     proxy = row * domain_volume
-    ok = None if envelope is None else bool(
-        np.all(proxy <= envelope * (1.0 + envelope_slack)))
+    ok = bool(np.all(proxy <= envelope * (1.0 + envelope_slack)))
     return FiberMassReport(np.abs(row - coupling.source.weights), proxy, ok)
 
 

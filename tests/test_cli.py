@@ -2,12 +2,13 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from otsobolev import cli, transport
+from otsobolev import cli, inequalities, transport
 
 TINY_CFG = """\
 [scenario]
@@ -97,6 +98,15 @@ DOMAIN_MISMATCHES = [
     ("sphere_transport", ("ambient_dim = 4", "inequality = closed_positive"),
      ("ambient_dim = 3\nlift = true", "inequality = none"),
      "domain.variant"),
+]
+
+
+# fiber_mass on a [domain] variant without its envelope
+FIBER_MASS_MISMATCHES = [
+    ("sphere_transport", "tangency = true",
+     "tangency = true\nfiber_mass = true", "checks.fiber_mass"),
+    ("hyperbolic_disk_r1", "tangency = true",
+     "tangency = true\nfiber_mass = true", "checks.fiber_mass"),
 ]
 
 
@@ -236,7 +246,7 @@ class TestRunCommand:
          "domain.samples"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
-    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES)
+    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES + FIBER_MASS_MISMATCHES)
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
         """Values a run would die on are config errors naming the field."""
@@ -283,6 +293,31 @@ class TestRunCommand:
         verdict = json.loads((out / "flat_disk_annulus.jsonl").read_text()
                              .splitlines()[-1])
         assert verdict["theorem_failures"] == ["certification"]
+
+    @pytest.mark.parametrize("factor, passed", [(1.0, True), (1.5, False)])
+    def test_fiber_mass_fails_on_a_wrong_domain_volume(
+            self, runner, tmp_path, monkeypatch, factor, passed):
+        """Negative control: an annulus volume 1.5 times too large puts
+        the fiber-volume proxy above its envelope."""
+        build = inequalities.build_target_domain
+
+        def scaled(*args, **kwargs):
+            domain = build(*args, **kwargs)
+            domain.volume *= factor
+            return domain
+
+        monkeypatch.setattr(inequalities, "build_target_domain", scaled)
+        cfg = small_annulus(tmp_path)
+        out = tmp_path / "rep"
+        runner.invoke(cli.main, ["run", cfg, "--out", str(out)])
+        recs = [json.loads(line) for line in
+                (out / "flat_disk_annulus.jsonl").read_text().splitlines()]
+        fiber = next(r for r in recs if r.get("name") == "fiber_mass")
+        assert fiber["passed"] is passed and fiber["envelope_ok"] is passed
+        assert ("fiber_mass" in recs[-1]["warnings"]) is not passed
+        res = runner.invoke(cli.main, ["run", cfg, "--strict",
+                                       "--out", str(out)])
+        assert res.exit_code == (0 if passed else 1), res.output
 
     def test_negative_seed_override_exit_two(self, runner, tiny_cfg):
         res = runner.invoke(cli.main, ["run", tiny_cfg, "--seed", "-1"])
@@ -352,6 +387,12 @@ class TestSweepCommand:
         self.check_grid_point_exit_two(
             runner, tmp_path, mutated(tmp_path, scenario, old, new), named)
 
+    def test_fiber_mass_without_envelope_at_grid_point_exit_two(
+            self, runner, tmp_path):
+        scenario, old, new, named = FIBER_MASS_MISMATCHES[0]
+        self.check_grid_point_exit_two(
+            runner, tmp_path, mutated(tmp_path, scenario, old, new), named)
+
     @staticmethod
     def check_grid_point_exit_two(runner, tmp_path, cfg, named):
         res = runner.invoke(cli.main, [
@@ -384,6 +425,23 @@ class TestSweepCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert named in res.output
+
+    @pytest.mark.parametrize("scenario, grid", [
+        ("flat_disk_annulus", "domain.sigmaa=0.5"),
+        ("flat_disk_sharp", "domain.r=1,2"),
+        ("flat_disk_sharp", "domain.samples=10"),
+        ("sphere_tube_005", "domain.r=1"),
+    ])
+    def test_domain_override_follows_domain_keys(self, runner, tmp_path,
+                                                 scenario, grid):
+        """A [domain] grid key must be ``samples`` or a key the config's
+        [domain] variant reads."""
+        res = runner.invoke(cli.main, [
+            "sweep", cli.bundled_scenario_path(f"{scenario}.cfg"),
+            "--grid", grid, "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "unsupported sweep target" in res.output
 
     def test_graph_height_sweep(self, runner, tmp_path):
         """Any field of the chart is a sweep target, typed by the chart."""
@@ -420,6 +478,51 @@ class TestSweepCommand:
             "sweep", tiny_cfg, "--grid", "field.value=1,2",
             "--out", str(tmp_path / "rep")])
         assert res.exit_code == 2
+
+
+class TestSharpnessSweeps:
+    """One inequality across a parameter grid: a sweep of a bundled
+    config at resolution 10."""
+
+    @staticmethod
+    def sweep_ratios(runner, tmp_path, cfg, grid, *options):
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, ["sweep", cfg, "--grid", grid,
+                                       "--out", str(out), *options])
+        assert res.exit_code == 0, res.output
+        with open(out / "sweep.csv", newline="") as fh:
+            return [float(r["ratio"]) for r in csv.DictReader(fh)]
+
+    def test_flat_family_is_uniformly_sharp(self, runner, tmp_path):
+        cfg = mutated(tmp_path, "flat_disk_sharp", "resolution = 50",
+                      "resolution = 10")
+        ratios = self.sweep_ratios(runner, tmp_path, cfg,
+                                   "submanifold.radius=0.5,1.0,2.0")
+        assert len(ratios) == 3
+        for ratio in ratios:
+            assert abs(ratio - 1.0) < 1e-9
+
+    def test_sphere_family_stays_below_one(self, runner, tmp_path):
+        cfg = mutated(tmp_path, "sphere_ball_closed", "resolution = 24",
+                      "resolution = 10")
+        grid = f"submanifold.radius=0.6,1.0,{math.pi / 2!r}"
+        ratios = self.sweep_ratios(runner, tmp_path, cfg, grid)
+        assert len(ratios) == 3
+        for ratio in ratios:
+            assert ratio <= 1.0 + inequalities.REPORT_TOL
+
+    def test_hyperbolic_family_stays_below_one(self, runner, tmp_path):
+        """A disk of radius 0.75 fits the r/2 ball of every grid point."""
+        cfg = mutated(tmp_path, "hyperbolic_disk_r2",
+                      ("radius = 0.5", "resolution = 20", "samples = 1200"),
+                      ("radius = 0.75", "resolution = 10", "samples = 400"))
+        ratios = self.sweep_ratios(runner, tmp_path, cfg,
+                                   "domain.r=1.5,2.0,3.0", "--seed", "0")
+        assert len(ratios) == 3
+        for ratio in ratios:
+            assert ratio <= 1.0 + inequalities.REPORT_TOL
+        # larger balls are increasingly slack
+        assert ratios[0] > ratios[1] > ratios[2]
 
 
 class TestListScenarios:

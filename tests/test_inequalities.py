@@ -1,4 +1,4 @@
-"""Inequality variants: hand-computed constants, domains, scans, guards."""
+"""Inequality variants: hand-computed constants, domains, guards."""
 
 import math
 
@@ -303,34 +303,6 @@ class TestWholeManifoldAndTubeDomains:
         assert dmin.min() > eps
         assert dom.volume + dom.meta["tube_volume"] == pytest.approx(
             geometry.manifold_volume(M), rel=1e-9)
-
-
-class TestSharpnessScans:
-    def test_flat_family_is_uniformly_sharp(self):
-        rows = inequalities.sharpness_scan("flat_disk_radius",
-                                           [0.5, 1.0, 2.0], resolution=10)
-        for row in rows:
-            assert abs(row["ratio"] - 1.0) < 1e-9
-
-    def test_sphere_family_stays_below_one(self):
-        rows = inequalities.sharpness_scan("sphere_ball_radius",
-                                           [0.6, 1.0, math.pi / 2],
-                                           resolution=10)
-        for row in rows:
-            assert row["ratio"] <= 1.0 + inequalities.REPORT_TOL
-
-    def test_hyperbolic_family_stays_below_one(self):
-        rows = inequalities.sharpness_scan("hyperbolic_r", [1.5, 2.0, 3.0],
-                                           resolution=10, n_samples=400)
-        for row in rows:
-            assert row["ratio"] <= 1.0 + inequalities.REPORT_TOL
-        # larger balls are increasingly slack
-        ratios = [row["ratio"] for row in rows]
-        assert ratios == sorted(ratios, reverse=True)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            inequalities.sharpness_scan("nope", [1.0])
 
 
 class TestIntegrationByParts:

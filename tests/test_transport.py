@@ -347,7 +347,9 @@ class TestFiberChecks:
 
     def test_fiber_mass_marginals(self, annulus_run):
         M, mesh, cpl, grad, _ = annulus_run
-        rep = transport.fiber_mass_residual(cpl, domain_volume=100.0)
+        rep = transport.fiber_mass_residual(
+            cpl, domain_volume=100.0,
+            envelope=np.full(mesh.node_count, np.inf))
         assert rep.marginal_residual.max() < 1e-12
         assert np.isclose(rep.fiber_volume_proxy.sum(), 100.0, atol=1e-9)
 
