@@ -7,7 +7,6 @@ Exit codes: 0 pass, 1 theorem/certification failure, 2 config error.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import importlib.resources
 import json
 import os
@@ -15,7 +14,6 @@ import sys
 
 import click
 
-from . import inequalities, submanifold
 from .errors import ConfigError, OTSobolevError
 from .pipeline import RunReport, ScenarioConfig, run_scenario
 
@@ -89,13 +87,13 @@ def _summarize(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def _load_config(path, seed):
-    config = ScenarioConfig.load(path)
-    if seed is not None:
-        config.seed = seed
-        config.raw.setdefault("scenario", {})["seed"] = str(seed)
-        config.validate()
-    return config
+def _seed_override(seed) -> tuple:
+    return () if seed is None else (("scenario", "seed", str(seed)),)
+
+
+# a grid key must be one the config reads in these sections, other
+# than the chart and the [domain] variant
+SWEEP_SECTIONS = ("submanifold", "domain", "jacobi")
 
 
 def _exit_code(report: RunReport) -> int:
@@ -120,7 +118,7 @@ def main():
 def run_cmd(config_path, strict, seed, out_dir, fmt):
     """Run one scenario config end to end."""
     try:
-        config = _load_config(config_path, seed)
+        config = ScenarioConfig.load(config_path, _seed_override(seed))
         report = run_scenario(config, strict=strict)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
@@ -158,12 +156,21 @@ def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
+    overrides = _seed_override(seed)
     rows = []
     worst = 0
     for value in grid_values:
         try:
-            config = _load_config(config_path, seed)
-            _apply_override(config, section, key, value)
+            read = ScenarioConfig.load(config_path, overrides).read_keys
+            targets = sorted(f"{s}.{k}" for s, k in read
+                             if s in SWEEP_SECTIONS
+                             and k not in ("chart", "variant"))
+            if f"{section}.{key}" not in targets:
+                raise ConfigError(
+                    f"unsupported sweep target {section}.{key}: this "
+                    f"config's targets are {', '.join(targets)}")
+            config = ScenarioConfig.load(
+                config_path, overrides + ((section, key, value),))
             # the name is the report's file name: no path separators
             config.name = f"{config.name}_{key}_{value}".replace(
                 "/", "_").replace("\\", "_")
@@ -194,46 +201,6 @@ def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
             w.writerow([r.get(k, "") for k in keys])
     click.echo(f"wrote {path}")
     sys.exit(worst)
-
-
-def _apply_override(config: ScenarioConfig, section: str, key: str,
-                    value: str) -> None:
-    try:
-        if section == "domain":
-            if config.domain_variant is None:
-                raise ConfigError(f"unsupported sweep target domain.{key}: "
-                                  "the config has no [domain] section")
-            keys = ("samples",) + inequalities.DOMAIN_SCOPE[
-                config.domain_variant][1]
-            if key not in keys:
-                raise ConfigError(
-                    f"unsupported sweep target domain.{key}: [domain] "
-                    f"variant {config.domain_variant} has keys "
-                    f"{', '.join(keys)}")
-            if key == "samples":
-                config.domain_samples = int(value)
-            else:
-                config.domain_params[key] = float(value)
-        elif section == "submanifold" and key == "resolution":
-            config.resolution = int(value)
-        elif section == "submanifold":
-            fields = dataclasses.fields(submanifold.CHARTS[config.chart])
-            if key not in {f.name for f in fields}:
-                raise ConfigError(
-                    f"unsupported sweep target submanifold.{key}: chart "
-                    f"{config.chart} has fields "
-                    f"{', '.join(f.name for f in fields) or 'none'}")
-            config.chart_params = submanifold.parse_chart_params(
-                config.chart, {**config.raw["submanifold"], key: value},
-                config.ambient_dim)
-        elif section == "jacobi" and key in ("steps", "atoms"):
-            setattr(config, f"jacobi_{key}", int(value))
-        else:
-            raise ConfigError(f"unsupported sweep target {section}.{key}")
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
-    config.raw.setdefault(section, {})[key] = value
-    config.validate()
 
 
 @main.command("list-scenarios")

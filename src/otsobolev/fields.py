@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import sympy as sp
@@ -63,17 +63,16 @@ def _validate(expr, symbols) -> None:
 
 @dataclass
 class ScalarField:
-    """Per-node values of a positive function, with optional analytic gradient.
+    """Per-node values of a positive function, with its analytic gradient.
 
     ``grad_chart`` maps stencil coordinates (..., n) to the chart-coordinate
-    gradient (..., n); when absent, consumers fall back to least-squares
-    stencil estimation.  ``value_chart`` evaluates the field at arbitrary
+    gradient (..., n).  ``value_chart`` evaluates the field at arbitrary
     stencil coordinates (used for boundary quadrature).
     """
 
     values: np.ndarray
-    grad_chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    value_chart: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad_chart: Callable[[np.ndarray], np.ndarray]
+    value_chart: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

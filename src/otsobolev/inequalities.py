@@ -215,11 +215,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         half = float(params["r"]) / 2.0
         R = manifold.radius
         d_amb = manifold.ambient_dim
-        center = params.get("center")
-        if center is None:
-            center = np.zeros(manifold.embedding_dim)
-            center[0] = R
-        center = np.asarray(center, dtype=float)
+        center = np.zeros(manifold.embedding_dim)
+        center[0] = R
         # radial inverse-CDF sampling of the sinh^{d-1} density
         sgrid = np.linspace(0.0, half, 2049)
         dens = np.sinh(sgrid / R) ** (d_amb - 1)
@@ -256,9 +253,6 @@ def _boundary_and_gradient_integrals(mesh: SubmanifoldMesh, f: ScalarField):
     grad = submanifold.intrinsic_gradient(mesh, f)
     gnorm = np.linalg.norm(grad, axis=1)
     if len(mesh.boundary_points):
-        if f.value_chart is None:
-            raise ValueError("boundary integral needs a field with an "
-                             "analytic chart evaluation")
         fb = f.value_chart(submanifold.boundary_stencil_coords(mesh))
         int_bdy = submanifold.integrate(mesh, fb, "boundary")
     else:

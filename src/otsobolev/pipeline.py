@@ -8,11 +8,12 @@ scenario seed, so a fixed (config, seed) pair yields identical reports.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .errors import (
 )
 from .fields import ScalarField, constant_field, field_from_expression
 from .geometry import ModelManifold
+
+_REQUIRED = object()  # no fallback: a config must set the key
 
 
 @dataclass
@@ -52,53 +55,80 @@ class ScenarioConfig:
     jacobi_steps: int
     jacobi_atoms: int
     raw: dict  # config echo for the report
+    read_keys: frozenset  # every (section, key) the parser read
 
     @classmethod
-    def load(cls, path) -> "ScenarioConfig":
+    def load(cls, path, overrides=()) -> "ScenarioConfig":
+        """Parse and validate the config file at ``path``.
+
+        ``overrides`` are (section, key, value) strings set on the file
+        before it is read, as if written there (``--seed``, sweep grid
+        points).  Raises ConfigError naming the key for a missing or
+        malformed value, for a value a run would die on and for a key
+        the config does not read.
+        """
         cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
         try:
+            if not cp.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+            for section, key, value in overrides:
+                if not cp.has_section(section):
+                    cp.add_section(section)
+                cp.set(section, key, value)
             return cls._from_parser(cp)
-        except (configparser.Error, KeyError, ValueError) as exc:
+        except (configparser.Error, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
     def _from_parser(cls, cp) -> "ScenarioConfig":
-        def need(section, key):
-            if not cp.has_option(section, key):
-                raise ConfigError(f"missing required field {section}.{key}")
-            return cp.get(section, key)
+        read = set()
 
-        name = need("scenario", "name")
-        seed = int(need("scenario", "seed"))
-        variant = need("manifold", "variant")
+        def get(section, key, kind=str, fallback=_REQUIRED):
+            """section.key converted to ``kind`` (str, int, float or
+            bool), ``fallback`` when it is absent; records the read."""
+            read.add((section, key))
+            if not cp.has_option(section, key):
+                if fallback is _REQUIRED:
+                    raise ConfigError(
+                        f"missing required field {section}.{key}")
+                return fallback
+            convert = {str: cp.get, int: cp.getint, float: cp.getfloat,
+                       bool: cp.getboolean}[kind]
+            try:
+                return convert(section, key)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+
+        name = get("scenario", "name")
+        seed = get("scenario", "seed", int)
+        variant = get("manifold", "variant")
         if variant not in (geometry.EUCLIDEAN, geometry.SPHERE,
                            geometry.HYPERBOLIC):
             raise ConfigError(f"manifold.variant: unknown variant {variant!r}")
-        curvature = cp.getfloat("manifold", "curvature", fallback={
+        curvature = get("manifold", "curvature", float, {
             geometry.EUCLIDEAN: 0.0, geometry.SPHERE: 1.0,
             geometry.HYPERBOLIC: -1.0}[variant])
-        ambient_dim = cp.getint("manifold", "ambient_dim")
-        lift = cp.getboolean("manifold", "lift", fallback=False)
+        ambient_dim = get("manifold", "ambient_dim", int)
+        lift = get("manifold", "lift", bool, False)
 
-        chart = need("submanifold", "chart")
+        chart = get("submanifold", "chart")
         if chart not in submanifold.CHARTS:
             raise ConfigError(f"submanifold.chart: unknown chart {chart!r}")
-        try:
-            chart_params = submanifold.parse_chart_params(
-                chart, dict(cp.items("submanifold")), ambient_dim)
-        except KeyError as exc:
-            raise ConfigError(
-                f"missing required field submanifold.{exc.args[0]}") from exc
-        resolution = cp.getint("submanifold", "resolution")
+        # the chart's fields, all required but codim, which defaults to
+        # the only value the disk charts accept
+        chart_type = submanifold.CHARTS[chart]
+        types = get_type_hints(chart_type)
+        chart_params = {
+            f.name: get("submanifold", f.name, types[f.name],
+                        ambient_dim - 2 if f.name == "codim" else _REQUIRED)
+            for f in dataclasses.fields(chart_type)}
+        resolution = get("submanifold", "resolution", int)
 
-        field_kind = cp.get("field", "kind", fallback="constant")
+        field_kind = get("field", "kind", fallback="constant")
         if field_kind == "constant":
-            field_spec = cp.get("field", "value", fallback="1.0")
+            field_spec = get("field", "value", fallback="1.0")
         elif field_kind == "expression":
-            field_spec = need("field", "expression")
+            field_spec = get("field", "expression")
         else:
             raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
 
@@ -106,27 +136,22 @@ class ScenarioConfig:
         domain_params = {}
         domain_samples = 0
         if cp.has_section("domain"):
-            domain_variant = need("domain", "variant")
+            domain_variant = get("domain", "variant")
             if domain_variant not in inequalities.DOMAIN_SCOPE:
                 raise ConfigError(
                     f"domain.variant: unknown variant {domain_variant!r}")
-            domain_samples = cp.getint("domain", "samples", fallback=1000)
-            for key in ("sigma", "r", "eps"):
-                if cp.has_option("domain", key):
-                    domain_params[key] = cp.getfloat("domain", key)
+            domain_samples = get("domain", "samples", int, 1000)
+            domain_params = {key: get("domain", key, float) for key in
+                             inequalities.DOMAIN_SCOPE[domain_variant][1]}
 
-        solver = cp.get("solver", "method", fallback="exact")
+        solver = get("solver", "method", fallback="exact")
         if solver not in ("exact", "entropic"):
             raise ConfigError(f"solver.method: unknown method {solver!r}")
-        eps_reg = cp.getfloat("solver", "eps_reg", fallback=None) \
-            if cp.has_option("solver", "eps_reg") else None
+        eps_reg = get("solver", "eps_reg", float, None)
 
-        checks = {}
-        for key in CHECK_NAMES:
-            if key == "inequality":
-                continue
-            checks[key] = cp.getboolean("checks", key, fallback=False)
-        inequality_variant = cp.get("checks", "inequality", fallback="none")
+        checks = {key: get("checks", key, bool, False)
+                  for key in CHECK_NAMES if key != "inequality"}
+        inequality_variant = get("checks", "inequality", fallback="none")
         if inequality_variant in ("none", ""):
             inequality_variant = None
         elif inequality_variant not in inequalities.INEQUALITY_SCOPE:
@@ -134,30 +159,32 @@ class ScenarioConfig:
                 f"checks.inequality: unknown variant {inequality_variant!r}")
         checks["inequality"] = inequality_variant is not None
 
-        jacobi_steps = cp.getint("jacobi", "steps", fallback=1000) \
-            if cp.has_section("jacobi") else 1000
-        jacobi_atoms = cp.getint("jacobi", "atoms", fallback=200) \
-            if cp.has_section("jacobi") else 200
+        jacobi_steps = get("jacobi", "steps", int, 1000)
+        jacobi_atoms = get("jacobi", "atoms", int, 200)
 
         raw = {s: dict(cp.items(s)) for s in cp.sections()}
         config = cls(name, seed, variant, curvature, ambient_dim, lift,
                      chart, chart_params, resolution, field_kind, field_spec,
                      domain_variant, domain_params, domain_samples,
                      solver, eps_reg, checks, inequality_variant,
-                     jacobi_steps, jacobi_atoms, raw)
+                     jacobi_steps, jacobi_atoms, raw, frozenset(read))
         config.validate()
+        unread = [f"{s}.{k}" for s in cp.sections() for k in cp[s]
+                  if (s, k) not in read]
+        if unread:
+            raise ConfigError(f"{', '.join(unread)}: not read by this "
+                              "config (unknown, or unused by its variants)")
         return config
 
     def validate(self) -> None:
         """Raise ConfigError for values a run would die on (counts and
         sizes below their least value, curvature sign, lift, [domain]
-        section, keys and ranges), for an inequality whose manifold or
+        section and ranges), for an inequality whose manifold or
         [domain] variant it does not hold on or read
         (``inequalities.INEQUALITY_SCOPE``), for a [domain] variant
         not built for the manifold (``inequalities.DOMAIN_SCOPE``) and
         for fiber_mass without the annulus domain its envelope needs.
-        Runs on load, after a ``--seed`` override and after each sweep
-        override."""
+        Runs in ``load``, after the overrides are set."""
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
                  "jacobi.steps": (self.jacobi_steps, 100),
@@ -197,14 +224,11 @@ class ScenarioConfig:
             raise ConfigError("domain: transport checks need a [domain] "
                               "section")
         if self.domain_variant is not None:
-            built_for, keys = inequalities.DOMAIN_SCOPE[self.domain_variant]
+            built_for = inequalities.DOMAIN_SCOPE[self.domain_variant][0]
             if ambient not in built_for:
                 raise ConfigError(
                     f"domain.variant: {self.domain_variant} is built for "
                     f"{', '.join(built_for)}, not for {ambient}")
-            for key in keys:
-                if key not in self.domain_params:
-                    raise ConfigError(f"missing required field domain.{key}")
         if self.checks["fiber_mass"] and \
                 self.domain_variant != inequalities.ANNULUS:
             raise ConfigError(

@@ -18,7 +18,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, ClassVar, NamedTuple, Optional, get_type_hints
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -323,24 +323,6 @@ CHARTS = {chart.name: chart for chart in (
     GeodesicDiskInHyperbolicSubspace, EquatorialSubsphereBand)}
 
 
-def parse_chart_params(name: str, options, ambient_dim: int) -> dict:
-    """Typed parameters of chart ``name`` from string-valued ``options``.
-
-    ``codim`` defaults to ``ambient_dim - 2``, the only value the disk
-    charts accept; every other parameter is required.  Raises KeyError
-    with the name of a missing parameter, ValueError for a bad value.
-    """
-    cls = CHARTS[name]
-    types = get_type_hints(cls)
-    params = {}
-    for f in dataclasses.fields(cls):
-        if f.name == "codim" and f.name not in options:
-            params[f.name] = ambient_dim - 2
-        else:
-            params[f.name] = types[f.name](options[f.name])
-    return params
-
-
 # ---------------------------------------------------------------------------
 # mesh
 
@@ -474,13 +456,9 @@ def integrate(mesh: SubmanifoldMesh, values: np.ndarray,
     return float(np.dot(values, w))
 
 
-def intrinsic_gradient(mesh: SubmanifoldMesh, f: ScalarField,
-                       stencil_radius: float = 2.0) -> np.ndarray:
+def intrinsic_gradient(mesh: SubmanifoldMesh, f: ScalarField) -> np.ndarray:
     """Per-node tangent-frame components of the surface gradient of f."""
-    if f.grad_chart is not None:
-        g = f.grad_chart(mesh.stencil_coords)
-        return np.einsum("nab,nb->na", mesh.stencil_to_frame, g)
-    g = _lsq_gradient(mesh, f.values, stencil_radius)
+    g = f.grad_chart(mesh.stencil_coords)
     return np.einsum("nab,nb->na", mesh.stencil_to_frame, g)
 
 
@@ -543,9 +521,12 @@ def lsq_hessian(mesh: SubmanifoldMesh, values: np.ndarray,
 class TubularVolumeResult:
     tube_volume: float
     standard_error: float
-    complement_volume: float
     ambient_volume: float
     samples: int
+
+    @property
+    def complement_volume(self) -> float:
+        return self.ambient_volume - self.tube_volume
 
 
 def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
@@ -599,8 +580,7 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     p = inside.mean()
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)
-    return TubularVolumeResult(est, se, vol_ambient - est, vol_ambient,
-                               n_samples)
+    return TubularVolumeResult(est, se, vol_ambient, n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report files, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -107,6 +108,19 @@ FIBER_MASS_MISMATCHES = [
      "tangency = true\nfiber_mass = true", "checks.fiber_mass"),
     ("hyperbolic_disk_r1", "tangency = true",
      "tangency = true\nfiber_mass = true", "checks.fiber_mass"),
+]
+
+
+# a key the config does not read: a misspelt key or section, or a
+# [domain] key its variant does not read
+UNREAD_KEYS = [
+    ("flat_disk_sharp", "inequality = nonneg_limit",
+     "inequality = nonneg_limit\nfiber_mas = true", "checks.fiber_mas"),
+    ("flat_disk_sharp", "[checks]", "[jacobi]\nstep = 50\n\n[checks]",
+     "jacobi.step"),
+    ("flat_disk_sharp", "[checks]", "[solvr]\nmethod = entropic\n\n[checks]",
+     "solvr.method"),
+    ("hyperbolic_disk_r2", "r = 2.0", "r = 2.0\nsigma = 0.5", "domain.sigma"),
 ]
 
 
@@ -246,7 +260,13 @@ class TestRunCommand:
          "domain.samples"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
-    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES + FIBER_MASS_MISMATCHES)
+        ("flat_disk_annulus", "steps = 1000", "steps = many", "jacobi.steps"),
+        ("flat_disk_annulus", "jacobi = true", "jacobi = maybe",
+         "checks.jacobi"),
+        ("sphere_ball_closed", "radius = 1.5707963267948966",
+         "radius = wide", "submanifold.radius"),
+    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES + FIBER_MASS_MISMATCHES
+        + UNREAD_KEYS)
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
         """Values a run would die on are config errors naming the field."""
@@ -318,6 +338,37 @@ class TestRunCommand:
         res = runner.invoke(cli.main, ["run", cfg, "--strict",
                                        "--out", str(out)])
         assert res.exit_code == (0 if passed else 1), res.output
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_unconverged_solver_fails_certification(
+            self, runner, tmp_path, monkeypatch, converged):
+        """Negative control: a Sinkhorn plan that did not converge fails
+        certification, a theorem failure."""
+        solve = transport.solve_entropic
+        monkeypatch.setattr(
+            transport, "solve_entropic", lambda *args, **kwargs:
+            dataclasses.replace(solve(*args, **kwargs), converged=converged))
+        text = Path(small_annulus(tmp_path)).read_text()
+        assert "method = exact" in text
+        cfg = tmp_path / "entropic.cfg"
+        cfg.write_text(text.replace("method = exact", "method = entropic"))
+        out = tmp_path / "rep"
+        res = runner.invoke(cli.main, ["run", str(cfg), "--out", str(out)])
+        assert res.exit_code == (0 if converged else 1), res.output
+        recs = [json.loads(line) for line in
+                (out / "flat_disk_annulus.jsonl").read_text().splitlines()]
+        cert = next(r for r in recs if r.get("name") == "certification")
+        assert cert["passed"] is converged
+        assert ("certification" in recs[-1]["theorem_failures"]) \
+            is not converged
+
+    def test_malformed_file_exit_two(self, runner, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace("seed = 123", "seed = 123\nseed = 4"))
+        res = runner.invoke(cli.main, ["run", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "config error" in res.output
 
     def test_negative_seed_override_exit_two(self, runner, tiny_cfg):
         res = runner.invoke(cli.main, ["run", tiny_cfg, "--seed", "-1"])
@@ -392,6 +443,20 @@ class TestSweepCommand:
         scenario, old, new, named = FIBER_MASS_MISMATCHES[0]
         self.check_grid_point_exit_two(
             runner, tmp_path, mutated(tmp_path, scenario, old, new), named)
+
+    @pytest.mark.parametrize("scenario, old, new, named", UNREAD_KEYS)
+    def test_unread_key_at_grid_point_exit_two(
+            self, runner, tmp_path, scenario, old, new, named):
+        """A key the config does not read exits 2 in the file and as a
+        grid key."""
+        self.check_grid_point_exit_two(
+            runner, tmp_path, mutated(tmp_path, scenario, old, new), named)
+        res = runner.invoke(cli.main, [
+            "sweep", cli.bundled_scenario_path(f"{scenario}.cfg"),
+            "--grid", f"{named}=1", "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"unsupported sweep target {named}" in res.output
 
     @staticmethod
     def check_grid_point_exit_two(runner, tmp_path, cfg, named):

@@ -40,7 +40,7 @@ class TestGrammar:
 class TestScalarField:
     def test_positive_values_enforced(self):
         with pytest.raises(ValueError):
-            ScalarField(np.array([1.0, -0.5]))
+            ScalarField(np.array([1.0, -0.5]), np.zeros_like, np.zeros_like)
 
     def test_constant_field(self, mesh):
         f = constant_field(mesh, 2.5)

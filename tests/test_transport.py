@@ -209,6 +209,16 @@ class TestEntropicSolver:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
 
+    def test_stalled_solve_is_not_converged(self):
+        """At reg 5e-3 x mean cost the row residual of the 12 x 20
+        instance stalls near 1e-7, above stop_tol: the solver stops at
+        max_iter and says so."""
+        _, mu, nu, C = small_instance()
+        ent = transport.solve_entropic(mu, nu, C, 5e-3 * float(C.mean()),
+                                       max_iter=1000, stop_tol=1e-9)
+        assert ent.converged is False
+        assert ent.marginal_residual()[0] > 1e-9
+
     def test_bad_arguments_rejected(self):
         _, mu, nu, C = small_instance()
         with pytest.raises(ValueError):
