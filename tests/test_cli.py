@@ -260,13 +260,13 @@ class TestRunCommand:
          "domain.samples"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
+    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES + FIBER_MASS_MISMATCHES + [
         ("flat_disk_annulus", "steps = 1000", "steps = many", "jacobi.steps"),
         ("flat_disk_annulus", "jacobi = true", "jacobi = maybe",
          "checks.jacobi"),
         ("sphere_ball_closed", "radius = 1.5707963267948966",
          "radius = wide", "submanifold.radius"),
-    ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES + FIBER_MASS_MISMATCHES
-        + UNREAD_KEYS)
+    ] + UNREAD_KEYS)
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
         """Values a run would die on are config errors naming the field."""
