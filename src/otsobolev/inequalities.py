@@ -118,6 +118,23 @@ def _lattice_directions(u: np.ndarray) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _rejection_samples(mesh: SubmanifoldMesh, candidates, keep,
+                       n_samples: int, rounds: int):
+    """(kept points, candidates drawn): batches ``candidates()`` filtered
+    by ``keep(nearest, farthest)`` of ``submanifold.distance_to_mesh``,
+    until ``n_samples`` are kept or ``rounds`` batches are drawn."""
+    accepted = []
+    tried = 0
+    for _ in range(rounds):
+        cand = candidates()
+        tried += len(cand)
+        near, far = submanifold.distance_to_mesh(mesh, cand)
+        accepted.extend(cand[keep(near, far)].tolist())
+        if len(accepted) >= n_samples:
+            break
+    return accepted, tried
+
+
 def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         variant: str, params: dict, n_samples: int,
                         seed: int) -> TargetDomain:
@@ -150,17 +167,11 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
             manifold, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
         engine = _lattice(manifold.embedding_dim, s_pts)
         cut_bound = math.pi * manifold.radius - 10 * geometry.CUT_TOLERANCE
-        accepted = []
-        for _ in range(200):
-            dirs = _lattice_directions(engine.random(n_samples))
-            cand = manifold.radius * dirs
-            dmin = submanifold.distance_to_mesh(mesh, cand)
-            dmax = geometry.pairwise_distances(
-                manifold, cand, mesh.points).max(axis=1)
-            keep = cand[(dmin > eps) & (dmax < cut_bound)]
-            accepted.extend(keep.tolist())
-            if len(accepted) >= n_samples:
-                break
+        accepted, _ = _rejection_samples(
+            mesh, lambda: manifold.radius * _lattice_directions(
+                engine.random(n_samples)),
+            lambda near, far: (near > eps) & (far < cut_bound),
+            n_samples, rounds=200)
         if len(accepted) < n_samples:
             raise EmptyDomainError(
                 f"complement of the {eps}-tube admits too few samples")
@@ -183,22 +194,18 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         shi = r + extent
         shell_vol = geometry.ball_volume(d_amb) * (shi**d_amb - slo**d_amb)
         engine = _lattice(d_amb + 1, s_pts)
-        accepted = []
-        tried = 0
-        for _ in range(500):
+
+        def shell_candidates():
             u = engine.random(n_samples)
             dirs = _lattice_directions(u[:, :d_amb])
             radii = (slo**d_amb + u[:, d_amb]
                      * (shi**d_amb - slo**d_amb)) ** (1.0 / d_amb)
-            cand = center + radii[:, None] * dirs
-            tried += n_samples
-            dmin = submanifold.distance_to_mesh(mesh, cand)
-            dmax = geometry.pairwise_distances(
-                manifold, cand, mesh.points).max(axis=1)
-            keep = cand[(dmin >= sigma * r) & (dmax <= r)]
-            accepted.extend(keep.tolist())
-            if len(accepted) >= n_samples:
-                break
+            return center + radii[:, None] * dirs
+
+        accepted, tried = _rejection_samples(
+            mesh, shell_candidates,
+            lambda near, far: (near >= sigma * r) & (far <= r),
+            n_samples, rounds=500)
         if len(accepted) < max(n_samples // 2, 1):
             raise EmptyDomainError(
                 f"annulus sigma={sigma}, r={r} admits too few samples")

@@ -69,6 +69,13 @@ class JacobiTrajectory:
         return self.times[self.trim_index]
 
     @property
+    def window(self) -> np.ndarray:
+        """(T,) bool: the Q-defined samples from ``trim_index`` on."""
+        ok = self.q_defined.copy()
+        ok[:self.trim_index] = False
+        return ok
+
+    @property
     def lam(self) -> float:
         """Delta phi + <H, v>, the scalar entering every bound."""
         return self.delta_phi + self.h_dot_v
@@ -242,28 +249,14 @@ def second_derivative(values: np.ndarray, dt: float,
     return out
 
 
-def riccati_derivative(traj: JacobiTrajectory) -> np.ndarray:
-    """Q'(t) recovered as P^{-1} P''_fd - Q^2 with P'' from finite
-    differences of the stored (smooth) P; defined wherever Q is."""
-    dt = traj.times[1] - traj.times[0]
-    Ppp = second_derivative(traj.P, dt)
-    T, d, _ = traj.P.shape
-    out = np.full((T, d, d), np.nan)
-    ok = traj.q_defined
-    out[ok] = np.linalg.solve(traj.P[ok], Ppp[ok]) \
-        - np.einsum("tij,tjk->tik", traj.Q[ok], traj.Q[ok])
-    return out
-
-
 def riccati_residual(traj: JacobiTrajectory) -> float:
     """max over the trimmed window of ||Q' + S + Q^2|| (max-abs entry),
-    with Q' from independent finite differences."""
-    qp = riccati_derivative(traj)
-    i0 = traj.trim_index
-    ok = traj.q_defined.copy()
-    ok[:i0] = False
-    res = qp[ok] + traj.S[None] \
-        + np.einsum("tij,tjk->tik", traj.Q[ok], traj.Q[ok])
+    Q' = P^{-1} P'' - Q^2 with P'' from finite differences of the P."""
+    Ppp = second_derivative(traj.P, traj.times[1] - traj.times[0])
+    ok = traj.window
+    q2 = np.einsum("tij,tjk->tik", traj.Q[ok], traj.Q[ok])
+    # Q' + S + Q^2 in this order: cancelling Q^2 moves the last bits
+    res = np.linalg.solve(traj.P[ok], Ppp[ok]) - q2 + traj.S[None] + q2
     return float(np.abs(res).max())
 
 
@@ -310,16 +303,13 @@ def normalization_limit(traj: JacobiTrajectory):
     return float(z1), float(limit)
 
 
-def jacobian_bound_check(traj: JacobiTrajectory, n: Optional[int] = None,
-                         bound_slack_factor: float = BOUND_SLACK_FACTOR,
-                         limit: Optional[float] = None):
+def jacobian_bound_check(traj: JacobiTrajectory, limit: float,
+                         n: Optional[int] = None,
+                         bound_slack_factor: float = BOUND_SLACK_FACTOR):
     """Endpoint bound det P(1) <= (1 - lam/n)^n, with the t -> 0
     normalization pinned first; ``limit`` is the second value of
-    ``normalization_limit(traj)``, computed here if not given.  Returns
-    (margin, bound, det_p1)."""
+    ``normalization_limit(traj)``.  Returns (margin, bound, det_p1)."""
     n = traj.n if n is None else n
-    if limit is None:
-        _, limit = normalization_limit(traj)
     if abs(limit - 1.0) > NORMALIZATION_TOL:
         raise NormalizationDriftError(
             f"t^-m det P limit {limit:.8f} deviates from 1 by "
@@ -457,34 +447,23 @@ def comparison_profiles(case: str, delta_phi: float, h_dot_v: float,
 class TraceComparisonReport:
     worst_trq1_excess: float
     worst_trq3_excess: float
-    riccati_residual_max: float
     tol: float
-    ode_tol: float
 
     @property
     def passed(self) -> bool:
         return (self.worst_trq1_excess <= self.tol
-                and self.worst_trq3_excess <= self.tol
-                and self.riccati_residual_max <= self.ode_tol)
+                and self.worst_trq3_excess <= self.tol)
 
 
 def trace_comparison_check(traj: JacobiTrajectory, profile: ComparisonProfile,
-                           tol: Optional[float] = None,
-                           ode_tol: float = 1e-6,
-                           riccati: Optional[float] = None
+                           tol: Optional[float] = None
                            ) -> TraceComparisonReport:
-    """Pointwise trQ1/trQ3 envelope check plus the Riccati residual on
-    the trimmed window (report-only).  ``riccati`` is
-    ``riccati_residual(traj)`` if the caller has it already."""
-    i0 = traj.trim_index
-    ok = traj.q_defined.copy()
-    ok[:i0] = False
+    """Pointwise trQ1/trQ3 envelope check on the trimmed window
+    (report-only)."""
+    ok = traj.window
     t = traj.times[ok]
     if tol is None:
         tol = 1e-6 * traj.m / traj.t0
     e1 = traj.trq1[ok] - profile.trq1_bound(t)
     e3 = traj.trq3[ok] - profile.trq3_bound(t)
-    if riccati is None:
-        riccati = riccati_residual(traj)
-    return TraceComparisonReport(float(e1.max()), float(e3.max()), riccati,
-                                 float(tol), ode_tol)
+    return TraceComparisonReport(float(e1.max()), float(e3.max()), float(tol))

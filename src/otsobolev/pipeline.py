@@ -83,9 +83,12 @@ class ScenarioConfig:
     def _from_parser(cls, cp) -> "ScenarioConfig":
         read = set()
 
-        def get(section, key, kind=str, fallback=_REQUIRED):
+        def get(section, key, kind=str, fallback=_REQUIRED, used=True):
             """section.key converted to ``kind`` (str, int, float or
-            bool), ``fallback`` when it is absent; records the read."""
+            bool), ``fallback`` when it is absent; records the read.
+            A key the run does not ``use`` is not read: ``fallback``."""
+            if not used:
+                return fallback
             read.add((section, key))
             if not cp.has_option(section, key):
                 if fallback is _REQUIRED:
@@ -109,7 +112,7 @@ class ScenarioConfig:
             geometry.EUCLIDEAN: 0.0, geometry.SPHERE: 1.0,
             geometry.HYPERBOLIC: -1.0}[variant])
         ambient_dim = get("manifold", "ambient_dim", int)
-        lift = get("manifold", "lift", bool, False)
+        lift = get("manifold", "lift", bool, False, used=ambient_dim == 3)
 
         chart = get("submanifold", "chart")
         if chart not in submanifold.CHARTS:
@@ -144,11 +147,6 @@ class ScenarioConfig:
             domain_params = {key: get("domain", key, float) for key in
                              inequalities.DOMAIN_SCOPE[domain_variant][1]}
 
-        solver = get("solver", "method", fallback="exact")
-        if solver not in ("exact", "entropic"):
-            raise ConfigError(f"solver.method: unknown method {solver!r}")
-        eps_reg = get("solver", "eps_reg", float, None)
-
         checks = {key: get("checks", key, bool, False)
                   for key in CHECK_NAMES if key != "inequality"}
         inequality_variant = get("checks", "inequality", fallback="none")
@@ -159,8 +157,14 @@ class ScenarioConfig:
                 f"checks.inequality: unknown variant {inequality_variant!r}")
         checks["inequality"] = inequality_variant is not None
 
-        jacobi_steps = get("jacobi", "steps", int, 1000)
-        jacobi_atoms = get("jacobi", "atoms", int, 200)
+        solver = get("solver", "method", fallback="exact",
+                     used=_transport_enabled(checks))
+        if solver not in ("exact", "entropic"):
+            raise ConfigError(f"solver.method: unknown method {solver!r}")
+        eps_reg = get("solver", "eps_reg", float, None,
+                      used=solver == "entropic")
+        jacobi_steps = get("jacobi", "steps", int, 1000, used=checks["jacobi"])
+        jacobi_atoms = get("jacobi", "atoms", int, 200, used=checks["jacobi"])
 
         raw = {s: dict(cp.items(s)) for s in cp.sections()}
         config = cls(name, seed, variant, curvature, ambient_dim, lift,
@@ -246,8 +250,7 @@ class ScenarioConfig:
                               " is negative")
 
     def needs_transport(self) -> bool:
-        return any(self.checks.get(name) for name, check in CHECKS.items()
-                   if check.transport)
+        return _transport_enabled(self.checks)
 
     def build_manifold(self) -> ModelManifold:
         if self.manifold_variant == geometry.EUCLIDEAN:
@@ -255,6 +258,11 @@ class ScenarioConfig:
         if self.manifold_variant == geometry.SPHERE:
             return geometry.sphere(self.ambient_dim, self.curvature)
         return geometry.hyperbolic(self.ambient_dim, self.curvature)
+
+
+def _transport_enabled(checks: dict) -> bool:
+    return any(checks.get(name) for name, check in CHECKS.items()
+               if check.transport)
 
 
 @dataclass
@@ -289,10 +297,10 @@ class RunReport:
 
 @dataclass
 class RunContext:
-    """What the checks of one run read.  The plan atoms, their
-    distances, the gradient and Hessian of phi^cc and the tangency
-    statistics are computed at most once, when a check first reads them.
-    ``coupling`` is None when no enabled check needs transport."""
+    """What the checks of one run read.  The atom table (plan atoms,
+    log_x zeta, distances), the gradient and Hessian of phi^cc and the
+    tangency statistics are computed at most once, when a check first
+    reads them.  ``coupling`` is None when no check needs transport."""
 
     config: ScenarioConfig
     M: ModelManifold
@@ -305,6 +313,13 @@ class RunContext:
     @cached_property
     def atoms(self):
         return self.coupling.atoms()
+
+    @cached_property
+    def atom_logs(self) -> np.ndarray:
+        """(atoms, d): the velocity log_x zeta of each atom (x, zeta)."""
+        ii, jj, _ = self.atoms
+        return geometry.log_map(self.M, self.mesh.points[ii],
+                                self.coupling.target.points[jj])
 
     @cached_property
     def atom_distances(self) -> np.ndarray:
@@ -330,8 +345,8 @@ class RunContext:
 
     @cached_property
     def tangency(self) -> dict:
-        return transport.tangency_residuals(self.M, self.mesh, self.coupling,
-                                            self.gradient[0])
+        return transport.tangency_residuals(self.mesh, self.atoms[0],
+                                            self.atom_logs, self.gradient[0])
 
 
 def _certification(ctx):
@@ -379,7 +394,8 @@ def _fiber_mass(ctx):
 
 def _semiconcavity(ctx):
     sc = transport.semiconcavity_check(ctx.M, ctx.mesh, ctx.hess_phi,
-                                       ctx.coupling, slack=0.5)
+                                       ctx.atoms, ctx.atom_distances,
+                                       slack=0.5)
     return {"passed": bool(sc.passed), "worst_margin": sc.worst_margin}
 
 
@@ -401,12 +417,12 @@ def _jacobi(ctx):
     evaluated atom goes to the report.  A metric is null when its
     sub-check ran on no atom, and the check fails when no atom was
     evaluated."""
-    M, mesh, coupling = ctx.M, ctx.mesh, ctx.coupling
+    M, mesh = ctx.M, ctx.mesh
     grad_phi, hess_phi = ctx.gradient[0], ctx.hess_phi
     ii, jj, mm = ctx.atoms
     # heaviest first, ties by index
     order = np.lexsort((jj, ii, -mm))[:ctx.config.jacobi_atoms]
-    ii, jj = ii[order], jj[order]
+    ii, logs = ii[order], ctx.atom_logs[order]
     hn = mesh.mean_curvature_normal_components()
     nf = mesh._metric_frames(mesh.normal_frames)
     K = M.curvature
@@ -422,12 +438,10 @@ def _jacobi(ctx):
                  "trq3_excess_max"))}
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
-        frames, P0, P0p, dphi, hdv, logs = [], [], [], [], [], []
-        for i, j in zip(ii[chunk].tolist(), jj[chunk].tolist()):
-            x = mesh.points[i]
-            u = geometry.log_map(M, x, coupling.target.points[j])
+        frames, P0, P0p, dphi, hdv = [], [], [], [], []
+        for i, u in zip(ii[chunk].tolist(), logs[chunk]):
             frames.append(geometry.build_parallel_frame(
-                M, x, u, list(mesh.tangent_frames[i]),
+                M, mesh.points[i], u, list(mesh.tangent_frames[i]),
                 list(mesh.normal_frames[i]), samples=2))
             v_norm = nf[i] @ u
             p0, p0p = jacobi.initial_conditions(mesh, i, v_norm, hess_phi[i],
@@ -436,11 +450,10 @@ def _jacobi(ctx):
             P0p.append(p0p)
             dphi.append(float(np.trace(hess_phi[i])))
             hdv.append(float(hn[i] @ v_norm))
-            logs.append(u)
         trajs = jacobi.propagate_atoms(M, frames, np.stack(P0),
                                        np.stack(P0p), dphi, hdv,
                                        steps=ctx.config.jacobi_steps)
-        for traj, u in zip(trajs, logs):
+        for traj, u in zip(trajs, logs[chunk]):
             if traj is not None:
                 _jacobi_atom(ctx, traj, u, K, neg_r, stats)
             else:
@@ -472,10 +485,9 @@ def _fold(stats, **values):
 def _jacobi_atom(ctx, traj, u, K, neg_r, stats):
     """Run the checks of one propagated atom (log vector ``u``) and fold
     them into ``stats``; the first evaluated atom gives the plot series."""
-    riccati = jacobi.riccati_residual(traj)
     _fold(stats, sym_residual_max=traj.symmetry_residual(),
           q_sym_residual_max=traj.q_symmetry_residual(),
-          riccati_residual_max=riccati,
+          riccati_residual_max=jacobi.riccati_residual(traj),
           lap_margin_min=jacobi.lap_lower_bound_check(traj))
     try:
         if K >= 0.0:
@@ -495,7 +507,7 @@ def _jacobi_atom(ctx, traj, u, K, neg_r, stats):
             profile = jacobi.comparison_profiles(
                 "negative", traj.delta_phi, traj.h_dot_v, traj.n, traj.m,
                 k1=K, k2=K, r=float(r))
-        rep = jacobi.trace_comparison_check(traj, profile, riccati=riccati)
+        rep = jacobi.trace_comparison_check(traj, profile)
     except tuple(FLAG_REASONS) as exc:
         stats["flagged_atoms"] += 1
         stats[FLAG_REASONS[type(exc)]] += 1

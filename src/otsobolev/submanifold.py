@@ -530,18 +530,20 @@ class TubularVolumeResult:
 
 
 def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
-                     refine: int = 5) -> np.ndarray:
-    """Min geodesic distance from each query point to the submanifold.
+                     refine: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """(nearest, farthest): per query point, the min geodesic distance
+    to the submanifold and the max to a node, from one distance matrix.
 
-    Nearest-node search refined by a micro-grid in the chart cell around
-    the nearest node.
+    The nearest-node distance is refined by a micro-grid in the chart
+    cell around the nearest node.
     """
     M = mesh.manifold
     D = geometry.pairwise_distances(M, np.asarray(pts, float), mesh.points)
     nearest = np.argmin(D, axis=1)
     base = D[np.arange(len(pts)), nearest]
+    farthest = D.max(axis=1)
     if refine <= 1:
-        return base
+        return base, farthest
     ca, cb = mesh.param_cell
     da = np.linspace(-0.5 * ca, 0.5 * ca, refine)
     db = np.linspace(-0.5 * cb, 0.5 * cb, refine)
@@ -552,7 +554,7 @@ def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
     cand[..., 0] = np.clip(cand[..., 0], 0.0, mesh.chart.alpha_clamp())
     cpts = mesh.embed(cand)  # (P, K, d)
     dists = geometry.distance(M, np.asarray(pts, float)[:, None, :], cpts)
-    return np.minimum(base, dists.min(axis=1))
+    return np.minimum(base, dists.min(axis=1)), farthest
 
 
 def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator):
@@ -575,7 +577,7 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     inside = np.zeros(n_samples, dtype=bool)
     chunk = 4096
     for k in range(0, n_samples, chunk):
-        dist = distance_to_mesh(mesh, pts[k:k + chunk])
+        dist, _ = distance_to_mesh(mesh, pts[k:k + chunk])
         inside[k:k + chunk] = dist <= eps
     p = inside.mean()
     est = vol_ambient * p

@@ -131,7 +131,9 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     cols = sparse.kron(np.ones((1, ns)), sparse.eye(nt))
     A = sparse.vstack([rows, cols]).tocsc()
     b = np.concatenate([mu.weights, nu.weights])
-    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    # HiGHS's default dual tolerance, 1e-7, fails certify_support's 1e-8
+    res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                  options={"dual_feasibility_tolerance": 1e-9})
     if res.status != 0:
         raise NoConvergenceError(f"LP solver failed: {res.message}")
     plan = res.x.reshape(ns, nt)
@@ -299,22 +301,18 @@ def potential_gradient_on_sigma(mesh: SubmanifoldMesh,
     return grad, flags
 
 
-def tangency_residuals(manifold: ModelManifold, mesh: SubmanifoldMesh,
-                       coupling: DiscreteCoupling,
-                       grad_phi: np.ndarray) -> dict:
+def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
+                       logs: np.ndarray, grad_phi: np.ndarray) -> dict:
     """Check that plan atoms leave Sigma with velocity -grad phi + normal.
 
-    For every atom (x_i, zeta_j): u = log_{x_i} zeta_j; the tangential
+    For every atom (x_i, zeta_j), given as its node ``i`` in ``nodes``
+    and its velocity u = log_{x_i} zeta_j in ``logs``, the tangential
     residual is |u^T + grad phi(x_i)| and should vanish in the continuum.
     Returns its median, p90 and max over the atoms, and the atom count.
     """
-    ii, jj, _ = coupling.atoms()
-    x = mesh.points[ii]
-    z = coupling.target.points[jj]
-    u = geometry.log_map(manifold, x, z)
-    tf = mesh._metric_frames(mesh.tangent_frames)[ii]
-    ut = np.einsum("kad,kd->ka", tf, u)
-    tau = np.linalg.norm(ut + grad_phi[ii], axis=1)
+    tf = mesh._metric_frames(mesh.tangent_frames)[nodes]
+    ut = np.einsum("kad,kd->ka", tf, logs)
+    tau = np.linalg.norm(ut + grad_phi[nodes], axis=1)
     return {"median": float(np.median(tau)),
             "p90": float(np.quantile(tau, 0.9)),
             "max": float(tau.max()),
@@ -353,11 +351,12 @@ class SemiconcavityReport:
 
 
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
-                        hess: np.ndarray, coupling: DiscreteCoupling,
+                        hess: np.ndarray, atoms, atom_distances: np.ndarray,
                         slack: float = 0.1) -> SemiconcavityReport:
     """Hessian-type upper bound on the potential along frame directions;
     ``hess`` is the fitted Hessian of the potential
-    (``submanifold.lsq_hessian``).
+    (``submanifold.lsq_hessian``), ``atoms`` the plan's atoms
+    (``DiscreteCoupling.atoms``) and ``atom_distances`` their lengths.
 
     The bound is (1/2)[4 b(d sqrt(-k)/2) + 2 d |II(e_i,e_i)|] + slack with
     b(s) = s coth(s) (b = 1 in the k >= 0 limit), d the distance to the
@@ -366,12 +365,11 @@ def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
     """
     second_diff = np.einsum("naa->na", hess)
     # heaviest atom per node (the first of equals) picks the assigned target
-    ii, jj, mm = coupling.atoms()
+    ii, _, mm = atoms
     order = np.lexsort((-mm, ii))
     nodes, first = np.unique(ii[order], return_index=True)
     d = np.zeros(mesh.node_count)
-    d[nodes] = geometry.distance(manifold, mesh.points[nodes],
-                                 coupling.target.points[jj[order[first]]])
+    d[nodes] = atom_distances[order[first]]
     kneg = min(manifold.curvature, 0.0)
 
     def b(s):

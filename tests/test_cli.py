@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, report files, determinism."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from otsobolev import cli, inequalities, transport
+from otsobolev import cli, geometry, inequalities, submanifold, transport
+from otsobolev.pipeline import ScenarioConfig
 
 TINY_CFG = """\
 [scenario]
@@ -121,6 +123,14 @@ UNREAD_KEYS = [
     ("flat_disk_sharp", "[checks]", "[solvr]\nmethod = entropic\n\n[checks]",
      "solvr.method"),
     ("hyperbolic_disk_r2", "r = 2.0", "r = 2.0\nsigma = 0.5", "domain.sigma"),
+    # keys with no effect on the run: eps_reg without the entropic
+    # solver, [jacobi] without the jacobi check, lift off ambient_dim 3
+    ("flat_disk_annulus", "method = exact", "method = exact\neps_reg = 0.01",
+     "solver.eps_reg"),
+    ("flat_disk_sharp", "[checks]", "[jacobi]\nsteps = 500\n\n[checks]",
+     "jacobi.steps"),
+    ("sphere_ball_closed", "ambient_dim = 4", "ambient_dim = 4\nlift = true",
+     "manifold.lift"),
 ]
 
 
@@ -314,6 +324,35 @@ class TestRunCommand:
                              .splitlines()[-1])
         assert verdict["theorem_failures"] == ["certification"]
 
+    def test_each_value_is_computed_once(self, runner, tmp_path,
+                                         monkeypatch):
+        """The atom velocities come from one log_map over the atom
+        table, each rejection batch from one distance matrix (plus one
+        for the cost matrix), and the atoms are filtered once for
+        certification and once for the checks."""
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(geometry, "log_map")
+        count(geometry, "pairwise_distances")
+        count(submanifold, "distance_to_mesh")
+        count(transport.DiscreteCoupling, "atoms")
+        res = runner.invoke(cli.main, ["run", small_annulus(tmp_path),
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 0, res.output
+        rounds = calls["distance_to_mesh"]
+        assert rounds >= 1
+        assert calls["log_map"] == 1
+        assert calls["pairwise_distances"] == rounds + 1
+        assert calls["atoms"] <= 2
+
     @pytest.mark.parametrize("factor, passed", [(1.0, True), (1.5, False)])
     def test_fiber_mass_fails_on_a_wrong_domain_volume(
             self, runner, tmp_path, monkeypatch, factor, passed):
@@ -496,11 +535,13 @@ class TestSweepCommand:
         ("flat_disk_sharp", "domain.r=1,2"),
         ("flat_disk_sharp", "domain.samples=10"),
         ("sphere_tube_005", "domain.r=1"),
+        ("flat_disk_sharp", "jacobi.steps=200,400"),
     ])
     def test_domain_override_follows_domain_keys(self, runner, tmp_path,
                                                  scenario, grid):
         """A [domain] grid key must be ``samples`` or a key the config's
-        [domain] variant reads."""
+        [domain] variant reads; a [jacobi] grid key needs the jacobi
+        check, without which its points would be identical runs."""
         res = runner.invoke(cli.main, [
             "sweep", cli.bundled_scenario_path(f"{scenario}.cfg"),
             "--grid", grid, "--out", str(tmp_path / "rep")])
@@ -588,6 +629,17 @@ class TestSharpnessSweeps:
             assert ratio <= 1.0 + inequalities.REPORT_TOL
         # larger balls are increasingly slack
         assert ratios[0] > ratios[1] > ratios[2]
+
+
+def test_readme_config_loads(tmp_path):
+    """The annotated config of the README is a config the parser
+    accepts."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(block)
+    config = ScenarioConfig.load(str(cfg))
+    assert config.chart == "flat_disk" and config.solver == "exact"
 
 
 class TestListScenarios:

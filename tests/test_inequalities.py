@@ -91,7 +91,7 @@ class TestAnnulusDomain:
         sigma, r = 0.6, 6.0
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.ANNULUS, dict(sigma=sigma, r=r), 500, 3)
-        dmin = submanifold.distance_to_mesh(mesh, dom.points)
+        dmin, _ = submanifold.distance_to_mesh(mesh, dom.points)
         dmax = geometry.pairwise_distances(M, dom.points,
                                            mesh.points).max(axis=1)
         assert dmin.min() >= sigma * r - 1e-9
@@ -271,6 +271,49 @@ class TestNegativeLocal:
                 inequalities.NEGATIVE_LOCAL, dict(r=2.0, k1=0.5))
 
 
+class TestCrossVariantOracle:
+    """On a flat 2-disk in 4-space (n = m = 2) nonneg_finite at sigma -> 0
+    and negative_local at K -> 0- are one inequality: divided by
+    n r^(m/n), both sides of nonneg_finite equal those of negative_local
+    on a domain of the same volume.  The gap is O(|K|) + O(sigma^2), so
+    at K = -1e-6 and sigma = 1e-6 a relative tolerance of 1e-5 pins the
+    non-flat constants (cosh, sinh, the (-k2)^(m/2) / sinh^m volume
+    factor) that no bundled ratio near 1 does."""
+
+    @staticmethod
+    def domain(variant, dim, volume, meta):
+        return inequalities.TargetDomain(
+            variant, {}, np.zeros((1, dim)), np.ones(1), volume, 0.0,
+            "analytic", meta=meta)
+
+    @pytest.mark.parametrize("expression", [None, "1 + u1**2 + u2"])
+    def test_nonneg_finite_is_negative_local_in_the_flat_limit(
+            self, expression):
+        r, volume, resolution = 2.0, 10.0, 10
+
+        def field(mesh):
+            return constant_field(mesh, 1.0) if expression is None \
+                else field_from_expression(mesh, expression)
+
+        H = geometry.hyperbolic(4, -1e-6)
+        hmesh = submanifold.build_submanifold(
+            H, submanifold.GeodesicDiskInHyperbolicSubspace(0.5), resolution)
+        center = np.zeros(H.embedding_dim)
+        center[0] = H.radius
+        neg = inequalities.evaluate_inequality(
+            H, hmesh, field(hmesh), inequalities.NEGATIVE_LOCAL, dict(r=r),
+            domain=self.domain(inequalities.GEODESIC_BALL, H.embedding_dim,
+                               volume, {"center": center.tolist()}))
+        E, emesh = flat_disk_mesh(radius=0.5, resolution=resolution)
+        fin = inequalities.evaluate_inequality(
+            E, emesh, field(emesh), inequalities.NONNEG_FINITE,
+            dict(sigma=1e-6, r=r),
+            domain=self.domain(inequalities.ANNULUS, 4, volume, {}))
+        scale = 2 * r ** (2 / 2)
+        assert fin.lhs / scale == pytest.approx(neg.lhs, rel=1e-5)
+        assert fin.rhs / scale == pytest.approx(neg.rhs, rel=1e-5)
+
+
 class TestWholeManifoldAndTubeDomains:
     def test_whole_sphere_volume_analytic(self):
         M = geometry.sphere(3)
@@ -299,7 +342,7 @@ class TestWholeManifoldAndTubeDomains:
         eps = 0.3
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.COMPLEMENT_OF_TUBE, dict(eps=eps), 300, 9)
-        dmin = submanifold.distance_to_mesh(mesh, dom.points)
+        dmin, _ = submanifold.distance_to_mesh(mesh, dom.points)
         assert dmin.min() > eps
         assert dom.volume + dom.meta["tube_volume"] == pytest.approx(
             geometry.manifold_volume(M), rel=1e-9)

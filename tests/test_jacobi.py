@@ -138,8 +138,9 @@ class TestStructuralChecks:
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([0.5, 0.5, 2.0, 1.0])   # wrong normal-block scale
         traj = jacobi.propagate(M, frame, P0, P0p)
+        _, limit = jacobi.normalization_limit(traj)
         with pytest.raises(NormalizationDriftError):
-            jacobi.jacobian_bound_check(traj)
+            jacobi.jacobian_bound_check(traj, limit)
 
     def test_monotone_profile_and_endpoint_bound(self):
         """Equality case: diagonal data with equal rates saturates the bound."""
@@ -147,7 +148,8 @@ class TestStructuralChecks:
         t, prof, mono, worst = jacobi.monotonicity_profile(traj)
         assert mono
         assert np.allclose(prof, prof[0], atol=1e-9)  # exact equality case
-        margin, bound, det1 = jacobi.jacobian_bound_check(traj)
+        _, limit = jacobi.normalization_limit(traj)
+        margin, bound, det1 = jacobi.jacobian_bound_check(traj, limit)
         assert margin >= 0.0
         assert abs(det1 - bound) < 1e-9
 
@@ -156,7 +158,8 @@ class TestStructuralChecks:
         t, prof, mono, worst = jacobi.monotonicity_profile(traj)
         assert mono
         assert prof[-1] < prof[0] - 1e-4
-        margin, bound, det1 = jacobi.jacobian_bound_check(traj)
+        _, limit = jacobi.normalization_limit(traj)
+        margin, bound, det1 = jacobi.jacobian_bound_check(traj, limit)
         assert det1 < bound and margin > 0.0
 
     def test_hyperbolic_control_breaks_monotonicity(self):
@@ -266,6 +269,7 @@ class TestComparisonProfiles:
         prof = jacobi.comparison_profiles("nonneg", lam, 0.0, 2, 2)
         rep = jacobi.trace_comparison_check(traj, prof)
         assert rep.passed
+        assert jacobi.riccati_residual(traj) <= 1e-6
         assert rep.worst_trq1_excess <= rep.tol
         assert rep.worst_trq3_excess <= rep.tol
 

@@ -208,7 +208,9 @@ class TestDistanceAndTube:
             [0.3, 0.4, 0.0, 1.2],   # above an interior point
             [2.0, 0.0, 0.0, 0.0],   # beyond the rim, in-plane
         ])
-        d = submanifold.distance_to_mesh(mesh, pts)
+        d, far = submanifold.distance_to_mesh(mesh, pts)
+        assert np.array_equal(far, geometry.pairwise_distances(
+            mesh.manifold, pts, mesh.points).max(axis=1))
         assert np.isclose(d[0], 0.5, atol=2e-3)
         assert np.isclose(d[1], 1.2, atol=2e-3)
         assert np.isclose(d[2], 1.0, atol=2e-3)
@@ -257,8 +259,8 @@ class TestMeshRoundTrip:
         # the rebuilt chart map supports refined distance queries
         q = mesh.points[:3] if mesh.manifold.variant != geometry.EUCLIDEAN \
             else np.array([[0.0, 0.0, 0.4, 0.0]])
-        d0 = submanifold.distance_to_mesh(mesh, q)
-        d1 = submanifold.distance_to_mesh(back, q)
+        d0, _ = submanifold.distance_to_mesh(mesh, q)
+        d1, _ = submanifold.distance_to_mesh(back, q)
         assert np.allclose(d0, d1, atol=1e-12)
 
 
