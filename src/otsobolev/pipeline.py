@@ -86,7 +86,8 @@ class ScenarioConfig:
         def get(section, key, kind=str, fallback=_REQUIRED, used=True):
             """section.key converted to ``kind`` (str, int, float or
             bool), ``fallback`` when it is absent; records the read.
-            A key the run does not ``use`` is not read: ``fallback``."""
+            ``used=False`` (the run ignores the key) gives ``fallback``
+            without reading it."""
             if not used:
                 return fallback
             read.add((section, key))
