@@ -1,8 +1,8 @@
 """Closed-form Riemannian kernels for the model ambient spaces.
 
-Four variants are supported: Euclidean space, round spheres (embedded in
-R^{d+1}), hyperbolic space (hyperboloid model in Minkowski R^{1,d}), and
-products of a base model space with a flat line factor.  All maps
+Three variants are supported: Euclidean space, round spheres (embedded
+in R^{d+1}) and hyperbolic space (hyperboloid model in Minkowski
+R^{1,d}).  All maps
 (exp/log/distance/parallel transport/curvature) are exact closed forms;
 there is no numerical geodesic shooting anywhere in this module.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import CutLocusError, NonOrthonormalPlaneError, UnsupportedVariantE
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere"
 HYPERBOLIC = "hyperbolic"
-PRODUCT_WITH_LINE = "product_with_line"
+VARIANTS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 
 #: sphere log map refuses pairs closer than this to the antipode
 CUT_TOLERANCE = 1e-6
@@ -28,36 +27,32 @@ CUT_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class ModelManifold:
-    """A constant-curvature model space (or a product with a line).
+    """A constant-curvature model space.
 
     ``ambient_dim`` is the manifold dimension n+m.  ``curvature`` is the
     sectional curvature K (0 Euclidean, K>0 sphere of radius 1/sqrt(K),
-    K<0 hyperbolic of radius 1/sqrt(-K)).  Products carry the base's K
-    but their curvature tensor vanishes on the line direction.
+    K<0 hyperbolic of radius 1/sqrt(-K)).
     """
 
     variant: str
     ambient_dim: int
     curvature: float
-    base: Optional["ModelManifold"] = None
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown manifold variant {self.variant!r}")
         if self.variant == SPHERE and not self.curvature > 0:
             raise ValueError("sphere variant requires K > 0")
         if self.variant == HYPERBOLIC and not self.curvature < 0:
             raise ValueError("hyperbolic variant requires K < 0")
         if self.variant == EUCLIDEAN and self.curvature != 0:
             raise ValueError("euclidean variant requires K = 0")
-        if self.variant == PRODUCT_WITH_LINE and self.base is None:
-            raise ValueError("product variant requires a base manifold")
 
     @property
     def embedding_dim(self) -> int:
         if self.variant == EUCLIDEAN:
             return self.ambient_dim
-        if self.variant in (SPHERE, HYPERBOLIC):
-            return self.ambient_dim + 1
-        return self.base.embedding_dim + 1
+        return self.ambient_dim + 1
 
     @property
     def radius(self) -> float:
@@ -80,12 +75,6 @@ def hyperbolic(dim: int, curvature: float = -1.0) -> ModelManifold:
     return ModelManifold(HYPERBOLIC, dim, curvature)
 
 
-def product_with_line(base: ModelManifold) -> ModelManifold:
-    return ModelManifold(
-        PRODUCT_WITH_LINE, base.ambient_dim + 1, base.curvature, base
-    )
-
-
 # ---------------------------------------------------------------------------
 # metric
 
@@ -96,18 +85,7 @@ def metric_inner(M: ModelManifold, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if M.variant == HYPERBOLIC:
         return -u[..., 0] * v[..., 0] + np.sum(u[..., 1:] * v[..., 1:], axis=-1)
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        return metric_inner(M.base, u[..., :k], v[..., :k]) + u[..., k] * v[..., k]
     return np.sum(u * v, axis=-1)
-
-
-def curved_inner(M: ModelManifold, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inner product restricted to the curved factor (line components dropped)."""
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        return curved_inner(M.base, u[..., :k], v[..., :k])
-    return metric_inner(M, u, v)
 
 
 def norm(M: ModelManifold, u: np.ndarray) -> np.ndarray:
@@ -127,8 +105,6 @@ def check_point(M: ModelManifold, x: np.ndarray, tol: float = 1e-12) -> None:
         r = abs(metric_inner(M, x, x) + M.radius**2)
         if r > 1e-10 * max(1.0, M.radius**2) or x[..., 0] <= 0:
             raise ValueError("hyperboloid normalization violated")
-    elif M.variant == PRODUCT_WITH_LINE:
-        check_point(M.base, x[..., : M.base.embedding_dim], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +124,12 @@ def exp_map(M: ModelManifold, x: np.ndarray, v: np.ndarray) -> np.ndarray:
             unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
         th = s / R
         return np.cos(th) * x + R * np.sin(th) * unit
-    if M.variant == HYPERBOLIC:
-        R = M.radius
-        s = norm(M, v)[..., None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
-        th = s / R
-        return np.cosh(th) * x + R * np.sinh(th) * unit
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        out = np.empty(np.broadcast(x, v).shape, dtype=float)
-        out[..., :k] = exp_map(M.base, x[..., :k], v[..., :k])
-        out[..., k] = x[..., k] + v[..., k]
-        return out
-    raise UnsupportedVariantError(M.variant)
+    R = M.radius
+    s = norm(M, v)[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
+    th = s / R
+    return np.cosh(th) * x + R * np.sinh(th) * unit
 
 
 def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray,
@@ -182,21 +150,13 @@ def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray,
         # theta/sin(theta), continuously extended at 0
         fac = np.where(sin_th > 1e-12, th / np.where(sin_th > 0, sin_th, 1.0), 1.0)
         return R * fac[..., None] * u
-    if M.variant == HYPERBOLIC:
-        R = M.radius
-        c = np.maximum(-metric_inner(M, x, y) / R**2, 1.0)
-        th = np.arccosh(c)
-        u = y / R - c[..., None] * (x / R)
-        sinh_th = np.sinh(th)
-        fac = np.where(sinh_th > 1e-12, th / np.where(sinh_th > 0, sinh_th, 1.0), 1.0)
-        return R * fac[..., None] * u
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        out = np.empty(np.broadcast(x, y).shape, dtype=float)
-        out[..., :k] = log_map(M.base, x[..., :k], y[..., :k], cut_tol)
-        out[..., k] = y[..., k] - x[..., k]
-        return out
-    raise UnsupportedVariantError(M.variant)
+    R = M.radius
+    c = np.maximum(-metric_inner(M, x, y) / R**2, 1.0)
+    th = np.arccosh(c)
+    u = y / R - c[..., None] * (x / R)
+    sinh_th = np.sinh(th)
+    fac = np.where(sinh_th > 1e-12, th / np.where(sinh_th > 0, sinh_th, 1.0), 1.0)
+    return R * fac[..., None] * u
 
 
 def distance(M: ModelManifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,16 +169,9 @@ def distance(M: ModelManifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         R = M.radius
         c = np.clip(np.sum(x * y, axis=-1) / R**2, -1.0, 1.0)
         return R * np.arccos(c)
-    if M.variant == HYPERBOLIC:
-        R = M.radius
-        c = np.maximum(-metric_inner(M, x, y) / R**2, 1.0)
-        return R * np.arccosh(c)
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        db = distance(M.base, x[..., :k], y[..., :k])
-        dl = y[..., k] - x[..., k]
-        return np.hypot(db, dl)
-    raise UnsupportedVariantError(M.variant)
+    R = M.radius
+    c = np.maximum(-metric_inner(M, x, y) / R**2, 1.0)
+    return R * np.arccosh(c)
 
 
 def pairwise_distances(M: ModelManifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -233,27 +186,13 @@ def pairwise_distances(M: ModelManifold, X: np.ndarray, Y: np.ndarray) -> np.nda
         R = M.radius
         c = np.clip((X @ Y.T) / R**2, -1.0, 1.0)
         return R * np.arccos(c)
-    if M.variant == HYPERBOLIC:
-        R = M.radius
-        g = -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
-        return R * np.arccosh(np.maximum(-g / R**2, 1.0))
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        db = pairwise_distances(M.base, X[:, :k], Y[:, :k])
-        dl = X[:, k][:, None] - Y[None, :, k]
-        return np.hypot(db, dl)
-    raise UnsupportedVariantError(M.variant)
+    R = M.radius
+    g = -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
+    return R * np.arccosh(np.maximum(-g / R**2, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # parallel transport and frames
-
-
-def geodesic_point(M: ModelManifold, x: np.ndarray, v: np.ndarray,
-                   t: np.ndarray) -> np.ndarray:
-    """gamma(t) = exp_x(t v), vectorized over an array of times."""
-    t = np.asarray(t, dtype=float)
-    return exp_map(M, x, t[..., None] * v)
 
 
 def transport_along(M: ModelManifold, x: np.ndarray, v: np.ndarray,
@@ -281,28 +220,19 @@ def transport_along(M: ModelManifold, x: np.ndarray, v: np.ndarray,
         shape = (T,) + (1,) * (w.ndim - 1) + (M.embedding_dim,)
         u_t = u_t.reshape(shape)
         return a[None, ..., None] * u_t + perp[None, ...]
-    if M.variant == HYPERBOLIC:
-        R = M.radius
-        s = float(norm(M, v))
-        if s == 0.0:
-            return np.broadcast_to(w, (T,) + w.shape).copy()
-        xu = x / R
-        u = v / s
-        a = metric_inner(M, w, np.broadcast_to(u, w.shape))
-        perp = w - a[..., None] * u
-        th = (s * t / R)[:, None]
-        u_t = np.sinh(th) * xu + np.cosh(th) * u
-        shape = (T,) + (1,) * (w.ndim - 1) + (M.embedding_dim,)
-        u_t = u_t.reshape(shape)
-        return a[None, ..., None] * u_t + perp[None, ...]
-    if M.variant == PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        out = np.empty((T,) + w.shape, dtype=float)
-        out[..., :k] = transport_along(M.base, x[..., :k], v[..., :k],
-                                       w[..., :k], t)
-        out[..., k] = w[..., k]
-        return out
-    raise UnsupportedVariantError(M.variant)
+    R = M.radius
+    s = float(norm(M, v))
+    if s == 0.0:
+        return np.broadcast_to(w, (T,) + w.shape).copy()
+    xu = x / R
+    u = v / s
+    a = metric_inner(M, w, np.broadcast_to(u, w.shape))
+    perp = w - a[..., None] * u
+    th = (s * t / R)[:, None]
+    u_t = np.sinh(th) * xu + np.cosh(th) * u
+    shape = (T,) + (1,) * (w.ndim - 1) + (M.embedding_dim,)
+    u_t = u_t.reshape(shape)
+    return a[None, ..., None] * u_t + perp[None, ...]
 
 
 @dataclass
@@ -316,11 +246,9 @@ class ParallelFrame:
     """
 
     manifold: ModelManifold
-    base_point: np.ndarray
     velocity: np.ndarray
     speed: float
     times: np.ndarray
-    points: np.ndarray
     velocities: np.ndarray
     vectors: np.ndarray
     n_tangent: int
@@ -361,12 +289,10 @@ def build_parallel_frame(M: ModelManifold, x: np.ndarray, v: np.ndarray,
     if np.abs(G - np.eye(len(basis))).max() > 1e-8:
         raise NonOrthonormalPlaneError("basis not orthonormal at the base point")
     t = np.linspace(0.0, 1.0, samples)
-    points = geodesic_point(M, x, v, t)
     vel = transport_along(M, x, v, np.asarray(v, dtype=float), t)
     vecs = transport_along(M, x, v, basis, t)
     speed = float(norm(M, np.asarray(v, dtype=float)))
-    return ParallelFrame(M, np.asarray(x, float), np.asarray(v, float),
-                         speed, t, points, vel, vecs,
+    return ParallelFrame(M, np.asarray(v, float), speed, t, vel, vecs,
                          n_tangent=len(tangent_basis))
 
 
@@ -376,12 +302,12 @@ def build_parallel_frame(M: ModelManifold, x: np.ndarray, v: np.ndarray,
 
 def curvature_form(M: ModelManifold, a: np.ndarray, b: np.ndarray,
                    c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """R(a, b, c, d) for the model space (constant curvature on the curved factor)."""
+    """R(a, b, c, d) for the model space (constant curvature K)."""
     K = M.curvature
     if K == 0.0:
         return np.zeros(np.broadcast(a[..., 0], b[..., 0]).shape)
-    return K * (curved_inner(M, a, c) * curved_inner(M, b, d)
-                - curved_inner(M, a, d) * curved_inner(M, b, c))
+    return K * (metric_inner(M, a, c) * metric_inner(M, b, d)
+                - metric_inner(M, a, d) * metric_inner(M, b, c))
 
 
 def curvature_matrix(M: ModelManifold, frame: ParallelFrame,
@@ -399,9 +325,9 @@ def curvature_matrix(M: ModelManifold, frame: ParallelFrame,
     K = M.curvature
     if K == 0.0:
         return np.zeros((V.shape[0], V.shape[0]))
-    gvv = curved_inner(M, gv, gv)
-    gvE = curved_inner(M, V, np.broadcast_to(gv, V.shape))
-    gEE = curved_inner(M, V[:, None, :], V[None, :, :])
+    gvv = metric_inner(M, gv, gv)
+    gvE = metric_inner(M, V, np.broadcast_to(gv, V.shape))
+    gEE = metric_inner(M, V[:, None, :], V[None, :, :])
     S = K * (gvv * gEE - np.outer(gvE, gvE))
     return 0.5 * (S + S.T)
 
@@ -450,12 +376,9 @@ def manifold_diameter(M: ModelManifold) -> float:
 
 
 def asymptotic_volume_ratio(M: ModelManifold) -> float:
-    """Asymptotic volume ratio theta; analytic (= 1) for flat variants."""
+    """Asymptotic volume ratio theta; analytic (= 1) for Euclidean space."""
     if M.variant == EUCLIDEAN:
         return 1.0
-    if M.variant == PRODUCT_WITH_LINE:
-        # flat products are flat
-        return asymptotic_volume_ratio(M.base)
     raise UnsupportedVariantError(
-        "asymptotic volume ratio only supported for flat noncompact variants"
+        "asymptotic volume ratio only supported for Euclidean space"
     )

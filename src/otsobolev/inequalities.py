@@ -37,33 +37,24 @@ CLOSED_POSITIVE = "closed_positive"
 POSITIVE_TUBE = "positive_tube"
 NEGATIVE_LOCAL = "negative_local"
 
-# For each inequality variant: the ambient spaces it holds on, named by
-# ``ambient_name`` (so after the lift of a hypersurface), and the
-# target-domain variant whose [domain] keys it reads (None: none).
+# For each inequality variant: the manifold variants it holds on, and
+# the target-domain variant whose [domain] keys it reads (None: none).
 INEQUALITY_SCOPE = {
-    NONNEG_LIMIT: ((geometry.EUCLIDEAN, "euclidean_x_line"), None),
+    NONNEG_LIMIT: ((geometry.EUCLIDEAN,), None),
     NONNEG_FINITE: ((geometry.EUCLIDEAN,), ANNULUS),
     CLOSED_POSITIVE: ((geometry.SPHERE,), None),
     POSITIVE_TUBE: ((geometry.SPHERE,), COMPLEMENT_OF_TUBE),
     NEGATIVE_LOCAL: ((geometry.HYPERBOLIC,), GEODESIC_BALL),
 }
 
-# For each target-domain variant: the ambient spaces it is built for,
-# named by ``ambient_name``, and the [domain] keys it reads.
+# For each target-domain variant: the manifold variants it is built for,
+# and the [domain] keys it reads.
 DOMAIN_SCOPE = {
     ANNULUS: ((geometry.EUCLIDEAN,), ("sigma", "r")),
     WHOLE_MANIFOLD: ((geometry.SPHERE,), ()),
     COMPLEMENT_OF_TUBE: ((geometry.SPHERE,), ("eps",)),
     GEODESIC_BALL: ((geometry.HYPERBOLIC,), ("r",)),
 }
-
-
-def ambient_name(manifold: ModelManifold) -> str:
-    """The manifold's variant; ``<base variant>_x_line`` for the product
-    of a space form with a line."""
-    if manifold.variant == geometry.PRODUCT_WITH_LINE:
-        return f"{manifold.base.variant}_x_line"
-    return manifold.variant
 
 
 def _sinc(x: float) -> float:
@@ -142,11 +133,11 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
     constraints, with analytic or Monte Carlo volume."""
     if variant not in DOMAIN_SCOPE:
         raise ValueError(f"unknown target-domain variant {variant!r}")
-    built_for, ambient = DOMAIN_SCOPE[variant][0], ambient_name(manifold)
-    if ambient not in built_for:
+    built_for = DOMAIN_SCOPE[variant][0]
+    if manifold.variant not in built_for:
         raise UnsupportedVariantError(
             f"{variant} domains are built for {', '.join(built_for)}, "
-            f"not for {ambient}")
+            f"not for {manifold.variant}")
     ss = np.random.SeedSequence(seed)
     s_pts, s_vol = ss.spawn(2)
     rng = np.random.default_rng(s_pts)
@@ -342,9 +333,10 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
     """Assemble LHS and RHS of one inequality variant with exact constants."""
     if variant not in INEQUALITY_SCOPE:
         raise ValueError(f"unknown inequality variant {variant!r}")
-    holds_on, ambient = INEQUALITY_SCOPE[variant][0], ambient_name(manifold)
-    _require(ambient in holds_on,
-             f"{variant} holds on {', '.join(holds_on)}, not on {ambient}")
+    holds_on = INEQUALITY_SCOPE[variant][0]
+    _require(manifold.variant in holds_on,
+             f"{variant} holds on {', '.join(holds_on)}, "
+             f"not on {manifold.variant}")
     n, m = mesh.n, mesh.m
     terms = inequality_terms(manifold, mesh, f)
     fp = terms["int_f_power"] ** ((n - 1) / n)
@@ -441,11 +433,15 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
 
 
 def hypersurface_lift(manifold: ModelManifold, mesh: SubmanifoldMesh):
-    """Raise codimension 1 to 2 by crossing the ambient space with a line."""
+    """Raise codimension 1 to 2: a hypersurface of R^d becomes a
+    surface of R^{d+1} = R^d x R, its new normal along the last axis."""
     if mesh.m != 1:
         raise ValueError("lift applies to codimension-1 meshes only")
-    lifted = geometry.product_with_line(manifold)
+    if manifold.variant != geometry.EUCLIDEAN:
+        raise UnsupportedVariantError(
+            f"only hypersurfaces of euclidean lift, not of {manifold.variant}")
     N, d = mesh.points.shape
+    lifted = geometry.euclidean(d + 1)
 
     def pad_pts(a):
         return np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,6 @@ LAP_SLACK_FACTOR = 0.05
 
 @dataclass
 class JacobiTrajectory:
-    frame: Optional[ParallelFrame]
     times: np.ndarray          # (T,)
     P: np.ndarray              # (T, d, d)
     Pp: np.ndarray             # (T, d, d)
@@ -188,7 +188,7 @@ def propagate_atoms(manifold: ModelManifold, frames: list,
             continue
         na = frame.n_tangent if n is None else n
         out.append(JacobiTrajectory(
-            frame, times, P[a], Pp[a], na, S.shape[1] - na, delta_phi[a],
+            times, P[a], Pp[a], na, S.shape[1] - na, delta_phi[a],
             h_dot_v[a], S[a], det_p[a], Q[a], ok[a]))
     return out
 
@@ -224,28 +224,38 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def second_derivative(values: np.ndarray, dt: float,
-                      stencil: int = 5) -> np.ndarray:
+# points of the finite-difference stencil of ``second_derivative``
+STENCIL = 5
+
+
+@lru_cache(maxsize=8)
+def _second_derivative_weights(dt: float) -> dict:
+    """The d^2/dt^2 weights of each STENCIL-point stencil at step ``dt``,
+    keyed by the stencil's offset from the sample it serves: on a
+    uniform grid only that shift varies."""
+    return {shift: _fd_weights((np.arange(STENCIL) + shift) * dt, 2)
+            for shift in range(-(STENCIL - 1), 1)}
+
+
+def second_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """4th-order-accurate d^2/dt^2 of uniformly sampled data.
 
     Centered stencils inside, one-sided near the ends.
     """
     values = np.asarray(values, dtype=float)
     T = values.shape[0]
-    half = stencil // 2
+    half = STENCIL // 2
     out = np.empty_like(values)
-    # uniform grid: only the stencil shift varies, so cache the weights
-    weights = {shift: _fd_weights((np.arange(stencil) + shift) * dt, 2)
-               for shift in range(-(stencil - 1), 1)}
+    weights = _second_derivative_weights(dt)
     interior = weights[-half]
     mid = np.zeros_like(values[half:T - half])
-    for k in range(stencil):
-        mid += interior[k] * values[k:T - stencil + 1 + k]
+    for k in range(STENCIL):
+        mid += interior[k] * values[k:T - STENCIL + 1 + k]
     out[half:T - half] = mid
     for j in list(range(half)) + list(range(T - half, T)):
-        lo = min(max(j - half, 0), T - stencil)
+        lo = min(max(j - half, 0), T - STENCIL)
         w = weights[lo - j]
-        out[j] = np.tensordot(w, values[lo:lo + stencil], axes=(0, 0))
+        out[j] = np.tensordot(w, values[lo:lo + STENCIL], axes=(0, 0))
     return out
 
 

@@ -39,7 +39,6 @@ class ScenarioConfig:
     manifold_variant: str
     curvature: float
     ambient_dim: int
-    lift: bool
     chart: str
     chart_params: dict
     resolution: int
@@ -106,14 +105,12 @@ class ScenarioConfig:
         name = get("scenario", "name")
         seed = get("scenario", "seed", int)
         variant = get("manifold", "variant")
-        if variant not in (geometry.EUCLIDEAN, geometry.SPHERE,
-                           geometry.HYPERBOLIC):
+        if variant not in geometry.VARIANTS:
             raise ConfigError(f"manifold.variant: unknown variant {variant!r}")
         curvature = get("manifold", "curvature", float, {
             geometry.EUCLIDEAN: 0.0, geometry.SPHERE: 1.0,
             geometry.HYPERBOLIC: -1.0}[variant])
         ambient_dim = get("manifold", "ambient_dim", int)
-        lift = get("manifold", "lift", bool, False, used=ambient_dim == 3)
 
         chart = get("submanifold", "chart")
         if chart not in submanifold.CHARTS:
@@ -168,8 +165,8 @@ class ScenarioConfig:
         jacobi_atoms = get("jacobi", "atoms", int, 200, used=checks["jacobi"])
 
         raw = {s: dict(cp.items(s)) for s in cp.sections()}
-        config = cls(name, seed, variant, curvature, ambient_dim, lift,
-                     chart, chart_params, resolution, field_kind, field_spec,
+        config = cls(name, seed, variant, curvature, ambient_dim, chart,
+                     chart_params, resolution, field_kind, field_spec,
                      domain_variant, domain_params, domain_samples,
                      solver, eps_reg, checks, inequality_variant,
                      jacobi_steps, jacobi_atoms, raw, frozenset(read))
@@ -183,12 +180,13 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ConfigError for values a run would die on (counts and
-        sizes below their least value, curvature sign, lift, [domain]
-        section and ranges), for an inequality whose manifold or
-        [domain] variant it does not hold on or read
-        (``inequalities.INEQUALITY_SCOPE``), for a [domain] variant
-        not built for the manifold (``inequalities.DOMAIN_SCOPE``) and
-        for fiber_mass without the annulus domain its envelope needs.
+        sizes below their least value, curvature sign, a hypersurface
+        outside Euclidean space, [domain] section and ranges), for an
+        inequality whose manifold or [domain] variant it does not hold
+        on or read (``inequalities.INEQUALITY_SCOPE``), for a [domain]
+        variant not built for the manifold (``inequalities.DOMAIN_SCOPE``)
+        or around a hypersurface, and for fiber_mass without the
+        annulus domain its envelope needs.
         Runs in ``load``, after the overrides are set."""
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
@@ -199,28 +197,29 @@ class ScenarioConfig:
         for name, (value, bound) in least.items():
             if value < bound:
                 raise ConfigError(f"{name}: {value} is below {bound}")
+        variant = self.manifold_variant
         rule, holds = {geometry.EUCLIDEAN: ("= 0", lambda K: K == 0),
                        geometry.SPHERE: ("> 0", lambda K: K > 0),
                        geometry.HYPERBOLIC: ("< 0", lambda K: K < 0),
-                       }[self.manifold_variant]
+                       }[variant]
         if not holds(self.curvature):
-            raise ConfigError(f"manifold.curvature: {self.manifold_variant} "
-                              f"requires K {rule}, got {self.curvature}")
-        # every chart is 2-dimensional: ambient dimension 3 is a hypersurface
-        if self.ambient_dim == 3 and not self.lift:
-            raise ConfigError("manifold.lift: codimension-1 submanifolds "
-                              "require lift = true")
-        M = self.build_manifold()
-        # the space the run works in: hypersurfaces are lifted
-        ambient = inequalities.ambient_name(
-            geometry.product_with_line(M) if self.ambient_dim == 3 else M)
+            raise ConfigError(f"manifold.curvature: {variant} requires K "
+                              f"{rule}, got {self.curvature}")
+        # every chart is 2-dimensional: ambient dimension 3 is a
+        # hypersurface, which the run lifts from R^3 into R^4
+        # (``inequalities.hypersurface_lift``)
+        hypersurface = self.ambient_dim == 3
+        if hypersurface and variant != geometry.EUCLIDEAN:
+            raise ConfigError("manifold.ambient_dim: a hypersurface "
+                              "(ambient_dim = 3) lifts only from euclidean, "
+                              f"not from {variant}")
         if self.inequality_variant is not None:
             holds_on, reads = inequalities.INEQUALITY_SCOPE[
                 self.inequality_variant]
-            if ambient not in holds_on:
+            if variant not in holds_on:
                 raise ConfigError(
                     f"checks.inequality: {self.inequality_variant} holds on "
-                    f"{', '.join(holds_on)}, not on {ambient}")
+                    f"{', '.join(holds_on)}, not on {variant}")
             if reads is not None and self.domain_variant != reads:
                 raise ConfigError(
                     f"checks.inequality: {self.inequality_variant} reads "
@@ -230,10 +229,14 @@ class ScenarioConfig:
                               "section")
         if self.domain_variant is not None:
             built_for = inequalities.DOMAIN_SCOPE[self.domain_variant][0]
-            if ambient not in built_for:
+            if variant not in built_for:
                 raise ConfigError(
                     f"domain.variant: {self.domain_variant} is built for "
-                    f"{', '.join(built_for)}, not for {ambient}")
+                    f"{', '.join(built_for)}, not for {variant}")
+            if hypersurface:
+                raise ConfigError(
+                    f"domain.variant: no {self.domain_variant} domain is "
+                    "built around a lifted hypersurface")
         if self.checks["fiber_mass"] and \
                 self.domain_variant != inequalities.ANNULUS:
             raise ConfigError(

@@ -35,6 +35,9 @@ from .fields import ScalarField, height_from_expression
 from .geometry import ModelManifold
 
 MIN_INTERIOR_NODES = 16
+# points per chart parameter of the micro-grid that refines
+# ``distance_to_mesh`` around the nearest node
+REFINE_GRID = 5
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +371,9 @@ class SubmanifoldMesh:
         return np.einsum("nad,nd->na", self._metric_frames(self.normal_frames),
                          self.mean_curvature)
 
-    @property
-    def chart_manifold(self) -> ModelManifold:
-        """The space form the chart lives in (the base of a lifted mesh)."""
-        M = self.manifold
-        return M.base if M.variant == geometry.PRODUCT_WITH_LINE else M
-
     def _metric_frames(self, frames: np.ndarray) -> np.ndarray:
         # frames are stored as embedded vectors; pairing uses the ambient metric
-        if self.chart_manifold.variant != geometry.HYPERBOLIC:
+        if self.manifold.variant != geometry.HYPERBOLIC:
             return frames
         g = frames.copy()
         g[..., 0] = -g[..., 0]
@@ -433,7 +430,7 @@ def boundary_stencil_coords(mesh: SubmanifoldMesh) -> np.ndarray:
     p = mesh.boundary_params
     if len(p) == 0:
         return np.zeros((0, mesh.n))
-    return _polar_stencil(mesh.chart.stencil_scale(mesh.chart_manifold), p)
+    return _polar_stencil(mesh.chart.stencil_scale(mesh.manifold), p)
 
 
 # ---------------------------------------------------------------------------
@@ -529,24 +526,22 @@ class TubularVolumeResult:
         return self.ambient_volume - self.tube_volume
 
 
-def distance_to_mesh(mesh: SubmanifoldMesh, pts: np.ndarray,
-                     refine: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def distance_to_mesh(mesh: SubmanifoldMesh,
+                     pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nearest, farthest): per query point, the min geodesic distance
     to the submanifold and the max to a node, from one distance matrix.
 
-    The nearest-node distance is refined by a micro-grid in the chart
-    cell around the nearest node.
+    The nearest-node distance is refined by a REFINE_GRID x REFINE_GRID
+    micro-grid in the chart cell around the nearest node.
     """
     M = mesh.manifold
     D = geometry.pairwise_distances(M, np.asarray(pts, float), mesh.points)
     nearest = np.argmin(D, axis=1)
     base = D[np.arange(len(pts)), nearest]
     farthest = D.max(axis=1)
-    if refine <= 1:
-        return base, farthest
     ca, cb = mesh.param_cell
-    da = np.linspace(-0.5 * ca, 0.5 * ca, refine)
-    db = np.linspace(-0.5 * cb, 0.5 * cb, refine)
+    da = np.linspace(-0.5 * ca, 0.5 * ca, REFINE_GRID)
+    db = np.linspace(-0.5 * cb, 0.5 * cb, REFINE_GRID)
     DA, DB = np.meshgrid(da, db, indexing="ij")
     offsets = np.stack([DA.ravel(), DB.ravel()], axis=1)  # (K, 2)
     cand = mesh.params[nearest][:, None, :] + offsets[None, :, :]
@@ -639,8 +634,6 @@ def read_mesh(path) -> SubmanifoldMesh:
         chart_args[key] = ast.literal_eval(val)
         line = next(it)
     _, variant, adim, curv = line.split()
-    if variant not in (geometry.EUCLIDEAN, geometry.SPHERE, geometry.HYPERBOLIC):
-        raise ValueError(f"cannot import meshes on variant {variant}")
     manifold = ModelManifold(variant, int(adim), float(curv))
     n, m = map(int, next(it).split()[1:])
     h, ca, cb = map(float, next(it).split()[1:])

@@ -34,7 +34,6 @@ class DiscreteMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    tag: str = ""
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -58,13 +57,13 @@ def source_measure(mesh: SubmanifoldMesh, f: ScalarField) -> DiscreteMeasure:
     """mu = f^{n/(n-1)} vol_Sigma, normalized."""
     p = mesh.n / (mesh.n - 1)
     w = mesh.weights * f.values**p
-    return DiscreteMeasure(mesh.points, w / w.sum(), tag="submanifold_nodes")
+    return DiscreteMeasure(mesh.points, w / w.sum())
 
 
 def target_measure(points: np.ndarray) -> DiscreteMeasure:
     """Uniform weights on ambient domain samples."""
     n = len(points)
-    return DiscreteMeasure(points, np.full(n, 1.0 / n), tag="domain_samples")
+    return DiscreteMeasure(points, np.full(n, 1.0 / n))
 
 
 @dataclass

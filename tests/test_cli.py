@@ -76,15 +76,15 @@ INEQUALITY_MISMATCHES = [
      "inequality = nonneg_finite", "checks.inequality"),
     ("flat_disk_sharp", "inequality = nonneg_limit",
      "inequality = negative_local", "checks.inequality"),
-    ("sphere_ball_closed", "ambient_dim = 4", "ambient_dim = 3\nlift = true",
-     "checks.inequality"),
+    ("sphere_ball_closed", "inequality = closed_positive",
+     "inequality = nonneg_limit", "checks.inequality"),
     ("flat_disk_annulus", "variant = annulus_around_sigma",
      "variant = complement_of_tube\neps = 0.1", "checks.inequality"),
 ]
 
 
-# a [domain] variant on a manifold it is not built for, with no
-# inequality that reads it
+# a [domain] variant on a manifold it is not built for, or around a
+# lifted hypersurface, with no inequality that reads it
 DOMAIN_MISMATCHES = [
     ("sphere_tube_005",
      ("variant = complement_of_tube\neps = 0.05", "inequality = positive_tube"),
@@ -98,9 +98,8 @@ DOMAIN_MISMATCHES = [
      "domain.variant"),
     ("flat_disk_sharp", "[checks]",
      "[domain]\nvariant = whole_manifold\n\n[checks]", "domain.variant"),
-    ("sphere_transport", ("ambient_dim = 4", "inequality = closed_positive"),
-     ("ambient_dim = 3\nlift = true", "inequality = none"),
-     "domain.variant"),
+    ("flat_disk_annulus", ("ambient_dim = 4", "inequality = nonneg_finite"),
+     ("ambient_dim = 3", "inequality = none"), "domain.variant"),
 ]
 
 
@@ -124,12 +123,13 @@ UNREAD_KEYS = [
      "solvr.method"),
     ("hyperbolic_disk_r2", "r = 2.0", "r = 2.0\nsigma = 0.5", "domain.sigma"),
     # keys with no effect on the run: eps_reg without the entropic
-    # solver, [jacobi] without the jacobi check, lift off ambient_dim 3
+    # solver, [jacobi] without the jacobi check, and lift, which a
+    # hypersurface (ambient_dim = 3) no longer needs
     ("flat_disk_annulus", "method = exact", "method = exact\neps_reg = 0.01",
      "solver.eps_reg"),
     ("flat_disk_sharp", "[checks]", "[jacobi]\nsteps = 500\n\n[checks]",
      "jacobi.steps"),
-    ("sphere_ball_closed", "ambient_dim = 4", "ambient_dim = 4\nlift = true",
+    ("flat_disk_sharp", "ambient_dim = 4", "ambient_dim = 3\nlift = true",
      "manifold.lift"),
 ]
 
@@ -156,6 +156,16 @@ class TestRunCommand:
         assert "[PASS] inequality" in res.output
         assert "ratio = 1.000000" in res.output
         assert (out / "tiny.jsonl").exists()
+
+    def test_hypersurface_runs_lifted_into_r4(self, runner, tmp_path):
+        """ambient_dim = 3 is a surface of R^3, run in R^4: the lifted
+        flat disk is sharp for nonneg_limit."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG.replace("ambient_dim = 4", "ambient_dim = 3"))
+        res = runner.invoke(cli.main, ["run", str(cfg),
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 0, res.output
+        assert "ratio = 1.000000" in res.output
 
     def test_jsonl_structure(self, runner, tiny_cfg, tmp_path):
         out = tmp_path / "rep"
@@ -276,7 +286,13 @@ class TestRunCommand:
          "checks.jacobi"),
         ("sphere_ball_closed", "radius = 1.5707963267948966",
          "radius = wide", "submanifold.radius"),
-    ] + UNREAD_KEYS)
+    ] + UNREAD_KEYS + [
+        # only a hypersurface of Euclidean space lifts into R^4
+        ("sphere_ball_closed", "ambient_dim = 4", "ambient_dim = 3",
+         "manifold.ambient_dim"),
+        ("hyperbolic_disk_r2", "ambient_dim = 4", "ambient_dim = 3",
+         "manifold.ambient_dim"),
+    ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
         """Values a run would die on are config errors naming the field."""
@@ -519,10 +535,8 @@ class TestSweepCommand:
         cfg = tmp_path / "subsphere.cfg"
         cfg.write_text(
             "[scenario]\nname = subsphere\nseed = 1\n\n"
-            "[manifold]\nvariant = sphere\nambient_dim = 3\nlift = true\n\n"
+            "[manifold]\nvariant = sphere\nambient_dim = 4\n\n"
             "[submanifold]\nchart = equatorial_subsphere\nresolution = 8\n")
-        assert runner.invoke(cli.main, [
-            "run", str(cfg), "--out", str(tmp_path / "rep")]).exit_code == 0
         res = runner.invoke(cli.main, [
             "sweep", str(cfg), "--grid", grid,
             "--out", str(tmp_path / "rep")])

@@ -28,8 +28,6 @@ def random_point(M, rng):
         R = M.radius
         x0 = math.sqrt(R**2 + float(y @ y))
         return np.concatenate([[x0], y])
-    base = random_point(M.base, rng)
-    return np.concatenate([base, [rng.standard_normal()]])
 
 
 def random_tangent(M, x, rng, scale=1.0):
@@ -39,9 +37,6 @@ def random_tangent(M, x, rng, scale=1.0):
     elif M.variant == geometry.HYPERBOLIC:
         R = M.radius
         v += geometry.metric_inner(M, x, v) / R**2 * x
-    elif M.variant == geometry.PRODUCT_WITH_LINE:
-        k = M.base.embedding_dim
-        v[:k] = random_tangent(M.base, x[:k], rng, scale)[: k]
     return v
 
 
@@ -51,7 +46,6 @@ MODELS = [
     geometry.sphere(3, 4.0),
     geometry.hyperbolic(3, -1.0),
     geometry.hyperbolic(4, -0.25),
-    geometry.product_with_line(geometry.sphere(2, 1.0)),
 ]
 
 
@@ -179,14 +173,12 @@ def test_sectional_curvature_from_form(M, expected):
     assert np.isclose(sec, expected, atol=1e-9)
 
 
-def test_product_line_direction_is_flat():
-    M = geometry.product_with_line(geometry.sphere(2, 1.0))
-    x = random_point(M, np.random.default_rng(32))
-    line = np.zeros(M.embedding_dim)
-    line[-1] = 1.0
-    a = random_tangent(M, x, np.random.default_rng(33))
-    assert np.isclose(float(geometry.curvature_form(M, a, line, a, line)),
-                      0.0, atol=1e-12)
+@pytest.mark.parametrize("variant", ["spher", "product_with_line", ""])
+def test_unknown_variant_rejected_at_construction(variant):
+    """Only the three model spaces construct; a misspelt variant fails
+    at once instead of deep inside a map."""
+    with pytest.raises(ValueError, match="unknown manifold variant"):
+        geometry.ModelManifold(variant, 4, 1.0)
 
 
 def test_curvature_matrix_structure():

@@ -12,6 +12,7 @@ from otsobolev.errors import (
     LengthMismatchError,
     ResolutionTooCoarseError,
     UnsupportedChartError,
+    UnsupportedVariantError,
 )
 from otsobolev.fields import constant_field, field_from_expression
 
@@ -124,17 +125,24 @@ class TestCurvedCharts:
         assert np.abs(mesh.mean_curvature).max() < 1e-12
 
 
-def test_lifted_ball_boundary_stencil():
-    """A hypersurface lift keeps the boundary stencil coordinates; the
-    scale comes from the base sphere, not the product with a line."""
-    M = geometry.sphere(3, 4.0)
-    mesh = submanifold.build_submanifold(
-        M, submanifold.GeodesicBallInSubsphere(radius=0.5), 8)
-    _, lifted = inequalities.hypersurface_lift(M, mesh)
+def test_hypersurface_lift_lands_in_euclidean_space():
+    """A disk of R^3 lifts into R^4 with its boundary stencil coordinates
+    kept; a hypersurface of a sphere has no lift."""
+    M = geometry.euclidean(3)
+    mesh = flat_disk_mesh(res=8, radius=0.5, codim=1)
+    lifted_M, lifted = inequalities.hypersurface_lift(M, mesh)
+    assert lifted_M == geometry.euclidean(4)
+    assert (lifted.m, lifted.points.shape[1]) == (2, 4)
+    assert lifted.frame_gram_residual() < 1e-12
     coords = submanifold.boundary_stencil_coords(mesh)
     assert len(coords) == 32
     assert submanifold.boundary_stencil_coords(lifted).tobytes() \
         == coords.tobytes()
+    S = geometry.sphere(3, 4.0)
+    ball = submanifold.build_submanifold(
+        S, submanifold.GeodesicBallInSubsphere(radius=0.5), 8)
+    with pytest.raises(UnsupportedVariantError):
+        inequalities.hypersurface_lift(S, ball)
 
 
 def test_resolution_too_coarse():
