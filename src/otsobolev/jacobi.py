@@ -158,6 +158,28 @@ def rk4_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray,
     return P, Pp
 
 
+def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
+    """``cond(P) < COND_LIMIT`` and finite, sample by sample, for a
+    stack of (d, d) matrices ``P`` with determinants ``det_p``.
+
+    cond_2(P) <= ||P||_F^d / |det P|, so where that bound is below
+    COND_LIMIT / 2 the answer is yes without an SVD; the factor 2 covers
+    the rounding of both sides.  Only the other samples (a singular
+    P(0), samples near a conjugate point, non-finite samples) go to
+    ``np.linalg.cond``, and the mask is the one it gives everywhere.
+    """
+    d = P.shape[-1]
+    with np.errstate(all="ignore"):
+        bound = np.einsum("...ij,...ij->...", P, P) ** (0.5 * d) \
+            / np.abs(det_p)
+        ok = bound < 0.5 * COND_LIMIT
+        rest = ~ok
+        if rest.any():
+            cond = np.linalg.cond(P[rest])
+            ok[rest] = np.isfinite(cond) & (cond < COND_LIMIT)
+    return ok
+
+
 def propagate_atoms(manifold: ModelManifold, frames: list,
                     P0: np.ndarray, P0p: np.ndarray, delta_phi, h_dot_v,
                     steps: int = 1000, n: Optional[int] = None) -> list:
@@ -175,9 +197,7 @@ def propagate_atoms(manifold: ModelManifold, frames: list,
     # det P and Q = P^{-1} P', matrix by matrix over the whole stack
     det_p = np.linalg.det(P)
     Q = np.full(P.shape, np.nan)
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(P)
-    ok = np.isfinite(cond) & (cond < COND_LIMIT)
+    ok = well_conditioned(P, det_p)
     if ok.any():
         Q[ok] = np.linalg.solve(P[ok], Pp[ok])
     times = np.linspace(0.0, 1.0, steps + 1)

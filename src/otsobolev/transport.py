@@ -177,17 +177,23 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
                    stop_tol: float = 1e-9) -> DiscreteCoupling:
     """Log-domain scaling iteration with a halving schedule down to eps_reg.
 
-    Each iteration makes four ``logsumexp`` calls on (ns, nt) arguments
-    built in place in two reused buffers: ``work`` for the argument of
-    each call, ``log_plan`` for the log plan of the current potentials.
+    Each iteration makes two ``logsumexp`` calls on (ns, nt) arguments
+    built in place in one reused buffer, ``work``: the row log-sums L of
+    the f-update (f = -eps L) and the column log-sums L' of the g-update
+    (g = -eps L').  The marginal residual needs no pass of its own: the
+    row marginal of the current (f, g) is mu_i exp(f_i / eps + L_i),
+    with L from the next f-update, which is computed before the stop
+    test, and the column marginal is nu_j exp(g_j / eps + L'_j).  Each
+    stage entered makes one more row call, for the stop test of its last
+    iteration.  The log plan is built once, from the final potentials.
     """
     if eps_reg <= 0:
         raise ValueError("eps_reg must be positive")
-    if max_iter < 1:  # the plan comes from the last iteration's buffer
+    if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     ns, nt = mu.size, nu.size
-    log_mu = np.log(mu.weights)[:, None]
-    log_nu = np.log(nu.weights)[None, :]
+    log_mu = np.log(mu.weights)
+    log_nu = np.log(nu.weights)
     f = np.zeros(ns)
     g = np.zeros(nt)
     scale = float(C.mean())
@@ -198,38 +204,45 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
         e /= 2.0
     eps_schedule.append(eps_reg)
     work = np.empty((ns, nt))
-    log_plan = np.empty((ns, nt))
+
+    def row_log_sums(g, eps):
+        # (g - C) / eps + log nu, summed over columns
+        np.subtract(g, C, out=work)
+        np.divide(work, eps, out=work)
+        np.add(work, log_nu, out=work)
+        return logsumexp(work, axis=1)
+
     it = 0
     converged = False
     for eps in eps_schedule:
         last = eps == eps_reg
-        while it < max_iter:
+        L = row_log_sums(g, eps)
+        while True:
             it += 1
-            # (g - C) / eps + log nu, then (f - C) / eps + log mu
-            np.subtract(g, C, out=work)
-            work /= eps
-            work += log_nu
-            f = -eps * logsumexp(work, axis=1)
+            f = -eps * L
+            # (f - C) / eps + log mu, summed over rows
             np.subtract(f[:, None], C, out=work)
             work /= eps
-            work += log_mu
-            g = -eps * logsumexp(work, axis=0)
-            # (f + g - C) / eps + log mu + log nu
-            np.add(f[:, None], g, out=log_plan)
-            log_plan -= C
-            log_plan /= eps
-            log_plan += log_mu
-            log_plan += log_nu
-            np.copyto(work, log_plan)
-            row = np.exp(logsumexp(work, axis=1))
-            np.copyto(work, log_plan)
-            col = np.exp(logsumexp(work, axis=0))
-            resid = max(np.abs(row - mu.weights).max(),
-                        np.abs(col - nu.weights).max())
+            work += log_mu[:, None]
+            L_col = logsumexp(work, axis=0)
+            g = -eps * L_col
+            L = row_log_sums(g, eps)
+            resid = max(np.abs(np.exp(log_mu + f / eps + L) - mu.weights).max(),
+                        np.abs(np.exp(log_nu + g / eps + L_col)
+                               - nu.weights).max())
             if resid < (stop_tol if last else 1e-4):
-                if last:
-                    converged = True
+                converged = last
                 break
+            if it == max_iter:
+                break
+        if it == max_iter:
+            break
+    # (f + g - C) / eps + log mu + log nu, at the last iteration's eps
+    log_plan = np.add(f[:, None], g, out=work)
+    log_plan -= C
+    log_plan /= eps
+    log_plan += log_mu[:, None]
+    log_plan += log_nu
     plan = np.exp(log_plan, out=log_plan)
     plan /= plan.sum()
     cost = float((plan * C).sum())

@@ -1,0 +1,21 @@
+"""Chart checks shared by the geometry and submanifold tests."""
+
+import numpy as np
+
+from otsobolev import geometry
+
+
+def check_point(M: geometry.ModelManifold, x: np.ndarray,
+                tol: float = 1e-12) -> None:
+    """Assert embedding-chart normalization of a point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != M.embedding_dim:
+        raise ValueError("wrong embedding dimension")
+    if M.variant == geometry.SPHERE:
+        r = abs(np.linalg.norm(x) - M.radius)
+        if r > tol * max(1.0, M.radius):
+            raise ValueError(f"sphere point off chart by {r:.2e}")
+    elif M.variant == geometry.HYPERBOLIC:
+        r = abs(geometry.metric_inner(M, x, x) + M.radius**2)
+        if r > 1e-10 * max(1.0, M.radius**2) or x[..., 0] <= 0:
+            raise ValueError("hyperboloid normalization violated")

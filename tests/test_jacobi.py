@@ -1,6 +1,5 @@
 """Jacobi/Riccati propagation: closed-form oracles, profiles, envelopes."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,6 +321,30 @@ def negative_atom(speed):
 TRAJ_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "trq1", "trq3")
 
 
+def cond_mask(P):
+    """The Q mask from one SVD per sample."""
+    with np.errstate(all="ignore"):
+        cond = np.linalg.cond(P)
+    return np.isfinite(cond) & (cond < jacobi.COND_LIMIT)
+
+
+def svd_counting(monkeypatch):
+    """Patch ``np.linalg.cond`` to record how many samples it is given."""
+    counts = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda P: counts.append(len(P)) or cond(P))
+    return counts
+
+
+def with_singular_values(rng, sigma):
+    """A random (d, d) matrix with the given singular values."""
+    d = len(sigma)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return U @ np.diag(sigma) @ V.T
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("make_frame",
                              [flat_atom, positive_atom, negative_atom])
@@ -370,6 +393,70 @@ class TestBatchedKernel:
         with pytest.raises(ValueError):
             jacobi.propagate_atoms(M, frames, P0[:, :2, :2], P0p[:, :2, :2],
                                    zero, zero)
+
+    @pytest.mark.parametrize("name", ["flat_disk_annulus", "sphere_transport",
+                                      "hyperbolic_disk_r1"])
+    def test_equals_svd_mask_on_pipeline_stacks(self, monkeypatch, name):
+        """The Q mask decided from det P equals the SVD's on the stacks of
+        shrunk K = 0, K > 0 and K < 0 runs; only about one sample per
+        atom, the singular P(0), needs an SVD."""
+        config = pipeline.ScenarioConfig.load(
+            cli.bundled_scenario_path(f"{name}.cfg"))
+        config.resolution, config.domain_samples = 6, 150
+        config.jacobi_atoms, config.jacobi_steps = 20, 200
+        stacks = []
+        mask = jacobi.well_conditioned
+        with monkeypatch.context() as m:
+            m.setattr(jacobi, "well_conditioned",
+                      lambda P, det_p: stacks.append((P, det_p))
+                      or mask(P, det_p))
+            pipeline.run_scenario(config)
+        assert sum(len(P) for P, _ in stacks) == 20
+        counts = svd_counting(monkeypatch)
+        for P, det_p in stacks:
+            got = mask(P, det_p)
+            assert not got[:, 0].any() and got[:, 1:].all()
+            assert got.tobytes() == cond_mask(P).tobytes()
+        assert 20 <= sum(counts) <= 2 * 20
+
+    def test_equals_svd_mask_on_planted_samples(self, monkeypatch):
+        """Singular, near-singular and infinite samples planted among
+        well-conditioned ones: each planted sample goes to the SVD and
+        gets its mask bit, both sides of COND_LIMIT included."""
+        rng = np.random.default_rng(3)
+        d = 4
+        P = np.eye(d) + 0.1 * rng.standard_normal((3, 50, d, d))
+        limit = jacobi.COND_LIMIT
+        planted = {
+            (0, 0): np.diag([1.0, 1.0, 0.0, 0.0]),      # P(0)
+            (0, 7): with_singular_values(rng, [1, 1, 1, 1e-13]),
+            (1, 9): with_singular_values(rng, [1, 1, 1, 1e-11]),
+            (1, 20): with_singular_values(rng, [1, 1, 1, 0.99 / limit]),
+            (2, 30): with_singular_values(rng, [1, 1, 1, 1.01 / limit]),
+            (2, 41): np.where(np.eye(d) > 0, np.inf, P[2, 41]),
+        }
+        for (a, t), value in planted.items():
+            P[a, t] = value
+        want = cond_mask(P)
+        assert [bool(want[k]) for k in planted] == \
+            [False, False, True, False, True, False]
+        assert want.sum() == P.shape[0] * P.shape[1] - 4
+        counts = svd_counting(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            got = jacobi.well_conditioned(P, np.linalg.det(P))
+        assert got.tobytes() == want.tobytes()
+        assert sum(counts) == len(planted)
+
+    def test_nan_sample_raises_as_svd_does(self):
+        """A NaN entry goes to the SVD, which raises, as it did on the
+        whole stack before."""
+        P = np.tile(np.eye(3), (2, 5, 1, 1))
+        P[1, 3, 0, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            cond_mask(P)
+        with pytest.raises(np.linalg.LinAlgError):
+            with np.errstate(invalid="ignore"):
+                jacobi.well_conditioned(P, np.linalg.det(P))
 
 
 @pytest.fixture(scope="module")

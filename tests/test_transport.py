@@ -252,31 +252,61 @@ class TestEntropicSolver:
         with pytest.raises(ValueError):
             transport.solve_entropic(mu, nu, C, eps_reg=1.0, max_iter=0)
 
-    @pytest.mark.parametrize("max_iter", [7, 20000])
-    def test_four_logsumexp_calls_per_iteration(self, monkeypatch, max_iter):
-        """The benchmark counts Sinkhorn iterations as transport.logsumexp
-        calls / 4; the count must match the reference's iterations."""
-        _, mu, nu, C = small_instance(ns=30, nt=40)
-        reg = 5e-3 * float(C.mean())
-        calls = {"new": 0, "reference": 0}
+    @staticmethod
+    def count_calls(monkeypatch, solve, *args, **kwargs):
+        """Number of logsumexp calls ``solve`` makes, through
+        ``transport.logsumexp`` or this module's scipy import."""
+        calls = []
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
+        def counting(fn):
+            def wrapper(*a, **kw):
+                calls.append(1)
+                return fn(*a, **kw)
             return wrapper
 
-        monkeypatch.setattr(transport, "logsumexp",
-                            counting("new", transport.logsumexp))
-        monkeypatch.setattr(sys.modules[__name__], "logsumexp",
-                            counting("reference", logsumexp))
-        transport.solve_entropic(mu, nu, C, reg, max_iter=max_iter)
-        reference_solve_entropic(mu, nu, C, reg, max_iter=max_iter)
-        assert calls["new"] == calls["reference"]
+        with monkeypatch.context() as m:
+            m.setattr(transport, "logsumexp", counting(transport.logsumexp))
+            m.setattr(sys.modules[__name__], "logsumexp",
+                      counting(logsumexp))
+            solve(*args, **kwargs)
+        return len(calls)
+
+    @pytest.mark.parametrize("max_iter, stages", [(7, 1), (20000, 5)])
+    def test_two_logsumexp_calls_per_iteration(self, monkeypatch, max_iter,
+                                               stages):
+        """Two calls per iteration, the f- and g-updates, plus one per
+        stage entered, for the stop test of its last iteration; the
+        iterations are the reference's, which makes four calls each.  At
+        this reg the schedule has five stages, and the first takes more
+        than seven iterations."""
+        _, mu, nu, C = small_instance(ns=30, nt=40)
+        reg = 5e-3 * float(C.mean())
+        new = self.count_calls(monkeypatch, transport.solve_entropic,
+                               mu, nu, C, reg, max_iter=max_iter)
+        ref = self.count_calls(monkeypatch, reference_solve_entropic,
+                               mu, nu, C, reg, max_iter=max_iter)
+        assert ref % 4 == 0
+        assert new == 2 * (ref // 4) + stages
         if max_iter == 7:
-            assert calls["new"] == 4 * 7
-        else:
-            assert calls["new"] % 4 == 0 and calls["new"] > 4 * 7
+            assert new == 15
+
+    @pytest.mark.parametrize("instance, reg_factor", [
+        (functools.partial(small_instance, ns=30, nt=40), 5e-3),
+        (small_instance, 0.1),
+    ], ids=["small_30x40", "one_stage"])
+    def test_max_iter_at_the_stop_iteration(self, monkeypatch, instance,
+                                            reg_factor):
+        """With n the iterations the reference needs, max_iter = n stops
+        converged and max_iter = n - 1 stops at the cap, both bitwise as
+        the reference: the stop test runs before the cap test."""
+        _, mu, nu, C = instance()
+        reg = reg_factor * float(C.mean())
+        n = self.count_calls(monkeypatch, reference_solve_entropic,
+                             mu, nu, C, reg) // 4
+        assert n > 1
+        self.test_bitwise_equal_to_reference(instance, reg_factor, n, True)
+        self.test_bitwise_equal_to_reference(instance, reg_factor, n - 1,
+                                             False)
 
 
 def _lse_inputs():
