@@ -164,16 +164,18 @@ def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
 
     cond_2(P) <= ||P||_F^d / |det P|, so where that bound is below
     COND_LIMIT / 2 the answer is yes without an SVD; the factor 2 covers
-    the rounding of both sides.  Only the other samples (a singular
-    P(0), samples near a conjugate point, non-finite samples) go to
-    ``np.linalg.cond``, and the mask is the one it gives everywhere.
+    the rounding of both sides.  A non-finite sample is not-ok, and is
+    kept from the SVD, which raises on NaN.  Only the other samples (a
+    singular P(0), samples near a conjugate point) go to
+    ``np.linalg.cond``, and the mask is the one it gives there.
     """
     d = P.shape[-1]
     with np.errstate(all="ignore"):
         bound = np.einsum("...ij,...ij->...", P, P) ** (0.5 * d) \
             / np.abs(det_p)
+        # a non-finite sample has a non-finite bound, so it is not ok here
         ok = bound < 0.5 * COND_LIMIT
-        rest = ~ok
+        rest = ~ok & np.isfinite(P).all(axis=(-2, -1))
         if rest.any():
             cond = np.linalg.cond(P[rest])
             ok[rest] = np.isfinite(cond) & (cond < COND_LIMIT)
@@ -187,9 +189,9 @@ def propagate_atoms(manifold: ModelManifold, frames: list,
 
     ``P0``/``P0p`` are (A, d, d), with one frame and one value of
     ``delta_phi`` and ``h_dot_v`` per atom.  Returns one trajectory per
-    atom, or None for an atom whose det P changes sign on the trimmed
-    window (where ``propagate`` raises SingularPError).  The
-    trajectories are views of the stacked arrays.
+    atom, or None for an atom whose det P changes sign or whose P is not
+    finite on the trimmed window (where ``propagate`` raises
+    SingularPError).  The trajectories are views of the stacked arrays.
     """
     S = np.stack([geometry.curvature_matrix(manifold, f, 0.0)
                   for f in frames])
@@ -201,9 +203,11 @@ def propagate_atoms(manifold: ModelManifold, frames: list,
     if ok.any():
         Q[ok] = np.linalg.solve(P[ok], Pp[ok])
     times = np.linspace(0.0, 1.0, steps + 1)
+    singular = np.any(det_p[:, TRIM_SAMPLES:] <= 0, axis=1) \
+        | ~np.isfinite(P[:, TRIM_SAMPLES:]).all(axis=(1, 2, 3))
     out = []
     for a, frame in enumerate(frames):
-        if np.any(det_p[a, TRIM_SAMPLES:] <= 0):
+        if singular[a]:
             out.append(None)
             continue
         na = frame.n_tangent if n is None else n
@@ -226,8 +230,8 @@ def propagate(manifold: ModelManifold, frame: ParallelFrame,
                               np.asarray(P0p)[None], [delta_phi], [h_dot_v],
                               steps, n)
     if traj is None:
-        raise SingularPError("det P changes sign before t = 1 "
-                             "(conjugate-point degeneracy)")
+        raise SingularPError("det P changes sign or P is not finite "
+                             "before t = 1 (conjugate-point degeneracy)")
     return traj
 
 

@@ -526,6 +526,20 @@ class TubularVolumeResult:
         return self.ambient_volume - self.tube_volume
 
 
+def _refine_candidates(mesh: SubmanifoldMesh, params: np.ndarray) -> np.ndarray:
+    """(P, K, d) embedded points of the REFINE_GRID x REFINE_GRID
+    micro-grid in the chart cell around each of the (P, 2) ``params``,
+    the radial-type parameter clamped into its valid range."""
+    ca, cb = mesh.param_cell
+    da = np.linspace(-0.5 * ca, 0.5 * ca, REFINE_GRID)
+    db = np.linspace(-0.5 * cb, 0.5 * cb, REFINE_GRID)
+    DA, DB = np.meshgrid(da, db, indexing="ij")
+    offsets = np.stack([DA.ravel(), DB.ravel()], axis=1)  # (K, 2)
+    cand = params[:, None, :] + offsets[None, :, :]
+    cand[..., 0] = np.clip(cand[..., 0], 0.0, mesh.chart.alpha_clamp())
+    return mesh.embed(cand)
+
+
 def distance_to_mesh(mesh: SubmanifoldMesh,
                      pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nearest, farthest): per query point, the min geodesic distance
@@ -539,15 +553,7 @@ def distance_to_mesh(mesh: SubmanifoldMesh,
     nearest = np.argmin(D, axis=1)
     base = D[np.arange(len(pts)), nearest]
     farthest = D.max(axis=1)
-    ca, cb = mesh.param_cell
-    da = np.linspace(-0.5 * ca, 0.5 * ca, REFINE_GRID)
-    db = np.linspace(-0.5 * cb, 0.5 * cb, REFINE_GRID)
-    DA, DB = np.meshgrid(da, db, indexing="ij")
-    offsets = np.stack([DA.ravel(), DB.ravel()], axis=1)  # (K, 2)
-    cand = mesh.params[nearest][:, None, :] + offsets[None, :, :]
-    # clamp the radial-type parameter into its valid range
-    cand[..., 0] = np.clip(cand[..., 0], 0.0, mesh.chart.alpha_clamp())
-    cpts = mesh.embed(cand)  # (P, K, d)
+    cpts = _refine_candidates(mesh, mesh.params[nearest])
     dists = geometry.distance(M, np.asarray(pts, float)[:, None, :], cpts)
     return np.minimum(base, dists.min(axis=1)), farthest
 
@@ -564,16 +570,40 @@ def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator):
 
 def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
                    seed: int, n_samples: int = 20000) -> TubularVolumeResult:
-    """Monte Carlo estimate of vol(N_eps), reproducible for a fixed seed."""
+    """Monte Carlo estimate of vol(N_eps), reproducible for a fixed seed.
+
+    A sample is inside when ``distance_to_mesh`` puts it within ``eps``.
+    Only the band of samples that may be inside goes to that dense
+    pass.  Every candidate of ``distance_to_mesh`` lies within ``reach``
+    (the largest distance from a node to its own refinement candidates)
+    of a node, so by the triangle inequality a sample farther than
+    ``eps + reach`` from every node is farther than ``eps`` from every
+    candidate too, and the dense pass would call it outside.  A KD-tree
+    on the embedded nodes finds these samples by the chord of that
+    distance.  The other samples take the dense pass unchanged, so the
+    estimate is the one the dense pass over all samples gives.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     rng = np.random.default_rng(seed)
     pts, vol_ambient = ambient_samples(manifold, n_samples, rng)
+    R = manifold.radius
+    reach = float(geometry.distance(
+        manifold, mesh.points[:, None, :],
+        _refine_candidates(mesh, mesh.params)).max())
+    theta = min(eps + reach, math.pi * R)
+    # widened because reach and the dense pass are arccos distances and
+    # the tree compares float chords: 1e-6 relative plus 1e-9 absolute
+    # is far above the rounding of either at distances of eps or more
+    bound = 2 * R * math.sin(theta / (2 * R)) * (1 + 1e-6) + 1e-9
+    gap, _ = cKDTree(mesh.points).query(pts, k=1, distance_upper_bound=bound)
+    band = np.flatnonzero(np.isfinite(gap))
     inside = np.zeros(n_samples, dtype=bool)
     chunk = 4096
-    for k in range(0, n_samples, chunk):
-        dist, _ = distance_to_mesh(mesh, pts[k:k + chunk])
-        inside[k:k + chunk] = dist <= eps
+    for k in range(0, len(band), chunk):
+        rows = band[k:k + chunk]
+        dist, _ = distance_to_mesh(mesh, pts[rows])
+        inside[rows] = dist <= eps
     p = inside.mean()
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)

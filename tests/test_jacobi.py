@@ -421,8 +421,8 @@ class TestBatchedKernel:
 
     def test_equals_svd_mask_on_planted_samples(self, monkeypatch):
         """Singular, near-singular and infinite samples planted among
-        well-conditioned ones: each planted sample goes to the SVD and
-        gets its mask bit, both sides of COND_LIMIT included."""
+        well-conditioned ones: each gets the SVD's mask bit, both sides
+        of COND_LIMIT included, and each finite one goes to the SVD."""
         rng = np.random.default_rng(3)
         d = 4
         P = np.eye(d) + 0.1 * rng.standard_normal((3, 50, d, d))
@@ -445,18 +445,54 @@ class TestBatchedKernel:
         with np.errstate(invalid="ignore"):
             got = jacobi.well_conditioned(P, np.linalg.det(P))
         assert got.tobytes() == want.tobytes()
-        assert sum(counts) == len(planted)
+        assert sum(counts) == len(planted) - 1   # not the infinite one
 
-    def test_nan_sample_raises_as_svd_does(self):
-        """A NaN entry goes to the SVD, which raises, as it did on the
-        whole stack before."""
+    def test_non_finite_samples_are_not_ok_without_svd(self, monkeypatch):
+        """NaN and infinite samples are masked out without the SVD, which
+        raises on NaN; a singular sample beside them still goes to it."""
         P = np.tile(np.eye(3), (2, 5, 1, 1))
         P[1, 3, 0, 2] = np.nan
+        P[0, 2, 1, 1] = np.inf
+        P[1, 0] = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
             cond_mask(P)
-        with pytest.raises(np.linalg.LinAlgError):
-            with np.errstate(invalid="ignore"):
-                jacobi.well_conditioned(P, np.linalg.det(P))
+        counts = svd_counting(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            got = jacobi.well_conditioned(P, np.linalg.det(P))
+        want = np.ones((2, 5), dtype=bool)
+        want[1, 3] = want[0, 2] = want[1, 0] = False
+        assert got.tobytes() == want.tobytes()
+        assert counts == [1]
+
+    def test_nan_on_the_window_is_singular(self, monkeypatch):
+        """An atom whose P turns NaN inside the trimmed window comes back
+        as None, like a det sign change, and its neighbours are the ones
+        the stack gives without it."""
+        M, frames, P0, P0p = atom_stack(positive_atom, 17)
+        zero = np.zeros(17)
+        clean = jacobi.propagate_atoms(M, frames, P0, P0p, zero, zero,
+                                       steps=200)
+        rk4 = jacobi.rk4_stack
+
+        def nan_in(atom):
+            def planted(*args):
+                P, Pp = rk4(*args)
+                P[atom, 150, 0, 1] = np.nan
+                return P, Pp
+            return planted
+
+        monkeypatch.setattr(jacobi, "rk4_stack", nan_in(8))
+        with np.errstate(invalid="ignore"):
+            trajs = jacobi.propagate_atoms(M, frames, P0, P0p, zero, zero,
+                                           steps=200)
+        assert [a for a, t in enumerate(trajs) if t is None] == [8]
+        for a in (0, 7, 9, 16):
+            for name in TRAJ_ARRAYS:
+                assert getattr(trajs[a], name).tobytes() == \
+                    getattr(clean[a], name).tobytes(), name
+        monkeypatch.setattr(jacobi, "rk4_stack", nan_in(0))
+        with pytest.raises(SingularPError), np.errstate(invalid="ignore"):
+            jacobi.propagate(M, frames[8], P0[8], P0p[8], steps=200)
 
 
 @pytest.fixture(scope="module")
@@ -530,6 +566,28 @@ class TestChunkedStage:
         monkeypatch.setattr(jacobi, "initial_conditions", conjugate_at_eighth)
         report, calls = run_stage(annulus_transport, 33, monkeypatch,
                                   pipeline.JACOBI_CHUNK)
+        rec = report.checks["jacobi"]
+        assert rec["singular_atoms"] == 1 and not rec["passed"]
+        assert rec["flagged_atoms"] == 0
+        assert calls == 32
+
+    def test_nan_atom_mid_chunk(self, annulus_transport, monkeypatch):
+        """Atom 8 of 33 gets NaN initial data: the stage counts it once as
+        singular instead of dying in the SVD, and evaluates the 32 others."""
+        seen = []
+        initial = jacobi.initial_conditions
+
+        def nan_at_eighth(*args):
+            P0, P0p = initial(*args)
+            seen.append(1)
+            if len(seen) == 9:
+                P0p[0, 0] = np.nan
+            return P0, P0p
+
+        monkeypatch.setattr(jacobi, "initial_conditions", nan_at_eighth)
+        with np.errstate(invalid="ignore"):
+            report, calls = run_stage(annulus_transport, 33, monkeypatch,
+                                      pipeline.JACOBI_CHUNK)
         rec = report.checks["jacobi"]
         assert rec["singular_atoms"] == 1 and not rec["passed"]
         assert rec["flagged_atoms"] == 0

@@ -239,6 +239,67 @@ class TestDistanceAndTube:
                           2 * math.pi**2, rtol=1e-12)
 
 
+TUBE_MESHES = {
+    "s4_hemisphere_24": (geometry.sphere(4, 1.0),
+                         submanifold.GeodesicBallInSubsphere(
+                             radius=math.pi / 2), 24),
+    "s3_equator_12": (geometry.sphere(3, 1.0),
+                      submanifold.EquatorialSubsphereBand(), 12),
+    "s4_ball_07": (geometry.sphere(4, 1.0),
+                   submanifold.GeodesicBallInSubsphere(radius=0.7), 12),
+}
+
+
+@pytest.fixture(scope="module")
+def tube_meshes():
+    return {name: submanifold.build_submanifold(M, chart, res)
+            for name, (M, chart, res) in TUBE_MESHES.items()}
+
+
+def dense_tubular_volume(M, mesh, eps, seed, n_samples):
+    """The tube estimate from ``distance_to_mesh`` over every sample, in
+    contiguous 4096-row chunks."""
+    rng = np.random.default_rng(seed)
+    pts, vol = submanifold.ambient_samples(M, n_samples, rng)
+    inside = np.zeros(n_samples, dtype=bool)
+    for k in range(0, n_samples, 4096):
+        dist, _ = submanifold.distance_to_mesh(mesh, pts[k:k + 4096])
+        inside[k:k + 4096] = dist <= eps
+    p = inside.mean()
+    return vol * p, vol * math.sqrt(p * (1 - p) / n_samples)
+
+
+class TestTubeBand:
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("name", list(TUBE_MESHES))
+    def test_equals_dense_loop_bitwise(self, tube_meshes, name, eps):
+        """The band test changes no sample's verdict: the estimate is the
+        dense loop's, bit for bit.  At eps = 3.0 every sample is in the
+        band (eps + reach >= pi R)."""
+        M, mesh = TUBE_MESHES[name][0], tube_meshes[name]
+        res = submanifold.tubular_volume(M, mesh, eps, seed=11,
+                                         n_samples=10000)
+        vol, se = dense_tubular_volume(M, mesh, eps, 11, 10000)
+        assert res.tube_volume.hex() == vol.hex()
+        assert res.standard_error.hex() == se.hex()
+
+    def test_dense_rows_through_the_traced_name(self, tube_meshes,
+                                                monkeypatch):
+        """On the sphere_tube_005 mesh at eps 0.05, fewer than 1000 of
+        the 20000 samples reach ``distance_to_mesh``, which is looked up
+        as the module attribute, where a tracer wraps it."""
+        rows = []
+        dense = submanifold.distance_to_mesh
+        monkeypatch.setattr(submanifold, "distance_to_mesh",
+                            lambda mesh, pts: rows.append(len(pts))
+                            or dense(mesh, pts))
+        M = TUBE_MESHES["s4_hemisphere_24"][0]
+        submanifold.tubular_volume(M, tube_meshes["s4_hemisphere_24"], 0.05,
+                                   seed=11)
+        assert 0 < sum(rows) < 1000
+        assert max(rows) <= 4096
+
+
 class TestMeshRoundTrip:
     @pytest.mark.parametrize("make", [
         lambda: flat_disk_mesh(res=8),
