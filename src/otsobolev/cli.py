@@ -206,8 +206,8 @@ def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
 @main.command("list-scenarios")
 def list_scenarios_cmd():
     """List the scenario configs bundled with the package."""
-    root = importlib.resources.files("otsobolev") / "scenarios"
-    names = sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
+    names = sorted(name for name in os.listdir(bundled_scenario_path(""))
+                   if name.endswith(".cfg"))
     for name in names:
         click.echo(name)
 

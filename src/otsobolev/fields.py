@@ -76,8 +76,9 @@ class ScalarField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if not np.all(self.values > 0):
-            raise ValueError("scalar fields must be strictly positive")
+        if not np.all(np.isfinite(self.values) & (self.values > 0)):
+            raise ValueError("scalar fields must be finite and strictly "
+                             "positive")
 
 
 def constant_field(mesh, value: float) -> ScalarField:

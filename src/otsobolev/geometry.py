@@ -10,7 +10,7 @@ there is no numerical geodesic shooting anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,9 +117,9 @@ def exp_map(M: ModelManifold, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.cosh(th) * x + R * np.sinh(th) * unit
 
 
-def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray,
-            cut_tol: float = CUT_TOLERANCE) -> np.ndarray:
-    """Initial velocity of the minimal geodesic from x to y (|log| = d(x, y))."""
+def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Initial velocity of the minimal geodesic from x to y (|log| = d(x, y));
+    refuses sphere pairs within CUT_TOLERANCE of the antipode."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if M.variant == EUCLIDEAN:
@@ -128,7 +128,7 @@ def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray,
         R = M.radius
         c = np.clip(np.sum(x * y, axis=-1) / R**2, -1.0, 1.0)
         th = np.arccos(c)
-        if np.any(th >= math.pi - cut_tol):
+        if np.any(th >= math.pi - CUT_TOLERANCE):
             raise CutLocusError("pair within cut tolerance of the antipode")
         u = y / R - c[..., None] * (x / R)
         sin_th = np.sin(th)
@@ -226,34 +226,15 @@ class ParallelFrame:
 
     ``vectors[k, i]`` is the i-th frame vector at sample time ``times[k]``.
     The first ``n_tangent`` vectors come from the tangent basis, the rest
-    from the normal basis.  ``velocity_components`` are the (constant)
-    components of the geodesic velocity in the frame.
+    from the normal basis.  ``velocities[k]`` is the geodesic velocity at
+    ``times[k]``.
     """
 
     manifold: ModelManifold
-    velocity: np.ndarray
-    speed: float
     times: np.ndarray
     velocities: np.ndarray
     vectors: np.ndarray
     n_tangent: int
-    velocity_components: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        g = metric_inner(self.manifold,
-                         self.vectors[0],
-                         np.broadcast_to(self.velocity, self.vectors[0].shape))
-        self.velocity_components = np.asarray(g, dtype=float)
-
-    def gram_residual(self) -> float:
-        """Worst deviation of the frame Gram matrix from the identity."""
-        M = self.manifold
-        worst = 0.0
-        for k in range(len(self.times)):
-            V = self.vectors[k]
-            G = metric_inner(M, V[:, None, :], V[None, :, :])
-            worst = max(worst, float(np.abs(G - np.eye(V.shape[0])).max()))
-        return worst
 
 
 def build_parallel_frame(M: ModelManifold, x: np.ndarray, v: np.ndarray,
@@ -276,9 +257,7 @@ def build_parallel_frame(M: ModelManifold, x: np.ndarray, v: np.ndarray,
     t = np.linspace(0.0, 1.0, samples)
     vel = transport_along(M, x, v, np.asarray(v, dtype=float), t)
     vecs = transport_along(M, x, v, basis, t)
-    speed = float(norm(M, np.asarray(v, dtype=float)))
-    return ParallelFrame(M, np.asarray(v, float), speed, t, vel, vecs,
-                         n_tangent=len(tangent_basis))
+    return ParallelFrame(M, t, vel, vecs, n_tangent=len(tangent_basis))
 
 
 # ---------------------------------------------------------------------------

@@ -68,18 +68,11 @@ def _sinc(x: float) -> float:
 @dataclass
 class TargetDomain:
     variant: str
-    params: dict
-    points: np.ndarray
-    weights: np.ndarray
+    points: np.ndarray          # uniformly weighted samples
     volume: float
     volume_stderr: float
     volume_provenance: str      # "analytic" | "monte_carlo"
-    seed: Optional[int] = None
     meta: dict = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
 
 
 def _resample_away_from_cut(M, mesh, pts, rng):
@@ -144,16 +137,14 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
     if variant == WHOLE_MANIFOLD:
         pts, vol = submanifold.ambient_samples(manifold, n_samples, rng)
         pts = _resample_away_from_cut(manifold, mesh, pts, rng)
-        return TargetDomain(variant, dict(params), pts,
-                            np.full(n_samples, 1.0 / n_samples),
-                            vol, 0.0, "analytic", seed)
+        return TargetDomain(variant, pts, vol, 0.0, "analytic")
     if variant == COMPLEMENT_OF_TUBE:
         eps = float(params["eps"])
         if eps == 0.0:
             dom = build_target_domain(manifold, mesh, WHOLE_MANIFOLD, {},
                                       n_samples, seed)
-            return TargetDomain(variant, dict(params), dom.points, dom.weights,
-                                dom.volume, 0.0, "analytic", seed)
+            return TargetDomain(variant, dom.points, dom.volume, 0.0,
+                                "analytic")
         tube = submanifold.tubular_volume(
             manifold, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
         engine = _lattice(manifold.embedding_dim, s_pts)
@@ -167,10 +158,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
             raise EmptyDomainError(
                 f"complement of the {eps}-tube admits too few samples")
         pts = np.array(accepted[:n_samples])
-        return TargetDomain(variant, dict(params), pts,
-                            np.full(n_samples, 1.0 / n_samples),
-                            tube.complement_volume, tube.standard_error,
-                            "monte_carlo", seed,
+        return TargetDomain(variant, pts, tube.complement_volume,
+                            tube.standard_error, "monte_carlo",
                             meta={"tube_volume": tube.tube_volume})
     if variant == ANNULUS:
         sigma, r = float(params["sigma"]), float(params["r"])
@@ -204,9 +193,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         rate = len(accepted) / tried
         vol = shell_vol * rate
         se = shell_vol * math.sqrt(max(rate * (1 - rate), 0.0) / tried)
-        return TargetDomain(variant, dict(params), pts,
-                            np.full(len(pts), 1.0 / len(pts)),
-                            vol, se, "monte_carlo", seed,
+        return TargetDomain(variant, pts, vol, se, "monte_carlo",
                             meta={"shell_radii": [slo, shi],
                                   "acceptance": rate})
     if variant == GEODESIC_BALL:
@@ -229,9 +216,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                                vecs)
         vol = geometry.sphere_area(d_amb - 1) * R ** (d_amb - 1) * \
             scint.quad(lambda s: math.sinh(s / R) ** (d_amb - 1), 0.0, half)[0]
-        return TargetDomain(variant, dict(params), pts,
-                            np.full(n_samples, 1.0 / n_samples),
-                            vol, 0.0, "analytic", seed,
+        return TargetDomain(variant, pts, vol, 0.0, "analytic",
                             meta={"center": center.tolist()})
 
 
@@ -250,7 +235,7 @@ def _boundary_and_gradient_integrals(mesh: SubmanifoldMesh, f: ScalarField):
     """(int_boundary f, int |grad f|) over the mesh."""
     grad = submanifold.intrinsic_gradient(mesh, f)
     gnorm = np.linalg.norm(grad, axis=1)
-    if len(mesh.boundary_points):
+    if len(mesh.boundary_params):
         fb = f.value_chart(submanifold.boundary_stencil_coords(mesh))
         int_bdy = submanifold.integrate(mesh, fb, "boundary")
     else:
@@ -328,9 +313,14 @@ def annulus_fiber_envelope(manifold: ModelManifold, mesh: SubmanifoldMesh,
 
 def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         f: ScalarField, variant: str, params: dict,
-                        domain: Optional[TargetDomain] = None,
-                        report_tol: float = REPORT_TOL) -> InequalityReport:
-    """Assemble LHS and RHS of one inequality variant with exact constants."""
+                        domain: Optional[TargetDomain] = None
+                        ) -> InequalityReport:
+    """Assemble LHS and RHS of one inequality variant with exact constants.
+
+    The curvature bounds k1 (tangential) and k2 (normal) of the positive
+    and negative variants are the manifold's curvature K: on a model
+    space both are sharp.  The verdict allows the ratio 1 + REPORT_TOL.
+    """
     if variant not in INEQUALITY_SCOPE:
         raise ValueError(f"unknown inequality variant {variant!r}")
     holds_on = INEQUALITY_SCOPE[variant][0]
@@ -382,9 +372,7 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
             constants = {"diam": diam, "volume": vol}
         else:
             eps = float(params["eps"])
-            k1 = float(params.get("k1", K))
-            k2 = float(params.get("k2", K))
-            _require(k1 > 0 and k2 > 0, "positive curvature bounds required")
+            k1 = k2 = float(K)
             if eps == 0.0:
                 vol = geometry.manifold_volume(manifold)
             else:
@@ -401,9 +389,7 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                          "sinc_a2": _sinc(a2)}
     else:
         r = float(params["r"])
-        k1 = float(params.get("k1", K))
-        k2 = float(params.get("k2", K))
-        _require(k1 < 0 and k2 < 0, "negative curvature bounds required")
+        k1 = k2 = float(K)
         vol, vol_se, vol_src = _domain_volume(variant, domain)
         center = np.asarray(domain.meta["center"], dtype=float)
         max_d = float(geometry.distance(
@@ -425,7 +411,7 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                      "cosh_factor": math.cosh(r * s1),
                      "sinh_factor": math.sinh(r * s1) / (n * s1)}
     return InequalityReport(variant, float(lhs), float(rhs), terms, constants,
-                            vol, vol_se, vol_src, report_tol)
+                            vol, vol_se, vol_src, REPORT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +442,7 @@ def hypersurface_lift(manifold: ModelManifold, mesh: SubmanifoldMesh):
         lifted, mesh.n, mesh.m + 1, mesh.chart,
         mesh.params.copy(), mesh.stencil_coords.copy(), pad_pts(mesh.points),
         mesh.weights.copy(), tangent, normal, mesh.stencil_to_frame.copy(),
-        sff, pad_pts(mesh.mean_curvature), pad_pts(mesh.boundary_points),
+        sff, pad_pts(mesh.mean_curvature),
         mesh.boundary_weights.copy(), mesh.boundary_params.copy(),
         h=mesh.h, embed=lambda p: pad_pts(embed(p)),
         param_cell=mesh.param_cell)
@@ -468,10 +454,9 @@ def hypersurface_lift(manifold: ModelManifold, mesh: SubmanifoldMesh):
 
 
 def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
-                               hess: np.ndarray, r_bound: float,
-                               slack: float = 0.05):
-    """-int f Lap phi <= r (int_boundary f + int |grad f|), with slack
-    covering the discrete Hessian-trace surrogate; ``hess`` is the
+                               hess: np.ndarray, r_bound: float):
+    """-int f Lap phi <= r (int_boundary f + int |grad f|), with 5 %
+    slack covering the discrete Hessian-trace surrogate; ``hess`` is the
     fitted Hessian of phi (``submanifold.lsq_hessian``).  Returns
     (margin, lhs, rhs); margin >= 0 means the inequality holds within
     slack."""
@@ -479,5 +464,5 @@ def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
     lhs = -submanifold.integrate(mesh, f.values * lap)
     bint, gint = _boundary_and_gradient_integrals(mesh, f)
     rhs = r_bound * (bint + gint)
-    margin = rhs * (1.0 + slack) - lhs
+    margin = rhs * 1.05 - lhs
     return float(margin), float(lhs), float(rhs)

@@ -57,10 +57,6 @@ class JacobiTrajectory:
         self.trq3 = np.einsum("tii->t", self.Q[:, self.n:, self.n:])
 
     @property
-    def steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
     def trim_index(self) -> int:
         return TRIM_SAMPLES
 
@@ -298,16 +294,14 @@ def riccati_residual(traj: JacobiTrajectory) -> float:
 # determinant profile and bounds
 
 
-def monotonicity_profile(traj: JacobiTrajectory, n: Optional[int] = None,
-                         m: Optional[int] = None,
-                         mono_tol_factor: float = 1e-6):
+def monotonicity_profile(traj: JacobiTrajectory):
     """t^{-m} (1 - t lam / n)^{-n} det P(t) on the trimmed window.
 
     Returns (times, profile, is_nonincreasing, worst_increase).  The
-    worst increase is relative to the profile scale at t0.
+    profile is nonincreasing when no step increases it by more than 1e-6
+    of its scale at t0, and the worst increase is relative to that scale.
     """
-    n = traj.n if n is None else n
-    m = traj.m if m is None else m
+    n, m = traj.n, traj.m
     lam = traj.lam
     i0 = traj.trim_index
     t = traj.times[i0:]
@@ -317,7 +311,7 @@ def monotonicity_profile(traj: JacobiTrajectory, n: Optional[int] = None,
             f"1 - t(dphi + <H,v>)/n vanishes on (0,1); lam = {lam:.4g}")
     profile = t**(-m) * denom**(-n) * traj.det_p[i0:]
     scale = abs(profile[0])
-    tol = mono_tol_factor * scale
+    tol = 1e-6 * scale
     diffs = np.diff(profile)
     worst = float(diffs.max()) if len(diffs) else 0.0
     return t, profile, bool(worst <= tol), worst / scale
@@ -337,20 +331,18 @@ def normalization_limit(traj: JacobiTrajectory):
     return float(z1), float(limit)
 
 
-def jacobian_bound_check(traj: JacobiTrajectory, limit: float,
-                         n: Optional[int] = None,
-                         bound_slack_factor: float = BOUND_SLACK_FACTOR):
+def jacobian_bound_check(traj: JacobiTrajectory, limit: float):
     """Endpoint bound det P(1) <= (1 - lam/n)^n, with the t -> 0
     normalization pinned first; ``limit`` is the second value of
     ``normalization_limit(traj)``.  Returns (margin, bound, det_p1)."""
-    n = traj.n if n is None else n
+    n = traj.n
     if abs(limit - 1.0) > NORMALIZATION_TOL:
         raise NormalizationDriftError(
             f"t^-m det P limit {limit:.8f} deviates from 1 by "
             f"{abs(limit - 1.0):.2e}")
     bound = (1.0 - traj.lam / n) ** n
     det1 = float(traj.det_p[-1])
-    margin = bound + bound_slack_factor * abs(bound) - det1
+    margin = bound + BOUND_SLACK_FACTOR * abs(bound) - det1
     return float(margin), float(bound), det1
 
 
@@ -455,19 +447,6 @@ class ComparisonProfile:
             (np.sinh(self.b2 * t) / (self.b2 * t)) ** m
         return (np.cosh(g1) / math.cosh(self.A)) ** n * t**m * radial
 
-    def endpoint_bound(self) -> float:
-        """det P(1) bound: the cos*sinc / cosh*sinh endpoint expressions."""
-        n, m, lam = self.n, self.m, self.lam
-        if self.case == "nonneg":
-            return (1.0 - lam / n) ** n
-        if self.case == "positive":
-            return (math.cos(self.a1) - np.sinc(self.a1 / math.pi) * lam / n) ** n \
-                * np.sinc(self.a2 / math.pi) ** m
-        sinhc = math.sinh(self.b2) / self.b2 if self.b2 > 0 else 1.0
-        return (math.cosh(self.b1)
-                - math.sinh(self.b1) / (self.r * n * math.sqrt(-self.k1)) * lam
-                ) ** n * sinhc**m
-
 
 def comparison_profiles(case: str, delta_phi: float, h_dot_v: float,
                         n: int, m: int, *, k1: float = 0.0, k2: float = 0.0,
@@ -489,15 +468,13 @@ class TraceComparisonReport:
                 and self.worst_trq3_excess <= self.tol)
 
 
-def trace_comparison_check(traj: JacobiTrajectory, profile: ComparisonProfile,
-                           tol: Optional[float] = None
+def trace_comparison_check(traj: JacobiTrajectory, profile: ComparisonProfile
                            ) -> TraceComparisonReport:
-    """Pointwise trQ1/trQ3 envelope check on the trimmed window
-    (report-only)."""
+    """Pointwise trQ1/trQ3 envelope check on the trimmed window, at
+    tolerance 1e-6 m / t0 (report-only)."""
     ok = traj.window
     t = traj.times[ok]
-    if tol is None:
-        tol = 1e-6 * traj.m / traj.t0
+    tol = 1e-6 * traj.m / traj.t0
     e1 = traj.trq1[ok] - profile.trq1_bound(t)
     e3 = traj.trq3[ok] - profile.trq3_bound(t)
     return TraceComparisonReport(float(e1.max()), float(e3.max()), float(tol))

@@ -84,9 +84,9 @@ class ScenarioConfig:
 
         def get(section, key, kind=str, fallback=_REQUIRED, used=True):
             """section.key converted to ``kind`` (str, int, float or
-            bool), ``fallback`` when it is absent; records the read.
-            ``used=False`` (the run ignores the key) gives ``fallback``
-            without reading it."""
+            bool), ``fallback`` when it is absent; records the read.  A
+            float must be finite.  ``used=False`` (the run ignores the
+            key) gives ``fallback`` without reading it."""
             if not used:
                 return fallback
             read.add((section, key))
@@ -98,9 +98,13 @@ class ScenarioConfig:
             convert = {str: cp.get, int: cp.getint, float: cp.getfloat,
                        bool: cp.getboolean}[kind]
             try:
-                return convert(section, key)
+                value = convert(section, key)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from exc
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key}: value {value} is not "
+                                  "finite")
+            return value
 
         name = get("scenario", "name")
         seed = get("scenario", "seed", int)
@@ -181,7 +185,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigError for values a run would die on (counts and
         sizes below their least value, curvature sign, a hypersurface
-        outside Euclidean space, [domain] section and ranges), for an
+        outside Euclidean space, [domain] section and ranges, a
+        non-positive solver.eps_reg), for an
         inequality whose manifold or [domain] variant it does not hold
         on or read (``inequalities.INEQUALITY_SCOPE``), for a [domain]
         variant not built for the manifold (``inequalities.DOMAIN_SCOPE``)
@@ -252,6 +257,9 @@ class ScenarioConfig:
         if not self.domain_params.get("eps", 0.0) >= 0:
             raise ConfigError(f"domain.eps: value {self.domain_params['eps']}"
                               " is negative")
+        if self.eps_reg is not None and not self.eps_reg > 0:
+            raise ConfigError(f"solver.eps_reg: value {self.eps_reg} is not "
+                              "positive")
 
     def needs_transport(self) -> bool:
         return _transport_enabled(self.checks)
@@ -398,8 +406,7 @@ def _fiber_mass(ctx):
 
 def _semiconcavity(ctx):
     sc = transport.semiconcavity_check(ctx.M, ctx.mesh, ctx.hess_phi,
-                                       ctx.atoms, ctx.atom_distances,
-                                       slack=0.5)
+                                       ctx.atoms, ctx.atom_distances)
     return {"passed": bool(sc.passed), "worst_margin": sc.worst_margin}
 
 
@@ -430,7 +437,6 @@ def _jacobi(ctx):
     hn = mesh.mean_curvature_normal_components()
     nf = mesh._metric_frames(mesh.normal_frames)
     K = M.curvature
-    neg_r = ctx.config.domain_params.get("r")
     stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
              "singular_atoms": 0, "flagged_atoms": 0,
              **dict.fromkeys(FLAG_REASONS.values(), 0),
@@ -457,9 +463,9 @@ def _jacobi(ctx):
         trajs = jacobi.propagate_atoms(M, frames, np.stack(P0),
                                        np.stack(P0p), dphi, hdv,
                                        steps=ctx.config.jacobi_steps)
-        for traj, u in zip(trajs, logs[chunk]):
+        for traj in trajs:
             if traj is not None:
-                _jacobi_atom(ctx, traj, u, K, neg_r, stats)
+                _jacobi_atom(ctx, traj, K, stats)
             else:
                 stats["singular_atoms"] += 1
         # free this chunk's stacked trajectories before the next is built
@@ -486,9 +492,11 @@ def _fold(stats, **values):
             min if key.endswith("_min") else max)(prev, value)
 
 
-def _jacobi_atom(ctx, traj, u, K, neg_r, stats):
-    """Run the checks of one propagated atom (log vector ``u``) and fold
-    them into ``stats``; the first evaluated atom gives the plot series."""
+def _jacobi_atom(ctx, traj, K, stats):
+    """Run the checks of one propagated atom and fold them into
+    ``stats``; the first evaluated atom gives the plot series.  The
+    K < 0 envelope takes the radius r of the geodesic_ball domain, the
+    only domain a hyperbolic run transports to."""
     _fold(stats, sym_residual_max=traj.symmetry_residual(),
           q_sym_residual_max=traj.q_symmetry_residual(),
           riccati_residual_max=jacobi.riccati_residual(traj),
@@ -506,11 +514,9 @@ def _jacobi_atom(ctx, traj, u, K, neg_r, stats):
             profile = jacobi.comparison_profiles(
                 "nonneg", traj.delta_phi, traj.h_dot_v, traj.n, traj.m)
         else:
-            r = neg_r if neg_r is not None else 2.0 * math.sqrt(
-                geometry.metric_inner(ctx.M, u, u))
             profile = jacobi.comparison_profiles(
                 "negative", traj.delta_phi, traj.h_dot_v, traj.n, traj.m,
-                k1=K, k2=K, r=float(r))
+                k1=K, k2=K, r=ctx.config.domain_params["r"])
         rep = jacobi.trace_comparison_check(traj, profile)
     except tuple(FLAG_REASONS) as exc:
         stats["flagged_atoms"] += 1

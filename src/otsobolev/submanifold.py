@@ -12,9 +12,6 @@ midpoint-rule quadrature on the polar grid.
 
 from __future__ import annotations
 
-import ast
-import dataclasses
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -345,17 +342,12 @@ class SubmanifoldMesh:
     stencil_to_frame: np.ndarray  # (N, n, n)
     sff: np.ndarray             # (N, m, n, n)
     mean_curvature: np.ndarray  # (N, d) ambient vectors
-    boundary_points: np.ndarray
     boundary_weights: np.ndarray
     boundary_params: np.ndarray
     h: float
     embed: Callable[[np.ndarray], np.ndarray]  # chart parameters -> points
     param_cell: tuple  # grid spacing per chart parameter
     _tree: Optional[cKDTree] = field(default=None, repr=False)
-
-    @property
-    def chart_id(self) -> str:
-        return self.chart.name
 
     @property
     def node_count(self) -> int:
@@ -378,13 +370,6 @@ class SubmanifoldMesh:
         g = frames.copy()
         g[..., 0] = -g[..., 0]
         return g
-
-    def frame_gram_residual(self) -> float:
-        """Worst deviation of the combined frame Gram matrices from identity."""
-        frames = np.concatenate([self.tangent_frames, self.normal_frames], axis=1)
-        g = np.einsum("nad,nbd->nab", self._metric_frames(frames), frames)
-        eye = np.eye(self.n + self.m)
-        return float(np.abs(g - eye).max())
 
 
 def build_submanifold(manifold: ModelManifold, chart_spec: Chart,
@@ -421,7 +406,7 @@ def build_submanifold(manifold: ModelManifold, chart_spec: Chart,
         params, _polar_stencil(scale, params), embed(params),
         geo.area * ha * hp, geo.tangent, geo.normal, geo.stencil_to_frame,
         geo.sff, geo.mean_curvature,
-        embed(bparams), chart_spec.boundary_length(manifold, bparams) * hp,
+        chart_spec.boundary_length(manifold, bparams) * hp,
         bparams, h=scale * ha, embed=embed, param_cell=(ha, hp))
 
 
@@ -459,13 +444,13 @@ def intrinsic_gradient(mesh: SubmanifoldMesh, f: ScalarField) -> np.ndarray:
     return np.einsum("nab,nb->na", mesh.stencil_to_frame, g)
 
 
-def _lsq_gradient(mesh: SubmanifoldMesh, values: np.ndarray,
-                  stencil_radius: float = 2.0) -> np.ndarray:
-    """Linear least-squares fit of d(values)/d(stencil coords), ridge 1e-12."""
+def _lsq_gradient(mesh: SubmanifoldMesh, values: np.ndarray) -> np.ndarray:
+    """Linear least-squares fit of d(values)/d(stencil coords) over the
+    chart neighbors within 2 h, ridge 1e-12."""
     tree = mesh.tree()
     N = mesh.node_count
     out = np.zeros((N, mesh.n))
-    rad = stencil_radius * mesh.h
+    rad = 2.0 * mesh.h
     groups = tree.query_ball_point(mesh.stencil_coords, rad)
     for i in range(N):
         idx = groups[i]
@@ -608,84 +593,3 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)
     return TubularVolumeResult(est, se, vol_ambient, n_samples)
-
-
-# ---------------------------------------------------------------------------
-# export / import
-
-_MESH_FORMAT_VERSION = 1
-
-
-def write_mesh(mesh: SubmanifoldMesh, path) -> None:
-    """Serialize a mesh to the documented structured-text record."""
-    buf = io.StringIO()
-    buf.write(f"otsobolev-mesh {_MESH_FORMAT_VERSION}\n")
-    buf.write(f"chart {mesh.chart_id}\n")
-    for k, v in sorted(dataclasses.asdict(mesh.chart).items()):
-        buf.write(f"arg {k} {v!r}\n")
-    buf.write(f"manifold {mesh.manifold.variant} {mesh.manifold.ambient_dim} "
-              f"{mesh.manifold.curvature!r}\n")
-    buf.write(f"dims {mesh.n} {mesh.m}\n")
-    buf.write(f"spacing {mesh.h!r} {mesh.param_cell[0]!r} {mesh.param_cell[1]!r}\n")
-    buf.write(f"nodes {mesh.node_count}\n")
-    for i in range(mesh.node_count):
-        row = np.concatenate([
-            mesh.params[i], mesh.stencil_coords[i], [mesh.weights[i]],
-            mesh.points[i], mesh.tangent_frames[i].ravel(),
-            mesh.normal_frames[i].ravel(), mesh.stencil_to_frame[i].ravel(),
-            mesh.sff[i].ravel(), mesh.mean_curvature[i],
-        ])
-        buf.write(" ".join(repr(float(x)) for x in row) + "\n")
-    buf.write(f"boundary {len(mesh.boundary_points)}\n")
-    for i in range(len(mesh.boundary_points)):
-        row = np.concatenate([
-            mesh.boundary_params[i], [mesh.boundary_weights[i]],
-            mesh.boundary_points[i],
-        ])
-        buf.write(" ".join(repr(float(x)) for x in row) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-
-
-def read_mesh(path) -> SubmanifoldMesh:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    it = iter(lines)
-    header = next(it).split()
-    if header[0] != "otsobolev-mesh" or int(header[1]) != _MESH_FORMAT_VERSION:
-        raise ValueError("not a mesh record of a supported version")
-    chart_id = next(it).split(maxsplit=1)[1]
-    if chart_id not in CHARTS:
-        raise ValueError(f"unknown chart {chart_id!r}")
-    chart_args = {}
-    line = next(it)
-    while line.startswith("arg "):
-        _, key, val = line.split(maxsplit=2)
-        chart_args[key] = ast.literal_eval(val)
-        line = next(it)
-    _, variant, adim, curv = line.split()
-    manifold = ModelManifold(variant, int(adim), float(curv))
-    n, m = map(int, next(it).split()[1:])
-    h, ca, cb = map(float, next(it).split()[1:])
-    count = int(next(it).split()[1])
-    d = manifold.embedding_dim
-    widths = [2, 2, 1, d, n * d, m * d, n * n, m * n * n, d]
-    rows = np.array([[float(x) for x in next(it).split()] for _ in range(count)])
-    cuts = np.cumsum(widths)[:-1]
-    (params, stencil, w, pts, tf, nf, s2f, sff, H) = np.split(rows, cuts, axis=1)
-    bcount = int(next(it).split()[1])
-    brows = np.array([[float(x) for x in next(it).split()] for _ in range(bcount)])
-    if bcount:
-        bparams, bw, bpts = np.split(brows, [2, 3], axis=1)
-    else:
-        bparams = np.zeros((0, 2))
-        bw = np.zeros((0, 1))
-        bpts = np.zeros((0, d))
-    chart = CHARTS[chart_id](**chart_args)
-    return SubmanifoldMesh(
-        manifold, n, m, chart,
-        params, stencil, pts, w.ravel(),
-        tf.reshape(count, n, d), nf.reshape(count, m, d),
-        s2f.reshape(count, n, n), sff.reshape(count, m, n, n), H,
-        bpts, bw.ravel(), bparams, h=h, embed=partial(chart.embed, manifold),
-        param_cell=(ca, cb))

@@ -81,9 +81,8 @@ class DiscreteCoupling:
     reg: Optional[float] = None
     duality_gap: float = 0.0
     converged: bool = True
-    # c-concave potentials, filled in by certify_support
+    # c-concave potential, filled in by certify_support
     phi_cc: Optional[np.ndarray] = None
-    psi_cc: Optional[np.ndarray] = None
 
     @property
     def atom_floor(self) -> float:
@@ -107,12 +106,12 @@ class DiscreteCoupling:
 
 
 def cost_matrix(manifold: ModelManifold, source: DiscreteMeasure,
-                target: DiscreteMeasure,
-                cut_margin: float = geometry.CUT_TOLERANCE) -> np.ndarray:
-    """c_ij = d(x_i, zeta_j)^2 / 2; refuses pairs at the cut locus."""
+                target: DiscreteMeasure) -> np.ndarray:
+    """c_ij = d(x_i, zeta_j)^2 / 2; refuses pairs within
+    ``geometry.CUT_TOLERANCE`` of the cut locus."""
     D = geometry.pairwise_distances(manifold, source.points, target.points)
     if manifold.variant == geometry.SPHERE:
-        bound = math.pi * manifold.radius - cut_margin
+        bound = math.pi * manifold.radius - geometry.CUT_TOLERANCE
         if np.any(D >= bound):
             raise CutLocusError("source-target pair within cut tolerance "
                                 "of the antipode; resample the domain")
@@ -290,7 +289,6 @@ def certify_support(coupling: DiscreteCoupling,
     psi = c_transform(coupling.phi, C, "from_source")
     phi = c_transform(psi, C, "from_target")
     coupling.phi_cc = phi
-    coupling.psi_cc = psi
     ii, jj, _ = coupling.atoms()
     viol = C[ii, jj] - phi[ii] - psi[jj]
     worst = float(np.abs(viol).max()) if len(viol) else 0.0
@@ -334,23 +332,21 @@ def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
 @dataclass
 class FiberMassReport:
     marginal_residual: np.ndarray   # (N,) |row mass - mu_i|
-    fiber_volume_proxy: np.ndarray  # (N,) row mass * vol(Omega)
     envelope_ok: bool
 
 
 def fiber_mass_residual(coupling: DiscreteCoupling, domain_volume: float,
-                        envelope: np.ndarray,
-                        envelope_slack: float = 0.05) -> FiberMassReport:
+                        envelope: np.ndarray) -> FiberMassReport:
     """Discrete surrogate of the change-of-variable identity.
 
     The transported mass per node must match mu_i (marginal identity),
     and the fiber-volume proxy row_mass * vol(Omega) must stay below the
-    per-node Jacobian-bound ``envelope``.
+    per-node Jacobian-bound ``envelope``, with 5 % slack.
     """
     row = coupling.row_masses()
     proxy = row * domain_volume
-    ok = bool(np.all(proxy <= envelope * (1.0 + envelope_slack)))
-    return FiberMassReport(np.abs(row - coupling.source.weights), proxy, ok)
+    ok = bool(np.all(proxy <= envelope * 1.05))
+    return FiberMassReport(np.abs(row - coupling.source.weights), ok)
 
 
 @dataclass
@@ -363,14 +359,14 @@ class SemiconcavityReport:
 
 
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
-                        hess: np.ndarray, atoms, atom_distances: np.ndarray,
-                        slack: float = 0.1) -> SemiconcavityReport:
+                        hess: np.ndarray, atoms,
+                        atom_distances: np.ndarray) -> SemiconcavityReport:
     """Hessian-type upper bound on the potential along frame directions;
     ``hess`` is the fitted Hessian of the potential
     (``submanifold.lsq_hessian``), ``atoms`` the plan's atoms
     (``DiscreteCoupling.atoms``) and ``atom_distances`` their lengths.
 
-    The bound is (1/2)[4 b(d sqrt(-k)/2) + 2 d |II(e_i,e_i)|] + slack with
+    The bound is (1/2)[4 b(d sqrt(-k)/2) + 2 d |II(e_i,e_i)|] + 0.5 with
     b(s) = s coth(s) (b = 1 in the k >= 0 limit), d the distance to the
     node's assigned target, and k the curvature lower bound of the model.
     Report-only: negative margins flag the scenario, nothing raises.
@@ -391,30 +387,6 @@ def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
     bval = b(0.5 * d * sqk) if kneg < 0 else np.ones(mesh.node_count)
     # |II(e_i, e_i)| as a normal-vector norm, per tangent direction
     ii_norm = np.linalg.norm(np.einsum("nmii->nim", mesh.sff), axis=2)
-    bounds = 0.5 * (4.0 * bval[:, None] + 2.0 * d[:, None] * ii_norm) + slack
+    bounds = 0.5 * (4.0 * bval[:, None] + 2.0 * d[:, None] * ii_norm) + 0.5
     margins = bounds - second_diff
     return SemiconcavityReport(float(margins.min()))
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def write_coupling(coupling: DiscreteCoupling, path) -> None:
-    """Structured-text export: atom list (i, j, mass) plus dual potentials."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("otsobolev-coupling 1\n")
-        fh.write(f"solver {coupling.solver}\n")
-        if coupling.reg is not None:
-            fh.write(f"reg {coupling.reg!r}\n")
-        fh.write(f"cost {coupling.cost!r}\n")
-        fh.write(f"duality_gap {coupling.duality_gap!r}\n")
-        ii, jj, mm = coupling.atoms()
-        fh.write(f"atoms {len(ii)}\n")
-        for i, j, m_ in zip(ii, jj, mm):
-            fh.write(f"{int(i)} {int(j)} {float(m_)!r}\n")
-        phi = coupling.phi_cc if coupling.phi_cc is not None else coupling.phi
-        psi = coupling.psi_cc if coupling.psi_cc is not None else coupling.psi
-        fh.write(f"phi {len(phi)}\n")
-        fh.write(" ".join(repr(float(x)) for x in phi) + "\n")
-        fh.write(f"psi {len(psi)}\n")
-        fh.write(" ".join(repr(float(x)) for x in psi) + "\n")

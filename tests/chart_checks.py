@@ -1,4 +1,4 @@
-"""Chart checks shared by the geometry and submanifold tests."""
+"""Chart and frame checks shared by the geometry and submanifold tests."""
 
 import numpy as np
 
@@ -19,3 +19,23 @@ def check_point(M: geometry.ModelManifold, x: np.ndarray,
         r = abs(geometry.metric_inner(M, x, x) + M.radius**2)
         if r > 1e-10 * max(1.0, M.radius**2) or x[..., 0] <= 0:
             raise ValueError("hyperboloid normalization violated")
+
+
+def parallel_frame_gram_residual(frame: geometry.ParallelFrame) -> float:
+    """Worst deviation of the frame Gram matrix from the identity."""
+    M = frame.manifold
+    worst = 0.0
+    for k in range(len(frame.times)):
+        V = frame.vectors[k]
+        G = geometry.metric_inner(M, V[:, None, :], V[None, :, :])
+        worst = max(worst, float(np.abs(G - np.eye(V.shape[0])).max()))
+    return worst
+
+
+def mesh_frame_gram_residual(mesh) -> float:
+    """Worst deviation of the combined tangent and normal frame Gram
+    matrices of a ``submanifold.SubmanifoldMesh`` from the identity."""
+    frames = np.concatenate([mesh.tangent_frames, mesh.normal_frames], axis=1)
+    g = np.einsum("nad,nbd->nab", mesh._metric_frames(frames), frames)
+    eye = np.eye(mesh.n + mesh.m)
+    return float(np.abs(g - eye).max())

@@ -292,6 +292,16 @@ class TestRunCommand:
          "manifold.ambient_dim"),
         ("hyperbolic_disk_r2", "ambient_dim = 4", "ambient_dim = 3",
          "manifold.ambient_dim"),
+        # a regularization the Sinkhorn solver cannot run at
+        *(("flat_disk_annulus", "method = exact",
+           f"method = entropic\neps_reg = {value}", "solver.eps_reg")
+          for value in ("-1", "0", "nan", "inf")),
+        # non-finite floats, in the chart, the field and the domain
+        ("flat_disk_sharp", "radius = 1.0", "radius = inf",
+         "submanifold.radius"),
+        ("flat_disk_sharp", "value = 1.0", "value = inf", "field"),
+        ("hyperbolic_disk_r2", "r = 2.0", "r = inf", "domain.r"),
+        ("sphere_tube_005", "eps = 0.05", "eps = inf", "domain.eps"),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):

@@ -1,13 +1,24 @@
 """Every top-level import in ``src`` and ``tests`` is used in its module
-or re-exported through ``__all__``."""
+or re-exported through ``__all__``, and every definition in ``src`` is
+referenced from ``src`` or ``benchmarks``."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC = sorted((ROOT / "src").rglob("*.py"))
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
+
+# definitions in src that nothing references yet, each with its reason
+ALLOWED = {
+    "geometry.intermediate_ricci":
+        "the per-atom curvature hypothesis of the Jacobi check will call "
+        "it (ROADMAP item 1)",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +49,88 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\n__all__ = ['sep']\n"
     assert unused_imports(source) == ["math", "path"]
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``: as a name, as an
+    attribute, or as a string that is an identifier (the benchmark
+    tracer names the functions it wraps by strings)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def is_click_command(node: ast.AST) -> bool:
+    """Decorated by ``<group>.command`` or ``click.group``: the decorator
+    registers it, so nothing else needs to name it."""
+    for dec in getattr(node, "decorator_list", ()):
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(func, ast.Attribute) and func.attr in ("command",
+                                                             "group"):
+            return True
+    return False
+
+
+def definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of each top-level function and class of
+    ``module``, and of each method and property of its classes other
+    than the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("__"):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def dead_names(modules: dict, readers: list) -> list:
+    """Qualified names of the definitions in ``modules`` (module name ->
+    source) that no source of ``modules`` or ``readers`` references
+    outside the definition itself.  The scan matches by name only, so a
+    definition sharing its name with anything read counts as live."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read += references(tree)
+    return [qualified for name, tree in trees.items()
+            for qualified, node in definitions(name, tree)
+            if not is_click_command(node)
+            and read[node.name] - references(node)[node.name] <= 0]
+
+
+def test_every_definition_in_src_is_referenced():
+    dead = dead_names({p.stem: p.read_text(encoding="utf-8") for p in SRC},
+                      [p.read_text(encoding="utf-8") for p in BENCHMARKS])
+    assert sorted(set(dead) - set(ALLOWED)) == []
+    # an allowed name that gained a reference leaves ALLOWED
+    assert sorted(set(ALLOWED) - set(dead)) == []
+
+
+def test_scan_flags_a_definition_nothing_references():
+    source = (
+        "import click\n"
+        "def used(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def traced(): pass\n"
+        "class Box:\n"
+        "    def __init__(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def unread(self): pass\n"
+        "@click.group()\n"
+        "def main(): pass\n"
+        "@main.command('go')\n"
+        "def go_cmd(): pass\n"
+        "used(); Box().size\n")
+    spans = "SPANS = [('m', 'traced')]\n"
+    assert dead_names({"m": source}, [spans]) == ["m.recursive",
+                                                  "m.Box.unread"]

@@ -206,13 +206,6 @@ class TestPositiveVariants:
                 M, mesh, constant_field(mesh, 1.0),
                 inequalities.POSITIVE_TUBE, dict(eps=0.1))
 
-    def test_positive_needs_positive_bounds(self, hemisphere):
-        M, mesh = hemisphere
-        with pytest.raises(HypothesisViolationError):
-            inequalities.evaluate_inequality(
-                M, mesh, constant_field(mesh, 1.0),
-                inequalities.POSITIVE_TUBE, dict(eps=0.0, k1=-1.0))
-
     def test_wrong_ambient_rejected(self):
         M, mesh = flat_disk_mesh(resolution=8)
         with pytest.raises(HypothesisViolationError):
@@ -263,13 +256,6 @@ class TestNegativeLocal:
                 M, big, constant_field(big, 1.0), inequalities.NEGATIVE_LOCAL,
                 dict(r=2.0), domain=dom)
 
-    def test_needs_negative_bounds(self, hyperbolic_setup):
-        M, mesh = hyperbolic_setup
-        with pytest.raises(HypothesisViolationError):
-            inequalities.evaluate_inequality(
-                M, mesh, constant_field(mesh, 1.0),
-                inequalities.NEGATIVE_LOCAL, dict(r=2.0, k1=0.5))
-
 
 class TestCrossVariantOracle:
     """On a flat 2-disk in 4-space (n = m = 2) nonneg_finite at sigma -> 0
@@ -283,8 +269,7 @@ class TestCrossVariantOracle:
     @staticmethod
     def domain(variant, dim, volume, meta):
         return inequalities.TargetDomain(
-            variant, {}, np.zeros((1, dim)), np.ones(1), volume, 0.0,
-            "analytic", meta=meta)
+            variant, np.zeros((1, dim)), volume, 0.0, "analytic", meta=meta)
 
     @pytest.mark.parametrize("expression", [None, "1 + u1**2 + u2"])
     def test_nonneg_finite_is_negative_local_in_the_flat_limit(
@@ -357,8 +342,7 @@ class TestIntegrationByParts:
         f = constant_field(mesh, 1.0)
         phi = -0.5 * np.sum(mesh.stencil_coords**2, axis=1)
         margin, lhs, rhs = inequalities.integration_by_parts_check(
-            mesh, f, submanifold.lsq_hessian(mesh, phi), r_bound=rho,
-            slack=0.05)
+            mesh, f, submanifold.lsq_hessian(mesh, phi), r_bound=rho)
         assert np.isclose(lhs, 2 * math.pi * rho**2, atol=1e-9)
         assert np.isclose(rhs, 2 * math.pi * rho, atol=1e-9)
         assert np.isclose(margin, 0.05 * rhs, atol=1e-9)

@@ -241,17 +241,6 @@ class TestComparisonProfiles:
         assert np.allclose(neg.det_envelope(t), non.det_envelope(t),
                            atol=1e-6)
 
-    @pytest.mark.parametrize("case,kw", [
-        ("nonneg", {}),
-        ("positive", dict(k1=1.0, k2=1.0, eps=0.4)),
-        ("negative", dict(k1=-1.0, k2=-1.0, r=0.7)),
-    ])
-    def test_endpoint_equals_envelope_at_one(self, case, kw):
-        prof = jacobi.comparison_profiles(case, -0.5, 0.0, 2, 2, **kw)
-        assert np.isclose(prof.endpoint_bound(),
-                          float(prof.det_envelope(np.array([1.0]))[0]),
-                          atol=1e-12)
-
     def test_negative_case_domain_guard(self):
         with pytest.raises(ArgOutOfDomainError):
             jacobi.comparison_profiles("negative", -5.0, 0.0, 2, 2,
