@@ -1,5 +1,6 @@
 """Jacobi/Riccati propagation: closed-form oracles, profiles, envelopes."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -240,6 +241,31 @@ class TestComparisonProfiles:
         assert np.allclose(neg.trq1_bound(t), non.trq1_bound(t), atol=1e-6)
         assert np.allclose(neg.det_envelope(t), non.det_envelope(t),
                            atol=1e-6)
+
+    @staticmethod
+    def endpoint_formula(prof):
+        """det P(1) bound of each case: (1 - lam/n)^n, and the
+        cos*sinc / cosh*sinh endpoint expressions."""
+        n, m, lam = prof.n, prof.m, prof.lam
+        if prof.case == "nonneg":
+            return (1.0 - lam / n) ** n
+        if prof.case == "positive":
+            return (math.cos(prof.a1) - np.sinc(prof.a1 / math.pi) * lam / n
+                    ) ** n * np.sinc(prof.a2 / math.pi) ** m
+        return (math.cosh(prof.b1) - math.sinh(prof.b1)
+                / (prof.r * n * math.sqrt(-prof.k1)) * lam
+                ) ** n * (math.sinh(prof.b2) / prof.b2) ** m
+
+    @pytest.mark.parametrize("case,kw", [
+        ("nonneg", {}),
+        ("positive", dict(k1=1.0, k2=1.0, eps=0.4)),
+        ("negative", dict(k1=-1.0, k2=-1.0, r=0.7)),
+    ])
+    def test_endpoint_equals_envelope_at_one(self, case, kw):
+        prof = jacobi.comparison_profiles(case, -0.5, 0.0, 2, 2, **kw)
+        assert np.isclose(self.endpoint_formula(prof),
+                          float(prof.det_envelope(np.array([1.0]))[0]),
+                          atol=1e-12)
 
     def test_negative_case_domain_guard(self):
         with pytest.raises(ArgOutOfDomainError):
