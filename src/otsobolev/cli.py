@@ -145,6 +145,7 @@ def run_cmd(config_path, strict, seed, out_dir, fmt):
               default="json")
 def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
     """Run a scenario across a parameter grid; emit one csv row per point."""
+    overrides = _seed_override(seed)
     try:
         target, _, values = grid.partition("=")
         section, _, key = target.partition(".")
@@ -153,22 +154,21 @@ def sweep_cmd(config_path, grid, strict, seed, out_dir, fmt):
         grid_values = [v.strip() for v in values.split(",") if v.strip()]
         if not grid_values:
             raise ConfigError(f"empty grid in {grid!r}")
+        read = ScenarioConfig.load(config_path, overrides).read_keys
+        targets = sorted(f"{s}.{k}" for s, k in read
+                         if s in SWEEP_SECTIONS
+                         and k not in ("chart", "variant"))
+        if target not in targets:
+            raise ConfigError(
+                f"unsupported sweep target {target}: this config's "
+                f"targets are {', '.join(targets)}")
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    overrides = _seed_override(seed)
     rows = []
     worst = 0
     for value in grid_values:
         try:
-            read = ScenarioConfig.load(config_path, overrides).read_keys
-            targets = sorted(f"{s}.{k}" for s, k in read
-                             if s in SWEEP_SECTIONS
-                             and k not in ("chart", "variant"))
-            if f"{section}.{key}" not in targets:
-                raise ConfigError(
-                    f"unsupported sweep target {section}.{key}: this "
-                    f"config's targets are {', '.join(targets)}")
             config = ScenarioConfig.load(
                 config_path, overrides + ((section, key, value),))
             # the name is the report's file name: no path separators

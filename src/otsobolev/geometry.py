@@ -4,13 +4,17 @@ Three variants are supported: Euclidean space, round spheres (embedded
 in R^{d+1}) and hyperbolic space (hyperboloid model in Minkowski
 R^{1,d}).  All maps
 (exp/log/distance/parallel transport/curvature) are exact closed forms;
-there is no numerical geodesic shooting anywhere in this module.
+there is no numerical geodesic shooting anywhere in this module.  The
+two curved variants differ only in the sign of K, which ``SPACE_FORMS``
+records with the functions it selects, so each map has one Euclidean
+branch and one curved branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -19,10 +23,31 @@ from .errors import CutLocusError, NonOrthonormalPlaneError, UnsupportedVariantE
 EUCLIDEAN = "euclidean"
 SPHERE = "sphere"
 HYPERBOLIC = "hyperbolic"
-VARIANTS = (EUCLIDEAN, SPHERE, HYPERBOLIC)
 
 #: sphere log map refuses pairs closer than this to the antipode
 CUT_TOLERANCE = 1e-6
+
+
+class SpaceForm(NamedTuple):
+    """What a model space's closed forms take from the sign of K: the
+    sphere's circular functions against the hyperboloid's hyperbolic
+    ones.  The Euclidean record has the sign only."""
+
+    sign: float                         # sign of K, the default curvature
+    sin: Optional[Callable] = None      # sin / sinh of the geodesic angle
+    cos: Optional[Callable] = None      # cos / cosh
+    arccos: Optional[Callable] = None   # arccos / arccosh of the metric
+    clip: tuple = ()                    # range of the arccos argument
+    scalar_sin: Optional[Callable] = None  # libm sin / sinh
+
+
+SPACE_FORMS = {
+    EUCLIDEAN: SpaceForm(0.0),
+    SPHERE: SpaceForm(1.0, np.sin, np.cos, np.arccos, (-1.0, 1.0), math.sin),
+    HYPERBOLIC: SpaceForm(-1.0, np.sinh, np.cosh, np.arccosh, (1.0, np.inf),
+                          math.sinh),
+}
+VARIANTS = tuple(SPACE_FORMS)
 
 
 @dataclass(frozen=True)
@@ -41,12 +66,15 @@ class ModelManifold:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown manifold variant {self.variant!r}")
-        if self.variant == SPHERE and not self.curvature > 0:
-            raise ValueError("sphere variant requires K > 0")
-        if self.variant == HYPERBOLIC and not self.curvature < 0:
-            raise ValueError("hyperbolic variant requires K < 0")
-        if self.variant == EUCLIDEAN and self.curvature != 0:
-            raise ValueError("euclidean variant requires K = 0")
+        sign = self.space.sign
+        if not np.sign(self.curvature) == sign:  # a NaN K fails too
+            relation = "<=>"[int(sign) + 1]
+            raise ValueError(f"{self.variant} requires K {relation} 0, got "
+                             f"{self.curvature}")
+
+    @property
+    def space(self) -> SpaceForm:
+        return SPACE_FORMS[self.variant]
 
     @property
     def embedding_dim(self) -> int:
@@ -56,11 +84,9 @@ class ModelManifold:
 
     @property
     def radius(self) -> float:
-        if self.variant == SPHERE:
-            return 1.0 / math.sqrt(self.curvature)
-        if self.variant == HYPERBOLIC:
-            return 1.0 / math.sqrt(-self.curvature)
-        raise UnsupportedVariantError(f"no radius for variant {self.variant}")
+        if self.variant == EUCLIDEAN:
+            raise UnsupportedVariantError(f"no radius for variant {self.variant}")
+        return 1.0 / math.sqrt(self.space.sign * self.curvature)
 
 
 def euclidean(dim: int) -> ModelManifold:
@@ -92,6 +118,17 @@ def norm(M: ModelManifold, u: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(metric_inner(M, u, u), 0.0))
 
 
+def lower_index(M: ModelManifold, vectors: np.ndarray) -> np.ndarray:
+    """The covectors g(v, .) of embedded vectors, so that
+    ``lower_index(M, v) @ w`` is ``metric_inner(M, v, w)``: the Minkowski
+    lowering negates the time axis; the other variants return ``vectors``."""
+    if M.variant != HYPERBOLIC:
+        return vectors
+    g = vectors.copy()
+    g[..., 0] = -g[..., 0]
+    return g
+
+
 # ---------------------------------------------------------------------------
 # exp / log / distance
 
@@ -102,19 +139,12 @@ def exp_map(M: ModelManifold, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if M.variant == EUCLIDEAN:
         return x + v
-    if M.variant == SPHERE:
-        R = M.radius
-        s = np.linalg.norm(v, axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
-        th = s / R
-        return np.cos(th) * x + R * np.sin(th) * unit
-    R = M.radius
+    sf, R = M.space, M.radius
     s = norm(M, v)[..., None]
     with np.errstate(invalid="ignore", divide="ignore"):
         unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
     th = s / R
-    return np.cosh(th) * x + R * np.sinh(th) * unit
+    return sf.cos(th) * x + R * sf.sin(th) * unit
 
 
 def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,23 +154,16 @@ def log_map(M: ModelManifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if M.variant == EUCLIDEAN:
         return y - x
-    if M.variant == SPHERE:
-        R = M.radius
-        c = np.clip(np.sum(x * y, axis=-1) / R**2, -1.0, 1.0)
-        th = np.arccos(c)
-        if np.any(th >= math.pi - CUT_TOLERANCE):
-            raise CutLocusError("pair within cut tolerance of the antipode")
-        u = y / R - c[..., None] * (x / R)
-        sin_th = np.sin(th)
-        # theta/sin(theta), continuously extended at 0
-        fac = np.where(sin_th > 1e-12, th / np.where(sin_th > 0, sin_th, 1.0), 1.0)
-        return R * fac[..., None] * u
-    R = M.radius
-    c = np.maximum(-metric_inner(M, x, y) / R**2, 1.0)
-    th = np.arccosh(c)
+    sf, R = M.space, M.radius
+    # cos / cosh of the angle; the sign of K rides on the R^2 divisor
+    c = np.clip(metric_inner(M, x, y) / (sf.sign * R**2), *sf.clip)
+    th = sf.arccos(c)
+    if M.variant == SPHERE and np.any(th >= math.pi - CUT_TOLERANCE):
+        raise CutLocusError("pair within cut tolerance of the antipode")
     u = y / R - c[..., None] * (x / R)
-    sinh_th = np.sinh(th)
-    fac = np.where(sinh_th > 1e-12, th / np.where(sinh_th > 0, sinh_th, 1.0), 1.0)
+    sin_th = sf.sin(th)
+    # theta/sin(theta), continuously extended at 0
+    fac = np.where(sin_th > 1e-12, th / np.where(sin_th > 0, sin_th, 1.0), 1.0)
     return R * fac[..., None] * u
 
 
@@ -150,13 +173,9 @@ def distance(M: ModelManifold, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if M.variant == EUCLIDEAN:
         return np.linalg.norm(y - x, axis=-1)
-    if M.variant == SPHERE:
-        R = M.radius
-        c = np.clip(np.sum(x * y, axis=-1) / R**2, -1.0, 1.0)
-        return R * np.arccos(c)
-    R = M.radius
-    c = np.maximum(-metric_inner(M, x, y) / R**2, 1.0)
-    return R * np.arccosh(c)
+    sf, R = M.space, M.radius
+    return R * sf.arccos(np.clip(metric_inner(M, x, y) / (sf.sign * R**2),
+                                 *sf.clip))
 
 
 def pairwise_distances(M: ModelManifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -167,13 +186,14 @@ def pairwise_distances(M: ModelManifold, X: np.ndarray, Y: np.ndarray) -> np.nda
         from scipy.spatial.distance import cdist
 
         return cdist(X, Y)
+    sf, R = M.space, M.radius
     if M.variant == SPHERE:
-        R = M.radius
-        c = np.clip((X @ Y.T) / R**2, -1.0, 1.0)
-        return R * np.arccos(c)
-    R = M.radius
-    g = -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
-    return R * np.arccosh(np.maximum(-g / R**2, 1.0))
+        g = X @ Y.T
+    else:
+        g = -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
+    # in place, so the dense matrix takes one (N, P) buffer before arccos
+    g /= sf.sign * R**2
+    return R * sf.arccos(np.clip(g, *sf.clip, out=g))
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +211,17 @@ def transport_along(M: ModelManifold, x: np.ndarray, v: np.ndarray,
     T = t.shape[0]
     if M.variant == EUCLIDEAN:
         return np.broadcast_to(w, (T,) + w.shape).copy()
-    if M.variant == SPHERE:
-        R = M.radius
-        s = float(np.linalg.norm(v))
-        if s == 0.0:
-            return np.broadcast_to(w, (T,) + w.shape).copy()
-        xu = x / R
-        u = v / s
-        a = np.sum(w * u, axis=-1)  # component along the geodesic plane
-        perp = w - a[..., None] * u
-        th = (s * t / R)[:, None]
-        u_t = -np.sin(th) * xu + np.cos(th) * u  # transported u
-        shape = (T,) + (1,) * (w.ndim - 1) + (M.embedding_dim,)
-        u_t = u_t.reshape(shape)
-        return a[None, ..., None] * u_t + perp[None, ...]
-    R = M.radius
-    s = float(norm(M, v))
+    sf, R = M.space, M.radius
+    # the sphere's speed is a BLAS dot, which the reports' last bits follow
+    s = float(np.linalg.norm(v) if M.variant == SPHERE else norm(M, v))
     if s == 0.0:
         return np.broadcast_to(w, (T,) + w.shape).copy()
     xu = x / R
     u = v / s
-    a = metric_inner(M, w, np.broadcast_to(u, w.shape))
+    a = metric_inner(M, w, np.broadcast_to(u, w.shape))  # along the geodesic
     perp = w - a[..., None] * u
     th = (s * t / R)[:, None]
-    u_t = np.sinh(th) * xu + np.cosh(th) * u
+    u_t = -sf.sign * sf.sin(th) * xu + sf.cos(th) * u  # transported u
     shape = (T,) + (1,) * (w.ndim - 1) + (M.embedding_dim,)
     u_t = u_t.reshape(shape)
     return a[None, ..., None] * u_t + perp[None, ...]

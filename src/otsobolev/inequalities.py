@@ -79,7 +79,7 @@ def _resample_away_from_cut(M, mesh, pts, rng):
     """Replace sphere samples whose farthest mesh node is near-antipodal."""
     if M.variant != geometry.SPHERE:
         return pts
-    bound = math.pi * M.radius - 10 * geometry.CUT_TOLERANCE
+    bound = geometry.manifold_diameter(M) - 10 * geometry.CUT_TOLERANCE
     for _ in range(100):
         far = geometry.pairwise_distances(M, pts, mesh.points).max(axis=1)
         bad = far >= bound
@@ -148,7 +148,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         tube = submanifold.tubular_volume(
             manifold, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
         engine = _lattice(manifold.embedding_dim, s_pts)
-        cut_bound = math.pi * manifold.radius - 10 * geometry.CUT_TOLERANCE
+        cut_bound = geometry.manifold_diameter(manifold) \
+            - 10 * geometry.CUT_TOLERANCE
         accepted, _ = _rejection_samples(
             mesh, lambda: manifold.radius * _lattice_directions(
                 engine.random(n_samples)),

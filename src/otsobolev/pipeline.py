@@ -111,22 +111,18 @@ class ScenarioConfig:
         variant = get("manifold", "variant")
         if variant not in geometry.VARIANTS:
             raise ConfigError(f"manifold.variant: unknown variant {variant!r}")
-        curvature = get("manifold", "curvature", float, {
-            geometry.EUCLIDEAN: 0.0, geometry.SPHERE: 1.0,
-            geometry.HYPERBOLIC: -1.0}[variant])
+        curvature = get("manifold", "curvature", float,
+                        geometry.SPACE_FORMS[variant].sign)
         ambient_dim = get("manifold", "ambient_dim", int)
 
         chart = get("submanifold", "chart")
         if chart not in submanifold.CHARTS:
             raise ConfigError(f"submanifold.chart: unknown chart {chart!r}")
-        # the chart's fields, all required but codim, which defaults to
-        # the only value the disk charts accept
+        # the chart's fields, all required
         chart_type = submanifold.CHARTS[chart]
         types = get_type_hints(chart_type)
-        chart_params = {
-            f.name: get("submanifold", f.name, types[f.name],
-                        ambient_dim - 2 if f.name == "codim" else _REQUIRED)
-            for f in dataclasses.fields(chart_type)}
+        chart_params = {f.name: get("submanifold", f.name, types[f.name])
+                        for f in dataclasses.fields(chart_type)}
         resolution = get("submanifold", "resolution", int)
 
         field_kind = get("field", "kind", fallback="constant")
@@ -186,7 +182,8 @@ class ScenarioConfig:
         """Raise ConfigError for values a run would die on (counts and
         sizes below their least value, curvature sign, a hypersurface
         outside Euclidean space, [domain] section and ranges, a
-        non-positive solver.eps_reg), for an
+        non-positive solver.eps_reg, a curvature or domain radius whose
+        model-space constants overflow), for an
         inequality whose manifold or [domain] variant it does not hold
         on or read (``inequalities.INEQUALITY_SCOPE``), for a [domain]
         variant not built for the manifold (``inequalities.DOMAIN_SCOPE``)
@@ -203,13 +200,10 @@ class ScenarioConfig:
             if value < bound:
                 raise ConfigError(f"{name}: {value} is below {bound}")
         variant = self.manifold_variant
-        rule, holds = {geometry.EUCLIDEAN: ("= 0", lambda K: K == 0),
-                       geometry.SPHERE: ("> 0", lambda K: K > 0),
-                       geometry.HYPERBOLIC: ("< 0", lambda K: K < 0),
-                       }[variant]
-        if not holds(self.curvature):
-            raise ConfigError(f"manifold.curvature: {variant} requires K "
-                              f"{rule}, got {self.curvature}")
+        try:
+            M = self.build_manifold()
+        except ValueError as exc:  # the sign of K does not fit the variant
+            raise ConfigError(f"manifold.curvature: {exc}") from exc
         # every chart is 2-dimensional: ambient dimension 3 is a
         # hypersurface, which the run lifts from R^3 into R^4
         # (``inequalities.hypersurface_lift``)
@@ -260,16 +254,30 @@ class ScenarioConfig:
         if self.eps_reg is not None and not self.eps_reg > 0:
             raise ConfigError(f"solver.eps_reg: value {self.eps_reg} is not "
                               "positive")
+        # model-space constants the run takes in floats: the sphere's
+        # volume; for a geodesic ball of radius r in R^d, the R^(d-1) of
+        # its volume and sinh(r / R)^m, which bounds the sinh powers of
+        # its volume and of its inequality constants
+        try:
+            if variant == geometry.SPHERE:
+                key, constant = "manifold.curvature", "the sphere's volume"
+                geometry.manifold_volume(M)
+            if self.domain_variant == inequalities.GEODESIC_BALL:
+                key, constant = "manifold.curvature", "R^(d-1)"
+                M.radius ** (self.ambient_dim - 1)
+                key, constant = "domain.r", "sinh(r / R)^m"
+                math.sinh(self.domain_params["r"] / M.radius) \
+                    ** (self.ambient_dim - 2)
+        except OverflowError as exc:
+            raise ConfigError(f"{key}: {constant} overflows at curvature "
+                              f"{self.curvature}") from exc
 
     def needs_transport(self) -> bool:
         return _transport_enabled(self.checks)
 
     def build_manifold(self) -> ModelManifold:
-        if self.manifold_variant == geometry.EUCLIDEAN:
-            return geometry.euclidean(self.ambient_dim)
-        if self.manifold_variant == geometry.SPHERE:
-            return geometry.sphere(self.ambient_dim, self.curvature)
-        return geometry.hyperbolic(self.ambient_dim, self.curvature)
+        return ModelManifold(self.manifold_variant, self.ambient_dim,
+                             self.curvature)
 
 
 def _transport_enabled(checks: dict) -> bool:
@@ -435,7 +443,7 @@ def _jacobi(ctx):
     order = np.lexsort((jj, ii, -mm))[:ctx.config.jacobi_atoms]
     ii, logs = ii[order], ctx.atom_logs[order]
     hn = mesh.mean_curvature_normal_components()
-    nf = mesh._metric_frames(mesh.normal_frames)
+    nf = geometry.lower_index(M, mesh.normal_frames)
     K = M.curvature
     stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
              "singular_atoms": 0, "flagged_atoms": 0,

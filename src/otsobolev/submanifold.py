@@ -87,14 +87,12 @@ def _axis_normals(N: int, m: int, d: int) -> np.ndarray:
 
 class _DiskChart(Chart):
     """Polar coordinates (r, theta) on the disk of ``radius`` in the
-    x1-x2 plane of Euclidean R^{2+codim}."""
+    x1-x2 plane of Euclidean R^d, of codimension d - 2."""
 
     def check(self, manifold: ModelManifold) -> None:
         if manifold.variant != geometry.EUCLIDEAN:
             raise UnsupportedChartError(
                 f"{type(self).__name__} requires a Euclidean ambient space")
-        if manifold.ambient_dim != 2 + self.codim:
-            raise UnsupportedChartError("ambient dimension must equal 2 + codim")
 
     def alpha_max(self, manifold: ModelManifold) -> float:
         return self.radius
@@ -114,14 +112,13 @@ class _DiskChart(Chart):
 
 @dataclass(frozen=True)
 class FlatDisk(_DiskChart):
-    """Flat 2-disk in the x1-x2 plane of Euclidean R^{2+codim}."""
+    """Flat 2-disk in the x1-x2 plane of Euclidean R^d."""
 
     radius: float
-    codim: int = 2
     name: ClassVar[str] = "flat_disk"
 
     def node_geometry(self, manifold, params) -> _NodeGeometry:
-        N, m, d = len(params), self.codim, manifold.embedding_dim
+        N, m, d = len(params), manifold.ambient_dim - 2, manifold.embedding_dim
         tangent = np.zeros((N, 2, d))
         tangent[:, 0, 0] = 1.0
         tangent[:, 1, 1] = 1.0
@@ -136,11 +133,10 @@ class FlatDisk(_DiskChart):
 
 @dataclass(frozen=True)
 class GraphOverDisk(_DiskChart):
-    """Graph {(u, h(u), 0, ...)} over a 2-disk in Euclidean R^{2+codim}."""
+    """Graph {(u, h(u), 0, ...)} over a 2-disk in Euclidean R^d."""
 
     radius: float
     height: str  # expression of u1, u2 in the safe field grammar
-    codim: int = 2
     name: ClassVar[str] = "graph_over_disk"
 
     @cached_property
@@ -155,7 +151,7 @@ class GraphOverDisk(_DiskChart):
 
     def node_geometry(self, manifold, params) -> _NodeGeometry:
         _, hgrad, hhess = self._height
-        N, m, d = len(params), self.codim, manifold.embedding_dim
+        N, m, d = len(params), manifold.ambient_dim - 2, manifold.embedding_dim
         u = _polar_stencil(1.0, params)
         g = hgrad(u)                      # (N, 2)
         gnorm2 = np.sum(g * g, axis=1)
@@ -198,20 +194,9 @@ class GraphOverDisk(_DiskChart):
         return np.sqrt(np.sum(tb * tb, axis=1) + dh * dh)
 
 
-class _SpaceForm(NamedTuple):
-    sin: Callable          # sin / sinh of the geodesic radius
-    cos: Callable          # cos / cosh
-    scalar_sin: Callable   # libm sin / sinh of the boundary radius
-    pole: int              # embedding axis of the pole
-    plane: tuple           # embedding axes of the circles around the pole
-    pole_sign: float       # sign of the pole component of d/d(alpha)
-
-
-_SPACE_FORMS = {
-    geometry.SPHERE: _SpaceForm(np.sin, np.cos, math.sin, 2, (0, 1), -1.0),
-    geometry.HYPERBOLIC: _SpaceForm(np.sinh, np.cosh, math.sinh, 0, (1, 2),
-                                    1.0),
-}
+# per curved variant: the embedding axis of a space-form chart's pole,
+# and the embedding axes of the circles around it
+_POLAR_AXES = {geometry.SPHERE: (2, (0, 1)), geometry.HYPERBOLIC: (0, (1, 2))}
 
 
 class _SpaceFormChart(Chart):
@@ -232,25 +217,27 @@ class _SpaceFormChart(Chart):
         return manifold.radius
 
     def embed(self, manifold: ModelManifold, params) -> np.ndarray:
-        sf = _SPACE_FORMS[manifold.variant]
-        R = manifold.radius
+        sf, R = manifold.space, manifold.radius
+        pole, plane = _POLAR_AXES[manifold.variant]
         p = np.asarray(params, dtype=float)
         out = np.zeros(p.shape[:-1] + (manifold.embedding_dim,))
-        out[..., sf.plane[0]] = R * sf.sin(p[..., 0]) * np.cos(p[..., 1])
-        out[..., sf.plane[1]] = R * sf.sin(p[..., 0]) * np.sin(p[..., 1])
-        out[..., sf.pole] = R * sf.cos(p[..., 0])
+        out[..., plane[0]] = R * sf.sin(p[..., 0]) * np.cos(p[..., 1])
+        out[..., plane[1]] = R * sf.sin(p[..., 0]) * np.sin(p[..., 1])
+        out[..., pole] = R * sf.cos(p[..., 0])
         return out
 
     def node_geometry(self, manifold, params) -> _NodeGeometry:
-        sf = _SPACE_FORMS[manifold.variant]
+        sf = manifold.space
+        pole, plane = _POLAR_AXES[manifold.variant]
         N, m, d = len(params), manifold.ambient_dim - 2, manifold.embedding_dim
         al, ph = params[:, 0], params[:, 1]
         tangent = np.zeros((N, 2, d))
-        tangent[:, 0, sf.plane[0]] = sf.cos(al) * np.cos(ph)
-        tangent[:, 0, sf.plane[1]] = sf.cos(al) * np.sin(ph)
-        tangent[:, 0, sf.pole] = sf.pole_sign * sf.sin(al)
-        tangent[:, 1, sf.plane[0]] = -np.sin(ph)
-        tangent[:, 1, sf.plane[1]] = np.cos(ph)
+        tangent[:, 0, plane[0]] = sf.cos(al) * np.cos(ph)
+        tangent[:, 0, plane[1]] = sf.cos(al) * np.sin(ph)
+        # d/d(alpha) of cos / cosh is -K/|K| times sin / sinh
+        tangent[:, 0, pole] = -sf.sign * sf.sin(al)
+        tangent[:, 1, plane[0]] = -np.sin(ph)
+        tangent[:, 1, plane[1]] = np.cos(ph)
         s2f = np.zeros((N, 2, 2))
         s2f[:, 0] = np.stack([np.cos(ph), np.sin(ph)], axis=1)
         s2f[:, 1] = (al / sf.sin(al))[:, None] * np.stack(
@@ -262,9 +249,8 @@ class _SpaceFormChart(Chart):
     def boundary_length(self, manifold, bparams) -> np.ndarray:
         # libm, not numpy: their sinh differ in the last bit at some radii,
         # and the boundary weights enter the reports
-        sf = _SPACE_FORMS[manifold.variant]
-        return np.full(len(bparams), manifold.radius * sf.scalar_sin(
-            self.alpha_max(manifold)))
+        return np.full(len(bparams), manifold.radius
+                       * manifold.space.scalar_sin(self.alpha_max(manifold)))
 
 
 @dataclass(frozen=True)
@@ -279,7 +265,7 @@ class GeodesicBallInSubsphere(_SpaceFormChart):
             raise UnsupportedChartError("GeodesicBallInSubsphere requires a sphere")
         if manifold.ambient_dim < 3:
             raise UnsupportedChartError("ambient sphere dimension must be >= 3")
-        if not 0 < self.radius < math.pi * manifold.radius:
+        if not 0 < self.radius < geometry.manifold_diameter(manifold):
             raise UnsupportedChartError("ball radius must lie in (0, pi R)")
 
 
@@ -360,16 +346,8 @@ class SubmanifoldMesh:
 
     def mean_curvature_normal_components(self) -> np.ndarray:
         """(N, m) components of H against the normal frame."""
-        return np.einsum("nad,nd->na", self._metric_frames(self.normal_frames),
-                         self.mean_curvature)
-
-    def _metric_frames(self, frames: np.ndarray) -> np.ndarray:
-        # frames are stored as embedded vectors; pairing uses the ambient metric
-        if self.manifold.variant != geometry.HYPERBOLIC:
-            return frames
-        g = frames.copy()
-        g[..., 0] = -g[..., 0]
-        return g
+        return np.einsum("nad,nd->na", geometry.lower_index(
+            self.manifold, self.normal_frames), self.mean_curvature)
 
 
 def build_submanifold(manifold: ModelManifold, chart_spec: Chart,
@@ -444,7 +422,7 @@ def intrinsic_gradient(mesh: SubmanifoldMesh, f: ScalarField) -> np.ndarray:
     return np.einsum("nab,nb->na", mesh.stencil_to_frame, g)
 
 
-def _lsq_gradient(mesh: SubmanifoldMesh, values: np.ndarray) -> np.ndarray:
+def lsq_gradient(mesh: SubmanifoldMesh, values: np.ndarray) -> np.ndarray:
     """Linear least-squares fit of d(values)/d(stencil coords) over the
     chart neighbors within 2 h, ridge 1e-12."""
     tree = mesh.tree()
@@ -576,7 +554,7 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     reach = float(geometry.distance(
         manifold, mesh.points[:, None, :],
         _refine_candidates(mesh, mesh.params)).max())
-    theta = min(eps + reach, math.pi * R)
+    theta = min(eps + reach, geometry.manifold_diameter(manifold))
     # widened because reach and the dense pass are arccos distances and
     # the tree compares float chords: 1e-6 relative plus 1e-9 absolute
     # is far above the rounding of either at distances of eps or more

@@ -76,7 +76,6 @@ class DiscreteCoupling:
     cost_matrix: np.ndarray
     cost: float
     phi: np.ndarray
-    psi: np.ndarray
     solver: str
     reg: Optional[float] = None
     duality_gap: float = 0.0
@@ -111,7 +110,7 @@ def cost_matrix(manifold: ModelManifold, source: DiscreteMeasure,
     ``geometry.CUT_TOLERANCE`` of the cut locus."""
     D = geometry.pairwise_distances(manifold, source.points, target.points)
     if manifold.variant == geometry.SPHERE:
-        bound = math.pi * manifold.radius - geometry.CUT_TOLERANCE
+        bound = geometry.manifold_diameter(manifold) - geometry.CUT_TOLERANCE
         if np.any(D >= bound):
             raise CutLocusError("source-target pair within cut tolerance "
                                 "of the antipode; resample the domain")
@@ -141,7 +140,7 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     gap = cost - float(phi @ mu.weights + psi @ nu.weights)
     ii, jj = np.nonzero(plan > 0)
     return DiscreteCoupling(mu, nu, ii, jj, plan[ii, jj], C, cost,
-                            phi, psi, solver="exact", duality_gap=gap)
+                            phi, solver="exact", duality_gap=gap)
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -248,7 +247,7 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     gap = cost - float(f @ mu.weights + g @ nu.weights)
     ii, jj = np.nonzero(plan > 1e-12 * mu.weights.min())
     return DiscreteCoupling(mu, nu, ii, jj, plan[ii, jj], C, cost,
-                            f, g, solver="entropic", reg=eps_reg,
+                            f, solver="entropic", reg=eps_reg,
                             duality_gap=gap, converged=converged)
 
 
@@ -301,7 +300,7 @@ def potential_gradient_on_sigma(mesh: SubmanifoldMesh,
     """Surface gradient of the Kantorovich potential, capped by the
     maximal transport distance (scalar or per-node array); returns
     (gradients, exceeded_flags)."""
-    g = submanifold._lsq_gradient(mesh, np.asarray(phi_values, float))
+    g = submanifold.lsq_gradient(mesh, np.asarray(phi_values, float))
     grad = np.einsum("nab,nb->na", mesh.stencil_to_frame, g)
     norms = np.linalg.norm(grad, axis=1)
     cap = np.broadcast_to(np.asarray(max_target_distance, float), norms.shape)
@@ -320,7 +319,7 @@ def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
     residual is |u^T + grad phi(x_i)| and should vanish in the continuum.
     Returns its median, p90 and max over the atoms, and the atom count.
     """
-    tf = mesh._metric_frames(mesh.tangent_frames)[nodes]
+    tf = geometry.lower_index(mesh.manifold, mesh.tangent_frames)[nodes]
     ut = np.einsum("kad,kd->ka", tf, logs)
     tau = np.linalg.norm(ut + grad_phi[nodes], axis=1)
     return {"median": float(np.median(tau)),

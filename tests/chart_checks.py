@@ -36,6 +36,7 @@ def mesh_frame_gram_residual(mesh) -> float:
     """Worst deviation of the combined tangent and normal frame Gram
     matrices of a ``submanifold.SubmanifoldMesh`` from the identity."""
     frames = np.concatenate([mesh.tangent_frames, mesh.normal_frames], axis=1)
-    g = np.einsum("nad,nbd->nab", mesh._metric_frames(frames), frames)
+    g = np.einsum("nad,nbd->nab", geometry.lower_index(mesh.manifold, frames),
+                  frames)
     eye = np.eye(mesh.n + mesh.m)
     return float(np.abs(g - eye).max())

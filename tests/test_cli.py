@@ -123,14 +123,17 @@ UNREAD_KEYS = [
      "solvr.method"),
     ("hyperbolic_disk_r2", "r = 2.0", "r = 2.0\nsigma = 0.5", "domain.sigma"),
     # keys with no effect on the run: eps_reg without the entropic
-    # solver, [jacobi] without the jacobi check, and lift, which a
-    # hypersurface (ambient_dim = 3) no longer needs
+    # solver, [jacobi] without the jacobi check, lift, which a
+    # hypersurface (ambient_dim = 3) no longer needs, and codim, which a
+    # disk chart takes from ambient_dim
     ("flat_disk_annulus", "method = exact", "method = exact\neps_reg = 0.01",
      "solver.eps_reg"),
     ("flat_disk_sharp", "[checks]", "[jacobi]\nsteps = 500\n\n[checks]",
      "jacobi.steps"),
     ("flat_disk_sharp", "ambient_dim = 4", "ambient_dim = 3\nlift = true",
      "manifold.lift"),
+    ("flat_disk_sharp", "radius = 1.0", "radius = 1.0\ncodim = 2",
+     "submanifold.codim"),
 ]
 
 
@@ -302,6 +305,13 @@ class TestRunCommand:
         ("flat_disk_sharp", "value = 1.0", "value = inf", "field"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = inf", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = inf", "domain.eps"),
+        # finite values whose model-space constants overflow: the
+        # geodesic ball's sinh(r / R)^m and R^(d-1), the sphere's volume
+        ("hyperbolic_disk_r2", "r = 2.0", "r = 1e308", "domain.r"),
+        ("hyperbolic_disk_r2", "curvature = -1.0", "curvature = -1e-300",
+         "manifold.curvature"),
+        ("sphere_ball_closed", "curvature = 1.0", "curvature = 1e-300",
+         "manifold.curvature"),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
@@ -525,13 +535,15 @@ class TestSweepCommand:
 
     @staticmethod
     def check_grid_point_exit_two(runner, tmp_path, cfg, named):
+        """The sweep loads its base config once, before the grid: a
+        fault there exits 2 naming the key, and no grid point runs."""
         res = runner.invoke(cli.main, [
             "sweep", cfg, "--grid", "submanifold.resolution=6",
             "--out", str(tmp_path / "rep")])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
-        assert "config error at resolution=6" in res.output
-        assert named in res.output
+        assert "config error: " in res.output and named in res.output
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("grid, named", [
         ("submanifold.radius=0.5", "unsupported sweep target"),

@@ -263,3 +263,119 @@ def test_property_exp_log_roundtrip(seed, variant):
     assert np.allclose(geometry.log_map(M, x, y), v, atol=1e-8)
     assert np.isclose(geometry.distance(M, x, y),
                       float(geometry.norm(M, v)), atol=1e-8)
+
+
+# The per-variant branch formulas of the curved maps, written out one
+# branch per variant: the oracle the shared curved branch of each map
+# must equal bit for bit.
+
+def branch_exp_map(M, x, v):
+    R = M.radius
+    if M.variant == geometry.SPHERE:
+        s = np.linalg.norm(v, axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
+        th = s / R
+        return np.cos(th) * x + R * np.sin(th) * unit
+    s = geometry.norm(M, v)[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(s > 0, v / np.where(s > 0, s, 1.0), 0.0)
+    th = s / R
+    return np.cosh(th) * x + R * np.sinh(th) * unit
+
+
+def branch_log_map(M, x, y):
+    R = M.radius
+    if M.variant == geometry.SPHERE:
+        c = np.clip(np.sum(x * y, axis=-1) / R**2, -1.0, 1.0)
+        th = np.arccos(c)
+        if np.any(th >= math.pi - geometry.CUT_TOLERANCE):
+            raise CutLocusError("pair within cut tolerance of the antipode")
+        u = y / R - c[..., None] * (x / R)
+        sin_th = np.sin(th)
+        fac = np.where(sin_th > 1e-12,
+                       th / np.where(sin_th > 0, sin_th, 1.0), 1.0)
+        return R * fac[..., None] * u
+    c = np.maximum(-geometry.metric_inner(M, x, y) / R**2, 1.0)
+    th = np.arccosh(c)
+    u = y / R - c[..., None] * (x / R)
+    sinh_th = np.sinh(th)
+    fac = np.where(sinh_th > 1e-12,
+                   th / np.where(sinh_th > 0, sinh_th, 1.0), 1.0)
+    return R * fac[..., None] * u
+
+
+def branch_distance(M, x, y):
+    R = M.radius
+    if M.variant == geometry.SPHERE:
+        return R * np.arccos(np.clip(np.sum(x * y, axis=-1) / R**2,
+                                     -1.0, 1.0))
+    return R * np.arccosh(np.maximum(-geometry.metric_inner(M, x, y) / R**2,
+                                     1.0))
+
+
+def branch_pairwise_distances(M, X, Y):
+    R = M.radius
+    if M.variant == geometry.SPHERE:
+        return R * np.arccos(np.clip((X @ Y.T) / R**2, -1.0, 1.0))
+    g = -np.outer(X[:, 0], Y[:, 0]) + X[:, 1:] @ Y[:, 1:].T
+    return R * np.arccosh(np.maximum(-g / R**2, 1.0))
+
+
+def branch_transport_along(M, x, v, w, t):
+    T = t.shape[0]
+    R = M.radius
+    shape = (T,) + (1,) * (w.ndim - 1) + (M.embedding_dim,)
+    if M.variant == geometry.SPHERE:
+        s = float(np.linalg.norm(v))
+        if s == 0.0:
+            return np.broadcast_to(w, (T,) + w.shape).copy()
+        u = v / s
+        a = np.sum(w * u, axis=-1)
+        perp = w - a[..., None] * u
+        th = (s * t / R)[:, None]
+        u_t = (-np.sin(th) * (x / R) + np.cos(th) * u).reshape(shape)
+        return a[None, ..., None] * u_t + perp[None, ...]
+    s = float(geometry.norm(M, v))
+    if s == 0.0:
+        return np.broadcast_to(w, (T,) + w.shape).copy()
+    u = v / s
+    a = geometry.metric_inner(M, w, np.broadcast_to(u, w.shape))
+    perp = w - a[..., None] * u
+    th = (s * t / R)[:, None]
+    u_t = (np.sinh(th) * (x / R) + np.cosh(th) * u).reshape(shape)
+    return a[None, ..., None] * u_t + perp[None, ...]
+
+
+CURVED = [make(d, sign * K) for make, sign in ((geometry.sphere, 1.0),
+                                                (geometry.hyperbolic, -1.0))
+          for K in (0.25, 1.0, 4.0) for d in (3, 4, 5)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("M", CURVED, ids=lambda M:
+                         f"{M.variant}{M.ambient_dim}_K{M.curvature}")
+def test_curved_maps_equal_branch_formulas_bitwise(M):
+    """exp, log, distance, pairwise distances and parallel transport on
+    random points, at speeds up to past the sphere's half circumference,
+    equal the per-variant formulas bit for bit."""
+    rng = np.random.default_rng(2209)
+    X = np.array([random_point(M, rng) for _ in range(60)])
+    Y = np.array([random_point(M, rng) for _ in range(60)])
+    V = np.array([random_tangent(M, x, rng, scale=rng.uniform(0.01, 2.0)
+                                 * M.radius) for x in X])
+    V[0] = 0.0
+    assert same_bits(geometry.exp_map(M, X, V), branch_exp_map(M, X, V))
+    assert same_bits(geometry.log_map(M, X, Y), branch_log_map(M, X, Y))
+    assert same_bits(geometry.distance(M, X, Y), branch_distance(M, X, Y))
+    assert same_bits(geometry.pairwise_distances(M, X, Y[:25]),
+                     branch_pairwise_distances(M, X, Y[:25]))
+    t = np.linspace(0.0, 1.0, 7)
+    for x, v, w in zip(X, V, np.roll(V, 1, axis=0)):
+        basis = np.stack([v, w, w - v])
+        for vectors in (v, basis):
+            assert same_bits(geometry.transport_along(M, x, v, vectors, t),
+                             branch_transport_along(M, x, v, vectors, t))

@@ -1,6 +1,7 @@
 """Every top-level import in ``src`` and ``tests`` is used in its module
-or re-exported through ``__all__``, and every definition in ``src`` is
-referenced from ``src`` or ``benchmarks``."""
+or re-exported through ``__all__``, every definition in ``src`` is
+referenced from ``src`` or ``benchmarks``, and ``src`` touches no
+``_private`` attribute of another object."""
 
 import ast
 from collections import Counter
@@ -134,3 +135,32 @@ def test_scan_flags_a_definition_nothing_references():
     spans = "SPANS = [('m', 'traced')]\n"
     assert dead_names({"m": source}, [spans]) == ["m.recursive",
                                                   "m.Box.unread"]
+
+
+def private_reads(source: str) -> list:
+    """(line, expression) of each access to a ``_private`` attribute of
+    anything other than ``self`` or ``cls``; dunders are not private."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) \
+                and node.attr.startswith("_") \
+                and not node.attr.endswith("__") \
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls")):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SRC, ids=[str(p.relative_to(ROOT))
+                                           for p in SRC])
+def test_src_reads_no_private_name_of_another_object(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_a_private_read():
+    source = ("class A:\n"
+              "    def f(self, mesh):\n"
+              "        self._tree = cls._x = type(self).__name__\n"
+              "        return mesh._frames(self._tree), submanifold._fit\n")
+    assert private_reads(source) == [(4, "mesh._frames"),
+                                     (4, "submanifold._fit")]

@@ -13,7 +13,7 @@ from otsobolev.fields import constant_field, field_from_expression
 def flat_disk_mesh(radius=1.0, resolution=10, codim=2):
     M = geometry.euclidean(2 + codim)
     mesh = submanifold.build_submanifold(
-        M, submanifold.FlatDisk(radius=radius, codim=codim), resolution)
+        M, submanifold.FlatDisk(radius=radius), resolution)
     return M, mesh
 
 

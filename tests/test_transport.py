@@ -81,7 +81,7 @@ def reference_solve_entropic(mu, nu, C, eps_reg, max_iter=20000,
     gap = cost - float(f @ mu.weights + g @ nu.weights)
     ii, jj = np.nonzero(plan > 1e-12 * mu.weights.min())
     return transport.DiscreteCoupling(mu, nu, ii, jj, plan[ii, jj], C, cost,
-                                      f, g, solver="entropic", reg=eps_reg,
+                                      f, solver="entropic", reg=eps_reg,
                                       duality_gap=gap, converged=converged)
 
 
@@ -144,7 +144,7 @@ class TestExactSolver:
         bad_cols = np.roll(cpl.cols, 1)
         worse = transport.DiscreteCoupling(
             mu, nu, cpl.rows, bad_cols, cpl.mass, C, cpl.cost,
-            cpl.phi, cpl.psi, solver="exact")
+            cpl.phi, solver="exact")
         assert not transport.certify_support(worse).passed
 
     def test_target_permutation_invariance(self):
@@ -229,7 +229,7 @@ class TestEntropicSolver:
         got = transport.solve_entropic(mu, nu, C, reg, max_iter=max_iter)
         ref = reference_solve_entropic(mu, nu, C, reg, max_iter=max_iter)
         assert ref.converged is converged
-        for name in ("rows", "cols", "mass", "phi", "psi", "cost",
+        for name in ("rows", "cols", "mass", "phi", "cost",
                      "duality_gap", "converged"):
             a, b = np.asarray(getattr(got, name)), np.asarray(getattr(ref, name))
             assert a.dtype == b.dtype and a.shape == b.shape, name
