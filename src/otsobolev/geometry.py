@@ -89,18 +89,6 @@ class ModelManifold:
         return 1.0 / math.sqrt(self.space.sign * self.curvature)
 
 
-def euclidean(dim: int) -> ModelManifold:
-    return ModelManifold(EUCLIDEAN, dim, 0.0)
-
-
-def sphere(dim: int, curvature: float = 1.0) -> ModelManifold:
-    return ModelManifold(SPHERE, dim, curvature)
-
-
-def hyperbolic(dim: int, curvature: float = -1.0) -> ModelManifold:
-    return ModelManifold(HYPERBOLIC, dim, curvature)
-
-
 # ---------------------------------------------------------------------------
 # metric
 

@@ -24,6 +24,7 @@ from .fields import ScalarField
 from .geometry import ModelManifold
 from .submanifold import SubmanifoldMesh
 
+# an inequality holds when LHS / RHS <= 1 + REPORT_TOL
 REPORT_TOL = 0.02
 
 ANNULUS = "annulus_around_sigma"
@@ -145,7 +146,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                                       n_samples, seed)
             return TargetDomain(variant, dom.points, dom.volume, 0.0,
                                 "analytic")
-        tube = submanifold.tubular_volume(
+        tube, tube_se = submanifold.tubular_volume(
             manifold, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
         engine = _lattice(manifold.embedding_dim, s_pts)
         cut_bound = geometry.manifold_diameter(manifold) \
@@ -159,9 +160,10 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
             raise EmptyDomainError(
                 f"complement of the {eps}-tube admits too few samples")
         pts = np.array(accepted[:n_samples])
-        return TargetDomain(variant, pts, tube.complement_volume,
-                            tube.standard_error, "monte_carlo",
-                            meta={"tube_volume": tube.tube_volume})
+        return TargetDomain(variant, pts,
+                            geometry.manifold_volume(manifold) - tube,
+                            tube_se, "monte_carlo",
+                            meta={"tube_volume": tube})
     if variant == ANNULUS:
         sigma, r = float(params["sigma"]), float(params["r"])
         if not 0.0 < sigma < 1.0:
@@ -260,27 +262,6 @@ def inequality_terms(manifold: ModelManifold, mesh: SubmanifoldMesh,
     }
 
 
-@dataclass
-class InequalityReport:
-    variant: str
-    lhs: float
-    rhs: float
-    terms: dict
-    constants: dict
-    volume: Optional[float]
-    volume_stderr: float
-    volume_provenance: str
-    report_tol: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio <= 1.0 + self.report_tol
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise HypothesisViolationError(msg)
@@ -314,13 +295,14 @@ def annulus_fiber_envelope(manifold: ModelManifold, mesh: SubmanifoldMesh,
 
 def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         f: ScalarField, variant: str, params: dict,
-                        domain: Optional[TargetDomain] = None
-                        ) -> InequalityReport:
+                        domain: Optional[TargetDomain] = None) -> dict:
     """Assemble LHS and RHS of one inequality variant with exact constants.
 
     The curvature bounds k1 (tangential) and k2 (normal) of the positive
     and negative variants are the manifold's curvature K: on a model
-    space both are sharp.  The verdict allows the ratio 1 + REPORT_TOL.
+    space both are sharp.  Returns the report record: the variant, both
+    sides and their ratio, the terms and constants, and the volume of
+    the target domain with its standard error and provenance.
     """
     if variant not in INEQUALITY_SCOPE:
         raise ValueError(f"unknown inequality variant {variant!r}")
@@ -333,7 +315,8 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
     fp = terms["int_f_power"] ** ((n - 1) / n)
     K = manifold.curvature
     _require(m >= 2 or variant == NEGATIVE_LOCAL,
-             "codimension m >= 2 required; lift hypersurfaces first")
+             "codimension m >= 2 required; build a hypersurface of R^3 "
+             "in R^4")
     vol = None
     vol_se = 0.0
     vol_src = "analytic"
@@ -411,43 +394,10 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
         constants = {"r": r, "k1": k1, "k2": k2,
                      "cosh_factor": math.cosh(r * s1),
                      "sinh_factor": math.sinh(r * s1) / (n * s1)}
-    return InequalityReport(variant, float(lhs), float(rhs), terms, constants,
-                            vol, vol_se, vol_src, REPORT_TOL)
-
-
-# ---------------------------------------------------------------------------
-# hypersurface lift
-
-
-def hypersurface_lift(manifold: ModelManifold, mesh: SubmanifoldMesh):
-    """Raise codimension 1 to 2: a hypersurface of R^d becomes a
-    surface of R^{d+1} = R^d x R, its new normal along the last axis."""
-    if mesh.m != 1:
-        raise ValueError("lift applies to codimension-1 meshes only")
-    if manifold.variant != geometry.EUCLIDEAN:
-        raise UnsupportedVariantError(
-            f"only hypersurfaces of euclidean lift, not of {manifold.variant}")
-    N, d = mesh.points.shape
-    lifted = geometry.euclidean(d + 1)
-
-    def pad_pts(a):
-        return np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
-
-    tangent = pad_pts(mesh.tangent_frames)
-    normal = np.concatenate([pad_pts(mesh.normal_frames),
-                             np.zeros((N, 1, d + 1))], axis=1)
-    normal[:, -1, -1] = 1.0
-    sff = np.concatenate([mesh.sff, np.zeros((N, 1, mesh.n, mesh.n))], axis=1)
-    embed = mesh.embed
-    out = SubmanifoldMesh(
-        lifted, mesh.n, mesh.m + 1, mesh.chart,
-        mesh.params.copy(), mesh.stencil_coords.copy(), pad_pts(mesh.points),
-        mesh.weights.copy(), tangent, normal, mesh.stencil_to_frame.copy(),
-        sff, pad_pts(mesh.mean_curvature),
-        mesh.boundary_weights.copy(), mesh.boundary_params.copy(),
-        h=mesh.h, embed=lambda p: pad_pts(embed(p)),
-        param_cell=mesh.param_cell)
-    return lifted, out
+    lhs, rhs = float(lhs), float(rhs)
+    return {"variant": variant, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+            "terms": terms, "constants": constants, "volume": vol,
+            "volume_stderr": vol_se, "volume_provenance": vol_src}
 
 
 # ---------------------------------------------------------------------------

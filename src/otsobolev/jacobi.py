@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -180,7 +179,7 @@ def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
 
 def propagate_atoms(manifold: ModelManifold, frames: list,
                     P0: np.ndarray, P0p: np.ndarray, delta_phi, h_dot_v,
-                    steps: int = 1000, n: Optional[int] = None) -> list:
+                    steps: int = 1000) -> list:
     """``propagate`` for a stack of atoms, integrated together.
 
     ``P0``/``P0p`` are (A, d, d), with one frame and one value of
@@ -206,17 +205,17 @@ def propagate_atoms(manifold: ModelManifold, frames: list,
         if singular[a]:
             out.append(None)
             continue
-        na = frame.n_tangent if n is None else n
+        n = frame.n_tangent
         out.append(JacobiTrajectory(
-            times, P[a], Pp[a], na, S.shape[1] - na, delta_phi[a],
+            times, P[a], Pp[a], n, S.shape[1] - n, delta_phi[a],
             h_dot_v[a], S[a], det_p[a], Q[a], ok[a]))
     return out
 
 
 def propagate(manifold: ModelManifold, frame: ParallelFrame,
               P0: np.ndarray, P0p: np.ndarray, steps: int = 1000,
-              delta_phi: float = 0.0, h_dot_v: float = 0.0,
-              n: Optional[int] = None) -> JacobiTrajectory:
+              delta_phi: float = 0.0,
+              h_dot_v: float = 0.0) -> JacobiTrajectory:
     """Classical 4th-order one-step integration of P'' = -PS on [0, 1].
 
     S is evaluated once in the parallel frame, where it is constant for
@@ -224,7 +223,7 @@ def propagate(manifold: ModelManifold, frame: ParallelFrame,
     """
     (traj,) = propagate_atoms(manifold, [frame], np.asarray(P0)[None],
                               np.asarray(P0p)[None], [delta_phi], [h_dot_v],
-                              steps, n)
+                              steps)
     if traj is None:
         raise SingularPError("det P changes sign or P is not finite "
                              "before t = 1 (conjugate-point degeneracy)")
@@ -448,33 +447,13 @@ class ComparisonProfile:
         return (np.cosh(g1) / math.cosh(self.A)) ** n * t**m * radial
 
 
-def comparison_profiles(case: str, delta_phi: float, h_dot_v: float,
-                        n: int, m: int, *, k1: float = 0.0, k2: float = 0.0,
-                        eps: float = 0.0, r: float = 0.0) -> ComparisonProfile:
-    """Build the closed-form envelope bundle for one curvature case."""
-    return ComparisonProfile(case, n, m, delta_phi + h_dot_v,
-                             k1=k1, k2=k2, eps=eps, r=r)
-
-
-@dataclass
-class TraceComparisonReport:
-    worst_trq1_excess: float
-    worst_trq3_excess: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.worst_trq1_excess <= self.tol
-                and self.worst_trq3_excess <= self.tol)
-
-
-def trace_comparison_check(traj: JacobiTrajectory, profile: ComparisonProfile
-                           ) -> TraceComparisonReport:
-    """Pointwise trQ1/trQ3 envelope check on the trimmed window, at
-    tolerance 1e-6 m / t0 (report-only)."""
+def trace_comparison_check(traj: JacobiTrajectory,
+                           profile: ComparisonProfile) -> tuple[float, float]:
+    """Pointwise trQ1/trQ3 envelope comparison on the trimmed window:
+    returns the worst excess of trQ1 over its envelope and of trQ3 over
+    its envelope, which the Jacobi check records without gating."""
     ok = traj.window
     t = traj.times[ok]
-    tol = 1e-6 * traj.m / traj.t0
     e1 = traj.trq1[ok] - profile.trq1_bound(t)
     e3 = traj.trq3[ok] - profile.trq3_bound(t)
-    return TraceComparisonReport(float(e1.max()), float(e3.max()), float(tol))
+    return float(e1.max()), float(e3.max())

@@ -477,18 +477,6 @@ def lsq_hessian(mesh: SubmanifoldMesh, values: np.ndarray,
 # tubular neighborhood volume (Monte Carlo)
 
 
-@dataclass
-class TubularVolumeResult:
-    tube_volume: float
-    standard_error: float
-    ambient_volume: float
-    samples: int
-
-    @property
-    def complement_volume(self) -> float:
-        return self.ambient_volume - self.tube_volume
-
-
 def _refine_candidates(mesh: SubmanifoldMesh, params: np.ndarray) -> np.ndarray:
     """(P, K, d) embedded points of the REFINE_GRID x REFINE_GRID
     micro-grid in the chart cell around each of the (P, 2) ``params``,
@@ -532,8 +520,9 @@ def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator):
 
 
 def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
-                   seed: int, n_samples: int = 20000) -> TubularVolumeResult:
-    """Monte Carlo estimate of vol(N_eps), reproducible for a fixed seed.
+                   seed: int, n_samples: int = 20000) -> tuple[float, float]:
+    """Monte Carlo estimate of vol(N_eps) and its standard error,
+    reproducible for a fixed seed.
 
     A sample is inside when ``distance_to_mesh`` puts it within ``eps``.
     Only the band of samples that may be inside goes to that dense
@@ -570,4 +559,4 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     p = inside.mean()
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)
-    return TubularVolumeResult(est, se, vol_ambient, n_samples)
+    return est, se

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -128,7 +128,8 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     cols = sparse.kron(np.ones((1, ns)), sparse.eye(nt))
     A = sparse.vstack([rows, cols]).tocsc()
     b = np.concatenate([mu.weights, nu.weights])
-    # HiGHS's default dual tolerance, 1e-7, fails certify_support's 1e-8
+    # HiGHS's default dual tolerance, 1e-7, fails the certification's
+    # 1e-8 (pipeline._certification)
     res = linprog(C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                   options={"dual_feasibility_tolerance": 1e-9})
     if res.status != 0:
@@ -265,24 +266,17 @@ def c_transform(values: np.ndarray, C: np.ndarray, direction: str) -> np.ndarray
     raise ValueError(f"unknown direction {direction!r}")
 
 
-@dataclass
-class CertificationReport:
-    worst_violation: float
+class Certificate(NamedTuple):
+    worst_violation: float  # max |phi_i + psi_j - c_ij| over the atoms
     atom_count: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_violation <= self.tol
 
 
-def certify_support(coupling: DiscreteCoupling,
-                    tol: float = 1e-8) -> CertificationReport:
-    """Enforce c-concavity of the dual and verify the plan support.
+def certify_support(coupling: DiscreteCoupling) -> Certificate:
+    """Enforce c-concavity of the dual and measure the plan support.
 
     phi is replaced by its double c-transform; every atom above the floor
-    must then satisfy phi_i + psi_j = c_ij up to ``tol``; the report's
-    ``passed`` says whether they do.  Nothing raises.
+    should then satisfy phi_i + psi_j = c_ij.  Returns the worst
+    violation of that identity over the atoms and the atom count.
     """
     C = coupling.cost_matrix
     psi = c_transform(coupling.phi, C, "from_source")
@@ -291,7 +285,7 @@ def certify_support(coupling: DiscreteCoupling,
     ii, jj, _ = coupling.atoms()
     viol = C[ii, jj] - phi[ii] - psi[jj]
     worst = float(np.abs(viol).max()) if len(viol) else 0.0
-    return CertificationReport(worst, len(viol), tol)
+    return Certificate(worst, len(viol))
 
 
 def potential_gradient_on_sigma(mesh: SubmanifoldMesh,
@@ -328,38 +322,24 @@ def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
             "atom_count": int(len(tau))}
 
 
-@dataclass
-class FiberMassReport:
-    marginal_residual: np.ndarray   # (N,) |row mass - mu_i|
-    envelope_ok: bool
-
-
 def fiber_mass_residual(coupling: DiscreteCoupling, domain_volume: float,
-                        envelope: np.ndarray) -> FiberMassReport:
+                        envelope: np.ndarray) -> tuple[float, bool]:
     """Discrete surrogate of the change-of-variable identity.
 
     The transported mass per node must match mu_i (marginal identity),
     and the fiber-volume proxy row_mass * vol(Omega) must stay below the
-    per-node Jacobian-bound ``envelope``, with 5 % slack.
+    per-node Jacobian-bound ``envelope``, with 5 % slack.  Returns the
+    worst |row mass - mu_i| and whether every node keeps the envelope.
     """
     row = coupling.row_masses()
     proxy = row * domain_volume
     ok = bool(np.all(proxy <= envelope * 1.05))
-    return FiberMassReport(np.abs(row - coupling.source.weights), ok)
-
-
-@dataclass
-class SemiconcavityReport:
-    worst_margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_margin >= 0.0
+    return float(np.abs(row - coupling.source.weights).max()), ok
 
 
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         hess: np.ndarray, atoms,
-                        atom_distances: np.ndarray) -> SemiconcavityReport:
+                        atom_distances: np.ndarray) -> float:
     """Hessian-type upper bound on the potential along frame directions;
     ``hess`` is the fitted Hessian of the potential
     (``submanifold.lsq_hessian``), ``atoms`` the plan's atoms
@@ -368,7 +348,8 @@ def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
     The bound is (1/2)[4 b(d sqrt(-k)/2) + 2 d |II(e_i,e_i)|] + 0.5 with
     b(s) = s coth(s) (b = 1 in the k >= 0 limit), d the distance to the
     node's assigned target, and k the curvature lower bound of the model.
-    Report-only: negative margins flag the scenario, nothing raises.
+    Returns the worst margin, bound minus second difference, over the
+    nodes and frame directions; nothing raises.
     """
     second_diff = np.einsum("naa->na", hess)
     # heaviest atom per node (the first of equals) picks the assigned target
@@ -388,4 +369,4 @@ def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
     ii_norm = np.linalg.norm(np.einsum("nmii->nim", mesh.sff), axis=2)
     bounds = 0.5 * (4.0 * bval[:, None] + 2.0 * d[:, None] * ii_norm) + 0.5
     margins = bounds - second_diff
-    return SemiconcavityReport(float(margins.min()))
+    return float(margins.min())

@@ -1,8 +1,18 @@
-"""Chart and frame checks shared by the geometry and submanifold tests."""
+"""Chart and frame checks shared by the geometry and submanifold tests,
+and the model-space constructor the tests share."""
 
 import numpy as np
 
 from otsobolev import geometry
+
+
+def model_space(variant: str, dim: int,
+                curvature: float = None) -> geometry.ModelManifold:
+    """The model space ``variant`` of dimension ``dim``; the curvature
+    defaults to the variant's sign of K (0, 1 or -1)."""
+    if curvature is None:
+        curvature = geometry.SPACE_FORMS[variant].sign
+    return geometry.ModelManifold(variant, dim, curvature)
 
 
 def check_point(M: geometry.ModelManifold, x: np.ndarray,

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from otsobolev import cli, geometry, inequalities, submanifold, transport
-from otsobolev.pipeline import ScenarioConfig
+from otsobolev.pipeline import ScenarioConfig, run_scenario
 
 TINY_CFG = """\
 [scenario]
@@ -169,6 +169,25 @@ class TestRunCommand:
                                        "--out", str(tmp_path / "rep")])
         assert res.exit_code == 0, res.output
         assert "ratio = 1.000000" in res.output
+
+    @pytest.mark.parametrize("chart", [
+        "chart = flat_disk",
+        # a graph whose mean-curvature trace is negative
+        "chart = graph_over_disk\nheight = -(u1**2 + 2 * u2**2) / 3 + u1 / 5",
+    ], ids=["flat_disk", "graph_over_disk"])
+    def test_hypersurface_records_equal_the_r4_twin(self, tmp_path, chart):
+        """ambient_dim = 3 builds its surface in R^4: every record but the
+        config echo equals that of the ambient_dim = 4 twin."""
+        records = []
+        for dim in (3, 4):
+            cfg = tmp_path / f"twin{dim}.cfg"
+            cfg.write_text(TINY_CFG.replace("chart = flat_disk", chart)
+                           .replace("ambient_dim = 4", f"ambient_dim = {dim}"))
+            report = run_scenario(ScenarioConfig.load(cfg))
+            records.append([json.dumps(r, sort_keys=True)
+                            for r in report.records()])
+        assert records[0][0] != records[1][0]
+        assert records[0][1:] == records[1][1:]
 
     def test_jsonl_structure(self, runner, tiny_cfg, tmp_path):
         out = tmp_path / "rep"
@@ -348,7 +367,8 @@ class TestRunCommand:
         other checks still run and the run exits 1."""
         certify = transport.certify_support
         monkeypatch.setattr(transport, "certify_support",
-                            lambda cpl, tol: certify(cpl, tol=-1.0))
+                            lambda cpl: certify(cpl)._replace(
+                                worst_violation=1.0))
         out = tmp_path / "rep"
         res = runner.invoke(cli.main, ["run", small_annulus(tmp_path),
                                        "--out", str(out)])

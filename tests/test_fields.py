@@ -13,10 +13,12 @@ from otsobolev.fields import (
     parse_expression,
 )
 
+from chart_checks import model_space
+
 
 @pytest.fixture(scope="module")
 def mesh():
-    M = geometry.euclidean(4)
+    M = model_space(geometry.EUCLIDEAN, 4)
     return submanifold.build_submanifold(M, submanifold.FlatDisk(radius=1.0), 10)
 
 

@@ -14,7 +14,8 @@ from otsobolev.errors import (
     UnsupportedVariantError,
 )
 
-from chart_checks import check_point, parallel_frame_gram_residual
+from chart_checks import (check_point, model_space,
+                          parallel_frame_gram_residual)
 
 RNG = np.random.default_rng(7)
 
@@ -43,11 +44,11 @@ def random_tangent(M, x, rng, scale=1.0):
 
 
 MODELS = [
-    geometry.euclidean(4),
-    geometry.sphere(3, 1.0),
-    geometry.sphere(3, 4.0),
-    geometry.hyperbolic(3, -1.0),
-    geometry.hyperbolic(4, -0.25),
+    model_space(geometry.EUCLIDEAN, 4),
+    model_space(geometry.SPHERE, 3, 1.0),
+    model_space(geometry.SPHERE, 3, 4.0),
+    model_space(geometry.HYPERBOLIC, 3, -1.0),
+    model_space(geometry.HYPERBOLIC, 4, -0.25),
 ]
 
 
@@ -98,7 +99,7 @@ class TestExpLog:
 
 
 def test_sphere_log_raises_near_antipode():
-    M = geometry.sphere(3, 1.0)
+    M = model_space(geometry.SPHERE, 3, 1.0)
     x = np.array([1.0, 0.0, 0.0, 0.0])
     y = -x
     with pytest.raises(CutLocusError):
@@ -106,7 +107,7 @@ def test_sphere_log_raises_near_antipode():
 
 
 def test_sphere_geodesic_is_great_circle():
-    M = geometry.sphere(2, 1.0)
+    M = model_space(geometry.SPHERE, 2, 1.0)
     x = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, math.pi / 2, 0.0])
     y = geometry.exp_map(M, x, v)
@@ -114,7 +115,7 @@ def test_sphere_geodesic_is_great_circle():
 
 
 def test_hyperbolic_distance_additive_along_geodesic():
-    M = geometry.hyperbolic(2, -1.0)
+    M = model_space(geometry.HYPERBOLIC, 2, -1.0)
     x = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 0.0])
     a = geometry.exp_map(M, x, 0.7 * v)
@@ -153,7 +154,7 @@ def test_parallel_frame_gram_and_isometry(M):
 
 
 def test_non_orthonormal_frame_rejected():
-    M = geometry.euclidean(3)
+    M = model_space(geometry.EUCLIDEAN, 3)
     x = np.zeros(3)
     v = np.array([1.0, 0.0, 0.0])
     bad = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
@@ -162,9 +163,9 @@ def test_non_orthonormal_frame_rejected():
 
 
 @pytest.mark.parametrize("M,expected", [
-    (geometry.euclidean(4), 0.0),
-    (geometry.sphere(3, 2.0), 2.0),
-    (geometry.hyperbolic(3, -0.5), -0.5),
+    (model_space(geometry.EUCLIDEAN, 4), 0.0),
+    (model_space(geometry.SPHERE, 3, 2.0), 2.0),
+    (model_space(geometry.HYPERBOLIC, 3, -0.5), -0.5),
 ])
 def test_sectional_curvature_from_form(M, expected):
     rng = np.random.default_rng(31)
@@ -188,7 +189,7 @@ def test_unknown_variant_rejected_at_construction(variant):
 
 def test_curvature_matrix_structure():
     """S = K (s^2 I - w w^T) in a parallel frame, constant in t."""
-    M = geometry.sphere(3, 2.0)
+    M = model_space(geometry.SPHERE, 3, 2.0)
     rng = np.random.default_rng(41)
     x = random_point(M, rng)
     v = random_tangent(M, x, rng, scale=0.4)
@@ -217,13 +218,13 @@ def test_curvature_matrix_structure():
 
 def test_intermediate_ricci_model_values():
     # sphere: Ric_p(P, w) = K * p for unit w orthogonal to the p-plane
-    M = geometry.sphere(3, 2.0)
+    M = model_space(geometry.SPHERE, 3, 2.0)
     x = np.array([M.radius, 0.0, 0.0, 0.0])
     plane = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     w = np.array([0.0, 0.0, 0.0, 1.0])
     assert np.isclose(geometry.intermediate_ricci(M, x, plane, w), 4.0,
                       atol=1e-12)
-    H = geometry.hyperbolic(3, -1.0)
+    H = model_space(geometry.HYPERBOLIC, 3, -1.0)
     xh = np.array([1.0, 0.0, 0.0, 0.0])
     ph = np.array([[0.0, 1.0, 0.0, 0.0]])
     wh = np.array([0.0, 0.0, 1.0, 0.0])
@@ -239,24 +240,22 @@ def test_reference_constants():
     assert np.isclose(geometry.ball_volume(4), math.pi**2 / 2.0)
     assert np.isclose(geometry.sphere_area(2), 4.0 * math.pi)
     assert np.isclose(geometry.sphere_area(3), 2.0 * math.pi**2)
-    S = geometry.sphere(3, 4.0)  # radius 1/2
+    S = model_space(geometry.SPHERE, 3, 4.0)  # radius 1/2
     assert np.isclose(geometry.manifold_volume(S), 2.0 * math.pi**2 / 8.0)
     assert np.isclose(geometry.manifold_diameter(S), math.pi / 2.0)
-    assert geometry.asymptotic_volume_ratio(geometry.euclidean(4)) == 1.0
+    assert geometry.asymptotic_volume_ratio(
+        model_space(geometry.EUCLIDEAN, 4)) == 1.0
     with pytest.raises(UnsupportedVariantError):
-        geometry.manifold_volume(geometry.euclidean(3))
+        geometry.manifold_volume(model_space(geometry.EUCLIDEAN, 3))
     with pytest.raises(UnsupportedVariantError):
-        geometry.asymptotic_volume_ratio(geometry.sphere(3, 1.0))
+        geometry.asymptotic_volume_ratio(model_space(geometry.SPHERE, 3, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["euclidean", "sphere",
-                                                   "hyperbolic"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(geometry.VARIANTS))
 def test_property_exp_log_roundtrip(seed, variant):
     rng = np.random.default_rng(seed)
-    M = {"euclidean": geometry.euclidean(3),
-         "sphere": geometry.sphere(3, 1.0),
-         "hyperbolic": geometry.hyperbolic(3, -1.0)}[variant]
+    M = model_space(variant, 3)  # K = 0, 1 or -1
     x = random_point(M, rng)
     v = random_tangent(M, x, rng, scale=0.3)
     y = geometry.exp_map(M, x, v)
@@ -347,8 +346,9 @@ def branch_transport_along(M, x, v, w, t):
     return a[None, ..., None] * u_t + perp[None, ...]
 
 
-CURVED = [make(d, sign * K) for make, sign in ((geometry.sphere, 1.0),
-                                                (geometry.hyperbolic, -1.0))
+CURVED = [model_space(variant, d, sign * K)
+          for variant, sign in ((geometry.SPHERE, 1.0),
+                                (geometry.HYPERBOLIC, -1.0))
           for K in (0.25, 1.0, 4.0) for d in (3, 4, 5)]
 
 

@@ -17,9 +17,11 @@ from otsobolev.errors import (
 )
 from otsobolev.fields import constant_field
 
+from chart_checks import model_space
+
 
 def sphere_frame(K=1.0, speed=0.5):
-    M = geometry.sphere(3, K)
+    M = model_space(geometry.SPHERE, 3, K)
     R = M.radius
     x = np.array([R, 0.0, 0.0, 0.0])
     v = np.array([0.0, speed, 0.0, 0.0])
@@ -29,7 +31,7 @@ def sphere_frame(K=1.0, speed=0.5):
 
 
 def hyperbolic_frame(K=-1.0, speed=0.5):
-    M = geometry.hyperbolic(3, K)
+    M = model_space(geometry.HYPERBOLIC, 3, K)
     R = M.radius
     x = np.array([R, 0.0, 0.0, 0.0])
     v = np.array([0.0, speed, 0.0, 0.0])
@@ -39,7 +41,7 @@ def hyperbolic_frame(K=-1.0, speed=0.5):
 
 
 def euclidean_frame(dim=4, speed=0.5):
-    M = geometry.euclidean(dim)
+    M = model_space(geometry.EUCLIDEAN, dim)
     x = np.zeros(dim)
     v = np.zeros(dim)
     v[0] = speed
@@ -169,7 +171,7 @@ class TestStructuralChecks:
         M, frame = hyperbolic_frame(K=-1.0, speed=s)
         P0 = np.diag([1.0, 1.0, 0.0])
         P0p = np.diag([0.0, 0.0, 1.0])
-        traj = jacobi.propagate(M, frame, P0, P0p, steps=600, n=2)
+        traj = jacobi.propagate(M, frame, P0, P0p, steps=600)
         t, prof, mono, worst = jacobi.monotonicity_profile(traj)
         assert not mono
         assert prof[-1] > prof[0]
@@ -189,7 +191,7 @@ class TestStructuralChecks:
             jacobi.propagate(M, frame, P0, P0p)
 
     def test_non_symmetric_hessian_rejected(self):
-        M = geometry.euclidean(4)
+        M = model_space(geometry.EUCLIDEAN, 4)
         mesh = submanifold.build_submanifold(
             M, submanifold.FlatDisk(radius=1.0), 8)
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
@@ -222,9 +224,9 @@ class TestFiniteDifferences:
 class TestComparisonProfiles:
     def test_positive_case_limits_to_nonneg(self):
         lam = -0.8
-        non = jacobi.comparison_profiles("nonneg", lam, 0.0, 2, 2)
-        pos = jacobi.comparison_profiles("positive", lam, 0.0, 2, 2,
-                                         k1=1e-8, k2=1e-8, eps=1.0)
+        non = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
+        pos = jacobi.ComparisonProfile("positive", 2, 2, lam,
+                                       k1=1e-8, k2=1e-8, eps=1.0)
         t = np.linspace(0.05, 1.0, 40)
         assert np.allclose(pos.trq1_bound(t), non.trq1_bound(t), atol=1e-6)
         assert np.allclose(pos.trq3_bound(t), non.trq3_bound(t), rtol=1e-6)
@@ -234,9 +236,9 @@ class TestComparisonProfiles:
     def test_negative_case_limits_to_nonneg(self):
         # lam = 0 keeps the artanh argument inside (-1, 1) as k -> 0
         lam = 0.0
-        non = jacobi.comparison_profiles("nonneg", lam, 0.0, 2, 2)
-        neg = jacobi.comparison_profiles("negative", lam, 0.0, 2, 2,
-                                         k1=-1e-8, k2=-1e-8, r=1.0)
+        non = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
+        neg = jacobi.ComparisonProfile("negative", 2, 2, lam,
+                                       k1=-1e-8, k2=-1e-8, r=1.0)
         t = np.linspace(0.05, 1.0, 40)
         assert np.allclose(neg.trq1_bound(t), non.trq1_bound(t), atol=1e-6)
         assert np.allclose(neg.det_envelope(t), non.det_envelope(t),
@@ -262,15 +264,15 @@ class TestComparisonProfiles:
         ("negative", dict(k1=-1.0, k2=-1.0, r=0.7)),
     ])
     def test_endpoint_equals_envelope_at_one(self, case, kw):
-        prof = jacobi.comparison_profiles(case, -0.5, 0.0, 2, 2, **kw)
+        prof = jacobi.ComparisonProfile(case, 2, 2, -0.5, **kw)
         assert np.isclose(self.endpoint_formula(prof),
                           float(prof.det_envelope(np.array([1.0]))[0]),
                           atol=1e-12)
 
     def test_negative_case_domain_guard(self):
         with pytest.raises(ArgOutOfDomainError):
-            jacobi.comparison_profiles("negative", -5.0, 0.0, 2, 2,
-                                       k1=-1.0, k2=-1.0, r=0.5)
+            jacobi.ComparisonProfile("negative", 2, 2, -5.0,
+                                     k1=-1.0, k2=-1.0, r=0.5)
 
     def test_trace_comparison_on_model_trajectory(self):
         """Flat block trajectory sits under the nonneg envelopes."""
@@ -280,12 +282,11 @@ class TestComparisonProfiles:
         lam = -(0.4 + 0.2)
         traj = jacobi.propagate(M, frame, P0, P0p, steps=600,
                                 delta_phi=lam)
-        prof = jacobi.comparison_profiles("nonneg", lam, 0.0, 2, 2)
-        rep = jacobi.trace_comparison_check(traj, prof)
-        assert rep.passed
+        prof = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
+        trq1_excess, trq3_excess = jacobi.trace_comparison_check(traj, prof)
+        tol = 1e-6 * traj.m / traj.t0
+        assert trq1_excess <= tol and trq3_excess <= tol
         assert jacobi.riccati_residual(traj) <= 1e-6
-        assert rep.worst_trq1_excess <= rep.tol
-        assert rep.worst_trq3_excess <= rep.tol
 
 
 def rk4_reference(S, P0, P0p, steps):
@@ -514,7 +515,7 @@ class TestBatchedKernel:
 def annulus_transport():
     """Exact transport from a small flat disk to its annulus: the inputs
     of the pipeline's Jacobi stage."""
-    M = geometry.euclidean(4)
+    M = model_space(geometry.EUCLIDEAN, 4)
     mesh = submanifold.build_submanifold(
         M, submanifold.FlatDisk(radius=1.0), 6)
     params = dict(sigma=0.6, r=6.0)
@@ -524,7 +525,7 @@ def annulus_transport():
     nu = transport.target_measure(dom.points)
     C = transport.cost_matrix(M, mu, nu)
     cpl = transport.solve_exact(mu, nu, C)
-    assert transport.certify_support(cpl).passed
+    assert transport.certify_support(cpl).worst_violation <= 1e-8
     grad, _ = transport.potential_gradient_on_sigma(
         mesh, cpl.phi_cc, max_target_distance=float(np.sqrt(2.0 * C.max())))
     hess = submanifold.lsq_hessian(mesh, cpl.phi_cc)
@@ -614,7 +615,7 @@ class TestChunkedStage:
         def vanishing(*args, **kwargs):
             raise DenominatorVanishesError("envelope blows up")
 
-        monkeypatch.setattr(jacobi, "comparison_profiles", vanishing)
+        monkeypatch.setattr(jacobi, "ComparisonProfile", vanishing)
         report, _ = run_stage(annulus_transport, 5, monkeypatch,
                               pipeline.JACOBI_CHUNK)
         rec = report.checks["jacobi"]

@@ -1,15 +1,19 @@
 """Negative controls: each check of ``pipeline.CHECKS`` fails on a
 planted defect that breaks the hypothesis it tests, and passes on the
 same run without the defect.  Tangency is report-only and cannot fail.
+The comparisons that turn a measurement into a verdict are pinned at
+their bounds.
 """
 
 import ast
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from otsobolev import cli, geometry, pipeline
+from otsobolev import cli, geometry, inequalities, pipeline, transport
 
 TESTS = Path(__file__).resolve().parent
 
@@ -134,3 +138,43 @@ def test_inequality_control(monkeypatch, factor, passed):
     assert report.checks["inequality"]["passed"] is passed
     assert (report.inequality["ratio"] > 1.02) is not passed
     assert report.ok is passed
+
+
+def planted_verdict(monkeypatch, check, value):
+    """``passed`` of ``CHECKS[check]`` when the library function the
+    check reads returns the measurement ``value``."""
+    if check == "certification":
+        monkeypatch.setattr(transport, "certify_support",
+                            lambda coupling: transport.Certificate(value, 1))
+    elif check == "semiconcavity":
+        monkeypatch.setattr(transport, "semiconcavity_check",
+                            lambda *args: value)
+    else:
+        monkeypatch.setattr(inequalities, "evaluate_inequality",
+                            lambda *args, **kwargs: {"ratio": value})
+    coupling = SimpleNamespace(converged=True, cost=0.0, duality_gap=0.0,
+                               solver="exact",
+                               marginal_residual=lambda: (0.0, 0.0))
+    config = SimpleNamespace(solver="exact", domain_params={},
+                             inequality_variant=inequalities.NONNEG_LIMIT)
+    ctx = SimpleNamespace(config=config, coupling=coupling,
+                          report=pipeline.RunReport("planted", 0, {}),
+                          M=None, mesh=None, f=None, domain=None,
+                          hess_phi=None, atoms=None, atom_distances=None)
+    return pipeline.CHECKS[check].run(ctx)["passed"]
+
+
+@pytest.mark.parametrize("check, bound, outward", [
+    # worst_violation <= 1e-8, the exact solver's tolerance
+    ("certification", 1e-8, math.inf),
+    # worst_margin >= 0
+    ("semiconcavity", 0.0, -math.inf),
+    # LHS / RHS <= 1 + REPORT_TOL
+    ("inequality", 1.0 + inequalities.REPORT_TOL, math.inf),
+])
+def test_verdict_at_its_bound(monkeypatch, check, bound, outward):
+    """A measurement exactly at the bound passes, and the next float
+    past it fails."""
+    assert planted_verdict(monkeypatch, check, bound) is True
+    assert planted_verdict(monkeypatch, check,
+                           math.nextafter(bound, outward)) is False
