@@ -205,9 +205,9 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         d_amb = manifold.ambient_dim
         center = np.zeros(manifold.embedding_dim)
         center[0] = R
-        # radial inverse-CDF sampling of the sinh^{d-1} density
+        # radial inverse-CDF sampling of the (R sinh(s / R))^{d-1} density
         sgrid = np.linspace(0.0, half, 2049)
-        dens = np.sinh(sgrid / R) ** (d_amb - 1)
+        dens = (R * np.sinh(sgrid / R)) ** (d_amb - 1)
         cdf = scint.cumulative_trapezoid(dens, sgrid, initial=0.0)
         cdf /= cdf[-1]
         u = _lattice(d_amb + 1, s_pts).random(n_samples)
@@ -217,8 +217,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         vecs[:, 1:] = radii[:, None] * dirs
         pts = geometry.exp_map(manifold, np.broadcast_to(center, vecs.shape),
                                vecs)
-        vol = geometry.sphere_area(d_amb - 1) * R ** (d_amb - 1) * \
-            scint.quad(lambda s: math.sinh(s / R) ** (d_amb - 1), 0.0, half)[0]
+        vol = geometry.sphere_area(d_amb - 1) * scint.quad(
+            lambda s: (R * math.sinh(s / R)) ** (d_amb - 1), 0.0, half)[0]
         return TargetDomain(variant, pts, vol, 0.0, "analytic",
                             meta={"center": center.tolist()})
 
@@ -384,9 +384,8 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
                  f"(max node distance {max_d:.4f} > {r / 2:.4f})")
         s1 = math.sqrt(-k1)
         s2 = math.sqrt(-k2)
-        lhs = (vol * (-k2) ** (m / 2.0)
-               / (geometry.ball_volume(m) * math.sinh(r * s2) ** m)
-               ) ** (1.0 / n) * fp
+        lhs = (vol / (geometry.ball_volume(m)
+                      * (math.sinh(r * s2) / s2) ** m)) ** (1.0 / n) * fp
         rhs = math.cosh(r * s1) * terms["int_f"] \
             + math.sinh(r * s1) / (n * s1) * (
                 terms["int_boundary_f"] + terms["int_grad_f"]

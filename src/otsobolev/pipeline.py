@@ -182,13 +182,13 @@ class ScenarioConfig:
         """Raise ConfigError for values a run would die on (counts and
         sizes below their least value, curvature sign, a hypersurface
         outside Euclidean space, [domain] section and ranges, a
-        non-positive solver.eps_reg, a curvature or domain radius whose
-        model-space constants overflow), for an
-        inequality whose manifold or [domain] variant it does not hold
-        on or read (``inequalities.INEQUALITY_SCOPE``), for a [domain]
-        variant not built for the manifold (``inequalities.DOMAIN_SCOPE``)
-        or around a hypersurface, and for fiber_mass without the
-        annulus domain its envelope needs.
+        non-positive solver.eps_reg, a sphere curvature whose volume
+        overflows, a geodesic-ball radius whose scale-free constants
+        overflow), for an inequality whose manifold or [domain] variant
+        it does not hold on or read (``inequalities.INEQUALITY_SCOPE``),
+        for a [domain] variant not built for the manifold
+        (``inequalities.DOMAIN_SCOPE``) or around a hypersurface, and for
+        fiber_mass without the annulus domain its envelope needs.
         Runs in ``load``, after the overrides are set."""
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
@@ -254,19 +254,20 @@ class ScenarioConfig:
             raise ConfigError(f"solver.eps_reg: value {self.eps_reg} is not "
                               "positive")
         # model-space constants the run takes in floats: the sphere's
-        # volume; for a geodesic ball of radius r in R^d, the R^(d-1) of
-        # its volume and sinh(r / R)^m, which bounds the sinh powers of
-        # its volume and of its inequality constants
+        # volume; for a geodesic ball of radius r in R^d,
+        # (R sinh(r / R))^(d-1): when it is finite, so is every power
+        # (R sinh(s / R))^k, s <= r and k <= d - 1, that its volume and
+        # its inequality constants take
         try:
             if variant == geometry.SPHERE:
                 key, constant = "manifold.curvature", "the sphere's volume"
                 geometry.manifold_volume(M)
             if self.domain_variant == inequalities.GEODESIC_BALL:
-                key, constant = "manifold.curvature", "R^(d-1)"
-                M.radius ** (self.ambient_dim - 1)
-                key, constant = "domain.r", "sinh(r / R)^m"
-                math.sinh(self.domain_params["r"] / M.radius) \
-                    ** (self.ambient_dim - 2)
+                key, constant = "domain.r", "(R sinh(r / R))^(d-1)"
+                R, r = M.radius, self.domain_params["r"]
+                if not math.isfinite(
+                        (R * math.sinh(r / R)) ** (self.ambient_dim - 1)):
+                    raise OverflowError
         except OverflowError as exc:
             raise ConfigError(f"{key}: {constant} overflows at curvature "
                               f"{self.curvature}") from exc
@@ -320,10 +321,11 @@ class RunReport:
 
 @dataclass
 class RunContext:
-    """What the checks of one run read.  The atom table (plan atoms,
-    log_x zeta, distances), the gradient and Hessian of phi^cc and the
-    tangency statistics are computed at most once, when a check first
-    reads them.  ``coupling`` is None when no check needs transport."""
+    """What the checks of one run read.  The support certificate (with
+    phi^cc), the atom table (plan atoms, log_x zeta and its length), the
+    gradient and Hessian of phi^cc and the tangency statistics are
+    computed at most once, when a check first reads them.  ``coupling``
+    is None when no check needs transport."""
 
     config: ScenarioConfig
     M: ModelManifold
@@ -332,6 +334,10 @@ class RunContext:
     domain: Optional[inequalities.TargetDomain]
     coupling: Optional[transport.DiscreteCoupling]
     report: RunReport
+
+    @cached_property
+    def certificate(self) -> transport.Certificate:
+        return transport.certify_support(self.coupling)
 
     @cached_property
     def atoms(self):
@@ -346,9 +352,7 @@ class RunContext:
 
     @cached_property
     def atom_distances(self) -> np.ndarray:
-        ii, jj, _ = self.atoms
-        return geometry.distance(self.M, self.mesh.points[ii],
-                                 self.coupling.target.points[jj])
+        return geometry.norm(self.M, self.atom_logs)
 
     @cached_property
     def gradient(self):
@@ -360,11 +364,11 @@ class RunContext:
         np.maximum.at(per_node_max, ii, dist)
         per_node_max[per_node_max == 0] = dist.max()
         return transport.potential_gradient_on_sigma(
-            self.mesh, self.coupling.phi_cc, per_node_max)
+            self.mesh, self.certificate.phi_cc, per_node_max)
 
     @cached_property
     def hess_phi(self) -> np.ndarray:
-        return submanifold.lsq_hessian(self.mesh, self.coupling.phi_cc)
+        return submanifold.lsq_hessian(self.mesh, self.certificate.phi_cc)
 
     @cached_property
     def tangency(self) -> dict:
@@ -373,8 +377,7 @@ class RunContext:
 
 
 def _certification(ctx):
-    """Support certification of the plan; sets ``coupling.phi_cc``,
-    which every later transport check reads."""
+    """Support certification of the plan, and its marginals."""
     coupling = ctx.coupling
     if ctx.config.solver == "exact":
         cert_tol = 1e-8
@@ -382,7 +385,7 @@ def _certification(ctx):
         # entropic support violations scale like reg * log(mass / floor)
         cert_tol = 50.0 * coupling.reg * math.log(
             max(coupling.source.size * coupling.target.size, 2))
-    cert = transport.certify_support(coupling)
+    cert = ctx.certificate
     mres = coupling.marginal_residual()
     return {
         "passed": bool(cert.worst_violation <= cert_tol
@@ -407,10 +410,11 @@ def _fiber_mass(ctx):
     """Marginals and the fiber-volume envelope; ``validate`` admits the
     check only on the annulus domain, the one with an envelope."""
     envelope = inequalities.annulus_fiber_envelope(
-        ctx.M, ctx.mesh, ctx.coupling.phi_cc,
+        ctx.M, ctx.mesh, ctx.certificate.phi_cc,
         ctx.config.domain_params["sigma"], ctx.config.domain_params["r"])
-    worst, envelope_ok = transport.fiber_mass_residual(
+    envelope_ok = transport.fiber_envelope_holds(
         ctx.coupling, domain_volume=ctx.domain.volume, envelope=envelope)
+    worst = ctx.coupling.marginal_residual()[0]
     return {"passed": worst <= 1e-6 and envelope_ok,
             "marginal_residual_max": worst, "envelope_ok": envelope_ok}
 

@@ -52,6 +52,11 @@ class DiscreteMeasure:
     def size(self) -> int:
         return len(self.weights)
 
+    @property
+    def atom_floor(self) -> float:
+        """Numerical zero for the entries of a plan from this source."""
+        return 1e-12 * float(self.weights.min())
+
 
 def source_measure(mesh: SubmanifoldMesh, f: ScalarField) -> DiscreteMeasure:
     """mu = f^{n/(n-1)} vol_Sigma, normalized."""
@@ -80,28 +85,22 @@ class DiscreteCoupling:
     reg: Optional[float] = None
     duality_gap: float = 0.0
     converged: bool = True
-    # c-concave potential, filled in by certify_support
-    phi_cc: Optional[np.ndarray] = None
-
-    @property
-    def atom_floor(self) -> float:
-        return 1e-12 * float(self.source.weights.min())
 
     def atoms(self):
-        """(rows, cols, mass) above the numerical-zero floor."""
-        keep = self.mass > self.atom_floor
+        """(rows, cols, mass) above the source's numerical-zero floor."""
+        keep = self.mass > self.source.atom_floor
         return self.rows[keep], self.cols[keep], self.mass[keep]
-
-    def marginal_residual(self) -> tuple[float, float]:
-        ns, nt = self.source.size, self.target.size
-        row = np.bincount(self.rows, weights=self.mass, minlength=ns)
-        col = np.bincount(self.cols, weights=self.mass, minlength=nt)
-        return (float(np.abs(row - self.source.weights).max()),
-                float(np.abs(col - self.target.weights).max()))
 
     def row_masses(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.mass,
                            minlength=self.source.size)
+
+    def marginal_residual(self) -> tuple[float, float]:
+        """max |row mass - mu_i| and max |column mass - nu_j|."""
+        col = np.bincount(self.cols, weights=self.mass,
+                          minlength=self.target.size)
+        return (float(np.abs(self.row_masses() - self.source.weights).max()),
+                float(np.abs(col - self.target.weights).max()))
 
 
 def cost_matrix(manifold: ModelManifold, source: DiscreteMeasure,
@@ -246,7 +245,7 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     plan /= plan.sum()
     cost = float((plan * C).sum())
     gap = cost - float(f @ mu.weights + g @ nu.weights)
-    ii, jj = np.nonzero(plan > 1e-12 * mu.weights.min())
+    ii, jj = np.nonzero(plan > mu.atom_floor)
     return DiscreteCoupling(mu, nu, ii, jj, plan[ii, jj], C, cost,
                             f, solver="entropic", reg=eps_reg,
                             duality_gap=gap, converged=converged)
@@ -269,23 +268,24 @@ def c_transform(values: np.ndarray, C: np.ndarray, direction: str) -> np.ndarray
 class Certificate(NamedTuple):
     worst_violation: float  # max |phi_i + psi_j - c_ij| over the atoms
     atom_count: int
+    phi_cc: np.ndarray      # the c-concave potential on the source
 
 
 def certify_support(coupling: DiscreteCoupling) -> Certificate:
     """Enforce c-concavity of the dual and measure the plan support.
 
-    phi is replaced by its double c-transform; every atom above the floor
-    should then satisfy phi_i + psi_j = c_ij.  Returns the worst
-    violation of that identity over the atoms and the atom count.
+    phi^cc is the double c-transform of the solver's phi; every atom
+    above the floor should satisfy phi^cc_i + psi_j = c_ij.  Returns the
+    worst violation of that identity over the atoms, the atom count and
+    phi^cc; the coupling is left as it is.
     """
     C = coupling.cost_matrix
     psi = c_transform(coupling.phi, C, "from_source")
     phi = c_transform(psi, C, "from_target")
-    coupling.phi_cc = phi
     ii, jj, _ = coupling.atoms()
     viol = C[ii, jj] - phi[ii] - psi[jj]
     worst = float(np.abs(viol).max()) if len(viol) else 0.0
-    return Certificate(worst, len(viol))
+    return Certificate(worst, len(viol), phi)
 
 
 def potential_gradient_on_sigma(mesh: SubmanifoldMesh,
@@ -322,19 +322,14 @@ def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
             "atom_count": int(len(tau))}
 
 
-def fiber_mass_residual(coupling: DiscreteCoupling, domain_volume: float,
-                        envelope: np.ndarray) -> tuple[float, bool]:
-    """Discrete surrogate of the change-of-variable identity.
-
-    The transported mass per node must match mu_i (marginal identity),
-    and the fiber-volume proxy row_mass * vol(Omega) must stay below the
-    per-node Jacobian-bound ``envelope``, with 5 % slack.  Returns the
-    worst |row mass - mu_i| and whether every node keeps the envelope.
-    """
-    row = coupling.row_masses()
-    proxy = row * domain_volume
-    ok = bool(np.all(proxy <= envelope * 1.05))
-    return float(np.abs(row - coupling.source.weights).max()), ok
+def fiber_envelope_holds(coupling: DiscreteCoupling, domain_volume: float,
+                         envelope: np.ndarray) -> bool:
+    """Discrete surrogate of the change-of-variable inequality: whether
+    the fiber-volume proxy row_mass * vol(Omega) of every node stays
+    below the per-node Jacobian-bound ``envelope``, with 5 % slack.  The
+    marginal half of the identity is ``coupling.marginal_residual``."""
+    proxy = coupling.row_masses() * domain_volume
+    return bool(np.all(proxy <= envelope * 1.05))
 
 
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,

@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps functions of the package by name
-(``benchmarks/tracer.py``) and its workloads write config files
-(``benchmarks/workloads.py``); a change that deletes or renames a
-traced function, or that rejects a generated config, fails here instead
-of in a benchmark run."""
+(``benchmarks/tracer.py``), its workloads write config files
+(``benchmarks/workloads.py``) and its worker gates each report
+(``benchmarks/worker.py``); a change that deletes or renames a traced
+function, rejects a generated config or drops a report field the
+worker reads fails here instead of in a benchmark run."""
 
 import importlib
 from pathlib import Path
@@ -47,3 +48,16 @@ def test_generated_configs_load(workloads, tmp_path, workload):
     assert len(paths) == len(workloads.WORKLOADS[workload]["scenarios"])
     for path in paths:
         ScenarioConfig.load(path)
+
+
+@pytest.mark.parametrize("workload", ["entropic_annulus", "analytic_suite"])
+def test_seed_zero_runs_pass_the_worker_gate(workloads, tmp_path, workload):
+    """Each scenario of a benchmarked workload, at seed 0, through the
+    worker's gated run: a report field or ``RunReport`` attribute the
+    worker reads that goes missing fails here."""
+    worker = importlib.import_module("worker")
+    scenario_dir = Path(cli.bundled_scenario_path(""))
+    for path in workloads.write_configs(workload, 0, scenario_dir, tmp_path):
+        rec = worker.run_one(ScenarioConfig.load(path), tmp_path / "reports")
+        assert rec["failures"] == [], rec
+        assert rec["checks"]

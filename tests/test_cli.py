@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -325,10 +326,11 @@ class TestRunCommand:
         ("hyperbolic_disk_r2", "r = 2.0", "r = inf", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = inf", "domain.eps"),
         # finite values whose model-space constants overflow: the
-        # geodesic ball's sinh(r / R)^m and R^(d-1), the sphere's volume
+        # geodesic ball's (R sinh(r / R))^(d-1), at unit and at tiny
+        # |K|, and the sphere's volume
         ("hyperbolic_disk_r2", "r = 2.0", "r = 1e308", "domain.r"),
-        ("hyperbolic_disk_r2", "curvature = -1.0", "curvature = -1e-300",
-         "manifold.curvature"),
+        ("hyperbolic_disk_r2", ("curvature = -1.0", "r = 2.0"),
+         ("curvature = -1e-300", "r = 1e152"), "domain.r"),
         ("sphere_ball_closed", "curvature = 1.0", "curvature = 1e-300",
          "manifold.curvature"),
     ])
@@ -341,6 +343,34 @@ class TestRunCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "config error" in res.output and named in res.output
+
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_geodesic_ball_at_tiny_curvature(self, runner, tmp_path,
+                                             monkeypatch, dim):
+        """The geodesic ball's constants are scale-free, so at
+        K = -1e-300, whose R^(d-1) overflows, the run passes with finite
+        domain points and the ratio of K = -1e-100."""
+        build = inequalities.build_target_domain
+        domains = []
+        monkeypatch.setattr(inequalities, "build_target_domain",
+                            lambda *args: domains.append(build(*args))
+                            or domains[-1])
+        ratios = []
+        for curvature in ("-1e-300", "-1e-100"):
+            cfg = mutated(tmp_path, "hyperbolic_disk_r2",
+                          ("curvature = -1.0", "ambient_dim = 4"),
+                          (f"curvature = {curvature}",
+                           f"ambient_dim = {dim}"))
+            out = tmp_path / curvature
+            res = runner.invoke(cli.main, ["run", cfg, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            assert np.isfinite(domains[-1].points).all()
+            recs = [json.loads(line) for line in
+                    (out / "hyperbolic_disk_r2.jsonl").read_text()
+                    .splitlines()]
+            ratios.append(next(r["ratio"] for r in recs
+                               if r["record"] == "inequality"))
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12, abs=0.0)
 
     def test_tangency_is_report_only(self, runner, tmp_path):
         """Tangency has no verdict: null in the report, an empty CSV

@@ -525,10 +525,11 @@ def annulus_transport():
     nu = transport.target_measure(dom.points)
     C = transport.cost_matrix(M, mu, nu)
     cpl = transport.solve_exact(mu, nu, C)
-    assert transport.certify_support(cpl).worst_violation <= 1e-8
+    cert = transport.certify_support(cpl)
+    assert cert.worst_violation <= 1e-8
     grad, _ = transport.potential_gradient_on_sigma(
-        mesh, cpl.phi_cc, max_target_distance=float(np.sqrt(2.0 * C.max())))
-    hess = submanifold.lsq_hessian(mesh, cpl.phi_cc)
+        mesh, cert.phi_cc, max_target_distance=float(np.sqrt(2.0 * C.max())))
+    hess = submanifold.lsq_hessian(mesh, cert.phi_cc)
     return params, M, mesh, cpl, grad, hess
 
 

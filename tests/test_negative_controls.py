@@ -93,8 +93,9 @@ def bumped_run(tmp_path, monkeypatch, height):
     def certify_then_bump(ctx):
         record = certification.run(ctx)
         u = ctx.mesh.stencil_coords
-        ctx.coupling.phi_cc = ctx.coupling.phi_cc \
-            + 0.5 * height * np.sum(u * u, axis=1)
+        ctx.certificate = ctx.certificate._replace(
+            phi_cc=ctx.certificate.phi_cc
+            + 0.5 * height * np.sum(u * u, axis=1))
         return record
 
     monkeypatch.setitem(pipeline.CHECKS, "certification",
@@ -142,11 +143,9 @@ def test_inequality_control(monkeypatch, factor, passed):
 
 def planted_verdict(monkeypatch, check, value):
     """``passed`` of ``CHECKS[check]`` when the library function the
-    check reads returns the measurement ``value``."""
-    if check == "certification":
-        monkeypatch.setattr(transport, "certify_support",
-                            lambda coupling: transport.Certificate(value, 1))
-    elif check == "semiconcavity":
+    check reads, or for certification the run's certificate, returns the
+    measurement ``value``."""
+    if check == "semiconcavity":
         monkeypatch.setattr(transport, "semiconcavity_check",
                             lambda *args: value)
     else:
@@ -157,7 +156,10 @@ def planted_verdict(monkeypatch, check, value):
                                marginal_residual=lambda: (0.0, 0.0))
     config = SimpleNamespace(solver="exact", domain_params={},
                              inequality_variant=inequalities.NONNEG_LIMIT)
+    certificate = transport.Certificate(
+        value if check == "certification" else 0.0, 1, None)
     ctx = SimpleNamespace(config=config, coupling=coupling,
+                          certificate=certificate,
                           report=pipeline.RunReport("planted", 0, {}),
                           M=None, mesh=None, f=None, domain=None,
                           hess_phi=None, atoms=None, atom_distances=None)

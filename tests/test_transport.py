@@ -3,13 +3,21 @@
 import functools
 import itertools
 import math
+import pickle
 import sys
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from otsobolev import cli, geometry, inequalities, submanifold, transport
+from otsobolev import (
+    cli,
+    geometry,
+    inequalities,
+    pipeline,
+    submanifold,
+    transport,
+)
 from otsobolev.errors import (
     CutLocusError,
     SizeCapError,
@@ -133,12 +141,18 @@ class TestExactSolver:
         assert rres < 1e-12 and cres < 1e-12
 
     def test_certification_passes_and_sets_potentials(self):
+        """The certificate carries phi^cc, the double c-transform of the
+        solver's phi, and leaves the coupling as it was."""
         _, mu, nu, C = small_instance()
         cpl = transport.solve_exact(mu, nu, C)
+        before = pickle.dumps(cpl)
         rep = transport.certify_support(cpl)
         assert rep.worst_violation <= 1e-8
         assert rep.atom_count >= max(mu.size, nu.size) - 1
-        assert cpl.phi_cc is not None
+        psi = transport.c_transform(cpl.phi, C, "from_source")
+        assert np.array_equal(
+            rep.phi_cc, transport.c_transform(psi, C, "from_target"))
+        assert pickle.dumps(cpl) == before
 
     def test_suboptimal_plan_fails_certification(self):
         _, mu, nu, C = small_instance(ns=6, nt=6)
@@ -396,11 +410,12 @@ def annulus_run():
     nu = transport.target_measure(zs)
     C = transport.cost_matrix(M, mu, nu)
     cpl = transport.solve_exact(mu, nu, C)
-    assert transport.certify_support(cpl).worst_violation <= 1e-8
+    cert = transport.certify_support(cpl)
+    assert cert.worst_violation <= 1e-8
     dmax = float(np.sqrt(2.0 * C.max()))
-    grad, flags = transport.potential_gradient_on_sigma(
-        mesh, cpl.phi_cc, max_target_distance=dmax)
-    return M, mesh, cpl, grad, flags
+    grad, _ = transport.potential_gradient_on_sigma(
+        mesh, cert.phi_cc, max_target_distance=dmax)
+    return M, mesh, cpl, cert.phi_cc, grad
 
 
 def atom_table(M, mesh, cpl):
@@ -410,9 +425,32 @@ def atom_table(M, mesh, cpl):
     return ii, geometry.log_map(M, x, z), geometry.distance(M, x, z)
 
 
+@pytest.mark.parametrize("scenario", ["sphere_transport",
+                                      "hyperbolic_disk_r1"])
+def test_atom_lengths_are_the_geodesic_distances(monkeypatch, scenario):
+    """Oracle: the run's atom lengths, the norms of log_x zeta, are the
+    closed-form distances d(x, zeta) on the curved model spaces."""
+    contexts = []
+    ibp = pipeline.CHECKS["ibp"]
+    monkeypatch.setitem(pipeline.CHECKS, "ibp", ibp._replace(
+        run=lambda ctx: contexts.append(ctx) or ibp.run(ctx)))
+    config = ScenarioConfig.load(
+        cli.bundled_scenario_path(f"{scenario}.cfg"),
+        [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+         ("jacobi", "steps", "100"), ("jacobi", "atoms", "1")])
+    pipeline.run_scenario(config)
+    ctx, = contexts
+    ii, jj, _ = ctx.atoms
+    oracle = geometry.distance(ctx.M, ctx.mesh.points[ii],
+                               ctx.coupling.target.points[jj])
+    assert len(oracle) > 0
+    np.testing.assert_allclose(ctx.atom_distances, oracle, rtol=1e-12,
+                               atol=0.0)
+
+
 class TestFiberChecks:
     def test_tangency_small_and_adversarial_large(self, annulus_run):
-        M, mesh, cpl, grad, _ = annulus_run
+        M, mesh, cpl, _, grad = annulus_run
         nodes, logs, _ = atom_table(M, mesh, cpl)
         fib = transport.tangency_residuals(mesh, nodes, logs, grad)
         good = fib["median"]
@@ -422,22 +460,25 @@ class TestFiberChecks:
         assert fib_bad["median"] > 10.0 * good
 
     def test_fiber_mass_marginals(self, annulus_run):
-        M, mesh, cpl, grad, _ = annulus_run
-        worst, _ = transport.fiber_mass_residual(
-            cpl, domain_volume=100.0,
-            envelope=np.full(mesh.node_count, np.inf))
-        assert worst < 1e-12
+        """The exact plan keeps the source marginal; the fiber-volume
+        proxy keeps an infinite envelope and breaks a zero one."""
+        _, mesh, cpl, _, _ = annulus_run
+        assert cpl.marginal_residual()[0] < 1e-12
+        for envelope, holds in ((np.inf, True), (0.0, False)):
+            assert transport.fiber_envelope_holds(
+                cpl, domain_volume=100.0,
+                envelope=np.full(mesh.node_count, envelope)) is holds
 
     def test_gradient_cap_flags(self, annulus_run):
-        M, mesh, cpl, _, _ = annulus_run
+        _, mesh, _, phi_cc, _ = annulus_run
         grad, flags = transport.potential_gradient_on_sigma(
-            mesh, cpl.phi_cc, max_target_distance=1e-3)
+            mesh, phi_cc, max_target_distance=1e-3)
         assert flags.all()
         assert np.linalg.norm(grad, axis=1).max() <= 1e-3 + 1e-12
 
     def test_semiconcavity_passes(self, annulus_run):
-        M, mesh, cpl, _, _ = annulus_run
+        M, mesh, cpl, phi_cc, _ = annulus_run
         margin = transport.semiconcavity_check(
-            M, mesh, submanifold.lsq_hessian(mesh, cpl.phi_cc), cpl.atoms(),
+            M, mesh, submanifold.lsq_hessian(mesh, phi_cc), cpl.atoms(),
             atom_table(M, mesh, cpl)[2])
         assert margin >= 0.0
