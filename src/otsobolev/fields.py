@@ -3,6 +3,8 @@
 Field expressions come from a deliberately tiny grammar (+, *, integer
 powers, exp) in the chart stencil coordinates u1, u2, so analytic
 gradients always exist (the grammar is closed under differentiation).
+``sympy`` is imported by the functions that parse an expression, so a
+run without an expression chart or field never loads it.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError
-
-_ALLOWED_FUNCS = (sp.exp,)
 
 
 def parse_expression(text: str, n_vars: int = 2):
     """Parse a field expression; reject anything outside the safe grammar."""
+    import sympy as sp
+
     symbols = sp.symbols(f"u1:{n_vars + 1}")
     # lexical whitelist before sympify ever evaluates anything
     if not re.fullmatch(r"[0-9+*/()\s.-]*(\b[A-Za-z_][A-Za-z_0-9]*\b"
@@ -39,6 +40,8 @@ def parse_expression(text: str, n_vars: int = 2):
 
 
 def _validate(expr, symbols) -> None:
+    import sympy as sp
+
     if expr.is_Number:
         return
     if expr.is_Symbol:
@@ -55,7 +58,7 @@ def _validate(expr, symbols) -> None:
             raise ConfigError("only nonnegative integer powers allowed")
         _validate(base, symbols)
         return
-    if isinstance(expr, _ALLOWED_FUNCS):
+    if isinstance(expr, sp.exp):
         _validate(expr.args[0], symbols)
         return
     raise ConfigError(f"disallowed construct {type(expr).__name__} in field expression")
@@ -92,6 +95,8 @@ def constant_field(mesh, value: float) -> ScalarField:
 
 def field_from_expression(mesh, text: str) -> ScalarField:
     """Evaluate a grammar-restricted expression of the stencil coordinates."""
+    import sympy as sp
+
     expr, symbols = parse_expression(text, mesh.n)
     f = sp.lambdify(symbols, expr, "numpy")
     grads = [sp.lambdify(symbols, sp.diff(expr, s), "numpy") for s in symbols]
@@ -114,6 +119,8 @@ def field_from_expression(mesh, text: str) -> ScalarField:
 
 def height_from_expression(text: str):
     """Height-function bundle (value, gradient, hessian) for graph charts."""
+    import sympy as sp
+
     expr, symbols = parse_expression(text, 2)
     u1, u2 = symbols
     f = sp.lambdify(symbols, expr, "numpy")

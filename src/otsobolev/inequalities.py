@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import integrate as scint
-from scipy import stats as scstats
+from scipy.special import ndtri
 
 from . import geometry, submanifold
 from .errors import (
@@ -91,15 +91,54 @@ def _resample_away_from_cut(M, mesh, pts, rng):
     raise EmptyDomainError("could not sample away from the cut locus")
 
 
-def _lattice(dim: int, seed_seq: np.random.SeedSequence):
-    """Seeded scrambled-Halton engine: deterministic, low discrepancy."""
-    return scstats.qmc.Halton(d=dim, scramble=True,
-                              seed=np.random.default_rng(seed_seq))
+class ScrambledHalton:
+    """Owen-scrambled Halton points in [0, 1)^d, bit for bit those of
+    ``scipy.stats.qmc.Halton(d, scramble=True, rng=default_rng(seed_seq))``.
+
+    The bases are the first ``d`` primes.  Each base has one digit
+    permutation per digit that still moves a double, ``ceil(54 / log2 b)
+    - 1`` shuffles of ``arange(b)`` drawn from a Generator spawned once
+    from ``seed_seq``, as scipy spawns its own.  Point ``q`` sums
+    ``perm[j, digit_j(q)] * b**-(j + 1)`` over the digits in scipy's
+    order, with ``b**-(j + 1)`` built by the same repeated division, so
+    every partial sum rounds as scipy's does."""
+
+    def __init__(self, dim: int, seed_seq: np.random.SeedSequence):
+        rng = np.random.default_rng(seed_seq.spawn(1)[0])
+        self.tables = []
+        base = 2
+        while len(self.tables) < dim:
+            if all(base % b for b, _ in self.tables):
+                count = math.ceil(54 / math.log2(base)) - 1
+                perms = np.repeat(np.arange(base)[None], count, axis=0)
+                for perm in perms:
+                    rng.shuffle(perm)
+                b2r = np.empty(count)
+                b2r[0] = 1.0 / base
+                for j in range(1, count):
+                    b2r[j] = b2r[j - 1] / base
+                self.tables.append((base, perms * b2r[:, None]))
+            base += 1
+        self.drawn = 0
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` points, (n, d)."""
+        index = np.arange(self.drawn, self.drawn + n)
+        out = np.zeros((len(self.tables), n))
+        for seq, (base, table) in zip(out, self.tables):
+            q = index
+            for row in table:
+                q, digit = np.divmod(q, base)
+                seq += row[digit]
+        self.drawn += n
+        # the transpose of a (d, n) array: scipy's memory layout, so the
+        # reductions over these points sum in scipy's order too
+        return out.T
 
 
 def _lattice_directions(u: np.ndarray) -> np.ndarray:
     """Map unit-cube lattice points to unit directions (Gaussian transform)."""
-    z = scstats.norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -148,7 +187,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                                 "analytic")
         tube, tube_se = submanifold.tubular_volume(
             manifold, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
-        engine = _lattice(manifold.embedding_dim, s_pts)
+        engine = ScrambledHalton(manifold.embedding_dim, s_pts)
         cut_bound = geometry.manifold_diameter(manifold) \
             - 10 * geometry.CUT_TOLERANCE
         accepted, _ = _rejection_samples(
@@ -176,7 +215,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         slo = max(sigma * r - extent, 0.0)
         shi = r + extent
         shell_vol = geometry.ball_volume(d_amb) * (shi**d_amb - slo**d_amb)
-        engine = _lattice(d_amb + 1, s_pts)
+        engine = ScrambledHalton(d_amb + 1, s_pts)
 
         def shell_candidates():
             u = engine.random(n_samples)
@@ -210,7 +249,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         dens = (R * np.sinh(sgrid / R)) ** (d_amb - 1)
         cdf = scint.cumulative_trapezoid(dens, sgrid, initial=0.0)
         cdf /= cdf[-1]
-        u = _lattice(d_amb + 1, s_pts).random(n_samples)
+        u = ScrambledHalton(d_amb + 1, s_pts).random(n_samples)
         radii = np.interp(u[:, d_amb], cdf, sgrid)
         dirs = _lattice_directions(u[:, :d_amb])
         vecs = np.zeros((n_samples, manifold.embedding_dim))

@@ -71,6 +71,12 @@ def target_measure(points: np.ndarray) -> DiscreteMeasure:
     return DiscreteMeasure(points, np.full(n, 1.0 / n))
 
 
+class Marginals(NamedTuple):
+    row_masses: np.ndarray      # plan mass on each source node
+    source_residual: float      # max |row mass - mu_i|
+    target_residual: float      # max |column mass - nu_j|
+
+
 @dataclass
 class DiscreteCoupling:
     source: DiscreteMeasure
@@ -91,16 +97,14 @@ class DiscreteCoupling:
         keep = self.mass > self.source.atom_floor
         return self.rows[keep], self.cols[keep], self.mass[keep]
 
-    def row_masses(self) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.mass,
-                           minlength=self.source.size)
-
-    def marginal_residual(self) -> tuple[float, float]:
-        """max |row mass - mu_i| and max |column mass - nu_j|."""
+    def marginals(self) -> Marginals:
+        """The plan's row masses and both marginal residuals."""
+        row = np.bincount(self.rows, weights=self.mass,
+                          minlength=self.source.size)
         col = np.bincount(self.cols, weights=self.mass,
                           minlength=self.target.size)
-        return (float(np.abs(self.row_masses() - self.source.weights).max()),
-                float(np.abs(col - self.target.weights).max()))
+        return Marginals(row, float(np.abs(row - self.source.weights).max()),
+                         float(np.abs(col - self.target.weights).max()))
 
 
 def cost_matrix(manifold: ModelManifold, source: DiscreteMeasure,
@@ -320,16 +324,6 @@ def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
             "p90": float(np.quantile(tau, 0.9)),
             "max": float(tau.max()),
             "atom_count": int(len(tau))}
-
-
-def fiber_envelope_holds(coupling: DiscreteCoupling, domain_volume: float,
-                         envelope: np.ndarray) -> bool:
-    """Discrete surrogate of the change-of-variable inequality: whether
-    the fiber-volume proxy row_mass * vol(Omega) of every node stays
-    below the per-node Jacobian-bound ``envelope``, with 5 % slack.  The
-    marginal half of the identity is ``coupling.marginal_residual``."""
-    proxy = coupling.row_masses() * domain_volume
-    return bool(np.all(proxy <= envelope * 1.05))
 
 
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,

@@ -1,9 +1,13 @@
 """Every top-level import in ``src`` and ``tests`` is used in its module
 or re-exported through ``__all__``, every definition in ``src`` is
-referenced from ``src`` or ``benchmarks``, and ``src`` touches no
-``_private`` attribute of another object."""
+referenced from ``src`` or ``benchmarks``, ``src`` touches no
+``_private`` attribute of another object, and loading a config leaves
+the slow optional imports unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -164,3 +168,28 @@ def test_scan_flags_a_private_read():
               "        return mesh._frames(self._tree), submanifold._fit\n")
     assert private_reads(source) == [(4, "mesh._frames"),
                                      (4, "submanifold._fit")]
+
+
+# imported only where they are needed: sympy by the expression parser,
+# scipy.stats by no code in ``src`` (tests use it as an oracle)
+DEFERRED = ("sympy", "scipy.stats")
+
+
+def test_start_up_leaves_deferred_imports_unloaded():
+    """A fresh process that imports the command line and loads every
+    bundled config has loaded none of ``DEFERRED``: each costs a few
+    tenths of a second, ten times a transport-free run."""
+    configs = sorted((ROOT / "src" / "otsobolev" / "scenarios").glob("*.cfg"))
+    assert len(configs) == 9
+    script = (
+        "import sys\n"
+        "import otsobolev.cli\n"
+        "from otsobolev.pipeline import ScenarioConfig\n"
+        "for path in sys.argv[1:]:\n"
+        "    ScenarioConfig.load(path)\n"
+        f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script, *map(str, configs)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm, qmc
 
 from otsobolev import geometry, inequalities, submanifold
 from otsobolev.errors import HypothesisViolationError, UnsupportedVariantError
@@ -337,3 +338,33 @@ class TestIntegrationByParts:
         assert np.isclose(rhs, 2 * math.pi * rho, atol=1e-9)
         assert np.isclose(margin, 0.05 * rhs, atol=1e-9)
         assert margin >= 0.0
+
+
+class TestScrambledHalton:
+    """The in-house lattice against its oracle, ``scipy.stats``: the
+    target domains draw their candidates from it, so a changed bit here
+    changes every Monte-Carlo domain and its report."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 20240602])
+    def test_bitwise_equal_to_scipy(self, dim, seed):
+        ours_seq = np.random.SeedSequence(seed)
+        scipy_seq = np.random.SeedSequence(seed)
+        ours = inequalities.ScrambledHalton(dim, ours_seq)
+        theirs = qmc.Halton(d=dim, scramble=True,
+                            rng=np.random.default_rng(scipy_seq))
+        # both spawn one Generator of their own from the caller's
+        assert ours_seq.n_children_spawned \
+            == scipy_seq.n_children_spawned == 1
+        for n in (257, 1000):
+            got, want = ours.random(n), theirs.random(n)
+            assert got.shape == want.shape == (n, dim)
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+
+    def test_ndtri_is_norm_ppf(self):
+        u = np.random.default_rng(3).random((500, 4))
+        u[0] = [0.0, 1.0, 1e-12, 1.0 - 1e-12]
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        assert u[0, 0] == 1e-12 and u[0, 1] == 1.0 - 1e-12
+        assert inequalities.ndtri(u).tobytes() == norm.ppf(u).tobytes()

@@ -144,24 +144,30 @@ def test_inequality_control(monkeypatch, factor, passed):
 def planted_verdict(monkeypatch, check, value):
     """``passed`` of ``CHECKS[check]`` when the library function the
     check reads, or for certification the run's certificate, returns the
-    measurement ``value``."""
+    measurement ``value``; for fiber_mass ``value`` is the fiber-volume
+    proxy of the one node, under a unit envelope."""
     if check == "semiconcavity":
         monkeypatch.setattr(transport, "semiconcavity_check",
                             lambda *args: value)
     else:
         monkeypatch.setattr(inequalities, "evaluate_inequality",
                             lambda *args, **kwargs: {"ratio": value})
+    monkeypatch.setattr(inequalities, "annulus_fiber_envelope",
+                        lambda *args: np.ones(1))
     coupling = SimpleNamespace(converged=True, cost=0.0, duality_gap=0.0,
-                               solver="exact",
-                               marginal_residual=lambda: (0.0, 0.0))
-    config = SimpleNamespace(solver="exact", domain_params={},
+                               solver="exact")
+    config = SimpleNamespace(solver="exact",
+                             domain_params={"sigma": 0.5, "r": 1.0},
                              inequality_variant=inequalities.NONNEG_LIMIT)
     certificate = transport.Certificate(
         value if check == "certification" else 0.0, 1, None)
+    # one node whose row mass over a unit-volume domain is the proxy
+    marginals = transport.Marginals(np.array([value]), 0.0, 0.0)
     ctx = SimpleNamespace(config=config, coupling=coupling,
-                          certificate=certificate,
+                          certificate=certificate, marginals=marginals,
                           report=pipeline.RunReport("planted", 0, {}),
-                          M=None, mesh=None, f=None, domain=None,
+                          M=None, mesh=None, f=None,
+                          domain=SimpleNamespace(volume=1.0),
                           hess_phi=None, atoms=None, atom_distances=None)
     return pipeline.CHECKS[check].run(ctx)["passed"]
 
@@ -173,6 +179,8 @@ def planted_verdict(monkeypatch, check, value):
     ("semiconcavity", 0.0, -math.inf),
     # LHS / RHS <= 1 + REPORT_TOL
     ("inequality", 1.0 + inequalities.REPORT_TOL, math.inf),
+    # row mass * vol(Omega) <= envelope * 1.05, with a unit envelope
+    ("fiber_mass", 1.0 * 1.05, math.inf),
 ])
 def test_verdict_at_its_bound(monkeypatch, check, bound, outward):
     """A measurement exactly at the bound passes, and the next float

@@ -137,7 +137,7 @@ class TestExactSolver:
         _, mu, nu, C = small_instance()
         cpl = transport.solve_exact(mu, nu, C)
         assert abs(cpl.duality_gap) < 1e-10
-        rres, cres = cpl.marginal_residual()
+        _, rres, cres = cpl.marginals()
         assert rres < 1e-12 and cres < 1e-12
 
     def test_certification_passes_and_sets_potentials(self):
@@ -219,7 +219,7 @@ class TestEntropicSolver:
         assert ent.converged
         assert ent.cost >= exact.cost - 1e-9   # entropic plan is feasible
         assert (ent.cost - exact.cost) / exact.cost < 5e-2
-        rres, cres = ent.marginal_residual()
+        _, rres, cres = ent.marginals()
         assert max(rres, cres) < 1e-6
 
     def test_entropic_violation_scales_with_reg(self):
@@ -259,7 +259,7 @@ class TestEntropicSolver:
         ent = transport.solve_entropic(mu, nu, C, 5e-3 * float(C.mean()),
                                        max_iter=1000, stop_tol=1e-9)
         assert ent.converged is False
-        assert ent.marginal_residual()[0] > 1e-9
+        assert ent.marginals().source_residual > 1e-9
 
     def test_bad_arguments_rejected(self):
         _, mu, nu, C = small_instance()
@@ -460,14 +460,13 @@ class TestFiberChecks:
         assert fib_bad["median"] > 10.0 * good
 
     def test_fiber_mass_marginals(self, annulus_run):
-        """The exact plan keeps the source marginal; the fiber-volume
-        proxy keeps an infinite envelope and breaks a zero one."""
-        _, mesh, cpl, _, _ = annulus_run
-        assert cpl.marginal_residual()[0] < 1e-12
-        for envelope, holds in ((np.inf, True), (0.0, False)):
-            assert transport.fiber_envelope_holds(
-                cpl, domain_volume=100.0,
-                envelope=np.full(mesh.node_count, envelope)) is holds
+        """The exact plan keeps the source marginal: its row masses are
+        the source weights, and the residual is their largest gap."""
+        _, _, cpl, _, _ = annulus_run
+        marg = cpl.marginals()
+        assert marg.source_residual < 1e-12
+        assert marg.source_residual == np.abs(
+            marg.row_masses - cpl.source.weights).max()
 
     def test_gradient_cap_flags(self, annulus_run):
         _, mesh, _, phi_cc, _ = annulus_run
