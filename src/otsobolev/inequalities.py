@@ -444,14 +444,10 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
 
 def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
                                hess: np.ndarray, r_bound: float):
-    """-int f Lap phi <= r (int_boundary f + int |grad f|), with 5 %
-    slack covering the discrete Hessian-trace surrogate; ``hess`` is the
-    fitted Hessian of phi (``submanifold.lsq_hessian``).  Returns
-    (margin, lhs, rhs); margin >= 0 means the inequality holds within
-    slack."""
+    """Both sides of -int f Lap phi <= r (int_boundary f + int |grad f|),
+    r = ``r_bound``; ``hess`` is the fitted Hessian of phi
+    (``submanifold.lsq_hessian``).  Returns (lhs, rhs)."""
     lap = np.einsum("naa->n", hess)
     lhs = -submanifold.integrate(mesh, f.values * lap)
     bint, gint = _boundary_and_gradient_integrals(mesh, f)
-    rhs = r_bound * (bint + gint)
-    margin = rhs * 1.05 - lhs
-    return float(margin), float(lhs), float(rhs)
+    return float(lhs), float(r_bound * (bint + gint))

@@ -28,7 +28,6 @@ TRIM_SAMPLES = 10          # trimmed window starts at t0 = TRIM_SAMPLES / steps
 COND_LIMIT = 1e12          # Q is only formed where cond(P) stays below this
 BOUND_SLACK_FACTOR = 1e-3
 NORMALIZATION_TOL = 1e-4
-LAP_SLACK_FACTOR = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +342,6 @@ def jacobian_bound_check(traj: JacobiTrajectory, limit: float):
     det1 = float(traj.det_p[-1])
     margin = bound + BOUND_SLACK_FACTOR * abs(bound) - det1
     return float(margin), float(bound), det1
-
-
-def lap_lower_bound_check(traj: JacobiTrajectory) -> float:
-    """Margin of n - delta_phi - <H, v> >= 0 (report-only; the slack
-    covering Hessian-fit bias is LAP_SLACK_FACTOR * n)."""
-    return float(traj.n - traj.lam)
 
 
 # ---------------------------------------------------------------------------

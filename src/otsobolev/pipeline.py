@@ -437,6 +437,11 @@ def _semiconcavity(ctx):
 JACOBI_CHUNK = 16
 
 
+# The Jacobi check gates the worst margin n - delta_phi - <H, v> of its
+# atoms at -LAP_SLACK_FACTOR * n: the slack covers the Hessian-fit bias.
+LAP_SLACK_FACTOR = 0.05
+
+
 # the exceptions that flag an atom, each with the record key counting it
 FLAG_REASONS = {DenominatorVanishesError: "flagged_denominator_vanishes",
                 NormalizationDriftError: "flagged_normalization_drift",
@@ -499,7 +504,7 @@ def _jacobi(ctx):
               and stats["singular_atoms"] == 0
               and (stats["bound_margin_min"] is None
                    or stats["bound_margin_min"] >= 0.0)
-              and stats["lap_margin_min"] >= -jacobi.LAP_SLACK_FACTOR * mesh.n)
+              and stats["lap_margin_min"] >= -LAP_SLACK_FACTOR * mesh.n)
     return {"passed": bool(passed), **stats}
 
 
@@ -521,7 +526,7 @@ def _jacobi_atom(ctx, traj, K, stats):
     _fold(stats, sym_residual_max=traj.symmetry_residual(),
           q_sym_residual_max=traj.q_symmetry_residual(),
           riccati_residual_max=jacobi.riccati_residual(traj),
-          lap_margin_min=jacobi.lap_lower_bound_check(traj))
+          lap_margin_min=float(traj.n - traj.lam))
     try:
         if K >= 0.0:
             _, _, mono, worst = jacobi.monotonicity_profile(traj)
@@ -560,10 +565,13 @@ def _jacobi_atom(ctx, traj, K, stats):
 
 
 def _ibp(ctx):
+    """-int f Lap phi <= r (int_boundary f + int |grad f|), r the longest
+    atom, with 5 % slack covering the discrete Hessian-trace surrogate."""
     r_bound = float(ctx.atom_distances.max())
-    margin, lhs, rhs = inequalities.integration_by_parts_check(
+    lhs, rhs = inequalities.integration_by_parts_check(
         ctx.mesh, ctx.f, ctx.hess_phi, r_bound)
-    return {"passed": bool(margin >= 0.0), "margin": margin, "lhs": lhs,
+    margin = rhs * 1.05 - lhs
+    return {"passed": margin >= 0.0, "margin": margin, "lhs": lhs,
             "rhs": rhs, "r_bound": r_bound}
 
 
@@ -624,6 +632,13 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         mesh = submanifold.build_submanifold(M, chart, config.resolution)
     except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
         raise ConfigError(f"submanifold: {exc}") from exc
+    except OverflowError as exc:  # the libm sinh of a geodesic disk's rim
+        raise ConfigError("submanifold.radius: the boundary length of the "
+                          f"mesh overflows ({exc})") from exc
+    weights = np.concatenate([mesh.weights, mesh.boundary_weights])
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ConfigError("submanifold.radius: the quadrature weights of the "
+                          "mesh are not all finite and positive")
     try:
         if config.field_kind == "constant":
             f = constant_field(mesh, float(config.field_spec))
@@ -636,9 +651,13 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
     domain = None
     if config.domain_variant is not None:
         t = clock()
-        domain = inequalities.build_target_domain(
-            M, mesh, config.domain_variant, config.domain_params,
-            config.domain_samples, config.seed)
+        try:
+            domain = inequalities.build_target_domain(
+                M, mesh, config.domain_variant, config.domain_params,
+                config.domain_samples, config.seed)
+        except OverflowError as exc:  # (r + extent)^d of the annulus shell
+            raise ConfigError("domain.r: the volume of the annulus shell "
+                              f"overflows ({exc})") from exc
         report.stage_seconds["domain"] = clock() - t
 
     coupling = None

@@ -422,25 +422,41 @@ def intrinsic_gradient(mesh: SubmanifoldMesh, f: ScalarField) -> np.ndarray:
     return np.einsum("nab,nb->na", mesh.stencil_to_frame, g)
 
 
+def _lsq_fit(mesh: SubmanifoldMesh, values: np.ndarray, radius: float,
+             quadratic: bool) -> np.ndarray:
+    """Per-node least-squares fit of ``values`` over the chart neighbors
+    within ``radius``, ridge 1e-12: the coefficients of 1, dw1, dw2 and,
+    if ``quadratic``, dw1^2 / 2, dw1 dw2, dw2^2 / 2, dw the stencil
+    offset.  Nodes of equal stencil size share one stacked solve; the
+    first node with fewer neighbors than coefficients raises."""
+    coords = mesh.stencil_coords
+    groups = mesh.tree().query_ball_point(coords, radius)
+    sizes = np.array([len(idx) for idx in groups])
+    coefs = 6 if quadratic else mesh.n + 1
+    short = np.flatnonzero(sizes < coefs)
+    if len(short):
+        raise DegenerateStencilError(
+            f"node {short[0]}: only {sizes[short[0]]} neighbors")
+    out = np.empty((len(coords), coefs))
+    for k in np.unique(sizes):
+        nodes = np.flatnonzero(sizes == k)
+        idx = np.array([groups[i] for i in nodes])  # (nodes, k)
+        dw = coords[idx] - coords[nodes, None]
+        cols = [np.ones(idx.shape), dw[..., 0], dw[..., 1]]
+        if quadratic:
+            cols += [0.5 * dw[..., 0] ** 2, dw[..., 0] * dw[..., 1],
+                     0.5 * dw[..., 1] ** 2]
+        A = np.stack(cols, axis=-1)
+        At = A.transpose(0, 2, 1)
+        ata = At @ A + 1e-12 * np.eye(coefs)
+        out[nodes] = np.linalg.solve(ata, At @ values[idx][..., None])[..., 0]
+    return out
+
+
 def lsq_gradient(mesh: SubmanifoldMesh, values: np.ndarray) -> np.ndarray:
     """Linear least-squares fit of d(values)/d(stencil coords) over the
-    chart neighbors within 2 h, ridge 1e-12."""
-    tree = mesh.tree()
-    N = mesh.node_count
-    out = np.zeros((N, mesh.n))
-    rad = 2.0 * mesh.h
-    groups = tree.query_ball_point(mesh.stencil_coords, rad)
-    for i in range(N):
-        idx = groups[i]
-        if len(idx) < mesh.n + 1:
-            raise DegenerateStencilError(f"node {i}: only {len(idx)} neighbors")
-        dw = mesh.stencil_coords[idx] - mesh.stencil_coords[i]
-        A = np.column_stack([np.ones(len(idx)), dw])
-        b = values[idx]
-        ata = A.T @ A + 1e-12 * np.eye(A.shape[1])
-        sol = np.linalg.solve(ata, A.T @ b)
-        out[i] = sol[1:]
-    return out
+    chart neighbors within 2 h."""
+    return _lsq_fit(mesh, values, 2.0 * mesh.h, quadratic=False)[:, 1:]
 
 
 def lsq_hessian(mesh: SubmanifoldMesh, values: np.ndarray,
@@ -450,27 +466,10 @@ def lsq_hessian(mesh: SubmanifoldMesh, values: np.ndarray,
     Desk-scale surrogate for the Alexandrov Hessian: local quadratic fit
     over chart neighbors within ``stencil_radius * h``.
     """
-    tree = mesh.tree()
-    N = mesh.node_count
-    hess = np.zeros((N, mesh.n, mesh.n))
-    rad = stencil_radius * mesh.h
-    groups = tree.query_ball_point(mesh.stencil_coords, rad)
-    for i in range(N):
-        idx = groups[i]
-        if len(idx) < 6:
-            raise DegenerateStencilError(f"node {i}: only {len(idx)} neighbors")
-        dw = mesh.stencil_coords[idx] - mesh.stencil_coords[i]
-        A = np.column_stack([
-            np.ones(len(idx)), dw[:, 0], dw[:, 1],
-            0.5 * dw[:, 0] ** 2, dw[:, 0] * dw[:, 1], 0.5 * dw[:, 1] ** 2,
-        ])
-        ata = A.T @ A + 1e-12 * np.eye(6)
-        sol = np.linalg.solve(ata, A.T @ values[idx])
-        hw = np.array([[sol[3], sol[4]], [sol[4], sol[5]]])
-        a = mesh.stencil_to_frame[i]
-        hf = a @ hw @ a.T
-        hess[i] = 0.5 * (hf + hf.T)
-    return hess
+    sol = _lsq_fit(mesh, values, stencil_radius * mesh.h, quadratic=True)
+    a = mesh.stencil_to_frame
+    hf = a @ sol[:, [[3, 4], [4, 5]]] @ a.transpose(0, 2, 1)
+    return 0.5 * (hf + hf.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

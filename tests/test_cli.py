@@ -333,6 +333,21 @@ class TestRunCommand:
          ("curvature = -1e-300", "r = 1e152"), "domain.r"),
         ("sphere_ball_closed", "curvature = 1.0", "curvature = 1e-300",
          "manifold.curvature"),
+        # mesh weights that underflow to 0 (a run would pass on a zero
+        # LHS, or die normalizing the barycenter) or overflow
+        ("flat_disk_sharp", "radius = 1.0", "radius = 1e-200",
+         "submanifold.radius"),
+        ("sphere_ball_closed", "radius = 1.5707963267948966",
+         "radius = 1e-300", "submanifold.radius"),
+        ("flat_disk_sharp", "radius = 1.0", "radius = 1e200",
+         "submanifold.radius"),
+        ("flat_disk_annulus", "radius = 1.0", "radius = 1e-200",
+         "submanifold.radius"),
+        # an OverflowError in the boundary length of a geodesic disk and
+        # in the volume of the annulus shell
+        ("hyperbolic_disk_r2", "radius = 0.5", "radius = 1e3",
+         "submanifold.radius"),
+        ("flat_disk_annulus", "r = 6.0", "r = 1e200", "domain.r"),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):

@@ -176,12 +176,6 @@ class TestStructuralChecks:
         assert not mono
         assert prof[-1] > prof[0]
 
-    def test_lap_lower_bound_margin(self):
-        traj = self.make_block_traj(lam=1.2)
-        assert jacobi.lap_lower_bound_check(traj) == pytest.approx(2.0 - 1.2)
-        bad = self.make_block_traj(lam=2.5)   # violates lam <= n = 2
-        assert jacobi.lap_lower_bound_check(bad) < 0.0
-
     def test_conjugate_point_detected(self):
         # det P = cos(2t) sin(2t)/2 turns negative past t = pi/4
         M, frame = sphere_frame(K=1.0, speed=2.0)
@@ -609,6 +603,27 @@ class TestChunkedStage:
         assert rec["singular_atoms"] == 1 and not rec["passed"]
         assert rec["flagged_atoms"] == 0
         assert calls == 32
+
+    # -0.05 n at n = 2, the slack of the gate, and the next float below
+    @pytest.mark.parametrize("margin, passed", [
+        (-0.05 * 2, True), (math.nextafter(-0.05 * 2, -math.inf), False)])
+    def test_lap_margin_at_its_bound(self, annulus_transport, monkeypatch,
+                                     margin, passed):
+        """The gate on the worst margin n - delta_phi - <H, v>: a run
+        whose one atom passes every other sub-check passes exactly at
+        -LAP_SLACK_FACTOR * n and fails at the next float below."""
+        atom = pipeline._jacobi_atom
+
+        def planted(ctx, traj, K, stats):
+            atom(ctx, traj, K, stats)
+            stats["lap_margin_min"] = margin
+
+        monkeypatch.setattr(pipeline, "_jacobi_atom", planted)
+        report, _ = run_stage(annulus_transport, 1, monkeypatch,
+                              pipeline.JACOBI_CHUNK)
+        rec = report.checks["jacobi"]
+        assert rec["lap_margin_min"] == margin
+        assert rec["passed"] is passed
 
     def test_every_atom_flagged_fails(self, annulus_transport, monkeypatch):
         """With no evaluated atom the stage fails, counts each flag by its

@@ -145,10 +145,14 @@ def planted_verdict(monkeypatch, check, value):
     """``passed`` of ``CHECKS[check]`` when the library function the
     check reads, or for certification the run's certificate, returns the
     measurement ``value``; for fiber_mass ``value`` is the fiber-volume
-    proxy of the one node, under a unit envelope."""
+    proxy of the one node, under a unit envelope, and for ibp the
+    left-hand side -int f Lap phi, under a unit right-hand side."""
     if check == "semiconcavity":
         monkeypatch.setattr(transport, "semiconcavity_check",
                             lambda *args: value)
+    elif check == "ibp":
+        monkeypatch.setattr(inequalities, "integration_by_parts_check",
+                            lambda *args: (value, 1.0))
     else:
         monkeypatch.setattr(inequalities, "evaluate_inequality",
                             lambda *args, **kwargs: {"ratio": value})
@@ -168,7 +172,8 @@ def planted_verdict(monkeypatch, check, value):
                           report=pipeline.RunReport("planted", 0, {}),
                           M=None, mesh=None, f=None,
                           domain=SimpleNamespace(volume=1.0),
-                          hess_phi=None, atoms=None, atom_distances=None)
+                          hess_phi=None, atoms=None,
+                          atom_distances=np.ones(1))
     return pipeline.CHECKS[check].run(ctx)["passed"]
 
 
@@ -181,6 +186,9 @@ def planted_verdict(monkeypatch, check, value):
     ("inequality", 1.0 + inequalities.REPORT_TOL, math.inf),
     # row mass * vol(Omega) <= envelope * 1.05, with a unit envelope
     ("fiber_mass", 1.0 * 1.05, math.inf),
+    # -int f Lap phi <= r (int_boundary f + int |grad f|) * 1.05, with a
+    # unit right-hand side
+    ("ibp", 1.0 * 1.05, math.inf),
 ])
 def test_verdict_at_its_bound(monkeypatch, check, bound, outward):
     """A measurement exactly at the bound passes, and the next float

@@ -1,6 +1,10 @@
 """Submanifold meshes: quadrature, frames, curvature data, tube volumes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,10 @@ from otsobolev.errors import (
 from otsobolev.fields import field_from_expression
 
 from chart_checks import check_point, mesh_frame_gram_residual, model_space
+
+TESTS = Path(__file__).resolve().parent
+# the thread-count variables of the BLAS builds numpy may load
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def flat_disk_mesh(res=12, radius=1.0, codim=2):
@@ -183,10 +191,113 @@ class TestDerivatives:
         expect = np.array([[3.0, -0.7], [-0.7, 0.4]])
         assert np.allclose(H, expect[None], atol=1e-8)
 
-    def test_degenerate_stencil_raises(self):
+    @pytest.mark.parametrize("stencil_radius", [0.1, 0.5, 1.0, 1.5])
+    def test_degenerate_stencil_raises(self, stencil_radius):
+        """The first node whose stencil is too small is named, as by the
+        per-node loop; the pole nodes have the widest stencils."""
         mesh = flat_disk_mesh(res=12)
-        with pytest.raises(DegenerateStencilError):
-            submanifold.lsq_hessian(mesh, mesh.weights, stencil_radius=0.1)
+        with pytest.raises(DegenerateStencilError) as loop:
+            loop_hessian(mesh, mesh.weights, stencil_radius)
+        with pytest.raises(DegenerateStencilError) as kernel:
+            submanifold.lsq_hessian(mesh, mesh.weights, stencil_radius)
+        assert str(kernel.value) == str(loop.value)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fits_match_the_per_node_loops(self, threads):
+        """The batched kernel gives the per-node loops' bits: the
+        gradient at 2 h and the Hessians at 3 h and 4 h, on flat, graph,
+        sphere and hyperbolic meshes, with 1 and 2 BLAS threads (set
+        before numpy loads, so in a fresh process)."""
+        env = {**os.environ,
+               **dict.fromkeys(BLAS_THREADS, str(threads)),
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   str(TESTS.parent / "src"), str(TESTS),
+                   os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import test_submanifold as t; "
+             "print(t.fits_unlike_the_loops())"],
+            capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
+
+def loop_gradient(mesh, values):
+    """Oracle of ``lsq_gradient``: one linear least-squares fit per node
+    over its chart neighbors within 2 h, ridge 1e-12."""
+    tree = mesh.tree()
+    N = mesh.node_count
+    out = np.zeros((N, mesh.n))
+    rad = 2.0 * mesh.h
+    groups = tree.query_ball_point(mesh.stencil_coords, rad)
+    for i in range(N):
+        idx = groups[i]
+        if len(idx) < mesh.n + 1:
+            raise DegenerateStencilError(f"node {i}: only {len(idx)} neighbors")
+        dw = mesh.stencil_coords[idx] - mesh.stencil_coords[i]
+        A = np.column_stack([np.ones(len(idx)), dw])
+        b = values[idx]
+        ata = A.T @ A + 1e-12 * np.eye(A.shape[1])
+        sol = np.linalg.solve(ata, A.T @ b)
+        out[i] = sol[1:]
+    return out
+
+
+def loop_hessian(mesh, values, stencil_radius=3.0):
+    """Oracle of ``lsq_hessian``: one quadratic least-squares fit per
+    node over its chart neighbors within ``stencil_radius * h``."""
+    tree = mesh.tree()
+    N = mesh.node_count
+    hess = np.zeros((N, mesh.n, mesh.n))
+    rad = stencil_radius * mesh.h
+    groups = tree.query_ball_point(mesh.stencil_coords, rad)
+    for i in range(N):
+        idx = groups[i]
+        if len(idx) < 6:
+            raise DegenerateStencilError(f"node {i}: only {len(idx)} neighbors")
+        dw = mesh.stencil_coords[idx] - mesh.stencil_coords[i]
+        A = np.column_stack([
+            np.ones(len(idx)), dw[:, 0], dw[:, 1],
+            0.5 * dw[:, 0] ** 2, dw[:, 0] * dw[:, 1], 0.5 * dw[:, 1] ** 2,
+        ])
+        ata = A.T @ A + 1e-12 * np.eye(6)
+        sol = np.linalg.solve(ata, A.T @ values[idx])
+        hw = np.array([[sol[3], sol[4]], [sol[4], sol[5]]])
+        a = mesh.stencil_to_frame[i]
+        hf = a @ hw @ a.T
+        hess[i] = 0.5 * (hf + hf.T)
+    return hess
+
+
+def fits_unlike_the_loops() -> list:
+    """(mesh, fit) of each fit whose bytes differ from its oracle loop,
+    on random values over the four chart families."""
+    meshes = {
+        "flat": (model_space(geometry.EUCLIDEAN, 4),
+                 submanifold.FlatDisk(radius=1.0), 11),
+        "graph": (model_space(geometry.EUCLIDEAN, 4),
+                  submanifold.GraphOverDisk(radius=1.0,
+                                            height="1 + u1 * u2 / 4"), 10),
+        "sphere": (model_space(geometry.SPHERE, 4),
+                   submanifold.GeodesicBallInSubsphere(radius=1.2), 11),
+        "hyperbolic": (model_space(geometry.HYPERBOLIC, 4),
+                       submanifold.GeodesicDiskInHyperbolicSubspace(
+                           radius=0.8), 11),
+    }
+    rng = np.random.default_rng(20240602)
+    unlike = []
+    for name, (M, chart, res) in meshes.items():
+        mesh = submanifold.build_submanifold(M, chart, res)
+        values = rng.standard_normal(mesh.node_count)
+        fits = {"gradient 2h": (submanifold.lsq_gradient(mesh, values),
+                                loop_gradient(mesh, values))}
+        for radius in (3.0, 4.0):
+            fits[f"hessian {radius:g}h"] = (
+                submanifold.lsq_hessian(mesh, values, radius),
+                loop_hessian(mesh, values, radius))
+        unlike += [(name, fit) for fit, (kernel, loop) in fits.items()
+                   if kernel.tobytes() != loop.tobytes()]
+    return unlike
 
 
 class TestDistanceAndTube:
