@@ -49,20 +49,12 @@ class NonSymmetricHessianError(OTSobolevError):
     """Hessian input fails the symmetry check."""
 
 
-class SingularPError(OTSobolevError):
-    """det P changed sign before t = 1 (conjugate-point degeneracy)."""
-
-
 class DenominatorVanishesError(OTSobolevError):
     """Determinant-profile denominator vanished on (0, 1)."""
 
 
 class ArgOutOfDomainError(OTSobolevError):
     """Comparison-profile argument left the domain of arctan/artanh."""
-
-
-class NormalizationDriftError(OTSobolevError):
-    """t^-m det P failed its small-t normalization check."""
 
 
 class EmptyDomainError(OTSobolevError):

@@ -414,13 +414,6 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
         r = float(params["r"])
         k1 = k2 = float(K)
         vol, vol_se, vol_src = _domain_volume(variant, domain)
-        center = np.asarray(domain.meta["center"], dtype=float)
-        max_d = float(geometry.distance(
-            manifold, mesh.points, np.broadcast_to(
-                center, mesh.points.shape)).max())
-        _require(max_d <= r / 2.0 + 1e-9,
-                 f"submanifold not contained in the r/2 ball "
-                 f"(max node distance {max_d:.4f} > {r / 2:.4f})")
         s1 = math.sqrt(-k1)
         s2 = math.sqrt(-k2)
         lhs = (vol / (geometry.ball_volume(m)

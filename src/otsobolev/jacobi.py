@@ -1,7 +1,9 @@
 """Matrix Jacobi propagation P'' = -PS along transport geodesics.
 
-Forms Q = P^{-1} P', checks the Riccati block-trace comparisons, the
-determinant-profile monotonicity, the endpoint Jacobian bound, and the
+Forms Q = P^{-1} P' and measures what the Jacobi check of
+``pipeline._jacobi`` compares with its bounds: the Riccati residual,
+the block-trace comparisons, the determinant profile, the small-t
+normalization, the endpoint Jacobian bound, and the
 positive/negative-curvature comparison envelopes.
 """
 
@@ -18,16 +20,12 @@ from .errors import (
     ArgOutOfDomainError,
     DenominatorVanishesError,
     NonSymmetricHessianError,
-    NormalizationDriftError,
-    SingularPError,
 )
-from .geometry import ModelManifold, ParallelFrame
+from .geometry import ModelManifold
 from .submanifold import SubmanifoldMesh
 
 TRIM_SAMPLES = 10          # trimmed window starts at t0 = TRIM_SAMPLES / steps
 COND_LIMIT = 1e12          # Q is only formed where cond(P) stays below this
-BOUND_SLACK_FACTOR = 1e-3
-NORMALIZATION_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +39,7 @@ class JacobiTrajectory:
     Pp: np.ndarray             # (T, d, d)
     n: int
     m: int
-    delta_phi: float           # surface Laplacian of the potential at the node
-    h_dot_v: float             # <H, v> at the node
+    lam: float                 # Delta phi + <H, v>, the scalar of every bound
     S: np.ndarray              # constant curvature matrix in the parallel frame
     det_p: np.ndarray          # (T,)
     Q: np.ndarray              # (T, d, d), nan where undefined
@@ -55,24 +52,11 @@ class JacobiTrajectory:
         self.trq3 = np.einsum("tii->t", self.Q[:, self.n:, self.n:])
 
     @property
-    def trim_index(self) -> int:
-        return TRIM_SAMPLES
-
-    @property
-    def t0(self) -> float:
-        return self.times[self.trim_index]
-
-    @property
     def window(self) -> np.ndarray:
-        """(T,) bool: the Q-defined samples from ``trim_index`` on."""
+        """(T,) bool: the Q-defined samples from ``TRIM_SAMPLES`` on."""
         ok = self.q_defined.copy()
-        ok[:self.trim_index] = False
+        ok[:TRIM_SAMPLES] = False
         return ok
-
-    @property
-    def lam(self) -> float:
-        """Delta phi + <H, v>, the scalar entering every bound."""
-        return self.delta_phi + self.h_dot_v
 
     def symmetry_residual(self) -> float:
         """Worst deviation of P'(t) P(t)^T from symmetry."""
@@ -176,16 +160,16 @@ def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
     return ok
 
 
-def propagate_atoms(manifold: ModelManifold, frames: list,
-                    P0: np.ndarray, P0p: np.ndarray, delta_phi, h_dot_v,
-                    steps: int = 1000) -> list:
-    """``propagate`` for a stack of atoms, integrated together.
+def propagate(manifold: ModelManifold, frames: list, P0: np.ndarray,
+              P0p: np.ndarray, lam, steps: int = 1000) -> list:
+    """RK4 integration of P'' = -PS on [0, 1] for a stack of atoms.
 
-    ``P0``/``P0p`` are (A, d, d), with one frame and one value of
-    ``delta_phi`` and ``h_dot_v`` per atom.  Returns one trajectory per
-    atom, or None for an atom whose det P changes sign or whose P is not
-    finite on the trimmed window (where ``propagate`` raises
-    SingularPError).  The trajectories are views of the stacked arrays.
+    ``P0``/``P0p`` are (A, d, d), with one parallel frame and one value
+    of ``lam`` = Delta phi + <H, v> per atom; S is evaluated once per
+    frame, where it is constant for the model spaces.  Returns one
+    trajectory per atom, or None for an atom whose det P changes sign or
+    whose P is not finite on the trimmed window (a conjugate-point
+    degeneracy).  The trajectories are views of the stacked arrays.
     """
     S = np.stack([geometry.curvature_matrix(manifold, f, 0.0)
                   for f in frames])
@@ -206,27 +190,9 @@ def propagate_atoms(manifold: ModelManifold, frames: list,
             continue
         n = frame.n_tangent
         out.append(JacobiTrajectory(
-            times, P[a], Pp[a], n, S.shape[1] - n, delta_phi[a],
-            h_dot_v[a], S[a], det_p[a], Q[a], ok[a]))
+            times, P[a], Pp[a], n, S.shape[1] - n, lam[a], S[a], det_p[a],
+            Q[a], ok[a]))
     return out
-
-
-def propagate(manifold: ModelManifold, frame: ParallelFrame,
-              P0: np.ndarray, P0p: np.ndarray, steps: int = 1000,
-              delta_phi: float = 0.0,
-              h_dot_v: float = 0.0) -> JacobiTrajectory:
-    """Classical 4th-order one-step integration of P'' = -PS on [0, 1].
-
-    S is evaluated once in the parallel frame, where it is constant for
-    the model spaces.  The one-atom case of ``propagate_atoms``.
-    """
-    (traj,) = propagate_atoms(manifold, [frame], np.asarray(P0)[None],
-                              np.asarray(P0p)[None], [delta_phi], [h_dot_v],
-                              steps)
-    if traj is None:
-        raise SingularPError("det P changes sign or P is not finite "
-                             "before t = 1 (conjugate-point degeneracy)")
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -292,56 +258,39 @@ def riccati_residual(traj: JacobiTrajectory) -> float:
 # determinant profile and bounds
 
 
-def monotonicity_profile(traj: JacobiTrajectory):
-    """t^{-m} (1 - t lam / n)^{-n} det P(t) on the trimmed window.
-
-    Returns (times, profile, is_nonincreasing, worst_increase).  The
-    profile is nonincreasing when no step increases it by more than 1e-6
-    of its scale at t0, and the worst increase is relative to that scale.
-    """
+def monotonicity_profile(traj: JacobiTrajectory) -> np.ndarray:
+    """t^{-m} (1 - t lam / n)^{-n} det P(t) on the trimmed window, the
+    times ``traj.times[TRIM_SAMPLES:]``; under S >= 0 it is
+    nonincreasing."""
     n, m = traj.n, traj.m
     lam = traj.lam
-    i0 = traj.trim_index
-    t = traj.times[i0:]
+    t = traj.times[TRIM_SAMPLES:]
     denom = 1.0 - t * lam / n
     if np.any(denom <= 0):
         raise DenominatorVanishesError(
             f"1 - t(dphi + <H,v>)/n vanishes on (0,1); lam = {lam:.4g}")
-    profile = t**(-m) * denom**(-n) * traj.det_p[i0:]
-    scale = abs(profile[0])
-    tol = 1e-6 * scale
-    diffs = np.diff(profile)
-    worst = float(diffs.max()) if len(diffs) else 0.0
-    return t, profile, bool(worst <= tol), worst / scale
+    return t**(-m) * denom**(-n) * traj.det_p[TRIM_SAMPLES:]
 
 
 def normalization_limit(traj: JacobiTrajectory):
     """(first-sample value, extrapolated limit) of t^{-m} det P(t).
 
     The limit is a quadratic-in-t extrapolation through the samples at
-    t0, 2 t0, 4 t0, which removes the first- and second-order terms of
-    the small-t expansion.
+    t0, 2 t0, 4 t0, t0 = ``traj.times[TRIM_SAMPLES]``, which removes the
+    first- and second-order terms of the small-t expansion; it is 1 for
+    the transport initial data.
     """
-    i0 = traj.trim_index
-    idx = np.array([i0, 2 * i0, 4 * i0])
+    idx = np.array([1, 2, 4]) * TRIM_SAMPLES
     z1, z2, z4 = traj.times[idx] ** (-traj.m) * traj.det_p[idx]
     limit = (8.0 * z1 - 6.0 * z2 + z4) / 3.0
     return float(z1), float(limit)
 
 
-def jacobian_bound_check(traj: JacobiTrajectory, limit: float):
-    """Endpoint bound det P(1) <= (1 - lam/n)^n, with the t -> 0
-    normalization pinned first; ``limit`` is the second value of
-    ``normalization_limit(traj)``.  Returns (margin, bound, det_p1)."""
-    n = traj.n
-    if abs(limit - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationDriftError(
-            f"t^-m det P limit {limit:.8f} deviates from 1 by "
-            f"{abs(limit - 1.0):.2e}")
-    bound = (1.0 - traj.lam / n) ** n
-    det1 = float(traj.det_p[-1])
-    margin = bound + BOUND_SLACK_FACTOR * abs(bound) - det1
-    return float(margin), float(bound), det1
+def jacobian_bound_check(traj: JacobiTrajectory):
+    """The two sides of the endpoint bound det P(1) <= (1 - lam/n)^n:
+    returns (bound, det_p1)."""
+    bound = (1.0 - traj.lam / traj.n) ** traj.n
+    return float(bound), float(traj.det_p[-1])
 
 
 # ---------------------------------------------------------------------------

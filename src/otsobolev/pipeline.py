@@ -22,8 +22,8 @@ from .errors import (
     ArgOutOfDomainError,
     ConfigError,
     DenominatorVanishesError,
-    NormalizationDriftError,
     ResolutionTooCoarseError,
+    SizeCapError,
     UnsupportedChartError,
 )
 from .fields import ScalarField, constant_field, field_from_expression
@@ -187,8 +187,9 @@ class ScenarioConfig:
         overflow), for an inequality whose manifold or [domain] variant
         it does not hold on or read (``inequalities.INEQUALITY_SCOPE``),
         for a [domain] variant not built for the manifold
-        (``inequalities.DOMAIN_SCOPE``) or around a hypersurface, and for
-        fiber_mass without the annulus domain its envelope needs.
+        (``inequalities.DOMAIN_SCOPE``) or around a hypersurface, for
+        fiber_mass without the annulus domain its envelope needs, and for
+        a negative_local submanifold of radius above r / 2.
         Runs in ``load``, after the overrides are set."""
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
@@ -247,6 +248,18 @@ class ScenarioConfig:
         if not self.domain_params.get("r", 1.0) > 0:
             raise ConfigError(f"domain.r: value {self.domain_params['r']} "
                               "is not positive")
+        # (a chart without a radius does not fit hyperbolic space, which
+        # build_submanifold reports)
+        radius = self.chart_params.get("radius")
+        if self.inequality_variant == inequalities.NEGATIVE_LOCAL \
+                and radius is not None:
+            r = self.domain_params["r"]
+            if radius > r / 2:
+                raise ConfigError(
+                    f"domain.r, submanifold.radius: "
+                    f"{inequalities.NEGATIVE_LOCAL} needs the submanifold "
+                    f"inside the r/2 ball, but its radius {radius} exceeds "
+                    f"r / 2 = {r / 2}")
         if not self.domain_params.get("eps", 0.0) >= 0:
             raise ConfigError(f"domain.eps: value {self.domain_params['eps']}"
                               " is negative")
@@ -437,14 +450,22 @@ def _semiconcavity(ctx):
 JACOBI_CHUNK = 16
 
 
-# The Jacobi check gates the worst margin n - delta_phi - <H, v> of its
-# atoms at -LAP_SLACK_FACTOR * n: the slack covers the Hessian-fit bias.
+# The bounds of the Jacobi check.  The worst margin n - delta_phi - <H, v>
+# of its atoms is gated at -LAP_SLACK_FACTOR * n: the slack covers the
+# Hessian-fit bias.  The determinant profile of a K >= 0 atom may rise by
+# MONOTONICITY_TOL of its value at t0 per step.  The endpoint bound
+# det P(1) <= (1 - lam/n)^n has slack BOUND_SLACK_FACTOR * |bound|.  An
+# atom whose t^-m det P(t) limit is more than NORMALIZATION_TOL from 1 is
+# flagged for normalization drift, not evaluated.
 LAP_SLACK_FACTOR = 0.05
+MONOTONICITY_TOL = 1e-6
+BOUND_SLACK_FACTOR = 1e-3
+NORMALIZATION_TOL = 1e-4
 
 
-# the exceptions that flag an atom, each with the record key counting it
+# the exceptions of the envelope math that flag an atom, each with the
+# record key counting it; normalization drift is flagged by _jacobi_atom
 FLAG_REASONS = {DenominatorVanishesError: "flagged_denominator_vanishes",
-                NormalizationDriftError: "flagged_normalization_drift",
                 ArgOutOfDomainError: "flagged_arg_out_of_domain"}
 
 
@@ -465,6 +486,7 @@ def _jacobi(ctx):
     K = M.curvature
     stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
              "singular_atoms": 0, "flagged_atoms": 0,
+             "flagged_normalization_drift": 0,
              **dict.fromkeys(FLAG_REASONS.values(), 0),
              **dict.fromkeys((
                  "sym_residual_max", "q_sym_residual_max",
@@ -474,7 +496,7 @@ def _jacobi(ctx):
                  "trq3_excess_max"))}
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
-        frames, P0, P0p, dphi, hdv = [], [], [], [], []
+        frames, P0, P0p, lam = [], [], [], []
         for i, u in zip(ii[chunk].tolist(), logs[chunk]):
             frames.append(geometry.build_parallel_frame(
                 M, mesh.points[i], u, list(mesh.tangent_frames[i]),
@@ -484,11 +506,9 @@ def _jacobi(ctx):
                                                 grad_phi[i])
             P0.append(p0)
             P0p.append(p0p)
-            dphi.append(float(np.trace(hess_phi[i])))
-            hdv.append(float(hn[i] @ v_norm))
-        trajs = jacobi.propagate_atoms(M, frames, np.stack(P0),
-                                       np.stack(P0p), dphi, hdv,
-                                       steps=ctx.config.jacobi_steps)
+            lam.append(float(np.trace(hess_phi[i])) + float(hn[i] @ v_norm))
+        trajs = jacobi.propagate(M, frames, np.stack(P0), np.stack(P0p), lam,
+                                 steps=ctx.config.jacobi_steps)
         for traj in trajs:
             if traj is not None:
                 _jacobi_atom(ctx, traj, K, stats)
@@ -529,14 +549,22 @@ def _jacobi_atom(ctx, traj, K, stats):
           lap_margin_min=float(traj.n - traj.lam))
     try:
         if K >= 0.0:
-            _, _, mono, worst = jacobi.monotonicity_profile(traj)
+            det_profile = jacobi.monotonicity_profile(traj)
+            scale = abs(det_profile[0])
+            worst = float(np.diff(det_profile).max())
             # a profile that never increases has worst increase 0
-            _fold(stats, mono_worst_increase=max(0.0, worst))
-            stats["mono_failures"] = (stats["mono_failures"] or 0) + (not mono)
+            _fold(stats, mono_worst_increase=max(0.0, worst / scale))
+            stats["mono_failures"] = (stats["mono_failures"] or 0) + (
+                not worst <= MONOTONICITY_TOL * scale)
             _, limit = jacobi.normalization_limit(traj)
-            margin, _, _ = jacobi.jacobian_bound_check(traj, limit=limit)
-            _fold(stats, bound_margin_min=margin,
-                  normalization_worst=abs(limit - 1.0))
+            drift = abs(limit - 1.0)
+            if drift > NORMALIZATION_TOL:
+                stats["flagged_atoms"] += 1
+                stats["flagged_normalization_drift"] += 1
+                return
+            bound, det1 = jacobi.jacobian_bound_check(traj)
+            _fold(stats, bound_margin_min=bound + BOUND_SLACK_FACTOR
+                  * abs(bound) - det1, normalization_worst=drift)
             profile = jacobi.ComparisonProfile("nonneg", traj.n, traj.m,
                                                traj.lam)
         else:
@@ -551,7 +579,7 @@ def _jacobi_atom(ctx, traj, K, stats):
     stats["evaluated_atoms"] += 1
     _fold(stats, trq1_excess_max=trq1_excess, trq3_excess_max=trq3_excess)
     if "jacobi_profile" not in ctx.report.series:
-        i0 = traj.trim_index
+        i0 = jacobi.TRIM_SAMPLES
         t = traj.times[i0:]
         ctx.report.series["jacobi_profile"] = {
             "t": t.tolist(),
@@ -629,16 +657,21 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
     M = config.build_manifold()
     chart = submanifold.CHARTS[config.chart](**config.chart_params)
     try:
-        mesh = submanifold.build_submanifold(M, chart, config.resolution)
+        # a radius the floats cannot hold is reported below, as a config
+        # error, not by numpy warnings on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh = submanifold.build_submanifold(M, chart, config.resolution)
     except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
         raise ConfigError(f"submanifold: {exc}") from exc
     except OverflowError as exc:  # the libm sinh of a geodesic disk's rim
         raise ConfigError("submanifold.radius: the boundary length of the "
                           f"mesh overflows ({exc})") from exc
     weights = np.concatenate([mesh.weights, mesh.boundary_weights])
-    if not np.all(np.isfinite(weights) & (weights > 0)):
-        raise ConfigError("submanifold.radius: the quadrature weights of the "
-                          "mesh are not all finite and positive")
+    if not (np.all(np.isfinite(weights) & (weights > 0))
+            and np.isfinite(mesh.points).all()):
+        raise ConfigError("submanifold.radius: the nodes of the mesh are "
+                          "not all finite, or its quadrature weights not all "
+                          "finite and positive")
     try:
         if config.field_kind == "constant":
             f = constant_field(mesh, float(config.field_spec))
@@ -667,7 +700,14 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         nu = transport.target_measure(domain.points)
         C = transport.cost_matrix(M, mu, nu)
         if config.solver == "exact":
-            coupling = transport.solve_exact(mu, nu, C)
+            try:
+                coupling = transport.solve_exact(mu, nu, C)
+            except SizeCapError as exc:
+                raise ConfigError(
+                    f"submanifold.resolution, domain.samples: {mu.size} "
+                    f"nodes x {nu.size} targets exceed the exact solver's "
+                    f"cap {transport.EXACT_SIZE_CAP}; lower them or set "
+                    "solver.method = entropic") from exc
         else:
             eps_reg = config.eps_reg
             if eps_reg is None:

@@ -13,7 +13,7 @@ import pytest
 
 from otsobolev import cli, geometry, inequalities, jacobi, submanifold, transport
 from otsobolev.fields import constant_field
-from otsobolev.pipeline import ScenarioConfig, run_scenario
+from otsobolev.pipeline import NORMALIZATION_TOL, ScenarioConfig, run_scenario
 
 from chart_checks import model_space
 
@@ -119,8 +119,8 @@ def test_criterion_3_jacobi_oracles(capsys):
     norm_worst = 0.0
     for M, frame, sol in cases:
         t0 = time.perf_counter()
-        traj = jacobi.propagate(M, frame, np.zeros((3, 3)), np.eye(3),
-                                steps=1000)
+        (traj,) = jacobi.propagate(M, [frame], np.zeros((1, 3, 3)),
+                                   np.eye(3)[None], [0.0], steps=1000)
         per_traj.append(time.perf_counter() - t0)
         t = traj.times
         oracle = np.zeros_like(traj.P)
@@ -130,10 +130,10 @@ def test_criterion_3_jacobi_oracles(capsys):
                 else t
         worst = max(worst, float(np.abs(traj.P - oracle).max()))
         # block normalization: t^-m det P at the first trimmed sample
-        block = jacobi.propagate(
-            M, frame, np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]),
-            steps=1000)
-        i0 = block.trim_index
+        (block,) = jacobi.propagate(
+            M, [frame], np.diag([1.0, 1.0, 0.0])[None],
+            np.diag([0.0, 0.0, 1.0])[None], [0.0], steps=1000)
+        i0 = jacobi.TRIM_SAMPLES
         first = block.det_p[i0] / block.times[i0] ** block.m
         norm_worst = max(norm_worst, abs(first - 1.0))
     ok = worst <= 1e-8 and norm_worst <= 1e-4 and max(per_traj) <= 1.0
@@ -259,11 +259,12 @@ def test_criterion_8_hand_jacobian_equality(capsys):
     frame = geometry.build_parallel_frame(
         M, mesh.points[node], np.zeros(4), list(mesh.tangent_frames[node]),
         list(mesh.normal_frames[node]), samples=2)
-    traj = jacobi.propagate(M, frame, P0, P0p, steps=1000,
-                            delta_phi=-2.0, h_dot_v=0.0)
+    (traj,) = jacobi.propagate(M, [frame], P0[None], P0p[None], [-2.0],
+                               steps=1000)
     _, limit = jacobi.normalization_limit(traj)
-    margin, bound, det1 = jacobi.jacobian_bound_check(traj, limit)
-    ok = abs(det1 - 4.0) <= 1e-9 and abs(bound - 4.0) <= 1e-9
+    bound, det1 = jacobi.jacobian_bound_check(traj)
+    ok = abs(det1 - 4.0) <= 1e-9 and abs(bound - 4.0) <= 1e-9 \
+        and abs(limit - 1.0) <= NORMALIZATION_TOL
     announce(capsys, 8, ok, f"det P(1)={det1!r}, bound={bound!r}")
 
 

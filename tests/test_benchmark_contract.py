@@ -6,11 +6,13 @@ function, rejects a generated config or drops a report field the
 worker reads fails here instead of in a benchmark run."""
 
 import importlib
+import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from otsobolev import cli
+from otsobolev import cli, pipeline
 from otsobolev.pipeline import ScenarioConfig
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -32,6 +34,30 @@ def test_tracer_installs_against_the_package(monkeypatch):
         t.uninstall()
     for (module, attr), original in zip(targets, originals):
         assert getattr(module, attr) is original
+
+
+def test_tracer_sees_the_jacobi_stage(monkeypatch):
+    """The traced ``jacobi.propagate`` is the function the Jacobi stage
+    calls: on flat_disk_annulus shrunk to 20 atoms, one span per
+    JACOBI_CHUNK atoms, and one ``jacobi.riccati_residual`` span per
+    evaluated atom."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    tracer = importlib.import_module("tracer")
+    config = ScenarioConfig.load(
+        cli.bundled_scenario_path("flat_disk_annulus.cfg"),
+        [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+         ("jacobi", "atoms", "20"), ("jacobi", "steps", "200")])
+    t = tracer.Tracer()
+    try:
+        t.install()
+        rec = pipeline.run_scenario(config).checks["jacobi"]
+    finally:
+        t.uninstall()
+    spans = Counter(span["name"] for span in t.spans)
+    assert spans["jacobi.propagate"] == math.ceil(
+        20 / pipeline.JACOBI_CHUNK) == 2
+    assert rec["evaluated_atoms"] == rec["atom_count"] == 20
+    assert spans["jacobi.riccati_residual"] == rec["evaluated_atoms"]
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,11 +344,25 @@ class TestRunCommand:
          "submanifold.radius"),
         ("flat_disk_annulus", "radius = 1.0", "radius = 1e-200",
          "submanifold.radius"),
-        # an OverflowError in the boundary length of a geodesic disk and
-        # in the volume of the annulus shell
-        ("hyperbolic_disk_r2", "radius = 0.5", "radius = 1e3",
-         "submanifold.radius"),
+        # an OverflowError in the boundary length of a geodesic disk (the
+        # inequality dropped: a disk that wide leaves the r/2 ball of
+        # negative_local) and in the volume of the annulus shell
+        ("hyperbolic_disk_r2", ("radius = 0.5", "inequality = negative_local"),
+         ("radius = 1e3", "inequality = none"), "submanifold.radius"),
         ("flat_disk_annulus", "r = 6.0", "r = 1e200", "domain.r"),
+        # negative_local holds for a submanifold inside the r/2 ball
+        ("hyperbolic_disk_r2",
+         ("radius = 0.5", "resolution = 20", "r = 2.0", "samples = 1200"),
+         ("radius = 0.9", "resolution = 6", "r = 1.0", "samples = 100"),
+         "domain.r"),
+        # a chart without a radius fails on hyperbolic space, not in the
+        # r/2 check
+        ("hyperbolic_disk_r2",
+         ("chart = hyperbolic_geodesic_disk", "radius = 0.5\n"),
+         ("chart = equatorial_subsphere", ""), "submanifold"),
+        # an exact LP above the solver's size cap (576 nodes)
+        ("flat_disk_annulus", "resolution = 11", "resolution = 12",
+         "submanifold.resolution, domain.samples"),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
@@ -358,6 +373,24 @@ class TestRunCommand:
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         assert "config error" in res.output and named in res.output
+
+    @pytest.mark.parametrize("scenario, old, new", [
+        ("flat_disk_sharp", "radius = 1.0", "radius = 1e200"),
+        ("hyperbolic_disk_r2", ("radius = 0.5", "inequality = negative_local"),
+         ("radius = 1e3", "inequality = none")),
+    ])
+    def test_mesh_overflow_warns_nothing(self, runner, tmp_path, scenario,
+                                         old, new):
+        """A chart radius whose mesh overflows prints its config error and
+        no numpy warning from the way there."""
+        cfg = mutated(tmp_path, scenario, old, new)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(cli.main, ["run", cfg,
+                                           "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 2, res.output
+        assert "config error: submanifold.radius" in res.output
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("dim", [4, 5, 6])
     def test_geodesic_ball_at_tiny_curvature(self, runner, tmp_path,

@@ -56,13 +56,14 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == ["math", "path"]
 
 
-def references(tree: ast.AST) -> Counter:
-    """How often each name is read in ``tree``: as a name, as an
-    attribute, or as a string that is an identifier (the benchmark
-    tracer names the functions it wraps by strings)."""
+def references(tree: ast.AST, names: bool = True) -> Counter:
+    """How often each name is read in ``tree``: as a name (unless
+    ``names`` is false), as an attribute, or as a string that is an
+    identifier (the benchmark tracer names the functions it wraps by
+    strings)."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
@@ -100,12 +101,16 @@ def definitions(module: str, tree: ast.Module):
 def dead_names(modules: dict, readers: list) -> list:
     """Qualified names of the definitions in ``modules`` (module name ->
     source) that no source of ``modules`` or ``readers`` references
-    outside the definition itself.  The scan matches by name only, so a
+    outside the definition itself.  A reader reaches a definition only
+    as an attribute or by an identifier string, so its bare names (its
+    own locals) do not count.  The scan matches by name only, so a
     definition sharing its name with anything read counts as live."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     read = Counter()
-    for tree in [*trees.values(), *map(ast.parse, readers)]:
+    for tree in trees.values():
         read += references(tree)
+    for source in readers:
+        read += references(ast.parse(source), names=False)
     return [qualified for name, tree in trees.items()
             for qualified, node in definitions(name, tree)
             if not is_click_command(node)
@@ -130,6 +135,8 @@ def test_scan_flags_a_definition_nothing_references():
         "    def __init__(self): pass\n"
         "    @property\n"
         "    def size(self): return 1\n"
+        "    @property\n"
+        "    def t0(self): return 0\n"
         "    def unread(self): pass\n"
         "@click.group()\n"
         "def main(): pass\n"
@@ -137,8 +144,10 @@ def test_scan_flags_a_definition_nothing_references():
         "def go_cmd(): pass\n"
         "used(); Box().size\n")
     spans = "SPANS = [('m', 'traced')]\n"
-    assert dead_names({"m": source}, [spans]) == ["m.recursive",
-                                                  "m.Box.unread"]
+    # a reader's local variable of the same name does not read Box.t0
+    timer = "t0 = clock()\nprint(t0)\n"
+    assert dead_names({"m": source}, [spans, timer]) == [
+        "m.recursive", "m.Box.t0", "m.Box.unread"]
 
 
 def private_reads(source: str) -> list:

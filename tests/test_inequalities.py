@@ -236,17 +236,6 @@ class TestNegativeLocal:
                           math.sinh(r) / 2.0, atol=1e-12)
         assert rep["ratio"] <= 1.0 + inequalities.REPORT_TOL
 
-    def test_containment_hypothesis_enforced(self):
-        M = model_space(geometry.HYPERBOLIC, 4)
-        big = submanifold.build_submanifold(
-            M, submanifold.GeodesicDiskInHyperbolicSubspace(1.2), 10)
-        dom = inequalities.build_target_domain(
-            M, big, inequalities.GEODESIC_BALL, dict(r=2.0), 200, 4)
-        with pytest.raises(HypothesisViolationError):
-            inequalities.evaluate_inequality(
-                M, big, constant_field(big, 1.0), inequalities.NEGATIVE_LOCAL,
-                dict(r=2.0), domain=dom)
-
 
 class TestCrossVariantOracle:
     """On a flat 2-disk in 4-space (n = m = 2) nonneg_finite at sigma -> 0

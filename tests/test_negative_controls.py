@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from otsobolev import cli, geometry, inequalities, pipeline, transport
+from otsobolev import (cli, geometry, inequalities, jacobi, pipeline,
+                       submanifold, transport)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -141,12 +142,45 @@ def test_inequality_control(monkeypatch, factor, passed):
     assert report.ok is passed
 
 
+def planted_jacobi_verdict(monkeypatch, measurement, value):
+    """``passed`` of the Jacobi check on one atom whose ``measurement``
+    the library returns as ``value``: the last step of a determinant
+    profile that starts at 1 ("monotonicity"), det P(1) under a unit
+    bound ("endpoint"), or the t^-m det P limit ("normalization").  The
+    atom sits on a flat disk with zero potential Hessian and velocity,
+    where every sub-check passes unplanted."""
+    name, planted = {
+        "monotonicity": ("monotonicity_profile",
+                         lambda traj: np.array([1.0, 0.0, value])),
+        "endpoint": ("jacobian_bound_check", lambda traj: (1.0, value)),
+        "normalization": ("normalization_limit", lambda traj: (1.0, value)),
+    }[measurement]
+    monkeypatch.setattr(jacobi, name, planted)
+    M = geometry.ModelManifold(geometry.EUCLIDEAN, 4, 0.0)
+    mesh = submanifold.build_submanifold(
+        M, submanifold.FlatDisk(radius=1.0), 6)
+    nodes = mesh.node_count
+    one = np.zeros(1, dtype=int)
+    ctx = SimpleNamespace(
+        config=SimpleNamespace(jacobi_atoms=1, jacobi_steps=100),
+        M=M, mesh=mesh, gradient=(np.zeros((nodes, 2)), None),
+        hess_phi=np.zeros((nodes, 2, 2)), atoms=(one, one, np.ones(1)),
+        atom_logs=np.zeros((1, 4)),
+        report=pipeline.RunReport("planted", 0, {}))
+    return pipeline.CHECKS["jacobi"].run(ctx)["passed"]
+
+
 def planted_verdict(monkeypatch, check, value):
     """``passed`` of ``CHECKS[check]`` when the library function the
     check reads, or for certification the run's certificate, returns the
     measurement ``value``; for fiber_mass ``value`` is the fiber-volume
     proxy of the one node, under a unit envelope, and for ibp the
-    left-hand side -int f Lap phi, under a unit right-hand side."""
+    left-hand side -int f Lap phi, under a unit right-hand side.  A
+    ``jacobi.<measurement>`` check plants that Jacobi measurement
+    (``planted_jacobi_verdict``)."""
+    if check.startswith("jacobi."):
+        return planted_jacobi_verdict(monkeypatch, check[len("jacobi."):],
+                                      value)
     if check == "semiconcavity":
         monkeypatch.setattr(transport, "semiconcavity_check",
                             lambda *args: value)
@@ -189,6 +223,17 @@ def planted_verdict(monkeypatch, check, value):
     # -int f Lap phi <= r (int_boundary f + int |grad f|) * 1.05, with a
     # unit right-hand side
     ("ibp", 1.0 * 1.05, math.inf),
+    # a determinant profile starting at 1 rises by at most
+    # MONOTONICITY_TOL * 1 per step
+    ("jacobi.monotonicity", pipeline.MONOTONICITY_TOL * 1.0, math.inf),
+    # det P(1) <= bound + BOUND_SLACK_FACTOR * |bound|, with a unit bound:
+    # an endpoint margin of exactly 0
+    ("jacobi.endpoint", 1.0 + pipeline.BOUND_SLACK_FACTOR * 1.0, math.inf),
+    # |limit - 1| <= NORMALIZATION_TOL, or the one atom is flagged and
+    # none is evaluated; 1 + 1e-4 rounds to the largest float whose
+    # |limit - 1| (1e-4 - 1.1e-17) is within it, and the next float's
+    # (1e-4 + 2.1e-16) is not
+    ("jacobi.normalization", 1.0 + pipeline.NORMALIZATION_TOL, math.inf),
 ])
 def test_verdict_at_its_bound(monkeypatch, check, bound, outward):
     """A measurement exactly at the bound passes, and the next float
