@@ -464,9 +464,11 @@ NORMALIZATION_TOL = 1e-4
 
 
 # the exceptions of the envelope math that flag an atom, each with the
-# record key counting it; normalization drift is flagged by _jacobi_atom
+# record key counting it; FLAG_KEYS adds normalization drift, which
+# _jacobi_atom finds itself
 FLAG_REASONS = {DenominatorVanishesError: "flagged_denominator_vanishes",
                 ArgOutOfDomainError: "flagged_arg_out_of_domain"}
+FLAG_KEYS = ("flagged_normalization_drift", *FLAG_REASONS.values())
 
 
 def _jacobi(ctx):
@@ -486,8 +488,7 @@ def _jacobi(ctx):
     K = M.curvature
     stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
              "singular_atoms": 0, "flagged_atoms": 0,
-             "flagged_normalization_drift": 0,
-             **dict.fromkeys(FLAG_REASONS.values(), 0),
+             **dict.fromkeys(FLAG_KEYS, 0),
              **dict.fromkeys((
                  "sym_residual_max", "q_sym_residual_max",
                  "riccati_residual_max", "lap_margin_min",
@@ -538,6 +539,13 @@ def _fold(stats, **values):
             min if key.endswith("_min") else max)(prev, value)
 
 
+def _flag(stats, key):
+    """Count one flagged atom, under ``flagged_atoms`` and under the
+    ``FLAG_KEYS`` key of its reason."""
+    stats["flagged_atoms"] += 1
+    stats[key] += 1
+
+
 def _jacobi_atom(ctx, traj, K, stats):
     """Run the checks of one propagated atom and fold them into
     ``stats``; the first evaluated atom gives the plot series.  The
@@ -559,8 +567,7 @@ def _jacobi_atom(ctx, traj, K, stats):
             _, limit = jacobi.normalization_limit(traj)
             drift = abs(limit - 1.0)
             if drift > NORMALIZATION_TOL:
-                stats["flagged_atoms"] += 1
-                stats["flagged_normalization_drift"] += 1
+                _flag(stats, "flagged_normalization_drift")
                 return
             bound, det1 = jacobi.jacobian_bound_check(traj)
             _fold(stats, bound_margin_min=bound + BOUND_SLACK_FACTOR
@@ -573,8 +580,7 @@ def _jacobi_atom(ctx, traj, K, stats):
                 r=ctx.config.domain_params["r"])
         trq1_excess, trq3_excess = jacobi.trace_comparison_check(traj, profile)
     except tuple(FLAG_REASONS) as exc:
-        stats["flagged_atoms"] += 1
-        stats[FLAG_REASONS[type(exc)]] += 1
+        _flag(stats, FLAG_REASONS[type(exc)])
         return
     stats["evaluated_atoms"] += 1
     _fold(stats, trq1_excess_max=trq1_excess, trq3_excess_max=trq3_excess)
@@ -657,8 +663,9 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
     M = config.build_manifold()
     chart = submanifold.CHARTS[config.chart](**config.chart_params)
     try:
-        # a radius the floats cannot hold is reported below, as a config
-        # error, not by numpy warnings on the way
+        # a chart the floats cannot hold (a radius, or a graph's height)
+        # is reported below, as a config error, not by numpy warnings on
+        # the way
         with np.errstate(over="ignore", invalid="ignore"):
             mesh = submanifold.build_submanifold(M, chart, config.resolution)
     except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
@@ -669,9 +676,11 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
     weights = np.concatenate([mesh.weights, mesh.boundary_weights])
     if not (np.all(np.isfinite(weights) & (weights > 0))
             and np.isfinite(mesh.points).all()):
-        raise ConfigError("submanifold.radius: the nodes of the mesh are "
-                          "not all finite, or its quadrature weights not all "
-                          "finite and positive")
+        keys = ", ".join(f"submanifold.{key}"
+                         for key in config.chart_params) or "submanifold"
+        raise ConfigError(f"{keys}: the nodes of the mesh are not all "
+                          "finite, or its quadrature weights not all finite "
+                          "and positive")
     try:
         if config.field_kind == "constant":
             f = constant_field(mesh, float(config.field_spec))

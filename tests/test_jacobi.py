@@ -171,6 +171,8 @@ class TestStructuralChecks:
         prof = jacobi.monotonicity_profile(traj)
         assert nonincreasing(prof)
         assert prof[-1] < prof[0] - 1e-4
+        _, limit = jacobi.normalization_limit(traj)
+        assert abs(limit - 1.0) <= pipeline.NORMALIZATION_TOL
         bound, det1 = jacobi.jacobian_bound_check(traj)
         assert det1 < bound
 
