@@ -7,7 +7,7 @@ evaluates both sides by submanifold quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -56,6 +56,8 @@ DOMAIN_SCOPE = {
     COMPLEMENT_OF_TUBE: ((geometry.SPHERE,), ("eps",)),
     GEODESIC_BALL: ((geometry.HYPERBOLIC,), ("r",)),
 }
+# the variants whose volume is the acceptance rate of their own samples
+SAMPLED_VOLUME = (ANNULUS,)
 
 
 def _sinc(x: float) -> float:
@@ -73,7 +75,6 @@ class TargetDomain:
     volume: float
     volume_stderr: float
     volume_provenance: str      # "analytic" | "monte_carlo"
-    meta: dict = field(default_factory=dict)
 
 
 def _resample_away_from_cut(M, mesh, pts, rng):
@@ -163,7 +164,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         variant: str, params: dict, n_samples: int,
                         seed: int) -> TargetDomain:
     """Seeded-rejection samples satisfying the variant's distance
-    constraints, with analytic or Monte Carlo volume."""
+    constraints, with analytic or Monte Carlo volume; with no samples, a
+    tube complement or a geodesic ball is its volume alone."""
     if variant not in DOMAIN_SCOPE:
         raise ValueError(f"unknown target-domain variant {variant!r}")
     built_for = DOMAIN_SCOPE[variant][0]
@@ -180,13 +182,18 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         return TargetDomain(variant, pts, vol, 0.0, "analytic")
     if variant == COMPLEMENT_OF_TUBE:
         eps = float(params["eps"])
-        if eps == 0.0:
-            dom = build_target_domain(manifold, mesh, WHOLE_MANIFOLD, {},
-                                      n_samples, seed)
-            return TargetDomain(variant, dom.points, dom.volume, 0.0,
-                                "analytic")
+        if eps == 0.0:  # the whole manifold, by this variant's name
+            return replace(build_target_domain(
+                manifold, mesh, WHOLE_MANIFOLD, {}, n_samples, seed),
+                variant=variant)
         tube, tube_se = submanifold.tubular_volume(
             manifold, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
+        vol = geometry.manifold_volume(manifold) - tube
+        if not vol > 0.0:
+            raise EmptyDomainError(f"the {eps}-tube covers the sphere")
+        if n_samples == 0:
+            return TargetDomain(variant, np.empty((0, manifold.embedding_dim)),
+                                vol, tube_se, "monte_carlo")
         engine = ScrambledHalton(manifold.embedding_dim, s_pts)
         cut_bound = geometry.manifold_diameter(manifold) \
             - 10 * geometry.CUT_TOLERANCE
@@ -198,11 +205,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         if len(accepted) < n_samples:
             raise EmptyDomainError(
                 f"complement of the {eps}-tube admits too few samples")
-        pts = np.array(accepted[:n_samples])
-        return TargetDomain(variant, pts,
-                            geometry.manifold_volume(manifold) - tube,
-                            tube_se, "monte_carlo",
-                            meta={"tube_volume": tube})
+        return TargetDomain(variant, np.array(accepted[:n_samples]), vol,
+                            tube_se, "monte_carlo")
     if variant == ANNULUS:
         sigma, r = float(params["sigma"]), float(params["r"])
         if not 0.0 < sigma < 1.0:
@@ -235,9 +239,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         rate = len(accepted) / tried
         vol = shell_vol * rate
         se = shell_vol * math.sqrt(max(rate * (1 - rate), 0.0) / tried)
-        return TargetDomain(variant, pts, vol, se, "monte_carlo",
-                            meta={"shell_radii": [slo, shi],
-                                  "acceptance": rate})
+        return TargetDomain(variant, pts, vol, se, "monte_carlo")
     if variant == GEODESIC_BALL:
         half = float(params["r"]) / 2.0
         R = manifold.radius
@@ -258,8 +260,7 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
                                vecs)
         vol = geometry.sphere_area(d_amb - 1) * scint.quad(
             lambda s: (R * math.sinh(s / R)) ** (d_amb - 1), 0.0, half)[0]
-        return TargetDomain(variant, pts, vol, 0.0, "analytic",
-                            meta={"center": center.tolist()})
+        return TargetDomain(variant, pts, vol, 0.0, "analytic")
 
 
 # ---------------------------------------------------------------------------

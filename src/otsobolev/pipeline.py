@@ -133,18 +133,6 @@ class ScenarioConfig:
         else:
             raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
 
-        domain_variant = None
-        domain_params = {}
-        domain_samples = 0
-        if cp.has_section("domain"):
-            domain_variant = get("domain", "variant")
-            if domain_variant not in inequalities.DOMAIN_SCOPE:
-                raise ConfigError(
-                    f"domain.variant: unknown variant {domain_variant!r}")
-            domain_samples = get("domain", "samples", int, 1000)
-            domain_params = {key: get("domain", key, float) for key in
-                             inequalities.DOMAIN_SCOPE[domain_variant][1]}
-
         checks = {key: get("checks", key, bool, False)
                   for key in CHECK_NAMES if key != "inequality"}
         inequality_variant = get("checks", "inequality", fallback="none")
@@ -154,9 +142,23 @@ class ScenarioConfig:
             raise ConfigError(
                 f"checks.inequality: unknown variant {inequality_variant!r}")
         checks["inequality"] = inequality_variant is not None
+        transported = _transport_enabled(checks)
 
-        solver = get("solver", "method", fallback="exact",
-                     used=_transport_enabled(checks))
+        # [domain] is read when a check reads the domain (a transport check
+        # or the inequality), and samples when targets are drawn
+        domain_variant, domain_params, domain_samples = None, {}, 0
+        scope = inequalities.INEQUALITY_SCOPE.get(inequality_variant)
+        if cp.has_section("domain") and (transported or scope and scope[1]):
+            domain_variant = get("domain", "variant")
+            if domain_variant not in inequalities.DOMAIN_SCOPE:
+                raise ConfigError(
+                    f"domain.variant: unknown variant {domain_variant!r}")
+            if transported or domain_variant in inequalities.SAMPLED_VOLUME:
+                domain_samples = get("domain", "samples", int, 1000)
+            domain_params = {key: get("domain", key, float) for key in
+                             inequalities.DOMAIN_SCOPE[domain_variant][1]}
+
+        solver = get("solver", "method", fallback="exact", used=transported)
         if solver not in ("exact", "entropic"):
             raise ConfigError(f"solver.method: unknown method {solver!r}")
         eps_reg = get("solver", "eps_reg", float, None,
@@ -195,7 +197,7 @@ class ScenarioConfig:
                  "manifold.ambient_dim": (self.ambient_dim, 3),
                  "jacobi.steps": (self.jacobi_steps, 100),
                  "jacobi.atoms": (self.jacobi_atoms, 1)}
-        if self.domain_variant is not None:
+        if ("domain", "samples") in self.read_keys:
             least["domain.samples"] = (self.domain_samples, 1)
         for name, (value, bound) in least.items():
             if value < bound:
@@ -709,6 +711,17 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         nu = transport.target_measure(domain.points)
         C = transport.cost_matrix(M, mu, nu)
         if config.solver == "exact":
+            worst = float(C.max())
+            if worst >= transport.HIGHS_INFINITE_COST:
+                # the keys that place the nodes and the targets
+                keys = [f"submanifold.{key}" for key in config.chart_params] \
+                    + [f"domain.{key}" for key in config.domain_params]
+                if M.variant != geometry.EUCLIDEAN:
+                    keys.insert(0, "manifold.curvature")
+                raise ConfigError(
+                    f"{', '.join(keys)}: the largest transport cost {worst:g} "
+                    "reaches the exact solver's infinite cost "
+                    f"{transport.HIGHS_INFINITE_COST:g}")
             try:
                 coupling = transport.solve_exact(mu, nu, C)
             except SizeCapError as exc:

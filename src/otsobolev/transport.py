@@ -26,6 +26,9 @@ from .geometry import ModelManifold
 from .submanifold import SubmanifoldMesh
 
 EXACT_SIZE_CAP = (500, 2000)
+# HiGHS takes a cost at or above its infinite_cost option, 1e20, for an
+# infinite one, so the exact solver needs every cost below it
+HIGHS_INFINITE_COST = 1e20
 
 
 @dataclass

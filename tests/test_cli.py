@@ -72,7 +72,7 @@ def tiny_cfg(tmp_path):
 # [domain] variant it reads
 INEQUALITY_MISMATCHES = [
     ("sphere_tube_005",
-     "[domain]\nvariant = complement_of_tube\neps = 0.05\nsamples = 1000\n",
+     "[domain]\nvariant = complement_of_tube\neps = 0.05\n",
      "", "checks.inequality"),
     ("sphere_tube_005", "inequality = positive_tube",
      "inequality = nonneg_finite", "checks.inequality"),
@@ -86,20 +86,22 @@ INEQUALITY_MISMATCHES = [
 
 
 # a [domain] variant on a manifold it is not built for, or around a
-# lifted hypersurface, with no inequality that reads it
+# lifted hypersurface, with no inequality that reads it: a transport
+# check reads the domain
 DOMAIN_MISMATCHES = [
     ("sphere_tube_005",
      ("variant = complement_of_tube\neps = 0.05", "inequality = positive_tube"),
      ("variant = annulus_around_sigma\nsigma = 0.5\nr = 1.0",
-      "inequality = none"), "domain.variant"),
+      "inequality = none\ntangency = true"), "domain.variant"),
     ("flat_disk_annulus",
      ("variant = annulus_around_sigma", "inequality = nonneg_finite"),
      ("variant = geodesic_ball", "inequality = none"), "domain.variant"),
     ("flat_disk_sharp", "[checks]",
-     "[domain]\nvariant = complement_of_tube\neps = 0.1\n\n[checks]",
-     "domain.variant"),
+     "[domain]\nvariant = complement_of_tube\neps = 0.1\n\n[checks]\n"
+     "tangency = true", "domain.variant"),
     ("flat_disk_sharp", "[checks]",
-     "[domain]\nvariant = whole_manifold\n\n[checks]", "domain.variant"),
+     "[domain]\nvariant = whole_manifold\n\n[checks]\ntangency = true",
+     "domain.variant"),
     ("flat_disk_annulus", ("ambient_dim = 4", "inequality = nonneg_finite"),
      ("ambient_dim = 3", "inequality = none"), "domain.variant"),
 ]
@@ -114,8 +116,9 @@ FIBER_MASS_MISMATCHES = [
 ]
 
 
-# a key the config does not read: a misspelt key or section, or a
-# [domain] key its variant does not read
+# a key the config does not read: a misspelt key or section, a [domain]
+# key its variant does not read, samples where no targets are drawn, or
+# [domain] where no check reads the domain
 UNREAD_KEYS = [
     ("flat_disk_sharp", "inequality = nonneg_limit",
      "inequality = nonneg_limit\nfiber_mas = true", "checks.fiber_mas"),
@@ -124,6 +127,10 @@ UNREAD_KEYS = [
     ("flat_disk_sharp", "[checks]", "[solvr]\nmethod = entropic\n\n[checks]",
      "solvr.method"),
     ("hyperbolic_disk_r2", "r = 2.0", "r = 2.0\nsigma = 0.5", "domain.sigma"),
+    ("sphere_tube_005", "eps = 0.05", "eps = 0.05\nsamples = 1000",
+     "domain.samples"),
+    ("sphere_ball_closed", "[checks]",
+     "[domain]\nvariant = whole_manifold\n\n[checks]", "domain.variant"),
     # keys with no effect on the run: eps_reg without the entropic
     # solver, [jacobi] without the jacobi check, lift, which a
     # hypersurface (ambient_dim = 3) no longer needs, and codim, which a
@@ -300,7 +307,7 @@ class TestRunCommand:
         ("flat_disk_sharp", "value = 1.0", "value = abc", "field"),
         ("flat_graph", "expression = 1 + u1 * u2 / 4", "expression = -1",
          "field"),
-        ("sphere_tube_005", "samples = 1000", "samples = 0",
+        ("flat_disk_annulus", "samples = 1000", "samples = 0",
          "domain.samples"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
@@ -345,16 +352,24 @@ class TestRunCommand:
         ("flat_disk_annulus", "radius = 1.0", "radius = 1e-200",
          "submanifold.radius"),
         # an OverflowError in the boundary length of a geodesic disk (the
-        # inequality dropped: a disk that wide leaves the r/2 ball of
-        # negative_local) and in the volume of the annulus shell
-        ("hyperbolic_disk_r2", ("radius = 0.5", "inequality = negative_local"),
-         ("radius = 1e3", "inequality = none"), "submanifold.radius"),
-        ("flat_disk_annulus", "r = 6.0", "r = 1e200", "domain.r"),
-        # negative_local holds for a submanifold inside the r/2 ball
+        # inequality and the [domain] it reads dropped: a disk that wide
+        # leaves the r/2 ball of negative_local) and in the volume of the
+        # annulus shell
         ("hyperbolic_disk_r2",
-         ("radius = 0.5", "resolution = 20", "r = 2.0", "samples = 1200"),
-         ("radius = 0.9", "resolution = 6", "r = 1.0", "samples = 100"),
-         "domain.r"),
+         ("radius = 0.5", "[domain]\nvariant = geodesic_ball\nr = 2.0\n",
+          "inequality = negative_local"),
+         ("radius = 1e3", "", "inequality = none"), "submanifold.radius"),
+        ("flat_disk_annulus", "r = 6.0", "r = 1e200", "domain.r"),
+        # transport costs at or above the LP's infinite cost, 1e20 (the
+        # largest cost at r = 1.5e10 is 1.1e20)
+        *(("flat_disk_annulus",
+           ("resolution = 11", "samples = 1000", "r = 6.0"),
+           ("resolution = 6", "samples = 150", f"r = {r}"),
+           "submanifold.radius, domain.sigma, domain.r")
+          for r in ("1e77", "1.5e10")),
+        # negative_local holds for a submanifold inside the r/2 ball
+        ("hyperbolic_disk_r2", ("radius = 0.5", "resolution = 20", "r = 2.0"),
+         ("radius = 0.9", "resolution = 6", "r = 1.0"), "domain.r"),
         # a chart without a radius fails on hyperbolic space, not in the
         # r/2 check
         ("hyperbolic_disk_r2",
@@ -385,13 +400,18 @@ class TestRunCommand:
     def test_geodesic_ball_at_tiny_curvature(self, runner, tmp_path,
                                              monkeypatch, dim):
         """The geodesic ball's constants are scale-free, so at
-        K = -1e-300, whose R^(d-1) overflows, the run passes with finite
-        domain points and the ratio of K = -1e-100."""
+        K = -1e-300, whose R^(d-1) overflows, the run passes with the
+        ratio of K = -1e-100, and its domain drawn with points has finite
+        points."""
         build = inequalities.build_target_domain
         domains = []
-        monkeypatch.setattr(inequalities, "build_target_domain",
-                            lambda *args: domains.append(build(*args))
-                            or domains[-1])
+
+        def drawn(M, mesh, variant, params, n_samples, seed):
+            # the run reads the volume alone: draw the points beside it
+            domains.append(build(M, mesh, variant, params, 400, seed))
+            return build(M, mesh, variant, params, n_samples, seed)
+
+        monkeypatch.setattr(inequalities, "build_target_domain", drawn)
         ratios = []
         for curvature in ("-1e-300", "-1e-100"):
             cfg = mutated(tmp_path, "hyperbolic_disk_r2",
@@ -401,13 +421,53 @@ class TestRunCommand:
             out = tmp_path / curvature
             res = runner.invoke(cli.main, ["run", cfg, "--out", str(out)])
             assert res.exit_code == 0, res.output
-            assert np.isfinite(domains[-1].points).all()
+            points = domains[-1].points
+            assert len(points) == 400 and np.isfinite(points).all()
             recs = [json.loads(line) for line in
                     (out / "hyperbolic_disk_r2.jsonl").read_text()
                     .splitlines()]
             ratios.append(next(r["ratio"] for r in recs
                                if r["record"] == "inequality"))
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scenario", [
+        "sphere_tube_005", "sphere_tube_02", "hyperbolic_disk_r2"])
+    def test_volume_only_domain_draws_no_points(self, monkeypatch, scenario):
+        """An inequality that reads only the volume of its domain, with no
+        transport check, draws no target points."""
+        build = inequalities.build_target_domain
+        domains = []
+        monkeypatch.setattr(inequalities, "build_target_domain",
+                            lambda *args: domains.append(build(*args))
+                            or domains[-1])
+        report = run_scenario(ScenarioConfig.load(
+            cli.bundled_scenario_path(f"{scenario}.cfg")))
+        assert report.ok
+        domain, = domains
+        assert domain.points.shape == (0, 5) and domain.volume > 0
+
+    def test_tube_covering_the_sphere_fails_the_run(self, runner, tmp_path):
+        """At eps = 1.6 the Monte Carlo tube volume is the sphere's: the
+        complement is empty, and the run fails, not passes on volume 0."""
+        cfg = mutated(tmp_path, "sphere_tube_005", "eps = 0.05", "eps = 1.6")
+        res = runner.invoke(cli.main, ["run", cfg,
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 1, res.output
+        assert "EmptyDomainError: the 1.6-tube covers the sphere" \
+            in res.output
+
+    def test_costs_below_the_infinite_cost_reach_the_solver(self, runner,
+                                                            tmp_path):
+        """At r = 1.3e10 the largest cost, 0.85e20, is below the LP's
+        infinite cost: the config is accepted, and the run fails in the
+        solver."""
+        cfg = mutated(tmp_path, "flat_disk_annulus",
+                      ("resolution = 11", "samples = 1000", "r = 6.0"),
+                      ("resolution = 6", "samples = 150", "r = 1.3e10"))
+        res = runner.invoke(cli.main, ["run", cfg,
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 1, res.output
+        assert "NoConvergenceError" in res.output
 
     def test_tangency_is_report_only(self, runner, tmp_path):
         """Tangency has no verdict: null in the report, an empty CSV
@@ -657,14 +717,16 @@ class TestSweepCommand:
         ("flat_disk_annulus", "domain.sigmaa=0.5"),
         ("flat_disk_sharp", "domain.r=1,2"),
         ("flat_disk_sharp", "domain.samples=10"),
+        ("sphere_tube_005", "domain.samples=500,1000"),
         ("sphere_tube_005", "domain.r=1"),
         ("flat_disk_sharp", "jacobi.steps=200,400"),
     ])
     def test_domain_override_follows_domain_keys(self, runner, tmp_path,
                                                  scenario, grid):
-        """A [domain] grid key must be ``samples`` or a key the config's
-        [domain] variant reads; a [jacobi] grid key needs the jacobi
-        check, without which its points would be identical runs."""
+        """A [domain] grid key must be ``samples``, where targets are
+        drawn, or a key the config's [domain] variant reads; a [jacobi]
+        grid key needs the jacobi check.  Without them the points would
+        be identical runs."""
         res = runner.invoke(cli.main, [
             "sweep", cli.bundled_scenario_path(f"{scenario}.cfg"),
             "--grid", grid, "--out", str(tmp_path / "rep")])
@@ -743,8 +805,8 @@ class TestSharpnessSweeps:
     def test_hyperbolic_family_stays_below_one(self, runner, tmp_path):
         """A disk of radius 0.75 fits the r/2 ball of every grid point."""
         cfg = mutated(tmp_path, "hyperbolic_disk_r2",
-                      ("radius = 0.5", "resolution = 20", "samples = 1200"),
-                      ("radius = 0.75", "resolution = 10", "samples = 400"))
+                      ("radius = 0.5", "resolution = 20"),
+                      ("radius = 0.75", "resolution = 10"))
         ratios = self.sweep_ratios(runner, tmp_path, cfg,
                                    "domain.r=1.5,2.0,3.0", "--seed", "0")
         assert len(ratios) == 3

@@ -1,6 +1,7 @@
 """Every top-level import in ``src`` and ``tests`` is used in its module
 or re-exported through ``__all__``, every definition in ``src`` is
-referenced from ``src`` or ``benchmarks``, ``src`` touches no
+referenced from ``src`` or ``benchmarks``, every dataclass and
+NamedTuple field in ``src`` is read there, ``src`` touches no
 ``_private`` attribute of another object, and loading a config leaves
 the slow optional imports unloaded."""
 
@@ -148,6 +149,65 @@ def test_scan_flags_a_definition_nothing_references():
     timer = "t0 = clock()\nprint(t0)\n"
     assert dead_names({"m": source}, [spans, timer]) == [
         "m.recursive", "m.Box.t0", "m.Box.unread"]
+
+
+def record_fields(module: str, tree: ast.Module):
+    """(qualified name, field name) of each field of the dataclasses and
+    NamedTuples of ``module``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [dec.func if isinstance(dec, ast.Call) else dec
+                 for dec in node.decorator_list] + node.bases
+        if {getattr(m, "id", getattr(m, "attr", None)) for m in marks} \
+                & {"dataclass", "NamedTuple"}:
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) \
+                        and isinstance(sub.target, ast.Name):
+                    yield f"{module}.{node.name}.{sub.target.id}", \
+                        sub.target.id
+
+
+def unread_fields(modules: dict, readers: list) -> list:
+    """Qualified names of the fields in ``modules`` (module name ->
+    source) that no source of ``modules`` or ``readers`` reads as an
+    attribute or by an identifier string.  Like ``dead_names``, the scan
+    matches by name only."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        read += references(tree, names=False)
+    return [qualified for name, tree in trees.items()
+            for qualified, field in record_fields(name, tree)
+            if not read[field]]
+
+
+def test_every_field_in_src_is_read():
+    assert unread_fields({p.stem: p.read_text(encoding="utf-8")
+                          for p in SRC},
+                         [p.read_text(encoding="utf-8")
+                          for p in BENCHMARKS]) == []
+
+
+def test_scan_flags_a_field_nothing_reads():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    meta: dict = field(default_factory=dict)\n"
+        "    LIMIT = 3\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Plain:\n"
+        "    note: str\n"
+        "Box(1, meta={}).size\n")
+    # a local of the same name, or a keyword argument, reads no field
+    reader = "left = 1\nPair(left=left, right=2)\ngetattr(p, 'right')\n"
+    assert unread_fields({"m": source}, [reader]) == ["m.Box.meta",
+                                                      "m.Pair.left"]
 
 
 def private_reads(source: str) -> list:

@@ -7,7 +7,11 @@ import pytest
 from scipy.stats import norm, qmc
 
 from otsobolev import geometry, inequalities, submanifold
-from otsobolev.errors import HypothesisViolationError, UnsupportedVariantError
+from otsobolev.errors import (
+    EmptyDomainError,
+    HypothesisViolationError,
+    UnsupportedVariantError,
+)
 from otsobolev.fields import constant_field, field_from_expression
 
 from chart_checks import model_space
@@ -217,7 +221,8 @@ class TestNegativeLocal:
         exact = 2 * math.pi**2 * (c**3 / 3.0 - c + 2.0 / 3.0)
         assert np.isclose(dom.volume, exact, rtol=1e-6)
         assert dom.volume_provenance == "analytic"
-        center = np.asarray(dom.meta["center"])
+        center = np.zeros(M.embedding_dim)
+        center[0] = M.radius
         d = geometry.distance(M, dom.points,
                               np.broadcast_to(center, dom.points.shape))
         assert d.max() <= h + 1e-9
@@ -247,9 +252,9 @@ class TestCrossVariantOracle:
     factor) that no bundled ratio near 1 does."""
 
     @staticmethod
-    def domain(variant, dim, volume, meta):
+    def domain(variant, dim, volume):
         return inequalities.TargetDomain(
-            variant, np.zeros((1, dim)), volume, 0.0, "analytic", meta=meta)
+            variant, np.zeros((1, dim)), volume, 0.0, "analytic")
 
     @pytest.mark.parametrize("expression", [None, "1 + u1**2 + u2"])
     def test_nonneg_finite_is_negative_local_in_the_flat_limit(
@@ -263,17 +268,15 @@ class TestCrossVariantOracle:
         H = model_space(geometry.HYPERBOLIC, 4, -1e-6)
         hmesh = submanifold.build_submanifold(
             H, submanifold.GeodesicDiskInHyperbolicSubspace(0.5), resolution)
-        center = np.zeros(H.embedding_dim)
-        center[0] = H.radius
         neg = inequalities.evaluate_inequality(
             H, hmesh, field(hmesh), inequalities.NEGATIVE_LOCAL, dict(r=r),
             domain=self.domain(inequalities.GEODESIC_BALL, H.embedding_dim,
-                               volume, {"center": center.tolist()}))
+                               volume))
         E, emesh = flat_disk_mesh(radius=0.5, resolution=resolution)
         fin = inequalities.evaluate_inequality(
             E, emesh, field(emesh), inequalities.NONNEG_FINITE,
             dict(sigma=1e-6, r=r),
-            domain=self.domain(inequalities.ANNULUS, 4, volume, {}))
+            domain=self.domain(inequalities.ANNULUS, 4, volume))
         scale = 2 * r ** (2 / 2)
         assert fin["lhs"] / scale == pytest.approx(neg["lhs"], rel=1e-5)
         assert fin["rhs"] / scale == pytest.approx(neg["rhs"], rel=1e-5)
@@ -309,8 +312,45 @@ class TestWholeManifoldAndTubeDomains:
             M, mesh, inequalities.COMPLEMENT_OF_TUBE, dict(eps=eps), 300, 9)
         dmin, _ = submanifold.distance_to_mesh(mesh, dom.points)
         assert dmin.min() > eps
-        assert dom.volume + dom.meta["tube_volume"] == pytest.approx(
-            geometry.manifold_volume(M), rel=1e-9)
+        # the tube volume from the seed the builder spawns for it
+        s_vol = np.random.SeedSequence(9).spawn(2)[1]
+        tube, _ = submanifold.tubular_volume(
+            M, mesh, eps, seed=int(s_vol.generate_state(1)[0]))
+        assert geometry.manifold_volume(M) - dom.volume == pytest.approx(
+            tube, rel=1e-9)
+
+    @pytest.mark.parametrize("variant, params", [
+        (inequalities.COMPLEMENT_OF_TUBE, dict(eps=0.3)),
+        (inequalities.GEODESIC_BALL, dict(r=2.0))])
+    def test_volume_alone_without_samples(self, hyperbolic_setup, variant,
+                                          params):
+        """With no samples the domain has no points and bit for bit the
+        volume it has with them: the points and the volume are drawn from
+        separate seeds."""
+        if variant == inequalities.GEODESIC_BALL:
+            M, mesh = hyperbolic_setup
+        else:
+            M = model_space(geometry.SPHERE, 3)
+            mesh = submanifold.build_submanifold(
+                M, submanifold.EquatorialSubsphereBand(), 10)
+        full, bare = (inequalities.build_target_domain(
+            M, mesh, variant, params, n, 9) for n in (300, 0))
+        assert bare.points.shape == (0, M.embedding_dim)
+        assert len(full.points) == 300
+        assert (bare.volume, bare.volume_stderr) == (full.volume,
+                                                     full.volume_stderr)
+
+    def test_tube_covering_the_sphere_is_empty(self):
+        """A tube whose Monte Carlo volume is the sphere's leaves an empty
+        complement, with no samples too."""
+        M = model_space(geometry.SPHERE, 3)
+        mesh = submanifold.build_submanifold(
+            M, submanifold.EquatorialSubsphereBand(), 10)
+        for n_samples in (0, 300):
+            with pytest.raises(EmptyDomainError, match="covers the sphere"):
+                inequalities.build_target_domain(
+                    M, mesh, inequalities.COMPLEMENT_OF_TUBE,
+                    dict(eps=math.pi / 2), n_samples, 9)
 
 
 class TestIntegrationByParts:
