@@ -51,7 +51,6 @@ class ScenarioConfig:
     eps_reg: Optional[float]
     checks: dict
     inequality_variant: Optional[str]
-    jacobi_steps: int
     jacobi_atoms: int
     raw: dict  # config echo for the report
     read_keys: frozenset  # every (section, key) the parser read
@@ -163,7 +162,6 @@ class ScenarioConfig:
             raise ConfigError(f"solver.method: unknown method {solver!r}")
         eps_reg = get("solver", "eps_reg", float, None,
                       used=solver == "entropic")
-        jacobi_steps = get("jacobi", "steps", int, 1000, used=checks["jacobi"])
         jacobi_atoms = get("jacobi", "atoms", int, 200, used=checks["jacobi"])
 
         raw = {s: dict(cp.items(s)) for s in cp.sections()}
@@ -171,7 +169,7 @@ class ScenarioConfig:
                      chart_params, resolution, field_kind, field_spec,
                      domain_variant, domain_params, domain_samples,
                      solver, eps_reg, checks, inequality_variant,
-                     jacobi_steps, jacobi_atoms, raw, frozenset(read))
+                     jacobi_atoms, raw, frozenset(read))
         config.validate()
         unread = [f"{s}.{k}" for s in cp.sections() for k in cp[s]
                   if (s, k) not in read]
@@ -195,7 +193,6 @@ class ScenarioConfig:
         Runs in ``load``, after the overrides are set."""
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
-                 "jacobi.steps": (self.jacobi_steps, 100),
                  "jacobi.atoms": (self.jacobi_atoms, 1)}
         if ("domain", "samples") in self.read_keys:
             least["domain.samples"] = (self.domain_samples, 1)
@@ -446,9 +443,8 @@ def _semiconcavity(ctx):
     return {"passed": margin >= 0.0, "worst_margin": margin}
 
 
-# Atoms the Jacobi stage propagates together: stacking spreads the
-# per-step Python work of RK4 over the chunk, and the bound keeps the
-# stacked (atoms, steps + 1, d, d) trajectories of one chunk at a few MB.
+# Atoms the Jacobi stage propagates together: the bound keeps the stacked
+# (atoms, STEPS + 1, d, d) trajectories of one chunk at a few MB.
 JACOBI_CHUNK = 16
 
 
@@ -510,8 +506,7 @@ def _jacobi(ctx):
             P0.append(p0)
             P0p.append(p0p)
             lam.append(float(np.trace(hess_phi[i])) + float(hn[i] @ v_norm))
-        trajs = jacobi.propagate(M, frames, np.stack(P0), np.stack(P0p), lam,
-                                 steps=ctx.config.jacobi_steps)
+        trajs = jacobi.propagate(M, frames, np.stack(P0), np.stack(P0p), lam)
         for traj in trajs:
             if traj is not None:
                 _jacobi_atom(ctx, traj, K, stats)

@@ -88,7 +88,7 @@ def test_criterion_2_fails_on_a_warning(monkeypatch):
     config = ScenarioConfig.load(
         cli.bundled_scenario_path("flat_disk_annulus.cfg"),
         [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
-         ("jacobi", "steps", "100"), ("jacobi", "atoms", "4")])
+         ("jacobi", "atoms", "4")])
     report = run_scenario(config)
     assert report.ok and report.warnings == ["semiconcavity"]
     assert failed_runs({"planted": report}) == ["planted"]
@@ -120,7 +120,7 @@ def test_criterion_3_jacobi_oracles(capsys):
     for M, frame, sol in cases:
         t0 = time.perf_counter()
         (traj,) = jacobi.propagate(M, [frame], np.zeros((1, 3, 3)),
-                                   np.eye(3)[None], [0.0], steps=1000)
+                                   np.eye(3)[None], [0.0])
         per_traj.append(time.perf_counter() - t0)
         t = traj.times
         oracle = np.zeros_like(traj.P)
@@ -132,7 +132,7 @@ def test_criterion_3_jacobi_oracles(capsys):
         # block normalization: t^-m det P at the first trimmed sample
         (block,) = jacobi.propagate(
             M, [frame], np.diag([1.0, 1.0, 0.0])[None],
-            np.diag([0.0, 0.0, 1.0])[None], [0.0], steps=1000)
+            np.diag([0.0, 0.0, 1.0])[None], [0.0])
         i0 = jacobi.TRIM_SAMPLES
         first = block.det_p[i0] / block.times[i0] ** block.m
         norm_worst = max(norm_worst, abs(first - 1.0))
@@ -259,8 +259,7 @@ def test_criterion_8_hand_jacobian_equality(capsys):
     frame = geometry.build_parallel_frame(
         M, mesh.points[node], np.zeros(4), list(mesh.tangent_frames[node]),
         list(mesh.normal_frames[node]), samples=2)
-    (traj,) = jacobi.propagate(M, [frame], P0[None], P0p[None], [-2.0],
-                               steps=1000)
+    (traj,) = jacobi.propagate(M, [frame], P0[None], P0p[None], [-2.0])
     _, limit = jacobi.normalization_limit(traj)
     bound, det1 = jacobi.jacobian_bound_check(traj)
     ok = abs(det1 - 4.0) <= 1e-9 and abs(bound - 4.0) <= 1e-9 \

@@ -46,7 +46,7 @@ def test_tracer_sees_the_jacobi_stage(monkeypatch):
     config = ScenarioConfig.load(
         cli.bundled_scenario_path("flat_disk_annulus.cfg"),
         [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
-         ("jacobi", "atoms", "20"), ("jacobi", "steps", "200")])
+         ("jacobi", "atoms", "20")])
     t = tracer.Tracer()
     try:
         t.install()

@@ -47,7 +47,6 @@ def small_annulus(tmp_path):
     text = Path(ANNULUS_CFG).read_text()
     for old, new in (("resolution = 11", "resolution = 6"),
                      ("samples = 1000", "samples = 150"),
-                     ("steps = 1000", "steps = 100"),
                      ("atoms = 250", "atoms = 4")):
         assert old in text
         text = text.replace(old, new)
@@ -127,6 +126,10 @@ UNREAD_KEYS = [
     ("flat_disk_sharp", "[checks]", "[solvr]\nmethod = entropic\n\n[checks]",
      "solvr.method"),
     ("hyperbolic_disk_r2", "r = 2.0", "r = 2.0\nsigma = 0.5", "domain.sigma"),
+    # the step count of the Jacobi grid is fixed (jacobi.STEPS); a config
+    # that still sets it is told so
+    ("flat_disk_annulus", "atoms = 250", "atoms = 250\nsteps = 1000",
+     "jacobi.steps"),
     ("sphere_tube_005", "eps = 0.05", "eps = 0.05\nsamples = 1000",
      "domain.samples"),
     ("sphere_ball_closed", "[checks]",
@@ -137,8 +140,8 @@ UNREAD_KEYS = [
     # disk chart takes from ambient_dim
     ("flat_disk_annulus", "method = exact", "method = exact\neps_reg = 0.01",
      "solver.eps_reg"),
-    ("flat_disk_sharp", "[checks]", "[jacobi]\nsteps = 500\n\n[checks]",
-     "jacobi.steps"),
+    ("flat_disk_sharp", "[checks]", "[jacobi]\natoms = 50\n\n[checks]",
+     "jacobi.atoms"),
     ("flat_disk_sharp", "ambient_dim = 4", "ambient_dim = 3\nlift = true",
      "manifold.lift"),
     ("flat_disk_sharp", "radius = 1.0", "radius = 1.0\ncodim = 2",
@@ -287,7 +290,7 @@ class TestRunCommand:
         assert "config error" in res.output
 
     @pytest.mark.parametrize("scenario, old, new, named", [
-        ("flat_disk_annulus", "steps = 1000", "steps = 50", "jacobi.steps"),
+        ("flat_disk_annulus", "atoms = 250", "atoms = -1", "jacobi.atoms"),
         ("flat_disk_annulus", "atoms = 250", "atoms = 0", "jacobi.atoms"),
         ("sphere_ball_closed", "curvature = 1.0", "curvature = -1.0",
          "manifold.curvature"),
@@ -312,7 +315,7 @@ class TestRunCommand:
         ("hyperbolic_disk_r2", "r = 2.0", "r = 0", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = -1", "domain.eps"),
     ] + INEQUALITY_MISMATCHES + DOMAIN_MISMATCHES + FIBER_MASS_MISMATCHES + [
-        ("flat_disk_annulus", "steps = 1000", "steps = many", "jacobi.steps"),
+        ("flat_disk_annulus", "atoms = 250", "atoms = many", "jacobi.atoms"),
         ("flat_disk_annulus", "jacobi = true", "jacobi = maybe",
          "checks.jacobi"),
         ("sphere_ball_closed", "radius = 1.5707963267948966",
@@ -632,9 +635,9 @@ class TestSweepCommand:
         assert "config error at radius=4.0" in res.output
 
     @pytest.mark.parametrize("grid, named", [
-        ("jacobi.steps=50", "jacobi.steps"),
+        ("jacobi.atoms=-1", "jacobi.atoms"),
         ("jacobi.atoms=0", "jacobi.atoms"),
-        ("jacobi.steps=many", "jacobi.steps"),
+        ("jacobi.atoms=many", "jacobi.atoms"),
         ("domain.sigma=1.5", "domain.sigma"),
     ])
     def test_bad_value_at_grid_point_exit_two(self, runner, tmp_path, grid,
@@ -719,7 +722,7 @@ class TestSweepCommand:
         ("flat_disk_sharp", "domain.samples=10"),
         ("sphere_tube_005", "domain.samples=500,1000"),
         ("sphere_tube_005", "domain.r=1"),
-        ("flat_disk_sharp", "jacobi.steps=200,400"),
+        ("flat_disk_sharp", "jacobi.atoms=20,40"),
     ])
     def test_domain_override_follows_domain_keys(self, runner, tmp_path,
                                                  scenario, grid):

@@ -16,7 +16,7 @@ SCENARIOS = sorted(p.name[:-len(".cfg")] for p in
 VALUES = ("0", "-1", "abc", "")
 # caps that keep one run of any bundled scenario near a second
 CAPS = {("submanifold", "resolution"): 6, ("domain", "samples"): 200,
-        ("jacobi", "atoms"): 4, ("jacobi", "steps"): 100}
+        ("jacobi", "atoms"): 4}
 
 
 def shrunk(name: str) -> configparser.ConfigParser:

@@ -12,6 +12,7 @@ from otsobolev.errors import (
     ArgOutOfDomainError,
     DenominatorVanishesError,
     NonSymmetricHessianError,
+    UnsupportedVariantError,
 )
 from otsobolev.fields import constant_field
 
@@ -38,11 +39,11 @@ def hyperbolic_frame(K=-1.0, speed=0.5):
                                             samples=5)
 
 
-def propagate_one(M, frame, P0, P0p, steps=1000, lam=0.0):
+def propagate_one(M, frame, P0, P0p, lam=0.0):
     """``jacobi.propagate`` on a one-atom stack: the atom's trajectory,
     or None at a conjugate point."""
     (traj,) = jacobi.propagate(M, [frame], np.asarray(P0)[None],
-                               np.asarray(P0p)[None], [lam], steps)
+                               np.asarray(P0p)[None], [lam])
     return traj
 
 
@@ -68,7 +69,7 @@ class TestClosedFormOracles:
         M, frame = euclidean_frame()
         P0 = np.eye(4)
         P0p = np.diag([0.3, -0.2, 1.0, 0.7])
-        traj = propagate_one(M, frame, P0, P0p, steps=400)
+        traj = propagate_one(M, frame, P0, P0p)
         for k in (0, 100, 400):
             t = traj.times[k]
             assert np.allclose(traj.P[k], P0 + t * P0p, atol=1e-12)
@@ -77,8 +78,7 @@ class TestClosedFormOracles:
     def test_sphere_cosine_solutions(self):
         s = 0.8
         M, frame = sphere_frame(K=1.0, speed=s)
-        traj = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)),
-                             steps=500)
+        traj = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
         t = traj.times
         # direction along the velocity is flat; others oscillate at rate s
         oracle = np.zeros((len(t), 3, 3))
@@ -90,8 +90,7 @@ class TestClosedFormOracles:
     def test_sphere_sine_solutions(self):
         s = 0.8
         M, frame = sphere_frame(K=1.0, speed=s)
-        traj = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3),
-                             steps=500)
+        traj = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
         t = traj.times
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = t
@@ -102,8 +101,7 @@ class TestClosedFormOracles:
     def test_hyperbolic_sinh_solutions(self):
         s = 0.6
         M, frame = hyperbolic_frame(K=-1.0, speed=s)
-        traj = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3),
-                             steps=500)
+        traj = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
         t = traj.times
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = t
@@ -116,21 +114,20 @@ class TestClosedFormOracles:
         """K = 4 doubles the oscillation rate of the K = 1 solution."""
         s = 0.5
         M, frame = sphere_frame(K=4.0, speed=s)
-        traj = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)),
-                             steps=500)
+        traj = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
         t = traj.times
         assert np.allclose(traj.P[:, 1, 1], np.cos(2 * s * t), atol=1e-8)
 
 
 class TestStructuralChecks:
-    def make_block_traj(self, p11=0.5, p22=0.5, lam=None, steps=800):
+    def make_block_traj(self, p11=0.5, p22=0.5, lam=None):
         """Flat-space trajectory with the transport block structure."""
         M, frame = euclidean_frame()
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([p11, p22, 1.0, 1.0])
         if lam is None:
             lam = -(p11 + p22)
-        return propagate_one(M, frame, P0, P0p, steps=steps, lam=lam)
+        return propagate_one(M, frame, P0, P0p, lam=lam)
 
     def test_block_determinant_identity(self):
         """det P(1) = (1 + p11)(1 + p22) for flat diagonal data."""
@@ -183,7 +180,7 @@ class TestStructuralChecks:
         M, frame = hyperbolic_frame(K=-1.0, speed=s)
         P0 = np.diag([1.0, 1.0, 0.0])
         P0p = np.diag([0.0, 0.0, 1.0])
-        traj = propagate_one(M, frame, P0, P0p, steps=600)
+        traj = propagate_one(M, frame, P0, P0p)
         prof = jacobi.monotonicity_profile(traj)
         assert not nonincreasing(prof)
         assert prof[-1] > prof[0]
@@ -285,7 +282,7 @@ class TestComparisonProfiles:
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([0.4, 0.2, 1.0, 1.0])
         lam = -(0.4 + 0.2)
-        traj = propagate_one(M, frame, P0, P0p, steps=600, lam=lam)
+        traj = propagate_one(M, frame, P0, P0p, lam=lam)
         prof = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
         trq1_excess, trq3_excess = jacobi.trace_comparison_check(traj, prof)
         tol = 1e-6 * traj.m / traj.times[jacobi.TRIM_SAMPLES]
@@ -294,7 +291,8 @@ class TestComparisonProfiles:
 
 
 def rk4_reference(S, P0, P0p, steps):
-    """One atom's RK4 on (d, d) matrices, step for step as the kernel."""
+    """One atom's classical RK4 on (d, d) matrices over ``steps`` equal
+    steps of [0, 1]: the oracle of the closed-form kernel."""
     dt = 1.0 / steps
     P, Pp = [P0], [P0p]
     p, pp = P0.copy(), P0p.copy()
@@ -371,24 +369,27 @@ class TestBatchedKernel:
     def test_stack_equals_single_atom_bitwise(self, make_frame):
         M, frames, P0, P0p = atom_stack(make_frame, 17)
         lam = np.linspace(-0.4, 0.4, 17)
-        stacked = jacobi.propagate(M, frames, P0, P0p, lam, steps=300)
+        stacked = jacobi.propagate(M, frames, P0, P0p, lam)
         for a, traj in enumerate(stacked):
-            single = propagate_one(M, frames[a], P0[a], P0p[a], steps=300,
+            single = propagate_one(M, frames[a], P0[a], P0p[a],
                                    lam=lam[a])
             for name in TRAJ_ARRAYS:
                 assert getattr(traj, name).tobytes() == \
                     getattr(single, name).tobytes(), name
             assert (traj.lam, traj.n, traj.m) == (single.lam, 2, 1)
-            P, Pp = rk4_reference(single.S, P0[a], P0p[a], 300)
-            assert single.P.tobytes() == P.tobytes()
-            assert single.Pp.tobytes() == Pp.tobytes()
+            # the closed form against RK4 on the same grid, to 1e-12 of
+            # the largest entry: RK4's rounding over STEPS steps is most
+            # of the difference (about 3e-14)
+            P, Pp = rk4_reference(single.S, P0[a], P0p[a], jacobi.STEPS)
+            for got, want in ((single.P, P), (single.Pp, Pp)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_trajectories_are_contiguous_views(self):
         M, frames, P0, P0p = atom_stack(positive_atom, 3)
-        trajs = jacobi.propagate(M, frames, P0, P0p, np.zeros(3), steps=200)
+        trajs = jacobi.propagate(M, frames, P0, P0p, np.zeros(3))
         for traj in trajs:
             assert traj.P.flags.c_contiguous and traj.P.base is not None
-            assert traj.P.shape == (201, 3, 3)
+            assert traj.P.shape == (jacobi.STEPS + 1, 3, 3)
 
     def test_singular_atom_mid_stack(self):
         """A conjugate point in one atom leaves its neighbours alone."""
@@ -401,13 +402,20 @@ class TestBatchedKernel:
         last = propagate_one(M, frames[16], P0[16], P0p[16])
         assert trajs[16].Q.tobytes() == last.Q.tobytes()
 
-    def test_stack_rejects_few_steps_and_bad_shapes(self):
+    def test_stack_rejects_bad_shapes(self):
         M, frames, P0, P0p = atom_stack(positive_atom, 2)
-        zero = np.zeros(2)
         with pytest.raises(ValueError):
-            jacobi.propagate(M, frames, P0, P0p, zero, steps=99)
-        with pytest.raises(ValueError):
-            jacobi.propagate(M, frames, P0[:, :2, :2], P0p[:, :2, :2], zero)
+            jacobi.propagate(M, frames, P0[:, :2, :2], P0p[:, :2, :2],
+                             np.zeros(2))
+
+    def test_curvature_off_the_model_form_raises(self):
+        """A symmetric S that is not w^2 (I - Pi) has no closed form:
+        the kernel refuses it instead of propagating it."""
+        rng = np.random.default_rng(7)
+        _, _, P0, P0p = atom_stack(positive_atom, 2)
+        S = rng.standard_normal((2, 3, 3))
+        with pytest.raises(UnsupportedVariantError):
+            jacobi.closed_form_stack(S + S.transpose(0, 2, 1), P0, P0p)
 
     @pytest.mark.parametrize("name", ["flat_disk_annulus", "sphere_transport",
                                       "hyperbolic_disk_r1"])
@@ -418,7 +426,7 @@ class TestBatchedKernel:
         config = pipeline.ScenarioConfig.load(
             cli.bundled_scenario_path(f"{name}.cfg"))
         config.resolution, config.domain_samples = 6, 150
-        config.jacobi_atoms, config.jacobi_steps = 20, 200
+        config.jacobi_atoms = 20
         stacks = []
         mask = jacobi.well_conditioned
         with monkeypatch.context() as m:
@@ -485,27 +493,27 @@ class TestBatchedKernel:
         the stack gives without it."""
         M, frames, P0, P0p = atom_stack(positive_atom, 17)
         zero = np.zeros(17)
-        clean = jacobi.propagate(M, frames, P0, P0p, zero, steps=200)
-        rk4 = jacobi.rk4_stack
+        clean = jacobi.propagate(M, frames, P0, P0p, zero)
+        kernel = jacobi.closed_form_stack
 
         def nan_in(atom):
             def planted(*args):
-                P, Pp = rk4(*args)
+                P, Pp = kernel(*args)
                 P[atom, 150, 0, 1] = np.nan
                 return P, Pp
             return planted
 
-        monkeypatch.setattr(jacobi, "rk4_stack", nan_in(8))
+        monkeypatch.setattr(jacobi, "closed_form_stack", nan_in(8))
         with np.errstate(invalid="ignore"):
-            trajs = jacobi.propagate(M, frames, P0, P0p, zero, steps=200)
+            trajs = jacobi.propagate(M, frames, P0, P0p, zero)
         assert [a for a, t in enumerate(trajs) if t is None] == [8]
         for a in (0, 7, 9, 16):
             for name in TRAJ_ARRAYS:
                 assert getattr(trajs[a], name).tobytes() == \
                     getattr(clean[a], name).tobytes(), name
-        monkeypatch.setattr(jacobi, "rk4_stack", nan_in(0))
+        monkeypatch.setattr(jacobi, "closed_form_stack", nan_in(0))
         with np.errstate(invalid="ignore"):
-            assert propagate_one(M, frames[8], P0[8], P0p[8], steps=200) \
+            assert propagate_one(M, frames[8], P0[8], P0p[8]) \
                 is None
 
 
@@ -535,8 +543,7 @@ def run_stage(inputs, atoms, monkeypatch, chunk):
     """The Jacobi stage on ``atoms`` atoms, JACOBI_CHUNK = ``chunk``;
     returns the report and the number of Riccati residuals evaluated."""
     params, M, mesh, cpl, grad, hess = inputs
-    config = SimpleNamespace(jacobi_atoms=atoms, jacobi_steps=200,
-                             domain_params=params)
+    config = SimpleNamespace(jacobi_atoms=atoms, domain_params=params)
     calls = []
     residual = jacobi.riccati_residual
     monkeypatch.setattr(jacobi, "riccati_residual",
@@ -656,7 +663,7 @@ def test_negative_curvature_leaves_nonneg_metrics_null():
     config = pipeline.ScenarioConfig.load(
         cli.bundled_scenario_path("hyperbolic_disk_r1.cfg"))
     config.resolution, config.domain_samples = 6, 150
-    config.jacobi_atoms, config.jacobi_steps = 4, 100
+    config.jacobi_atoms = 4
     rec = pipeline.run_scenario(config).checks["jacobi"]
     for key in ("mono_worst_increase", "mono_failures", "bound_margin_min",
                 "normalization_worst"):

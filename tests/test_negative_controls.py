@@ -162,7 +162,7 @@ def planted_jacobi_verdict(monkeypatch, measurement, value):
     nodes = mesh.node_count
     one = np.zeros(1, dtype=int)
     ctx = SimpleNamespace(
-        config=SimpleNamespace(jacobi_atoms=1, jacobi_steps=100),
+        config=SimpleNamespace(jacobi_atoms=1),
         M=M, mesh=mesh, gradient=(np.zeros((nodes, 2)), None),
         hess_phi=np.zeros((nodes, 2, 2)), atoms=(one, one, np.ones(1)),
         atom_logs=np.zeros((1, 4)),

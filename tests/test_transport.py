@@ -437,7 +437,7 @@ def test_atom_lengths_are_the_geodesic_distances(monkeypatch, scenario):
     config = ScenarioConfig.load(
         cli.bundled_scenario_path(f"{scenario}.cfg"),
         [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
-         ("jacobi", "steps", "100"), ("jacobi", "atoms", "1")])
+         ("jacobi", "atoms", "1")])
     pipeline.run_scenario(config)
     ctx, = contexts
     ii, jj, _ = ctx.atoms
