@@ -177,20 +177,51 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + amax).squeeze(axis)
 
 
+# Range of the Sinkhorn scalings, [1/SCALING_RANGE, SCALING_RANGE];
+# solve_entropic derives it
+SCALING_RANGE = 2.0**510
+
+
 def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
                    eps_reg: float, max_iter: int = 20000,
                    stop_tol: float = 1e-9) -> DiscreteCoupling:
-    """Log-domain scaling iteration with a halving schedule down to eps_reg.
+    """Stabilized scaling (Sinkhorn) iteration with a halving schedule
+    down to eps_reg (Schmitzer 2019; Peyre & Cuturi 2019, ch. 4).
 
-    Each iteration makes two ``logsumexp`` calls on (ns, nt) arguments
-    built in place in one reused buffer, ``work``: the row log-sums L of
-    the f-update (f = -eps L) and the column log-sums L' of the g-update
-    (g = -eps L').  The marginal residual needs no pass of its own: the
-    row marginal of the current (f, g) is mu_i exp(f_i / eps + L_i),
-    with L from the next f-update, which is computed before the stop
-    test, and the column marginal is nu_j exp(g_j / eps + L'_j).  Each
-    stage entered makes one more row call, for the stop test of its last
-    iteration.  The log plan is built once, from the final potentials.
+    The potentials are kept as f + eps log u and g + eps log v:
+    log-domain parts (f, g) and scalings (u, v).  Each stage opens with
+    one log-domain f-update, f = -eps L with L the row log-sums of
+    (g - C) / eps + log nu (one ``logsumexp`` call), sets u = v = 1 and
+    builds the kernel K = exp((f + g - C) / eps) in the one reused
+    (ns, nt) buffer, ``work``.  An iteration is then two mat-vecs: the
+    g-update v = 1 / (K^T (mu u)) and the f-update u = 1 / (K (nu v)) of
+    the next iteration, computed before the stop test.  The marginal
+    residual is read off the same mat-vecs: the row marginal of the
+    current potentials is mu_i u_i (K (nu v))_i and the column marginal
+    nu_j v_j (K^T (mu u))_j.  The stop test, row and column residual
+    below ``stop_tol`` on the last stage and 1e-4 before, and the
+    ``max_iter`` cap are those of the log-domain iteration, and so are
+    the iterates up to rounding.
+
+    Absorption.  A mat-vec whose entries are not all finite and in
+    [1/tau, tau], tau = ``SCALING_RANGE``, leaves its scaling unused:
+    that half-step is redone in the log domain (one ``logsumexp``
+    call), u and v are absorbed into (f, g) and reset to 1, and the
+    kernel is rebuilt.  That is what happens to the column of a target
+    far from every source: its kernel entries underflow and v_j
+    overflows, while its log-domain g_j is finite.  Each stage ends by
+    absorbing its scalings.
+
+    tau bounds the error the kernel's underflow costs.  An entry of K
+    below the normal range, 2^-1022, is stored as a subnormal or as 0,
+    with absolute error at most 2^-1074.  Over the sum
+    (K^T (mu u))_j = sum_i K_ij mu_i u_i, with u_i <= tau and the mu_i
+    summing to 1, those entries add at most 2^-1074 tau, relative to a
+    sum of at least 1/tau: 2^-1074 tau^2.  tau = 2^510 keeps that below
+    2^-54, half a rounding unit, and K (nu v) alike; entries in the
+    normal range keep their relative precision at any scaling.
+
+    The log plan is built once, from the final potentials.
     """
     if eps_reg <= 0:
         raise ValueError("eps_reg must be positive")
@@ -199,7 +230,6 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     ns, nt = mu.size, nu.size
     log_mu = np.log(mu.weights)
     log_nu = np.log(nu.weights)
-    f = np.zeros(ns)
     g = np.zeros(nt)
     scale = float(C.mean())
     eps_schedule = []
@@ -217,29 +247,65 @@ def solve_entropic(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
         np.add(work, log_nu, out=work)
         return logsumexp(work, axis=1)
 
+    def build_kernel(f, g, eps):
+        # K = exp((f + g - C) / eps)
+        np.add(f[:, None], g, out=work)
+        np.subtract(work, C, out=work)
+        np.divide(work, eps, out=work)
+        np.exp(work, out=work)
+
+    def in_range(s):
+        return s.min() >= 1.0 / SCALING_RANGE and s.max() <= SCALING_RANGE
+
+    K = work  # the kernel, while no log-domain half-step overwrites it
     it = 0
     converged = False
     for eps in eps_schedule:
         last = eps == eps_reg
-        L = row_log_sums(g, eps)
+        f = -eps * row_log_sums(g, eps)
+        u, v = np.ones(ns), np.ones(nt)
+        build_kernel(f, g, eps)
         while True:
             it += 1
-            f = -eps * L
-            # (f - C) / eps + log mu, summed over rows
-            np.subtract(f[:, None], C, out=work)
-            work /= eps
-            work += log_mu[:, None]
-            L_col = logsumexp(work, axis=0)
-            g = -eps * L_col
-            L = row_log_sums(g, eps)
-            resid = max(np.abs(np.exp(log_mu + f / eps + L) - mu.weights).max(),
-                        np.abs(np.exp(log_nu + g / eps + L_col)
-                               - nu.weights).max())
+            col_sums = K.T @ (mu.weights * u)
+            if in_range(col_sums):
+                v = 1.0 / col_sums
+                col = nu.weights * v * col_sums
+            else:  # g-update in the log domain, absorb, rebuild
+                f = f + eps * np.log(u)
+                # (f - C) / eps + log mu, summed over rows
+                np.subtract(f[:, None], C, out=work)
+                work /= eps
+                work += log_mu[:, None]
+                L_col = logsumexp(work, axis=0)
+                g = -eps * L_col
+                col = np.exp(log_nu + g / eps + L_col)
+                u, v = np.ones(ns), np.ones(nt)
+                build_kernel(f, g, eps)
+            row_sums = K @ (nu.weights * v)
+            absorbed = not in_range(row_sums)
+            if absorbed:  # f-update in the log domain; absorb
+                f = f + eps * np.log(u)
+                g = g + eps * np.log(v)
+                u, v = np.ones(ns), np.ones(nt)
+                L = row_log_sums(g, eps)
+                row = np.exp(log_mu + f / eps + L)
+            else:
+                row = mu.weights * u * row_sums
+            resid = max(np.abs(row - mu.weights).max(),
+                        np.abs(col - nu.weights).max())
             if resid < (stop_tol if last else 1e-4):
                 converged = last
                 break
             if it == max_iter:
                 break
+            if absorbed:
+                f = -eps * L
+                build_kernel(f, g, eps)
+            else:
+                u = 1.0 / row_sums
+        f = f + eps * np.log(u)
+        g = g + eps * np.log(v)
         if it == max_iter:
             break
     # (f + g - C) / eps + log mu + log nu, at the last iteration's eps
