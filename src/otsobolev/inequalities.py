@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as scint
 from scipy.special import ndtri
 
 from . import geometry, submanifold
@@ -241,6 +240,8 @@ def build_target_domain(manifold: ModelManifold, mesh: SubmanifoldMesh,
         se = shell_vol * math.sqrt(max(rate * (1 - rate), 0.0) / tried)
         return TargetDomain(variant, pts, vol, se, "monte_carlo")
     if variant == GEODESIC_BALL:
+        from scipy import integrate as scint
+
         half = float(params["r"]) / 2.0
         R = manifold.radius
         d_amb = manifold.ambient_dim

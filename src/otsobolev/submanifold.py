@@ -35,6 +35,9 @@ MIN_INTERIOR_NODES = 16
 # points per chart parameter of the micro-grid that refines
 # ``distance_to_mesh`` around the nearest node
 REFINE_GRID = 5
+# float64 entries (2 MB) of one dense distance block of
+# ``distance_to_mesh``, the size of one Jacobi chunk's P array
+DENSE_BLOCK = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +496,32 @@ def _refine_candidates(mesh: SubmanifoldMesh, params: np.ndarray) -> np.ndarray:
 def distance_to_mesh(mesh: SubmanifoldMesh,
                      pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nearest, farthest): per query point, the min geodesic distance
-    to the submanifold and the max to a node, from one distance matrix.
+    to the submanifold and the max to a node, from one distance matrix
+    per block of at most ``DENSE_BLOCK // nodes`` query points, so a
+    call takes about ``DENSE_BLOCK`` entries at a time whatever the
+    number of points.
 
     The nearest-node distance is refined by a REFINE_GRID x REFINE_GRID
-    micro-grid in the chart cell around the nearest node.
+    micro-grid in the chart cell around the nearest node.  A row takes
+    the same operations in any block, but the BLAS product inside
+    ``geometry.pairwise_distances`` rounds an entry by its place in the
+    product, so another blocking may move a distance by a rounding
+    unit.
     """
     M = mesh.manifold
-    D = geometry.pairwise_distances(M, np.asarray(pts, float), mesh.points)
-    nearest = np.argmin(D, axis=1)
-    base = D[np.arange(len(pts)), nearest]
-    farthest = D.max(axis=1)
-    cpts = _refine_candidates(mesh, mesh.params[nearest])
-    dists = geometry.distance(M, np.asarray(pts, float)[:, None, :], cpts)
-    return np.minimum(base, dists.min(axis=1)), farthest
+    pts = np.asarray(pts, float)
+    nearest, farthest = np.empty(len(pts)), np.empty(len(pts))
+    step = max(DENSE_BLOCK // mesh.node_count, 1)
+    for k in range(0, len(pts), step):
+        block = pts[k:k + step]
+        D = geometry.pairwise_distances(M, block, mesh.points)
+        node = np.argmin(D, axis=1)
+        base = D[np.arange(len(block)), node]
+        farthest[k:k + step] = D.max(axis=1)
+        cpts = _refine_candidates(mesh, mesh.params[node])
+        dists = geometry.distance(M, block[:, None, :], cpts)
+        nearest[k:k + step] = np.minimum(base, dists.min(axis=1))
+    return nearest, farthest
 
 
 def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator):
@@ -532,7 +548,10 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     candidate too, and the dense pass would call it outside.  A KD-tree
     on the embedded nodes finds these samples by the chord of that
     distance.  The other samples take the dense pass unchanged, so the
-    estimate is the one the dense pass over all samples gives.
+    estimate is the one the dense pass over all samples gives.  The band
+    grows with ``eps``, up to every sample, but ``distance_to_mesh``
+    takes it in blocks of ``DENSE_BLOCK`` entries, so the memory does
+    not.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -550,11 +569,8 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     gap, _ = cKDTree(mesh.points).query(pts, k=1, distance_upper_bound=bound)
     band = np.flatnonzero(np.isfinite(gap))
     inside = np.zeros(n_samples, dtype=bool)
-    chunk = 4096
-    for k in range(0, len(band), chunk):
-        rows = band[k:k + chunk]
-        dist, _ = distance_to_mesh(mesh, pts[rows])
-        inside[rows] = dist <= eps
+    dist, _ = distance_to_mesh(mesh, pts[band])
+    inside[band] = dist <= eps
     p = inside.mean()
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)

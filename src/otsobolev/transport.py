@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 from scipy.special import logsumexp as _scipy_logsumexp
 
 from . import geometry, submanifold
@@ -123,9 +121,19 @@ def cost_matrix(manifold: ModelManifold, source: DiscreteMeasure,
     return 0.5 * D**2
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call: the
+    entropic and transport-free runs never load ``scipy.optimize``."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
                 size_cap: tuple[int, int] = EXACT_SIZE_CAP) -> DiscreteCoupling:
     """Optimal basic solution of the transportation LP, with dual potentials."""
+    from scipy import sparse
+
     ns, nt = mu.size, nu.size
     if ns > size_cap[0] or nt > size_cap[1]:
         raise SizeCapError(f"instance {ns}x{nt} exceeds cap {size_cap}; "

@@ -2,8 +2,9 @@
 or re-exported through ``__all__``, every definition in ``src`` is
 referenced from ``src`` or ``benchmarks``, every dataclass and
 NamedTuple field in ``src`` is read there, ``src`` touches no
-``_private`` attribute of another object, and loading a config leaves
-the slow optional imports unloaded."""
+``_private`` attribute of another object, and loading a config, or
+running one without the exact LP, leaves the slow optional imports
+unloaded."""
 
 import ast
 import os
@@ -240,8 +241,19 @@ def test_scan_flags_a_private_read():
 
 
 # imported only where they are needed: sympy by the expression parser,
-# scipy.stats by no code in ``src`` (tests use it as an oracle)
-DEFERRED = ("sympy", "scipy.stats")
+# scipy.optimize by the exact LP, scipy.integrate by the geodesic-ball
+# domain, scipy.stats by no code in ``src`` (tests use it as an oracle)
+DEFERRED = ("sympy", "scipy.optimize", "scipy.integrate", "scipy.stats")
+
+
+def loaded_deferred(script: str, *args) -> str:
+    """What ``script`` prints in a fresh process that finds the package
+    on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script, *args],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
 
 
 def test_start_up_leaves_deferred_imports_unloaded():
@@ -257,8 +269,25 @@ def test_start_up_leaves_deferred_imports_unloaded():
         "for path in sys.argv[1:]:\n"
         "    ScenarioConfig.load(path)\n"
         f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", script, *map(str, configs)],
-                         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert loaded_deferred(script, *map(str, configs)) == "[]"
+
+
+def test_runs_without_the_lp_leave_deferred_imports_unloaded():
+    """Running flat_disk_annulus with the entropic solver, shrunk to
+    resolution 6, 150 samples and 20 atoms, and sphere_ball_closed loads
+    none of ``DEFERRED`` either: the run path, not only start-up."""
+    script = (
+        "import sys\n"
+        "from otsobolev import cli, pipeline\n"
+        "from otsobolev.pipeline import ScenarioConfig\n"
+        "annulus = ScenarioConfig.load(\n"
+        "    cli.bundled_scenario_path('flat_disk_annulus.cfg'),\n"
+        "    [('solver', 'method', 'entropic'),\n"
+        "     ('submanifold', 'resolution', '6'),\n"
+        "     ('domain', 'samples', '150'), ('jacobi', 'atoms', '20')])\n"
+        "ball = ScenarioConfig.load(\n"
+        "    cli.bundled_scenario_path('sphere_ball_closed.cfg'))\n"
+        "for config in (annulus, ball):\n"
+        "    assert pipeline.run_scenario(config).checks\n"
+        f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
+    assert loaded_deferred(script) == "[]"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,14 +348,27 @@ def tube_meshes():
             for name, (M, chart, res) in TUBE_MESHES.items()}
 
 
+def reference_distance_to_mesh(mesh, pts):
+    """``distance_to_mesh`` in one pass: one distance matrix over every
+    query point, the oracle of its blocking."""
+    M = mesh.manifold
+    D = geometry.pairwise_distances(M, np.asarray(pts, float), mesh.points)
+    nearest = np.argmin(D, axis=1)
+    base = D[np.arange(len(pts)), nearest]
+    farthest = D.max(axis=1)
+    cpts = submanifold._refine_candidates(mesh, mesh.params[nearest])
+    dists = geometry.distance(M, np.asarray(pts, float)[:, None, :], cpts)
+    return np.minimum(base, dists.min(axis=1)), farthest
+
+
 def dense_tubular_volume(M, mesh, eps, seed, n_samples):
-    """The tube estimate from ``distance_to_mesh`` over every sample, in
-    contiguous 4096-row chunks."""
+    """The tube estimate from ``reference_distance_to_mesh`` over every
+    sample, in contiguous 4096-row chunks."""
     rng = np.random.default_rng(seed)
     pts, vol = submanifold.ambient_samples(M, n_samples, rng)
     inside = np.zeros(n_samples, dtype=bool)
     for k in range(0, n_samples, 4096):
-        dist, _ = submanifold.distance_to_mesh(mesh, pts[k:k + 4096])
+        dist, _ = reference_distance_to_mesh(mesh, pts[k:k + 4096])
         inside[k:k + 4096] = dist <= eps
     p = inside.mean()
     return vol * p, vol * math.sqrt(p * (1 - p) / n_samples)
@@ -376,19 +390,123 @@ class TestTubeBand:
 
     def test_dense_rows_through_the_traced_name(self, tube_meshes,
                                                 monkeypatch):
-        """On the sphere_tube_005 mesh at eps 0.05, fewer than 1000 of
-        the 20000 samples reach ``distance_to_mesh``, which is looked up
-        as the module attribute, where a tracer wraps it."""
-        rows = []
+        """On the s4_hemisphere_24 mesh (2304 nodes) at eps 0.05, fewer
+        than 1000 of the 20000 samples reach ``distance_to_mesh``, which
+        is looked up as the module attribute, where a tracer wraps it;
+        ``pairwise_distances`` takes them at most ``DENSE_BLOCK //
+        nodes`` rows a call, each row once."""
+        rows, dense_rows = [], []
         dense = submanifold.distance_to_mesh
         monkeypatch.setattr(submanifold, "distance_to_mesh",
                             lambda mesh, pts: rows.append(len(pts))
                             or dense(mesh, pts))
-        M = TUBE_MESHES["s4_hemisphere_24"][0]
-        submanifold.tubular_volume(M, tube_meshes["s4_hemisphere_24"], 0.05,
-                                   seed=11)
+        pairwise = geometry.pairwise_distances
+        monkeypatch.setattr(geometry, "pairwise_distances",
+                            lambda M, X, Y: dense_rows.append(len(X))
+                            or pairwise(M, X, Y))
+        mesh = tube_meshes["s4_hemisphere_24"]
+        submanifold.tubular_volume(mesh.manifold, mesh, 0.05, seed=11)
         assert 0 < sum(rows) < 1000
-        assert max(rows) <= 4096
+        assert sum(dense_rows) == sum(rows)
+        assert max(dense_rows) <= submanifold.DENSE_BLOCK // mesh.node_count
+
+    def test_memory_does_not_grow_with_the_band(self, tube_meshes):
+        """At eps 1.0 nearly every sample of the 2304-node
+        s4_hemisphere_24 mesh (the sphere_tube_02 mesh) is in the band:
+        one distance matrix over them held 145 MB, the blocks stay
+        under 16 MB, and the estimate is the one-pass reference's."""
+        mesh = tube_meshes["s4_hemisphere_24"]
+        tracemalloc.start()
+        try:
+            tube, tube_se = submanifold.tubular_volume(mesh.manifold, mesh,
+                                                       1.0, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        vol, se = dense_tubular_volume(mesh.manifold, mesh, 1.0, 11, 20000)
+        assert tube.hex() == vol.hex()
+        assert tube_se.hex() == se.hex()
+
+
+def query_points(M, n, rng):
+    """``n`` points of the model space ``M`` near the origin or pole."""
+    if M.variant == geometry.SPHERE:
+        return submanifold.ambient_samples(M, n, rng)[0]
+    if M.variant == geometry.EUCLIDEAN:
+        return rng.standard_normal((n, M.embedding_dim))
+    vecs = np.zeros((n, M.embedding_dim))
+    vecs[:, 1:] = rng.standard_normal((n, M.embedding_dim - 1))
+    pole = np.zeros(M.embedding_dim)
+    pole[0] = M.radius
+    return geometry.exp_map(M, np.broadcast_to(pole, vecs.shape), vecs)
+
+
+BLOCK_MESHES = {
+    "sphere": (model_space(geometry.SPHERE, 4, 1.0),
+               submanifold.GeodesicBallInSubsphere(radius=1.2), 8),
+    "hyperbolic": (model_space(geometry.HYPERBOLIC, 4, -1.0),
+                   submanifold.GeodesicDiskInHyperbolicSubspace(radius=0.8),
+                   8),
+    "euclidean": (model_space(geometry.EUCLIDEAN, 4),
+                  submanifold.GraphOverDisk(radius=1.0,
+                                            height="u1*u2 + u1**2/5"), 8),
+}
+
+
+BLOCK_POINTS = 50
+
+
+class TestDistanceBlocks:
+    # rows per block of each blocking, and its DENSE_BLOCK for a mesh of
+    # ``nodes`` nodes: one row (fewer entries than nodes still take one),
+    # seven rows with a 1-row last block, and every point in one block
+    BLOCKS = {"one_row": (1, lambda nodes: 1),
+              "ragged": (7, lambda nodes: 8 * nodes - 1),
+              "one_block": (BLOCK_POINTS, lambda nodes: BLOCK_POINTS * nodes)}
+
+    @staticmethod
+    def case(name):
+        M, chart, res = BLOCK_MESHES[name]
+        mesh = submanifold.build_submanifold(M, chart, res)
+        return mesh, query_points(M, BLOCK_POINTS, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("blocking", list(BLOCKS))
+    @pytest.mark.parametrize("name", list(BLOCK_MESHES))
+    def test_blocks_equal_the_one_pass_reference(self, name, blocking,
+                                                 monkeypatch):
+        """(nearest, farthest) byte for byte the reference's in each
+        blocking.  The BLAS product rounds an entry by its place in the
+        product, so both sides take their distance matrix from
+        ``geometry.distance`` over broadcast pairs, whose every entry is
+        the same in any block."""
+        mesh, pts = self.case(name)
+        step, budget = self.BLOCKS[blocking]
+        monkeypatch.setattr(submanifold, "DENSE_BLOCK",
+                            budget(mesh.node_count))
+        rows = []
+        monkeypatch.setattr(
+            geometry, "pairwise_distances",
+            lambda M, X, Y: rows.append(len(X))
+            or geometry.distance(M, X[:, None, :], Y[None, :, :]))
+        near, far = submanifold.distance_to_mesh(mesh, pts)
+        last = BLOCK_POINTS % step
+        assert rows == [step] * (BLOCK_POINTS // step) + [last] * (last > 0)
+        ref_near, ref_far = reference_distance_to_mesh(mesh, pts)
+        assert near.tobytes() == ref_near.tobytes()
+        assert far.tobytes() == ref_far.tobytes()
+
+    @pytest.mark.parametrize("name", list(BLOCK_MESHES))
+    def test_blocks_agree_with_the_blas_reference(self, name, monkeypatch):
+        """Through the BLAS product, 1-row blocks (a matrix-vector
+        product) stay within 1e-14 of the one-pass reference: ten times
+        the worst measured, 8.9e-16 on the sphere, rounded up."""
+        mesh, pts = self.case(name)
+        monkeypatch.setattr(submanifold, "DENSE_BLOCK", mesh.node_count)
+        near, far = submanifold.distance_to_mesh(mesh, pts)
+        ref_near, ref_far = reference_distance_to_mesh(mesh, pts)
+        assert np.abs(near - ref_near).max() <= 1e-14
+        assert np.abs(far - ref_far).max() <= 1e-14
 
 
 @pytest.mark.parametrize("resolution", [4, 11])
