@@ -1,15 +1,18 @@
 """Positive scalar fields on submanifold meshes.
 
-Field expressions come from a deliberately tiny grammar (+, *, integer
-powers, exp) in the chart stencil coordinates u1, u2, so analytic
-gradients always exist (the grammar is closed under differentiation).
-``sympy`` is imported by the functions that parse an expression, so a
-run without an expression chart or field never loads it.
+An expression (a field, or a graph chart's height) is parsed by ``ast``,
+never evaluated, in a grammar closed under differentiation: finite
+numeric literals (not ``bool`` or ``complex``); the names ``u1`` and
+``u2``; unary ``+`` and ``-``; binary ``+``, ``-`` and ``*``; ``/``
+whose divisor contains neither name; ``**`` with a non-negative integer
+literal exponent; ``exp(x)`` with one argument; nesting at most
+``MAX_DEPTH`` deep.  Any other node is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
-import re
+import ast
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,51 +20,88 @@ import numpy as np
 
 from .errors import ConfigError
 
+NAMES = ("u1", "u2")
+MAX_DEPTH = 200  # so that no walk exhausts Python's stack
 
-def parse_expression(text: str, n_vars: int = 2):
-    """Parse a field expression; reject anything outside the safe grammar."""
-    import sympy as sp
 
-    symbols = sp.symbols(f"u1:{n_vars + 1}")
-    # lexical whitelist before sympify ever evaluates anything
-    if not re.fullmatch(r"[0-9+*/()\s.-]*(\b[A-Za-z_][A-Za-z_0-9]*\b"
-                        r"[0-9+*/()\s.-]*)*", text):
-        raise ConfigError(f"illegal characters in field expression {text!r}")
-    allowed_names = {f"u{i+1}" for i in range(n_vars)} | {"exp"}
-    for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text):
-        if name not in allowed_names:
-            raise ConfigError(f"unknown name {name!r} in field expression")
+def parse_expression(text: str) -> ast.expr:
+    """The syntax tree of ``text``; a ConfigError if it leaves the grammar."""
     try:
-        expr = sp.sympify(text, locals={f"u{i+1}": symbols[i] for i in range(n_vars)})
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
-        raise ConfigError(f"cannot parse field expression {text!r}: {exc}") from exc
-    _validate(expr, set(symbols))
-    return expr, symbols
+        tree = ast.parse(text, mode="eval").body
+    except (SyntaxError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
+
+    def check(node, depth):
+        op, ok, children = getattr(node, "op", None), False, []
+        if isinstance(node, ast.Constant):  # an int may exceed the floats
+            ok = type(node.value) in (int, float) \
+                and abs(node.value) <= sys.float_info.max
+        elif isinstance(node, ast.Name):
+            ok = node.id in NAMES
+        elif isinstance(node, ast.Call):
+            ok = getattr(node.func, "id", None) == "exp" \
+                and len(node.args) == 1 and not node.keywords
+            children = node.args
+        elif isinstance(node, ast.UnaryOp):
+            ok, children = isinstance(op, (ast.UAdd, ast.USub)), [node.operand]
+        elif isinstance(node, ast.BinOp):
+            k, children = node.right, [node.left, node.right]
+            ok = isinstance(op, (ast.Add, ast.Sub, ast.Mult)) \
+                or isinstance(op, ast.Div) and not any(
+                    getattr(n, "id", None) in NAMES for n in ast.walk(k)) \
+                or isinstance(op, ast.Pow) and isinstance(k, ast.Constant) \
+                and type(k.value) is int and k.value >= 0
+        if not ok or depth == MAX_DEPTH:
+            raise ConfigError(f"{ast.unparse(node)!r} in expression {text!r} "
+                              "is not in the grammar")
+        for child in children:
+            check(child, depth + 1)
+
+    check(tree, 0)
+    return tree
 
 
-def _validate(expr, symbols) -> None:
-    import sympy as sp
+def derivatives(tree: ast.expr, u):
+    """Value, gradient and Hessian of a parsed expression at ``u`` (..., 2)."""
+    u = np.asarray(u, dtype=float)
+    shape = u.shape[:-1]
+    g0, H0 = np.zeros((2, *shape)), np.zeros((2, 2, *shape))
 
-    if expr.is_Number:
-        return
-    if expr.is_Symbol:
-        if expr not in symbols:
-            raise ConfigError(f"unknown symbol {expr} in field expression")
-        return
-    if expr.is_Add or expr.is_Mul:
-        for a in expr.args:
-            _validate(a, symbols)
-        return
-    if expr.is_Pow:
-        base, exponent = expr.args
-        if not (exponent.is_Integer and exponent >= 0):
-            raise ConfigError("only nonnegative integer powers allowed")
-        _validate(base, symbols)
-        return
-    if isinstance(expr, sp.exp):
-        _validate(expr.args[0], symbols)
-        return
-    raise ConfigError(f"disallowed construct {type(expr).__name__} in field expression")
+    # each partial leads its array, so a value scales it by broadcasting;
+    # no step writes in place, so the constants share g0 and H0
+    def walk(node):
+        if isinstance(node, ast.Constant):
+            return np.full(shape, float(node.value)), g0, H0
+        if isinstance(node, ast.Name):
+            g = g0.copy()
+            g[NAMES.index(node.id)] = 1.0
+            return u[..., NAMES.index(node.id)], g, H0
+        if isinstance(node, ast.UnaryOp):
+            v, g, H = walk(node.operand)
+            return (-v, -g, -H) if isinstance(node.op, ast.USub) else (v, g, H)
+        if isinstance(node, ast.Call):  # exp
+            v, g, H = walk(node.args[0])
+            e = np.exp(v)
+            return e, e * g, e * (H + g[:, None] * g)
+        if isinstance(node.op, ast.Pow):  # in closed form, not k products
+            k = float(node.right.value)
+            if k < 2:  # x**0 and x**1, with no negative power of x at 0
+                return walk(node.left) if k else (np.ones(shape), g0, H0)
+            v, g, H = walk(node.left)
+            d1, d2 = k * v ** (k - 1), k * (k - 1) * v ** (k - 2)
+            return v ** k, d1 * g, d1 * H + d2 * (g[:, None] * g)
+        (va, ga, Ha), (vb, gb, Hb) = walk(node.left), walk(node.right)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            op = np.add if isinstance(node.op, ast.Add) else np.subtract
+            return op(va, vb), op(ga, gb), op(Ha, Hb)
+        if isinstance(node.op, ast.Div):  # the divisor is a constant
+            return va / vb, ga / vb, Ha / vb
+        return (va * vb, ga * vb + va * gb,
+                Ha * vb + va * Hb + ga[:, None] * gb + gb[:, None] * ga)
+
+    v, g, H = walk(tree)
+    return (v.copy(), np.moveaxis(g, 0, -1).copy(),
+            np.moveaxis(H, (0, 1), (-2, -1)).copy())
 
 
 @dataclass
@@ -94,55 +134,14 @@ def constant_field(mesh, value: float) -> ScalarField:
 
 
 def field_from_expression(mesh, text: str) -> ScalarField:
-    """Evaluate a grammar-restricted expression of the stencil coordinates."""
-    import sympy as sp
-
-    expr, symbols = parse_expression(text, mesh.n)
-    f = sp.lambdify(symbols, expr, "numpy")
-    grads = [sp.lambdify(symbols, sp.diff(expr, s), "numpy") for s in symbols]
-
-    def _eval(fn, u):
-        out = fn(*[u[..., i] for i in range(mesh.n)])
-        return np.broadcast_to(np.asarray(out, dtype=float), u.shape[:-1]).copy()
-
-    values = _eval(f, mesh.stencil_coords)
-
-    def grad_chart(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.stack([_eval(g, u) for g in grads], axis=-1)
-
-    def value_chart(u: np.ndarray) -> np.ndarray:
-        return _eval(f, np.asarray(u, dtype=float))
-
-    return ScalarField(values, grad_chart=grad_chart, value_chart=value_chart)
+    """The field of a grammar expression of the stencil coordinates."""
+    value, grad, _ = height_from_expression(text)
+    return ScalarField(value(mesh.stencil_coords), grad_chart=grad,
+                       value_chart=value)
 
 
 def height_from_expression(text: str):
-    """Height-function bundle (value, gradient, hessian) for graph charts."""
-    import sympy as sp
-
-    expr, symbols = parse_expression(text, 2)
-    u1, u2 = symbols
-    f = sp.lambdify(symbols, expr, "numpy")
-    g = [sp.lambdify(symbols, sp.diff(expr, s), "numpy") for s in symbols]
-    h = [[sp.lambdify(symbols, sp.diff(expr, a, b), "numpy") for b in symbols]
-         for a in symbols]
-
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(np.asarray(f(u[..., 0], u[..., 1]), float),
-                               u.shape[:-1]).copy()
-
-    def grad(u):
-        u = np.asarray(u, dtype=float)
-        cols = [np.broadcast_to(np.asarray(gi(u[..., 0], u[..., 1]), float),
-                                u.shape[:-1]) for gi in g]
-        return np.stack(cols, axis=-1)
-
-    def hess(u):
-        u = np.asarray(u, dtype=float)
-        rows = [[np.broadcast_to(np.asarray(h[a][b](u[..., 0], u[..., 1]), float),
-                                 u.shape[:-1]) for b in range(2)] for a in range(2)]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    return value, grad, hess
+    """(value, gradient, Hessian) functions of an expression of the
+    stencil coordinates, such as a graph chart's height."""
+    tree = parse_expression(text)
+    return tuple(lambda u, i=i: derivatives(tree, u)[i] for i in range(3))

@@ -663,7 +663,7 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         # a chart the floats cannot hold (a radius, or a graph's height)
         # is reported below, as a config error, not by numpy warnings on
         # the way
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mesh = submanifold.build_submanifold(M, chart, config.resolution)
     except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
         raise ConfigError(f"submanifold: {exc}") from exc
@@ -682,8 +682,12 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         if config.field_kind == "constant":
             f = constant_field(mesh, float(config.field_spec))
         else:
-            f = field_from_expression(mesh, config.field_spec)
-    except ValueError as exc:  # not a number, or not positive on the mesh
+            # values the floats cannot hold fail ScalarField's check,
+            # with no numpy warning on the way
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                f = field_from_expression(mesh, config.field_spec)
+    except ValueError as exc:  # not a number, or not finite and positive
         raise ConfigError(f"field: {exc}") from exc
     report.stage_seconds["mesh"] = clock() - t
 

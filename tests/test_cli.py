@@ -384,6 +384,15 @@ class TestRunCommand:
         # a graph whose height overflows on the mesh
         ("flat_graph", "height = (u1**2 + u2**2) * 3 / 10",
          "height = exp(1000 * u1)", "submanifold.radius, submanifold.height"),
+        # expressions whose values the floats cannot hold
+        ("flat_graph", "expression = 1 + u1 * u2 / 4",
+         "expression = 10**400", "field"),
+        ("flat_graph", "height = (u1**2 + u2**2) * 3 / 10",
+         "height = 10**400", "submanifold.height"),
+        ("flat_graph", "expression = 1 + u1 * u2 / 4",
+         "expression = u1/0 + 2", "field"),
+        ("flat_graph", "height = (u1**2 + u2**2) * 3 / 10",
+         "height = u1/0 + 2", "submanifold.height"),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
@@ -398,6 +407,22 @@ class TestRunCommand:
         assert isinstance(res.exception, SystemExit)
         assert "config error" in res.output and named in res.output
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("old, new, ratio", [
+        ("expression = 1 + u1 * u2 / 4", "expression = 1 + u1**400000000",
+         "0.669375"),
+        ("height = (u1**2 + u2**2) * 3 / 10", "height = u1**400000000",
+         "0.924296"),
+    ])
+    def test_huge_integer_power(self, runner, tmp_path, old, new, ratio):
+        """x**k and its derivatives come in closed form, not as k
+        products, so a power of 400000000 runs, with the ratio it had
+        when sympy differentiated it."""
+        cfg = mutated(tmp_path, "flat_graph", old, new)
+        res = runner.invoke(cli.main, ["run", cfg,
+                                       "--out", str(tmp_path / "rep")])
+        assert res.exit_code == 0, res.output
+        assert f"ratio = {ratio} " in res.output
 
     @pytest.mark.parametrize("dim", [4, 5, 6])
     def test_geodesic_ball_at_tiny_curvature(self, runner, tmp_path,

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from otsobolev import geometry, submanifold
+from otsobolev import fields, geometry, submanifold
 from otsobolev.errors import ConfigError
 from otsobolev.fields import (
     ScalarField,
@@ -26,6 +28,9 @@ class TestGrammar:
     @pytest.mark.parametrize("text", [
         "1", "u1", "u1 + u2", "2*u1*u2", "u1**3", "exp(u1)",
         "1 + exp(u1*u2) + u2**2", "(u1 + u2)**2 * 3",
+        # accepted since the grammar is read from the syntax tree
+        "1e3", "-u1 + +u2 - 2.5", "u1 / (2 * exp(1))", "u1**0",
+        "u1+" * (fields.MAX_DEPTH - 1) + "u1",
     ])
     def test_accepts_safe_expressions(self, text):
         parse_expression(text)
@@ -33,10 +38,66 @@ class TestGrammar:
     @pytest.mark.parametrize("text", [
         "u3", "sin(u1)", "u1**-1", "u1**0.5", "u1/u2",
         "__import__('os')", "log(u1)", "u1 ** u2",
+        # accepted while sympy simplified the text before checking it
+        "u1**2/u1", "u1*u1/u1", "1/(u1-u1+1)", "u1**(1+1)", "u1**2**2",
+        # literals outside the finite floats, and other literal types
+        "1e400", "1" + "0" * 400, "u1**" + "1" + "0" * 400, "True",
+        "u1**True", "1j", "'u1'", "exp", "exp(u1, u2)", "exp(x=u1)",
+        "u1 % 2", "u1 // 2", "(u1, u2)", "u1 if u1 else u2", "", "u1 +",
+        # deeper than the walks may go, and deeper than ast.parse goes
+        "u1+" * fields.MAX_DEPTH + "u1", "u1+" * 5000 + "u1",
     ])
     def test_rejects_unsafe_expressions(self, text):
         with pytest.raises(ConfigError):
             parse_expression(text)
+
+
+def expressions(depth: int):
+    """Texts of the grammar nested at most ``depth`` deep."""
+    leaf = st.sampled_from(["u1", "u2", "0", "1", "2", "3", "0.5", "1e-1"])
+    if depth == 0:
+        return leaf
+    sub = expressions(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*"), sub),
+        st.builds("({}) / {}".format, sub,
+                  st.sampled_from(["2", "(1 + 3)", "exp(1)", "0.5**2"])),
+        st.builds("({})**{}".format, sub, st.integers(0, 3)),
+        st.builds("{}({})".format, st.sampled_from(["exp", "-", "+"]), sub))
+
+
+def sympy_oracle(text: str, u: np.ndarray):
+    """Value, gradient and Hessian of ``text`` by sympy's diff and
+    lambdify."""
+    import sympy as sp
+
+    syms = sp.symbols("u1 u2")
+    expr = sp.sympify(text, locals=dict(zip(("u1", "u2"), syms)))
+
+    def at(e):
+        out = sp.lambdify(syms, e, "numpy")(u[..., 0], u[..., 1])
+        return np.broadcast_to(np.asarray(out, dtype=float), u.shape[:-1])
+
+    return (at(expr), np.stack([at(sp.diff(expr, a)) for a in syms], -1),
+            np.stack([np.stack([at(sp.diff(expr, a, b)) for b in syms], -1)
+                      for a in syms], -2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(expressions(4))
+def test_derivatives_match_sympy(text):
+    """The walk's value, gradient and Hessian agree with sympy's to 1e-12
+    of their largest entry, at the origin (where x**k for k <= 2 must not
+    give NaN) and at points of the unit square."""
+    u = np.array([[0.0, 0.0], [0.3, -0.7], [-1.0, 0.5], [0.9, 1.0]])
+    ours = fields.derivatives(parse_expression(text), u)
+    oracle = sympy_oracle(text, u)
+    assume(all(np.isfinite(a).all() for a in oracle))
+    for got, want in zip(ours, oracle):
+        assert got.shape == want.shape
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale, (text, got, want)
 
 
 class TestScalarField:

@@ -240,9 +240,9 @@ def test_scan_flags_a_private_read():
                                      (4, "submanifold._fit")]
 
 
-# imported only where they are needed: sympy by the expression parser,
-# scipy.optimize by the exact LP, scipy.integrate by the geodesic-ball
-# domain, scipy.stats by no code in ``src`` (tests use it as an oracle)
+# imported only where they are needed: scipy.optimize by the exact LP,
+# scipy.integrate by the geodesic-ball domain; sympy and scipy.stats by no
+# code in ``src`` (tests use them as oracles)
 DEFERRED = ("sympy", "scipy.optimize", "scipy.integrate", "scipy.stats")
 
 
@@ -274,7 +274,8 @@ def test_start_up_leaves_deferred_imports_unloaded():
 
 def test_runs_without_the_lp_leave_deferred_imports_unloaded():
     """Running flat_disk_annulus with the entropic solver, shrunk to
-    resolution 6, 150 samples and 20 atoms, and sphere_ball_closed loads
+    resolution 6, 150 samples and 20 atoms, sphere_ball_closed, and
+    flat_graph at resolution 10, which parses a height and a field, loads
     none of ``DEFERRED`` either: the run path, not only start-up."""
     script = (
         "import sys\n"
@@ -287,7 +288,11 @@ def test_runs_without_the_lp_leave_deferred_imports_unloaded():
         "     ('domain', 'samples', '150'), ('jacobi', 'atoms', '20')])\n"
         "ball = ScenarioConfig.load(\n"
         "    cli.bundled_scenario_path('sphere_ball_closed.cfg'))\n"
-        "for config in (annulus, ball):\n"
+        "graph = ScenarioConfig.load(\n"
+        "    cli.bundled_scenario_path('flat_graph.cfg'),\n"
+        "    [('submanifold', 'resolution', '10')])\n"
+        "assert graph.field_kind == 'expression'\n"
+        "for config in (annulus, ball, graph):\n"
         "    assert pipeline.run_scenario(config).checks\n"
         f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")
     assert loaded_deferred(script) == "[]"
