@@ -49,14 +49,6 @@ class NonSymmetricHessianError(OTSobolevError):
     """Hessian input fails the symmetry check."""
 
 
-class DenominatorVanishesError(OTSobolevError):
-    """Determinant-profile denominator vanished on (0, 1)."""
-
-
-class ArgOutOfDomainError(OTSobolevError):
-    """Comparison-profile argument left the domain of arctan/artanh."""
-
-
 class EmptyDomainError(OTSobolevError):
     """Target-domain constraints admit no samples."""
 

@@ -19,9 +19,7 @@ import numpy as np
 
 from . import geometry, inequalities, jacobi, submanifold, transport
 from .errors import (
-    ArgOutOfDomainError,
     ConfigError,
-    DenominatorVanishesError,
     ResolutionTooCoarseError,
     SizeCapError,
     UnsupportedChartError,
@@ -461,19 +459,17 @@ BOUND_SLACK_FACTOR = 1e-3
 NORMALIZATION_TOL = 1e-4
 
 
-# the exceptions of the envelope math that flag an atom, each with the
-# record key counting it; FLAG_KEYS adds normalization drift, which
-# _jacobi_atom finds itself
-FLAG_REASONS = {DenominatorVanishesError: "flagged_denominator_vanishes",
-                ArgOutOfDomainError: "flagged_arg_out_of_domain"}
-FLAG_KEYS = ("flagged_normalization_drift", *FLAG_REASONS.values())
+# the record keys that count the flagged atoms by reason
+FLAG_KEYS = ("flagged_normalization_drift", "flagged_denominator_vanishes",
+             "flagged_arg_out_of_domain")
 
 
 def _jacobi(ctx):
     """Jacobi propagation and comparison checks on the heaviest atoms,
     propagated JACOBI_CHUNK at a time; the plot series of the first
-    evaluated atom goes to the report.  A metric is null when its
-    sub-check ran on no atom, and the check fails when no atom was
+    evaluated atom goes to the report.  Each count and metric of
+    ``_jacobi_chunk`` is reduced over all chunks: a metric is null when
+    its sub-check covered no atom, and the check fails when no atom was
     evaluated."""
     M, mesh = ctx.M, ctx.mesh
     grad_phi, hess_phi = ctx.gradient[0], ctx.hess_phi
@@ -484,15 +480,10 @@ def _jacobi(ctx):
     hn = mesh.mean_curvature_normal_components()
     nf = geometry.lower_index(M, mesh.normal_frames)
     K = M.curvature
-    stats = {"atom_count": int(len(ii)), "evaluated_atoms": 0,
-             "singular_atoms": 0, "flagged_atoms": 0,
-             **dict.fromkeys(FLAG_KEYS, 0),
-             **dict.fromkeys((
-                 "sym_residual_max", "q_sym_residual_max",
-                 "riccati_residual_max", "lap_margin_min",
-                 "mono_worst_increase", "mono_failures", "bound_margin_min",
-                 "normalization_worst", "trq1_excess_max",
-                 "trq3_excess_max"))}
+    # the K < 0 envelope takes the radius r of the geodesic_ball domain,
+    # the only domain a hyperbolic run transports to
+    r = ctx.config.domain_params["r"] if K < 0.0 else None
+    chunks = []
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
         frames, P0, P0p, lam = [], [], [], []
@@ -506,14 +497,22 @@ def _jacobi(ctx):
             P0.append(p0)
             P0p.append(p0p)
             lam.append(float(np.trace(hess_phi[i])) + float(hn[i] @ v_norm))
-        trajs = jacobi.propagate(M, frames, np.stack(P0), np.stack(P0p), lam)
-        for traj in trajs:
-            if traj is not None:
-                _jacobi_atom(ctx, traj, K, stats)
-            else:
-                stats["singular_atoms"] += 1
+        rec = jacobi.propagate(M, frames, np.stack(P0), np.stack(P0p), lam)
+        atoms, profile = _jacobi_chunk(rec, K, r)
+        evaluated = np.flatnonzero(atoms["evaluated_atoms"])
+        if "jacobi_profile" not in ctx.report.series and len(evaluated):
+            ctx.report.series["jacobi_profile"] = jacobi.plot_series(
+                rec, profile, evaluated[0])
+        chunks.append(atoms)
         # free this chunk's stacked trajectories before the next is built
-        del trajs, traj
+        del rec, profile
+    stats = {"atom_count": int(len(ii))}
+    for key in chunks[0]:
+        values = np.ma.concatenate([atoms[key] for atoms in chunks])
+        stats[key] = (values.min() if key.endswith("_min") else
+                      values.max() if values.dtype == float else
+                      values.sum()).item() if values.count() else None
+    stats["flagged_atoms"] = sum(stats[key] for key in FLAG_KEYS)
     # mono_failures and bound_margin_min are null on the K < 0 path
     passed = (stats["evaluated_atoms"] >= 1
               and stats["sym_residual_max"] <= 1e-8
@@ -526,73 +525,66 @@ def _jacobi(ctx):
     return {"passed": bool(passed), **stats}
 
 
-def _fold(stats, **values):
-    """Fold per-atom values into the running extremes of ``stats``:
-    minima for the ``*_min`` keys, maxima for the others.  A key is None
-    until its sub-check first runs."""
-    for key, value in values.items():
-        prev = stats[key]
-        stats[key] = value if prev is None else (
-            min if key.endswith("_min") else max)(prev, value)
+def _jacobi_chunk(rec, K, r):
+    """The Jacobi record of one chunk atom by atom, and its comparison
+    profile.  A count is the (A,) mask of the atoms it counts, a metric
+    an (A,) masked array unmasked on the atoms its sub-check covers.
+    The residuals and the margin n - delta_phi - <H, v> cover every
+    non-singular atom.  An envelope out of its domain flags an atom (on
+    the K >= 0 path, 1 - t lam / n vanishes), and so, after the
+    determinant profile ran on it, does normalization drift (K >= 0).
+    The other sub-checks cover the atoms neither flags, the evaluated
+    ones."""
+    ok = ~rec.singular
+    none = np.zeros_like(ok)
 
+    def on(mask, values):
+        return np.ma.array(values, mask=~mask)
 
-def _flag(stats, key):
-    """Count one flagged atom, under ``flagged_atoms`` and under the
-    ``FLAG_KEYS`` key of its reason."""
-    stats["flagged_atoms"] += 1
-    stats[key] += 1
-
-
-def _jacobi_atom(ctx, traj, K, stats):
-    """Run the checks of one propagated atom and fold them into
-    ``stats``; the first evaluated atom gives the plot series.  The
-    K < 0 envelope takes the radius r of the geodesic_ball domain, the
-    only domain a hyperbolic run transports to."""
-    _fold(stats, sym_residual_max=traj.symmetry_residual(),
-          q_sym_residual_max=traj.q_symmetry_residual(),
-          riccati_residual_max=jacobi.riccati_residual(traj),
-          lap_margin_min=float(traj.n - traj.lam))
-    try:
-        if K >= 0.0:
-            det_profile = jacobi.monotonicity_profile(traj)
-            scale = abs(det_profile[0])
-            worst = float(np.diff(det_profile).max())
+    if K >= 0.0:
+        profile = jacobi.ComparisonProfile("nonneg", rec.n, rec.m, rec.lam)
+        reason = "flagged_denominator_vanishes"
+    else:
+        profile = jacobi.ComparisonProfile("negative", rec.n, rec.m, rec.lam,
+                                           k1=K, k2=K, r=r)
+        reason = "flagged_arg_out_of_domain"
+    out = ok & profile.out_of_domain
+    mono = evaluated = ok & ~out
+    atoms = {"singular_atoms": rec.singular, **dict.fromkeys(FLAG_KEYS, none),
+             reason: out,
+             "sym_residual_max": on(ok, jacobi.symmetry_residual(rec)),
+             "q_sym_residual_max": on(ok, jacobi.q_symmetry_residual(rec)),
+             "riccati_residual_max": on(ok, jacobi.riccati_residual(rec)),
+             "lap_margin_min": on(ok, rec.n - rec.lam),
+             # the K >= 0 sub-checks cover no atom on the K < 0 path
+             **dict.fromkeys(("mono_worst_increase", "mono_failures",
+                              "bound_margin_min", "normalization_worst"),
+                             on(none, none))}
+    if K >= 0.0:
+        # the profile divides by zero only on atoms it does not cover
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det_profile = jacobi.monotonicity_profile(rec)
+            scale = np.abs(det_profile[:, 0])
+            worst = np.diff(det_profile, axis=1).max(axis=1)
+            increase = worst / scale
+        drift = np.abs(jacobi.normalization_limit(rec) - 1.0)
+        drifted = mono & (drift > NORMALIZATION_TOL)
+        evaluated = mono & ~drifted
+        bound, det1 = jacobi.jacobian_bound_check(rec)
+        atoms.update({
+            "flagged_normalization_drift": drifted,
             # a profile that never increases has worst increase 0
-            _fold(stats, mono_worst_increase=max(0.0, worst / scale))
-            stats["mono_failures"] = (stats["mono_failures"] or 0) + (
-                not worst <= MONOTONICITY_TOL * scale)
-            _, limit = jacobi.normalization_limit(traj)
-            drift = abs(limit - 1.0)
-            if drift > NORMALIZATION_TOL:
-                _flag(stats, "flagged_normalization_drift")
-                return
-            bound, det1 = jacobi.jacobian_bound_check(traj)
-            _fold(stats, bound_margin_min=bound + BOUND_SLACK_FACTOR
-                  * abs(bound) - det1, normalization_worst=drift)
-            profile = jacobi.ComparisonProfile("nonneg", traj.n, traj.m,
-                                               traj.lam)
-        else:
-            profile = jacobi.ComparisonProfile(
-                "negative", traj.n, traj.m, traj.lam, k1=K, k2=K,
-                r=ctx.config.domain_params["r"])
-        trq1_excess, trq3_excess = jacobi.trace_comparison_check(traj, profile)
-    except tuple(FLAG_REASONS) as exc:
-        _flag(stats, FLAG_REASONS[type(exc)])
-        return
-    stats["evaluated_atoms"] += 1
-    _fold(stats, trq1_excess_max=trq1_excess, trq3_excess_max=trq3_excess)
-    if "jacobi_profile" not in ctx.report.series:
-        i0 = jacobi.TRIM_SAMPLES
-        t = traj.times[i0:]
-        ctx.report.series["jacobi_profile"] = {
-            "t": t.tolist(),
-            "det_p": traj.det_p[i0:].tolist(),
-            "det_envelope": np.asarray(profile.det_envelope(t)).tolist(),
-            "trq1": traj.trq1[i0:].tolist(),
-            "trq1_bound": np.asarray(profile.trq1_bound(t)).tolist(),
-            "trq3": traj.trq3[i0:].tolist(),
-            "trq3_bound": np.asarray(profile.trq3_bound(t)).tolist(),
-        }
+            "mono_worst_increase": on(mono, np.where(increase > 0.0,
+                                                     increase, 0.0)),
+            "mono_failures": on(mono, ~(worst <= MONOTONICITY_TOL * scale)),
+            "bound_margin_min": on(evaluated, bound + BOUND_SLACK_FACTOR
+                                   * np.abs(bound) - det1),
+            "normalization_worst": on(evaluated, drift)})
+    trq1, trq3 = jacobi.trace_comparison_check(rec, profile)
+    atoms.update(evaluated_atoms=evaluated,
+                 trq1_excess_max=on(evaluated, trq1),
+                 trq3_excess_max=on(evaluated, trq3))
+    return atoms, profile
 
 
 def _ibp(ctx):
@@ -667,6 +659,8 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
             mesh = submanifold.build_submanifold(M, chart, config.resolution)
     except (UnsupportedChartError, ResolutionTooCoarseError) as exc:
         raise ConfigError(f"submanifold: {exc}") from exc
+    except ConfigError as exc:  # a graph's height outside the grammar
+        raise ConfigError(f"submanifold.height: {exc}") from exc
     except OverflowError as exc:  # the libm sinh of a geodesic disk's rim
         raise ConfigError("submanifold.radius: the boundary length of the "
                           f"mesh overflows ({exc})") from exc
@@ -682,12 +676,16 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         if config.field_kind == "constant":
             f = constant_field(mesh, float(config.field_spec))
         else:
-            # values the floats cannot hold fail ScalarField's check,
-            # with no numpy warning on the way
-            with np.errstate(over="ignore", invalid="ignore",
-                             divide="ignore"):
+            # values the floats cannot hold fail ScalarField's check, and
+            # integrands they cannot hold (f^{n/(n-1)}, |grad f|) the one
+            # below, with no numpy warning on the way
+            with np.errstate(all="ignore"):
                 f = field_from_expression(mesh, config.field_spec)
-    except ValueError as exc:  # not a number, or not finite and positive
+                terms = inequalities.inequality_terms(M, mesh, f)
+            if not np.isfinite(list(terms.values())).all():
+                raise ValueError(f"its integrals overflow: {terms}")
+    # not a number, not finite and positive, or outside the grammar
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"field: {exc}") from exc
     report.stage_seconds["mesh"] = clock() - t
 

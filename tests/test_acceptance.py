@@ -119,22 +119,22 @@ def test_criterion_3_jacobi_oracles(capsys):
     norm_worst = 0.0
     for M, frame, sol in cases:
         t0 = time.perf_counter()
-        (traj,) = jacobi.propagate(M, [frame], np.zeros((1, 3, 3)),
-                                   np.eye(3)[None], [0.0])
+        (P,) = jacobi.propagate(M, [frame], np.zeros((1, 3, 3)),
+                                np.eye(3)[None], [0.0]).P
         per_traj.append(time.perf_counter() - t0)
-        t = traj.times
-        oracle = np.zeros_like(traj.P)
+        t = jacobi.TIMES
+        oracle = np.zeros_like(P)
         oracle[:, 0, 0] = t
         for i in (1, 2):
             oracle[:, i, i] = sol(t) if M.variant != geometry.EUCLIDEAN \
                 else t
-        worst = max(worst, float(np.abs(traj.P - oracle).max()))
+        worst = max(worst, float(np.abs(P - oracle).max()))
         # block normalization: t^-m det P at the first trimmed sample
-        (block,) = jacobi.propagate(
+        block = jacobi.propagate(
             M, [frame], np.diag([1.0, 1.0, 0.0])[None],
             np.diag([0.0, 0.0, 1.0])[None], [0.0])
         i0 = jacobi.TRIM_SAMPLES
-        first = block.det_p[i0] / block.times[i0] ** block.m
+        first = block.det_p[0, i0] / t[i0] ** block.m
         norm_worst = max(norm_worst, abs(first - 1.0))
     ok = worst <= 1e-8 and norm_worst <= 1e-4 and max(per_traj) <= 1.0
     announce(capsys, 3, ok,
@@ -259,9 +259,9 @@ def test_criterion_8_hand_jacobian_equality(capsys):
     frame = geometry.build_parallel_frame(
         M, mesh.points[node], np.zeros(4), list(mesh.tangent_frames[node]),
         list(mesh.normal_frames[node]), samples=2)
-    (traj,) = jacobi.propagate(M, [frame], P0[None], P0p[None], [-2.0])
-    _, limit = jacobi.normalization_limit(traj)
-    bound, det1 = jacobi.jacobian_bound_check(traj)
+    rec = jacobi.propagate(M, [frame], P0[None], P0p[None], [-2.0])
+    (limit,) = jacobi.normalization_limit(rec)
+    bound, det1 = (float(side[0]) for side in jacobi.jacobian_bound_check(rec))
     ok = abs(det1 - 4.0) <= 1e-9 and abs(bound - 4.0) <= 1e-9 \
         and abs(limit - 1.0) <= NORMALIZATION_TOL
     announce(capsys, 8, ok, f"det P(1)={det1!r}, bound={bound!r}")

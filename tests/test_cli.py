@@ -393,6 +393,15 @@ class TestRunCommand:
          "expression = u1/0 + 2", "field"),
         ("flat_graph", "height = (u1**2 + u2**2) * 3 / 10",
          "height = u1/0 + 2", "submanifold.height"),
+        # expressions outside the grammar
+        ("flat_graph", "height = (u1**2 + u2**2) * 3 / 10",
+         "height = sin(u1)", "submanifold.height"),
+        ("flat_graph", "expression = 1 + u1 * u2 / 4",
+         "expression = sin(u1)", "field"),
+        # a field finite at the nodes whose f^{n/(n-1)} and |grad f|
+        # overflow
+        ("flat_graph", "expression = 1 + u1 * u2 / 4",
+         "expression = exp(709 * u1**2)", "field"),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):

@@ -1,6 +1,8 @@
-"""Jacobi/Riccati propagation: closed-form oracles, profiles, envelopes."""
+"""Jacobi/Riccati propagation: closed-form oracles, profiles, envelopes,
+and the per-atom reference that the stacked measurements equal."""
 
 import math
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +10,7 @@ import pytest
 
 from otsobolev import (cli, geometry, inequalities, jacobi, pipeline,
                        submanifold, transport)
-from otsobolev.errors import (
-    ArgOutOfDomainError,
-    DenominatorVanishesError,
-    NonSymmetricHessianError,
-    UnsupportedVariantError,
-)
+from otsobolev.errors import NonSymmetricHessianError, UnsupportedVariantError
 from otsobolev.fields import constant_field
 
 from chart_checks import model_space
@@ -40,11 +37,9 @@ def hyperbolic_frame(K=-1.0, speed=0.5):
 
 
 def propagate_one(M, frame, P0, P0p, lam=0.0):
-    """``jacobi.propagate`` on a one-atom stack: the atom's trajectory,
-    or None at a conjugate point."""
-    (traj,) = jacobi.propagate(M, [frame], np.asarray(P0)[None],
-                               np.asarray(P0p)[None], [lam])
-    return traj
+    """``jacobi.propagate`` on a one-atom stack."""
+    return jacobi.propagate(M, [frame], np.asarray(P0)[None],
+                            np.asarray(P0p)[None], [lam])
 
 
 def nonincreasing(profile):
@@ -69,59 +64,59 @@ class TestClosedFormOracles:
         M, frame = euclidean_frame()
         P0 = np.eye(4)
         P0p = np.diag([0.3, -0.2, 1.0, 0.7])
-        traj = propagate_one(M, frame, P0, P0p)
+        rec = propagate_one(M, frame, P0, P0p)
         for k in (0, 100, 400):
-            t = traj.times[k]
-            assert np.allclose(traj.P[k], P0 + t * P0p, atol=1e-12)
-        assert jacobi.riccati_residual(traj) < 1e-8
+            t = jacobi.TIMES[k]
+            assert np.allclose(rec.P[0, k], P0 + t * P0p, atol=1e-12)
+        assert jacobi.riccati_residual(rec)[0] < 1e-8
 
     def test_sphere_cosine_solutions(self):
         s = 0.8
         M, frame = sphere_frame(K=1.0, speed=s)
-        traj = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
-        t = traj.times
+        rec = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
+        t = jacobi.TIMES
         # direction along the velocity is flat; others oscillate at rate s
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = 1.0
         for i in (1, 2):
             oracle[:, i, i] = np.cos(s * t)
-        assert np.abs(traj.P - oracle).max() < 1e-8
+        assert np.abs(rec.P[0] - oracle).max() < 1e-8
 
     def test_sphere_sine_solutions(self):
         s = 0.8
         M, frame = sphere_frame(K=1.0, speed=s)
-        traj = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
-        t = traj.times
+        rec = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
+        t = jacobi.TIMES
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = t
         for i in (1, 2):
             oracle[:, i, i] = np.sin(s * t) / s
-        assert np.abs(traj.P - oracle).max() < 1e-8
+        assert np.abs(rec.P[0] - oracle).max() < 1e-8
 
     def test_hyperbolic_sinh_solutions(self):
         s = 0.6
         M, frame = hyperbolic_frame(K=-1.0, speed=s)
-        traj = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
-        t = traj.times
+        rec = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
+        t = jacobi.TIMES
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = t
         for i in (1, 2):
             oracle[:, i, i] = np.sinh(s * t) / s
-        assert np.abs(traj.P - oracle).max() < 1e-8
-        assert jacobi.riccati_residual(traj) < 1e-6
+        assert np.abs(rec.P[0] - oracle).max() < 1e-8
+        assert jacobi.riccati_residual(rec)[0] < 1e-6
 
     def test_curvature_scaling(self):
         """K = 4 doubles the oscillation rate of the K = 1 solution."""
         s = 0.5
         M, frame = sphere_frame(K=4.0, speed=s)
-        traj = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
-        t = traj.times
-        assert np.allclose(traj.P[:, 1, 1], np.cos(2 * s * t), atol=1e-8)
+        rec = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
+        t = jacobi.TIMES
+        assert np.allclose(rec.P[0, :, 1, 1], np.cos(2 * s * t), atol=1e-8)
 
 
 class TestStructuralChecks:
     def make_block_traj(self, p11=0.5, p22=0.5, lam=None):
-        """Flat-space trajectory with the transport block structure."""
+        """Flat-space one-atom stack with the transport block structure."""
         M, frame = euclidean_frame()
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([p11, p22, 1.0, 1.0])
@@ -131,47 +126,47 @@ class TestStructuralChecks:
 
     def test_block_determinant_identity(self):
         """det P(1) = (1 + p11)(1 + p22) for flat diagonal data."""
-        traj = self.make_block_traj(p11=1.0, p22=1.0)
-        assert abs(traj.det_p[-1] - 4.0) < 1e-9
+        rec = self.make_block_traj(p11=1.0, p22=1.0)
+        assert abs(rec.det_p[0, -1] - 4.0) < 1e-9
 
     def test_symmetry_residuals_vanish(self):
-        traj = self.make_block_traj()
-        assert traj.symmetry_residual() < 1e-12
-        assert traj.q_symmetry_residual() < 1e-9
+        rec = self.make_block_traj()
+        assert jacobi.symmetry_residual(rec)[0] < 1e-12
+        assert jacobi.q_symmetry_residual(rec)[0] < 1e-9
 
     def test_normalization_limit(self):
-        traj = self.make_block_traj()
-        first, limit = jacobi.normalization_limit(traj)
+        rec = self.make_block_traj()
+        (limit,) = jacobi.normalization_limit(rec)
         assert abs(limit - 1.0) < 1e-6
 
     def test_normalization_drift_detected(self):
         M, frame = euclidean_frame()
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([0.5, 0.5, 2.0, 1.0])   # wrong normal-block scale
-        traj = propagate_one(M, frame, P0, P0p)
-        _, limit = jacobi.normalization_limit(traj)
+        rec = propagate_one(M, frame, P0, P0p)
+        (limit,) = jacobi.normalization_limit(rec)
         assert abs(limit - 1.0) > pipeline.NORMALIZATION_TOL
 
     def test_monotone_profile_and_endpoint_bound(self):
         """Equality case: diagonal data with equal rates saturates the bound."""
-        traj = self.make_block_traj(p11=-0.7, p22=-0.7)
-        prof = jacobi.monotonicity_profile(traj)
+        rec = self.make_block_traj(p11=-0.7, p22=-0.7)
+        (prof,) = jacobi.monotonicity_profile(rec)
         assert nonincreasing(prof)
         assert np.allclose(prof, prof[0], atol=1e-9)  # exact equality case
-        _, limit = jacobi.normalization_limit(traj)
+        (limit,) = jacobi.normalization_limit(rec)
         assert abs(limit - 1.0) <= pipeline.NORMALIZATION_TOL
-        bound, det1 = jacobi.jacobian_bound_check(traj)
-        assert abs(det1 - bound) < 1e-9
+        bound, det1 = jacobi.jacobian_bound_check(rec)
+        assert abs(det1[0] - bound[0]) < 1e-9
 
     def test_strictly_decreasing_profile_when_rates_differ(self):
-        traj = self.make_block_traj(p11=-0.9, p22=-0.1)
-        prof = jacobi.monotonicity_profile(traj)
+        rec = self.make_block_traj(p11=-0.9, p22=-0.1)
+        (prof,) = jacobi.monotonicity_profile(rec)
         assert nonincreasing(prof)
         assert prof[-1] < prof[0] - 1e-4
-        _, limit = jacobi.normalization_limit(traj)
+        (limit,) = jacobi.normalization_limit(rec)
         assert abs(limit - 1.0) <= pipeline.NORMALIZATION_TOL
-        bound, det1 = jacobi.jacobian_bound_check(traj)
-        assert det1 < bound
+        bound, det1 = jacobi.jacobian_bound_check(rec)
+        assert det1[0] < bound[0]
 
     def test_hyperbolic_control_breaks_monotonicity(self):
         """Negative curvature violates the S >= 0 hypothesis: the profile
@@ -180,8 +175,7 @@ class TestStructuralChecks:
         M, frame = hyperbolic_frame(K=-1.0, speed=s)
         P0 = np.diag([1.0, 1.0, 0.0])
         P0p = np.diag([0.0, 0.0, 1.0])
-        traj = propagate_one(M, frame, P0, P0p)
-        prof = jacobi.monotonicity_profile(traj)
+        (prof,) = jacobi.monotonicity_profile(propagate_one(M, frame, P0, P0p))
         assert not nonincreasing(prof)
         assert prof[-1] > prof[0]
 
@@ -190,7 +184,18 @@ class TestStructuralChecks:
         M, frame = sphere_frame(K=1.0, speed=2.0)
         P0 = np.diag([1.0, 1.0, 0.0])
         P0p = np.diag([0.0, 0.0, 1.0])
-        assert propagate_one(M, frame, P0, P0p) is None
+        assert propagate_one(M, frame, P0, P0p).singular.tolist() == [True]
+
+    def test_empty_window_is_singular(self):
+        """P = diag(1 + 1e13 t, 1, t, t) keeps det P > 0, but cond P stays
+        above COND_LIMIT on the whole trimmed window, so Q is defined on
+        none of it: the atom is singular, not passed unchecked."""
+        M, frame = euclidean_frame()
+        rec = propagate_one(M, frame, np.diag([1.0, 1.0, 0.0, 0.0]),
+                            np.diag([1e13, 0.0, 1.0, 1.0]))
+        assert (rec.det_p[0, jacobi.TRIM_SAMPLES:] > 0).all()
+        assert not rec.q_defined[0, jacobi.TRIM_SAMPLES:].any()
+        assert rec.singular.tolist() == [True]
 
     def test_non_symmetric_hessian_rejected(self):
         M = model_space(geometry.EUCLIDEAN, 4)
@@ -206,7 +211,7 @@ class TestFiniteDifferences:
         errs_in, errs_edge = [], []
         for T in (100, 200):
             t = np.linspace(0.0, 1.0, T + 1)
-            d2 = jacobi.second_derivative(np.sin(3 * t), t[1] - t[0])
+            (d2,) = jacobi.second_derivative(np.sin(3 * t)[None], t[1] - t[0])
             err = np.abs(d2 + 9 * np.sin(3 * t))
             errs_in.append(float(err[5:-5].max()))
             errs_edge.append(float(err.max()))
@@ -217,15 +222,15 @@ class TestFiniteDifferences:
         """A trajectory propagated with S = 0 fails the Riccati identity
         when its stored S is falsified."""
         M, frame = euclidean_frame()
-        traj = propagate_one(M, frame, np.diag([1.0, 1, 0, 0]),
-                             np.diag([0.3, 0.3, 1, 1]))
-        traj.S = traj.S + 0.5 * np.eye(4)
-        assert jacobi.riccati_residual(traj) > 0.1
+        rec = propagate_one(M, frame, np.diag([1.0, 1, 0, 0]),
+                            np.diag([0.3, 0.3, 1, 1]))
+        rec.S = rec.S + 0.5 * np.eye(4)
+        assert jacobi.riccati_residual(rec)[0] > 0.1
 
 
 class TestComparisonProfiles:
     def test_positive_case_limits_to_nonneg(self):
-        lam = -0.8
+        lam = [-0.8]
         non = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
         pos = jacobi.ComparisonProfile("positive", 2, 2, lam,
                                        k1=1e-8, k2=1e-8, eps=1.0)
@@ -237,7 +242,7 @@ class TestComparisonProfiles:
 
     def test_negative_case_limits_to_nonneg(self):
         # lam = 0 keeps the artanh argument inside (-1, 1) as k -> 0
-        lam = 0.0
+        lam = [0.0]
         non = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
         neg = jacobi.ComparisonProfile("negative", 2, 2, lam,
                                        k1=-1e-8, k2=-1e-8, r=1.0)
@@ -248,9 +253,10 @@ class TestComparisonProfiles:
 
     @staticmethod
     def endpoint_formula(prof):
-        """det P(1) bound of each case: (1 - lam/n)^n, and the
-        cos*sinc / cosh*sinh endpoint expressions."""
-        n, m, lam = prof.n, prof.m, prof.lam
+        """det P(1) bound of each case for a one-atom profile:
+        (1 - lam/n)^n, and the cos*sinc / cosh*sinh endpoint
+        expressions."""
+        n, m, (lam,) = prof.n, prof.m, prof.lam
         if prof.case == "nonneg":
             return (1.0 - lam / n) ** n
         if prof.case == "positive":
@@ -266,15 +272,31 @@ class TestComparisonProfiles:
         ("negative", dict(k1=-1.0, k2=-1.0, r=0.7)),
     ])
     def test_endpoint_equals_envelope_at_one(self, case, kw):
-        prof = jacobi.ComparisonProfile(case, 2, 2, -0.5, **kw)
+        prof = jacobi.ComparisonProfile(case, 2, 2, [-0.5], **kw)
         assert np.isclose(self.endpoint_formula(prof),
-                          float(prof.det_envelope(np.array([1.0]))[0]),
+                          float(prof.det_envelope(np.array([1.0]))[0, 0]),
                           atol=1e-12)
 
     def test_negative_case_domain_guard(self):
-        with pytest.raises(ArgOutOfDomainError):
-            jacobi.ComparisonProfile("negative", 2, 2, -5.0,
-                                     k1=-1.0, k2=-1.0, r=0.5)
+        """The artanh argument -lam / (r n sqrt(-k1)) leaves (-1, 1) at
+        |lam| = 1 here: exactly there the atom is out of the domain."""
+        prof = jacobi.ComparisonProfile(
+            "negative", 2, 2, [-5.0, -1.0, math.nextafter(-1.0, 0.0), 0.3],
+            k1=-1.0, k2=-1.0, r=0.5)
+        assert prof.out_of_domain.tolist() == [True, True, False, False]
+        assert np.isnan(prof.A[:2]).all() and np.isfinite(prof.A[2:]).all()
+
+    def test_nonneg_domain_is_decided_at_the_endpoint(self):
+        """1 - t lam / n vanishes somewhere on the trimmed window exactly
+        when it does at t = 1, on both sides of lam = n."""
+        n = 2
+        lam = np.array([n, math.nextafter(n, 0.0), math.nextafter(n, 3.0),
+                        -3.0, 0.0, 1.7])
+        prof = jacobi.ComparisonProfile("nonneg", n, 2, lam)
+        t = jacobi.TIMES[jacobi.TRIM_SAMPLES:]
+        anywhere = np.any(1.0 - t * lam[:, None] / n <= 0, axis=1)
+        assert prof.out_of_domain.tolist() == anywhere.tolist() == [
+            True, False, True, False, False, False]
 
     def test_trace_comparison_on_model_trajectory(self):
         """Flat block trajectory sits under the nonneg envelopes."""
@@ -282,12 +304,13 @@ class TestComparisonProfiles:
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([0.4, 0.2, 1.0, 1.0])
         lam = -(0.4 + 0.2)
-        traj = propagate_one(M, frame, P0, P0p, lam=lam)
-        prof = jacobi.ComparisonProfile("nonneg", 2, 2, lam)
-        trq1_excess, trq3_excess = jacobi.trace_comparison_check(traj, prof)
-        tol = 1e-6 * traj.m / traj.times[jacobi.TRIM_SAMPLES]
+        rec = propagate_one(M, frame, P0, P0p, lam=lam)
+        prof = jacobi.ComparisonProfile("nonneg", 2, 2, rec.lam)
+        (trq1_excess,), (trq3_excess,) = jacobi.trace_comparison_check(
+            rec, prof)
+        tol = 1e-6 * rec.m / jacobi.TIMES[jacobi.TRIM_SAMPLES]
         assert trq1_excess <= tol and trq3_excess <= tol
-        assert jacobi.riccati_residual(traj) <= 1e-6
+        assert jacobi.riccati_residual(rec)[0] <= 1e-6
 
 
 def rk4_reference(S, P0, P0p, steps):
@@ -336,7 +359,24 @@ def negative_atom(speed):
     return hyperbolic_frame(-1.0, speed)
 
 
-TRAJ_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "trq1", "trq3")
+STACK_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "lam",
+                "singular")
+
+
+def atom_arrays(rec, a):
+    """Atom ``a``'s slice of each per-atom array of a stack, its traces
+    included."""
+    trq1, trq3 = rec.traces
+    return {**{name: getattr(rec, name)[a] for name in STACK_ARRAYS},
+            "trq1": trq1[a], "trq3": trq3[a]}
+
+
+def assert_same_atoms(rec, a, other, b):
+    """Atom ``a`` of ``rec`` is bitwise atom ``b`` of ``other``."""
+    mine, theirs = atom_arrays(rec, a), atom_arrays(other, b)
+    for name, value in mine.items():
+        assert np.asarray(value).tobytes() == \
+            np.asarray(theirs[name]).tobytes(), name
 
 
 def cond_mask(P):
@@ -370,37 +410,39 @@ class TestBatchedKernel:
         M, frames, P0, P0p = atom_stack(make_frame, 17)
         lam = np.linspace(-0.4, 0.4, 17)
         stacked = jacobi.propagate(M, frames, P0, P0p, lam)
-        for a, traj in enumerate(stacked):
+        assert (stacked.n, stacked.m) == (2, 1)
+        for a in range(17):
             single = propagate_one(M, frames[a], P0[a], P0p[a],
                                    lam=lam[a])
-            for name in TRAJ_ARRAYS:
-                assert getattr(traj, name).tobytes() == \
-                    getattr(single, name).tobytes(), name
-            assert (traj.lam, traj.n, traj.m) == (single.lam, 2, 1)
+            assert_same_atoms(stacked, a, single, 0)
             # the closed form against RK4 on the same grid, to 1e-12 of
             # the largest entry: RK4's rounding over STEPS steps is most
             # of the difference (about 3e-14)
-            P, Pp = rk4_reference(single.S, P0[a], P0p[a], jacobi.STEPS)
-            for got, want in ((single.P, P), (single.Pp, Pp)):
+            P, Pp = rk4_reference(single.S[0], P0[a], P0p[a], jacobi.STEPS)
+            for got, want in ((single.P[0], P), (single.Pp[0], Pp)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_trajectories_are_contiguous_views(self):
+    def test_stack_shapes(self):
         M, frames, P0, P0p = atom_stack(positive_atom, 3)
-        trajs = jacobi.propagate(M, frames, P0, P0p, np.zeros(3))
-        for traj in trajs:
-            assert traj.P.flags.c_contiguous and traj.P.base is not None
-            assert traj.P.shape == (jacobi.STEPS + 1, 3, 3)
+        rec = jacobi.propagate(M, frames, P0, P0p, np.zeros(3))
+        T = jacobi.STEPS + 1
+        for name in ("P", "Pp", "Q"):
+            assert getattr(rec, name).shape == (3, T, 3, 3), name
+        assert rec.det_p.shape == rec.q_defined.shape == (3, T)
+        assert rec.S.shape == (3, 3, 3)
+        assert rec.lam.shape == rec.singular.shape == (3,)
+        assert all(tr.shape == (3, T) for tr in rec.traces)
 
     def test_singular_atom_mid_stack(self):
         """A conjugate point in one atom leaves its neighbours alone."""
         M, frames, P0, P0p = atom_stack(positive_atom, 17)
         _, frames[8] = sphere_frame(K=1.0, speed=2.0)
         P0[8], P0p[8] = np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])
-        trajs = jacobi.propagate(M, frames, P0, P0p, np.zeros(17))
-        assert [a for a, t in enumerate(trajs) if t is None] == [8]
-        assert propagate_one(M, frames[8], P0[8], P0p[8]) is None
+        rec = jacobi.propagate(M, frames, P0, P0p, np.zeros(17))
+        assert np.flatnonzero(rec.singular).tolist() == [8]
+        assert propagate_one(M, frames[8], P0[8], P0p[8]).singular[0]
         last = propagate_one(M, frames[16], P0[16], P0p[16])
-        assert trajs[16].Q.tobytes() == last.Q.tobytes()
+        assert rec.Q[16].tobytes() == last.Q[0].tobytes()
 
     def test_stack_rejects_bad_shapes(self):
         M, frames, P0, P0p = atom_stack(positive_atom, 2)
@@ -488,8 +530,8 @@ class TestBatchedKernel:
         assert counts == [1]
 
     def test_nan_on_the_window_is_singular(self, monkeypatch):
-        """An atom whose P turns NaN inside the trimmed window comes back
-        as None, like a det sign change, and its neighbours are the ones
+        """An atom whose P turns NaN inside the trimmed window is
+        singular, like a det sign change, and its neighbours are the ones
         the stack gives without it."""
         M, frames, P0, P0p = atom_stack(positive_atom, 17)
         zero = np.zeros(17)
@@ -505,16 +547,430 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(jacobi, "closed_form_stack", nan_in(8))
         with np.errstate(invalid="ignore"):
-            trajs = jacobi.propagate(M, frames, P0, P0p, zero)
-        assert [a for a, t in enumerate(trajs) if t is None] == [8]
+            rec = jacobi.propagate(M, frames, P0, P0p, zero)
+        assert np.flatnonzero(rec.singular).tolist() == [8]
         for a in (0, 7, 9, 16):
-            for name in TRAJ_ARRAYS:
-                assert getattr(trajs[a], name).tobytes() == \
-                    getattr(clean[a], name).tobytes(), name
+            assert_same_atoms(rec, a, clean, a)
         monkeypatch.setattr(jacobi, "closed_form_stack", nan_in(0))
         with np.errstate(invalid="ignore"):
-            assert propagate_one(M, frames[8], P0[8], P0p[8]) \
-                is None
+            assert propagate_one(M, frames[8], P0[8], P0p[8]).singular[0]
+
+
+
+
+# ---------------------------------------------------------------------------
+# per-atom reference: the measurement code and the running fold of the
+# Jacobi stage as they were before the stage was stacked, one atom at a
+# time, kept as the oracle of the stacked functions
+
+
+TRIM = jacobi.TRIM_SAMPLES
+
+
+class DenominatorVanishes(Exception):
+    """1 - t lam / n vanishes on the trimmed window."""
+
+
+class ArgOutOfDomain(Exception):
+    """An envelope argument leaves the domain of arctan/artanh."""
+
+
+@dataclass
+class Trajectory:
+    times: np.ndarray          # (T,)
+    P: np.ndarray              # (T, d, d)
+    Pp: np.ndarray             # (T, d, d)
+    n: int
+    m: int
+    lam: float
+    S: np.ndarray              # (d, d)
+    det_p: np.ndarray          # (T,)
+    Q: np.ndarray              # (T, d, d), nan where undefined
+    q_defined: np.ndarray      # (T,) bool
+    trq1: np.ndarray = field(init=False)
+    trq3: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.trq1 = np.einsum("tii->t", self.Q[:, :self.n, :self.n])
+        self.trq3 = np.einsum("tii->t", self.Q[:, self.n:, self.n:])
+
+    @property
+    def window(self):
+        ok = self.q_defined.copy()
+        ok[:TRIM] = False
+        return ok
+
+    def symmetry_residual(self):
+        A = np.einsum("tij,tkj->tik", self.Pp, self.P)
+        return float(np.abs(A - A.transpose(0, 2, 1)).max())
+
+    def q_symmetry_residual(self):
+        Q = self.Q[self.q_defined]
+        if len(Q) == 0:
+            return 0.0
+        return float(np.abs(Q - Q.transpose(0, 2, 1)).max())
+
+
+def trajectory(rec, a):
+    """Atom ``a`` of a stack as one trajectory: views of the stacked
+    arrays, and lam as a Python float."""
+    return Trajectory(jacobi.TIMES, rec.P[a], rec.Pp[a], rec.n, rec.m,
+                      float(rec.lam[a]), rec.S[a], rec.det_p[a], rec.Q[a],
+                      rec.q_defined[a])
+
+
+def ref_second_derivative(values, dt):
+    values = np.asarray(values, dtype=float)
+    T = values.shape[0]
+    half = jacobi.STENCIL // 2
+    out = np.empty_like(values)
+    weights = jacobi._second_derivative_weights(dt)
+    interior = weights[-half]
+    mid = np.zeros_like(values[half:T - half])
+    for k in range(jacobi.STENCIL):
+        mid += interior[k] * values[k:T - jacobi.STENCIL + 1 + k]
+    out[half:T - half] = mid
+    for j in list(range(half)) + list(range(T - half, T)):
+        lo = min(max(j - half, 0), T - jacobi.STENCIL)
+        w = weights[lo - j]
+        out[j] = np.tensordot(w, values[lo:lo + jacobi.STENCIL], axes=(0, 0))
+    return out
+
+
+def ref_riccati_residual(traj):
+    """Raises ValueError on an empty window (a zero-size max)."""
+    Ppp = ref_second_derivative(traj.P, traj.times[1] - traj.times[0])
+    ok = traj.window
+    q2 = np.einsum("tij,tjk->tik", traj.Q[ok], traj.Q[ok])
+    res = np.linalg.solve(traj.P[ok], Ppp[ok]) - q2 + traj.S[None] + q2
+    return float(np.abs(res).max())
+
+
+def ref_singular(rec, a):
+    """A det sign change or a non-finite P on the trimmed window, or an
+    empty window, on which the reference's Riccati residual raises."""
+    if np.any(rec.det_p[a, TRIM:] <= 0) \
+            or not np.isfinite(rec.P[a, TRIM:]).all():
+        return True
+    try:
+        ref_riccati_residual(trajectory(rec, a))
+    except ValueError:
+        return True
+    return False
+
+
+def ref_monotonicity_profile(traj):
+    t = traj.times[TRIM:]
+    denom = 1.0 - t * traj.lam / traj.n
+    if np.any(denom <= 0):
+        raise DenominatorVanishes
+    return t**(-traj.m) * denom**(-traj.n) * traj.det_p[TRIM:]
+
+
+def ref_normalization_limit(traj):
+    idx = np.array([1, 2, 4]) * TRIM
+    z1, z2, z4 = traj.times[idx] ** (-traj.m) * traj.det_p[idx]
+    return float((8.0 * z1 - 6.0 * z2 + z4) / 3.0)
+
+
+def ref_jacobian_bound_check(traj):
+    bound = (1.0 - traj.lam / traj.n) ** traj.n
+    return float(bound), float(traj.det_p[-1])
+
+
+@dataclass
+class RefProfile:
+    case: str
+    n: int
+    m: int
+    lam: float
+    k1: float = 0.0
+    k2: float = 0.0
+    eps: float = 0.0
+    r: float = 0.0
+
+    def __post_init__(self):
+        n, m, lam = self.n, self.m, self.lam
+        if self.case == "positive":
+            self.a1 = self.eps * math.sqrt(self.k1 * (n - 1) / n)
+            self.a2 = self.eps * math.sqrt(self.k2 * (m - 1) / m) \
+                if m > 1 else 0.0
+            self.A = math.atan(
+                -lam / (self.eps * math.sqrt(self.k1 * n * (n - 1))))
+            if self.a2 >= math.pi or self.A - self.a1 <= -math.pi / 2:
+                raise ArgOutOfDomain
+        elif self.case == "negative":
+            self.b1 = self.r * math.sqrt(-self.k1)
+            self.b2 = self.r * math.sqrt(-self.k2)
+            arg = -lam / (self.r * n * math.sqrt(-self.k1))
+            if abs(arg) >= 1.0:
+                raise ArgOutOfDomain
+            self.A = math.atanh(arg)
+
+    def trq1_bound(self, t):
+        n, lam = self.n, self.lam
+        if self.case == "nonneg":
+            denom = 1.0 - t * lam / n
+            if np.any(denom <= 0):
+                raise DenominatorVanishes
+            return -lam / denom
+        if self.case == "positive":
+            g1 = -t * self.a1 + self.A
+            if np.any(np.abs(g1) >= math.pi / 2):
+                raise ArgOutOfDomain
+            return n * self.a1 * np.tan(g1)
+        return n * self.b1 * np.tanh(t * self.b1 + self.A)
+
+    def trq3_bound(self, t):
+        m = self.m
+        if self.case == "nonneg" or self.case == "positive" \
+                and self.a2 == 0.0:
+            return m / t
+        if self.case == "positive":
+            return m * self.a2 / np.tan(self.a2 * t)
+        return m * self.b2 / np.tanh(self.b2 * t)
+
+    def det_envelope(self, t):
+        n, m, lam = self.n, self.m, self.lam
+        if self.case == "nonneg":
+            return t**m * (1.0 - t * lam / n) ** n
+        if self.case == "positive":
+            g1 = -t * self.a1 + self.A
+            radial = np.sinc(self.a2 * t / math.pi) ** m if self.a2 > 0 \
+                else np.ones_like(t)
+            return (np.cos(g1) / math.cos(self.A)) ** n * t**m * radial
+        g1 = t * self.b1 + self.A
+        radial = np.ones_like(t) if self.b2 == 0 else \
+            (np.sinh(self.b2 * t) / (self.b2 * t)) ** m
+        return (np.cosh(g1) / math.cosh(self.A)) ** n * t**m * radial
+
+
+def ref_trace_comparison_check(traj, profile):
+    ok = traj.window
+    t = traj.times[ok]
+    e1 = traj.trq1[ok] - profile.trq1_bound(t)
+    e3 = traj.trq3[ok] - profile.trq3_bound(t)
+    return float(e1.max()), float(e3.max())
+
+
+REF_FLAGS = {DenominatorVanishes: "flagged_denominator_vanishes",
+             ArgOutOfDomain: "flagged_arg_out_of_domain"}
+
+
+def ref_fold(stats, **values):
+    for key, value in values.items():
+        prev = stats[key]
+        stats[key] = value if prev is None else (
+            min if key.endswith("_min") else max)(prev, value)
+
+
+def ref_flag(stats, key):
+    stats["flagged_atoms"] += 1
+    stats[key] += 1
+
+
+def ref_atom(traj, K, r, stats, series):
+    """One atom's sub-checks, folded into ``stats``; the first evaluated
+    atom writes ``series``."""
+    ref_fold(stats, sym_residual_max=traj.symmetry_residual(),
+             q_sym_residual_max=traj.q_symmetry_residual(),
+             riccati_residual_max=ref_riccati_residual(traj),
+             lap_margin_min=float(traj.n - traj.lam))
+    try:
+        if K >= 0.0:
+            det_profile = ref_monotonicity_profile(traj)
+            scale = abs(det_profile[0])
+            worst = float(np.diff(det_profile).max())
+            ref_fold(stats, mono_worst_increase=max(0.0, worst / scale))
+            stats["mono_failures"] = (stats["mono_failures"] or 0) + (
+                not worst <= pipeline.MONOTONICITY_TOL * scale)
+            limit = ref_normalization_limit(traj)
+            drift = abs(limit - 1.0)
+            if drift > pipeline.NORMALIZATION_TOL:
+                ref_flag(stats, "flagged_normalization_drift")
+                return
+            bound, det1 = ref_jacobian_bound_check(traj)
+            ref_fold(stats, bound_margin_min=bound
+                     + pipeline.BOUND_SLACK_FACTOR * abs(bound) - det1,
+                     normalization_worst=drift)
+            profile = RefProfile("nonneg", traj.n, traj.m, traj.lam)
+        else:
+            profile = RefProfile("negative", traj.n, traj.m, traj.lam,
+                                 k1=K, k2=K, r=r)
+        trq1_excess, trq3_excess = ref_trace_comparison_check(traj, profile)
+    except tuple(REF_FLAGS) as exc:
+        ref_flag(stats, REF_FLAGS[type(exc)])
+        return
+    stats["evaluated_atoms"] += 1
+    ref_fold(stats, trq1_excess_max=trq1_excess, trq3_excess_max=trq3_excess)
+    if not series:
+        t = traj.times[TRIM:]
+        series.update(
+            t=t.tolist(), det_p=traj.det_p[TRIM:].tolist(),
+            det_envelope=np.asarray(profile.det_envelope(t)).tolist(),
+            trq1=traj.trq1[TRIM:].tolist(),
+            trq1_bound=np.asarray(profile.trq1_bound(t)).tolist(),
+            trq3=traj.trq3[TRIM:].tolist(),
+            trq3_bound=np.asarray(profile.trq3_bound(t)).tolist())
+
+
+def ref_stage(recs, K, r):
+    """The Jacobi record and plot series of the per-atom fold over the
+    stacks ``recs`` of one run."""
+    stats = {"atom_count": sum(len(rec.lam) for rec in recs),
+             "evaluated_atoms": 0, "singular_atoms": 0, "flagged_atoms": 0,
+             **dict.fromkeys(pipeline.FLAG_KEYS, 0),
+             **dict.fromkeys((
+                 "sym_residual_max", "q_sym_residual_max",
+                 "riccati_residual_max", "lap_margin_min",
+                 "mono_worst_increase", "mono_failures", "bound_margin_min",
+                 "normalization_worst", "trq1_excess_max",
+                 "trq3_excess_max"))}
+    series = {}
+    for rec in recs:
+        for a in range(len(rec.lam)):
+            if ref_singular(rec, a):
+                stats["singular_atoms"] += 1
+            else:
+                ref_atom(trajectory(rec, a), K, r, stats, series)
+    passed = (stats["evaluated_atoms"] >= 1
+              and stats["sym_residual_max"] <= 1e-8
+              and stats["riccati_residual_max"] <= 1e-6
+              and not stats["mono_failures"]
+              and stats["singular_atoms"] == 0
+              and (stats["bound_margin_min"] is None
+                   or stats["bound_margin_min"] >= 0.0)
+              and stats["lap_margin_min"]
+              >= -pipeline.LAP_SLACK_FACTOR * recs[0].n)
+    return {"passed": bool(passed), **stats}, series
+
+
+def plant_reasons(P0, P0p, lam, n):
+    """Atoms 3-7 of a chunk made singular twice and flagged for each
+    reason: 3 gets P_11 = 1 - 3t, whose det P changes sign; 4 gets
+    P0' = diag(1e13, 0, 1, ...), with det P > 0 but Q defined nowhere on
+    the window; 5 gets lam = 2.5 > n (the nonneg denominator vanishes;
+    the artanh argument is out of (-1, 1) at r <= 1); 6 a normal block of
+    P0' doubled (normalization drift); 7 lam = -2.5 (the artanh argument
+    again)."""
+    P0, P0p, lam = P0.copy(), P0p.copy(), np.array(lam, dtype=float)
+    d = P0.shape[1]
+    P0p[3, 0, 0] = -3.0
+    P0[4] = np.diag([1.0] * n + [0.0] * (d - n))
+    P0p[4] = np.diag([1e13] + [0.0] * (n - 1) + [1.0] * (d - n))
+    lam[5], lam[7] = 2.5, -2.5
+    P0p[6, n:, n:] *= 2.0
+    return P0, P0p, lam
+
+
+PLANTED_RUNS = {"flat_disk_annulus": 0.0, "sphere_transport": 1.0,
+                "hyperbolic_disk_r1": -1.0}
+
+
+@pytest.fixture(scope="module", params=list(PLANTED_RUNS))
+def planted_run(request):
+    """A shrunk bundled run at 20 atoms, whose first chunk holds the atoms
+    of ``plant_reasons``: its Jacobi record and series, the curvature,
+    the domain radius, and every stack the stage propagated."""
+    config = pipeline.ScenarioConfig.load(
+        cli.bundled_scenario_path(f"{request.param}.cfg"),
+        [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+         ("jacobi", "atoms", "20")])
+    recs = []
+    propagate = jacobi.propagate
+
+    def planted(M, frames, P0, P0p, lam):
+        if not recs:
+            P0, P0p, lam = plant_reasons(P0, P0p, lam, frames[0].n_tangent)
+        recs.append(propagate(M, frames, P0, P0p, lam))
+        return recs[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jacobi, "propagate", planted)
+        report = pipeline.run_scenario(config)
+    K = PLANTED_RUNS[request.param]
+    assert config.build_manifold().curvature == K
+    return (report.checks["jacobi"], report.series["jacobi_profile"], K,
+            config.domain_params.get("r"), recs)
+
+
+def same(x, y):
+    return np.asarray(x, dtype=float).tobytes() == \
+        np.asarray(y, dtype=float).tobytes()
+
+
+class TestPerAtomOracle:
+    def test_stacked_measurements_equal_the_reference(self, planted_run):
+        """Every stacked measurement of every stack of the run is bitwise
+        the reference's on each atom that is not singular, and each
+        out-of-domain mask is the set of atoms on which the reference
+        raises; the "positive" envelopes are compared on the K > 0 run,
+        which checks with "nonneg"."""
+        _, _, K, r, recs = planted_run
+        profiles = {"nonneg": {}} if K == 0 else \
+            {"nonneg": {}, "positive": dict(k1=K, k2=K, eps=0.5)} if K > 0 \
+            else {"negative": dict(k1=K, k2=K, r=r)}
+        t = jacobi.TIMES[TRIM:]
+        for rec in recs:
+            A = len(rec.lam)
+            singular = [ref_singular(rec, a) for a in range(A)]
+            assert rec.singular.tolist() == singular
+            sym = jacobi.symmetry_residual(rec)
+            q_sym = jacobi.q_symmetry_residual(rec)
+            riccati = jacobi.riccati_residual(rec)
+            mono = jacobi.monotonicity_profile(rec)
+            limit = jacobi.normalization_limit(rec)
+            bound, det1 = jacobi.jacobian_bound_check(rec)
+            stacked = {case: jacobi.ComparisonProfile(case, rec.n, rec.m,
+                                                      rec.lam, **kw)
+                       for case, kw in profiles.items()}
+            excess = {case: jacobi.trace_comparison_check(rec, profile)
+                      for case, profile in stacked.items()}
+            for a in np.flatnonzero(~rec.singular):
+                traj = trajectory(rec, a)
+                assert same(sym[a], traj.symmetry_residual())
+                assert same(q_sym[a], traj.q_symmetry_residual())
+                assert same(riccati[a], ref_riccati_residual(traj))
+                assert same(limit[a], ref_normalization_limit(traj))
+                assert same((bound[a], det1[a]),
+                            ref_jacobian_bound_check(traj))
+                try:
+                    assert same(mono[a], ref_monotonicity_profile(traj))
+                    vanishes = False
+                except DenominatorVanishes:
+                    vanishes = True
+                assert vanishes == (1.0 - rec.lam[a] / rec.n <= 0)
+                for case, kw in profiles.items():
+                    profile = stacked[case]
+                    try:
+                        ref = RefProfile(case, rec.n, rec.m, traj.lam, **kw)
+                        e1, e3 = ref_trace_comparison_check(traj, ref)
+                    except (DenominatorVanishes, ArgOutOfDomain):
+                        assert profile.out_of_domain[a], case
+                        continue
+                    assert not profile.out_of_domain[a], case
+                    assert same((excess[case][0][a], excess[case][1][a]),
+                                (e1, e3)), case
+                    for name in ("trq1_bound", "trq3_bound", "det_envelope"):
+                        assert same(getattr(profile, name)(t)[a],
+                                    getattr(ref, name)(t)), (case, name)
+
+    def test_stage_equals_the_reference_fold(self, planted_run):
+        """The stage's record and plot series are the per-atom fold's, and
+        the planted chunk holds two singular atoms and a flagged atom of
+        each reason the run's curvature checks."""
+        rec, series, K, r, recs = planted_run
+        want, want_series = ref_stage(recs, K, r)
+        assert rec == want
+        assert series == want_series
+        assert rec["singular_atoms"] == 2 and not rec["passed"]
+        if K >= 0:
+            assert rec["flagged_denominator_vanishes"] >= 1
+            assert rec["flagged_normalization_drift"] >= 1
+        else:
+            assert rec["flagged_arg_out_of_domain"] >= 2
+        assert rec["evaluated_atoms"] >= 1
+
 
 
 @pytest.fixture(scope="module")
@@ -541,13 +997,14 @@ def annulus_transport():
 
 def run_stage(inputs, atoms, monkeypatch, chunk):
     """The Jacobi stage on ``atoms`` atoms, JACOBI_CHUNK = ``chunk``;
-    returns the report and the number of Riccati residuals evaluated."""
+    returns the report and the number of ``riccati_residual`` calls,
+    one per chunk."""
     params, M, mesh, cpl, grad, hess = inputs
     config = SimpleNamespace(jacobi_atoms=atoms, domain_params=params)
     calls = []
     residual = jacobi.riccati_residual
     monkeypatch.setattr(jacobi, "riccati_residual",
-                        lambda traj: calls.append(1) or residual(traj))
+                        lambda rec: calls.append(1) or residual(rec))
     monkeypatch.setattr(pipeline, "JACOBI_CHUNK", chunk)
     report = pipeline.RunReport("stage", 0, {})
     ctx = pipeline.RunContext(config, M, mesh, None, None, cpl, report)
@@ -556,64 +1013,82 @@ def run_stage(inputs, atoms, monkeypatch, chunk):
     return report, len(calls)
 
 
+def plant_in_eighth(monkeypatch, plant):
+    """Let ``plant(P0, P0p)`` change the initial data of atom 8 in place."""
+    seen = []
+    initial = jacobi.initial_conditions
+
+    def planted(*args):
+        P0, P0p = initial(*args)
+        seen.append(1)
+        if len(seen) == 9:
+            plant(P0, P0p)
+        return P0, P0p
+
+    monkeypatch.setattr(jacobi, "initial_conditions", planted)
+
+
 class TestChunkedStage:
     @pytest.mark.parametrize("atoms", [1, 16, 17, 33])
     def test_chunks_match_one_atom_at_a_time(self, annulus_transport,
                                              monkeypatch, atoms):
         """Chunk boundaries change nothing: the report equals that of
-        propagating each atom alone, and every atom that is not singular
-        has exactly one Riccati residual evaluated."""
+        propagating each atom alone, and each chunk has its Riccati
+        residuals evaluated in one call."""
+        chunk = pipeline.JACOBI_CHUNK
         chunked, calls = run_stage(annulus_transport, atoms, monkeypatch,
-                                   pipeline.JACOBI_CHUNK)
-        alone, _ = run_stage(annulus_transport, atoms, monkeypatch, 1)
+                                   chunk)
+        alone, alone_calls = run_stage(annulus_transport, atoms, monkeypatch,
+                                       1)
         rec = chunked.checks["jacobi"]
         assert rec == alone.checks["jacobi"]
         assert chunked.series == alone.series
         assert rec["atom_count"] == atoms and rec["passed"]
-        assert calls == atoms - rec["singular_atoms"]
+        assert calls == math.ceil(atoms / chunk)
+        assert alone_calls == atoms
 
-    def test_singular_atom_mid_chunk(self, annulus_transport, monkeypatch):
-        """Atom 8 of 33 gets data whose det P changes sign: it is counted
-        once as singular and the 32 others are still evaluated."""
-        seen = []
-        initial = jacobi.initial_conditions
-
-        def conjugate_at_eighth(*args):
-            P0, P0p = initial(*args)
-            seen.append(1)
-            if len(seen) == 9:
-                P0p[0, 0] = -3.0     # P_11 = 1 - 3t crosses zero
-            return P0, P0p
-
-        monkeypatch.setattr(jacobi, "initial_conditions", conjugate_at_eighth)
-        report, calls = run_stage(annulus_transport, 33, monkeypatch,
-                                  pipeline.JACOBI_CHUNK)
-        rec = report.checks["jacobi"]
-        assert rec["singular_atoms"] == 1 and not rec["passed"]
-        assert rec["flagged_atoms"] == 0
-        assert calls == 32
-
-    def test_nan_atom_mid_chunk(self, annulus_transport, monkeypatch):
-        """Atom 8 of 33 gets NaN initial data: the stage counts it once as
-        singular instead of dying in the SVD, and evaluates the 32 others."""
-        seen = []
-        initial = jacobi.initial_conditions
-
-        def nan_at_eighth(*args):
-            P0, P0p = initial(*args)
-            seen.append(1)
-            if len(seen) == 9:
-                P0p[0, 0] = np.nan
-            return P0, P0p
-
-        monkeypatch.setattr(jacobi, "initial_conditions", nan_at_eighth)
+    @staticmethod
+    def singular_eighth(inputs, monkeypatch, plant):
+        """The stage on 33 atoms, atom 8 planted by ``plant``: it must be
+        counted once as singular and fail the check, with the 32 others
+        still evaluated, in three chunks."""
+        plant_in_eighth(monkeypatch, plant)
         with np.errstate(invalid="ignore"):
-            report, calls = run_stage(annulus_transport, 33, monkeypatch,
+            report, calls = run_stage(inputs, 33, monkeypatch,
                                       pipeline.JACOBI_CHUNK)
         rec = report.checks["jacobi"]
         assert rec["singular_atoms"] == 1 and not rec["passed"]
-        assert rec["flagged_atoms"] == 0
-        assert calls == 32
+        assert rec["flagged_atoms"] == 0 and rec["evaluated_atoms"] == 32
+        assert calls == 3
+
+    def test_singular_atom_mid_chunk(self, annulus_transport, monkeypatch):
+        """Atom 8 of 33 gets data whose det P changes sign."""
+        def conjugate(P0, P0p):
+            P0p[0, 0] = -3.0     # P_11 = 1 - 3t crosses zero
+
+        self.singular_eighth(annulus_transport, monkeypatch, conjugate)
+
+    def test_nan_atom_mid_chunk(self, annulus_transport, monkeypatch):
+        """Atom 8 of 33 gets NaN initial data: the stage counts it instead
+        of dying in the SVD."""
+        def nan(P0, P0p):
+            P0p[0, 0] = np.nan
+
+        self.singular_eighth(annulus_transport, monkeypatch, nan)
+
+    def test_empty_window_atom_mid_chunk(self, annulus_transport,
+                                         monkeypatch):
+        """Atom 8 of 33 gets P0 = diag(1, 1, 0, 0), P0' = diag(1e13, 0,
+        1, 1) in flat R^4: det P > 0 everywhere, but cond P >= 1e12 on
+        the whole trimmed window, so Q is defined nowhere on it.  The
+        per-atom Riccati residual raised ValueError on it (a zero-size
+        max); the stack counts it as singular instead of passing it
+        unchecked."""
+        def ill_conditioned(P0, P0p):
+            P0[:] = np.diag([1.0, 1.0, 0.0, 0.0])
+            P0p[:] = np.diag([1e13, 0.0, 1.0, 1.0])
+
+        self.singular_eighth(annulus_transport, monkeypatch, ill_conditioned)
 
     # -0.05 n at n = 2, the slack of the gate, and the next float below
     @pytest.mark.parametrize("margin, passed", [
@@ -623,24 +1098,31 @@ class TestChunkedStage:
         """The gate on the worst margin n - delta_phi - <H, v>: a run
         whose one atom passes every other sub-check passes exactly at
         -LAP_SLACK_FACTOR * n and fails at the next float below."""
-        atom = pipeline._jacobi_atom
+        measure = pipeline._jacobi_chunk
 
-        def planted(ctx, traj, K, stats):
-            atom(ctx, traj, K, stats)
-            stats["lap_margin_min"] = margin
+        def planted(rec, K, r):
+            atoms, profile = measure(rec, K, r)
+            atoms["lap_margin_min"] = np.ma.array(
+                np.full(len(rec.lam), margin), mask=rec.singular)
+            return atoms, profile
 
-        monkeypatch.setattr(pipeline, "_jacobi_atom", planted)
+        monkeypatch.setattr(pipeline, "_jacobi_chunk", planted)
         report, _ = run_stage(annulus_transport, 1, monkeypatch,
                               pipeline.JACOBI_CHUNK)
         rec = report.checks["jacobi"]
         assert rec["lap_margin_min"] == margin
+        assert rec["evaluated_atoms"] == 1
         assert rec["passed"] is passed
 
     def test_every_atom_flagged_fails(self, annulus_transport, monkeypatch):
         """With no evaluated atom the stage fails, counts each flag by its
         reason and writes the comparison metrics as null."""
+        profile = jacobi.ComparisonProfile
+
         def vanishing(*args, **kwargs):
-            raise DenominatorVanishesError("envelope blows up")
+            planted = profile(*args, **kwargs)
+            planted.out_of_domain = np.ones_like(planted.out_of_domain)
+            return planted
 
         monkeypatch.setattr(jacobi, "ComparisonProfile", vanishing)
         report, _ = run_stage(annulus_transport, 5, monkeypatch,
@@ -651,8 +1133,10 @@ class TestChunkedStage:
         assert rec["flagged_denominator_vanishes"] == 5
         assert rec["flagged_normalization_drift"] == 0
         assert rec["flagged_arg_out_of_domain"] == 0
-        assert rec["trq1_excess_max"] is None
-        assert rec["trq3_excess_max"] is None
+        for key in ("trq1_excess_max", "trq3_excess_max", "bound_margin_min",
+                    "normalization_worst", "mono_worst_increase",
+                    "mono_failures"):
+            assert rec[key] is None, key
         assert "jacobi_profile" not in report.series
 
 

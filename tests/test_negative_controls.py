@@ -144,27 +144,29 @@ def test_inequality_control(monkeypatch, factor, passed):
 
 def planted_jacobi_verdict(monkeypatch, measurement, value):
     """``passed`` of the Jacobi check on one atom whose ``measurement``
-    the library returns as ``value``: the last step of a determinant
-    profile that starts at 1 ("monotonicity"), det P(1) under a unit
-    bound ("endpoint"), or the t^-m det P limit ("normalization").  The
-    atom sits on a flat disk with zero potential Hessian and velocity,
-    where every sub-check passes unplanted."""
+    the library returns as ``value``, stacked over the one-atom chunk:
+    the last step of a determinant profile that starts at 1
+    ("monotonicity"), det P(1) under a unit bound ("endpoint"), or the
+    t^-m det P limit ("normalization").  The atom sits on a flat disk
+    with zero potential Hessian and velocity, where every sub-check
+    passes unplanted."""
+    one = np.ones(1)
     name, planted = {
         "monotonicity": ("monotonicity_profile",
-                         lambda traj: np.array([1.0, 0.0, value])),
-        "endpoint": ("jacobian_bound_check", lambda traj: (1.0, value)),
-        "normalization": ("normalization_limit", lambda traj: (1.0, value)),
+                         lambda rec: np.array([[1.0, 0.0, value]])),
+        "endpoint": ("jacobian_bound_check", lambda rec: (one, value * one)),
+        "normalization": ("normalization_limit", lambda rec: value * one),
     }[measurement]
     monkeypatch.setattr(jacobi, name, planted)
     M = geometry.ModelManifold(geometry.EUCLIDEAN, 4, 0.0)
     mesh = submanifold.build_submanifold(
         M, submanifold.FlatDisk(radius=1.0), 6)
     nodes = mesh.node_count
-    one = np.zeros(1, dtype=int)
+    node = np.zeros(1, dtype=int)
     ctx = SimpleNamespace(
         config=SimpleNamespace(jacobi_atoms=1),
         M=M, mesh=mesh, gradient=(np.zeros((nodes, 2)), None),
-        hess_phi=np.zeros((nodes, 2, 2)), atoms=(one, one, np.ones(1)),
+        hess_phi=np.zeros((nodes, 2, 2)), atoms=(node, node, one),
         atom_logs=np.zeros((1, 4)),
         report=pipeline.RunReport("planted", 0, {}))
     return pipeline.CHECKS["jacobi"].run(ctx)["passed"]
