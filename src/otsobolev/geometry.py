@@ -200,7 +200,7 @@ def transport_along(M: ModelManifold, x: np.ndarray, v: np.ndarray,
     if M.variant == EUCLIDEAN:
         return np.broadcast_to(w, (T,) + w.shape).copy()
     sf, R = M.space, M.radius
-    # the sphere's speed is a BLAS dot, which the reports' last bits follow
+    # the sphere's speed is a BLAS dot, as in the tests' per-variant formula
     s = float(np.linalg.norm(v) if M.variant == SPHERE else norm(M, v))
     if s == 0.0:
         return np.broadcast_to(w, (T,) + w.shape).copy()
@@ -215,44 +215,17 @@ def transport_along(M: ModelManifold, x: np.ndarray, v: np.ndarray,
     return a[None, ..., None] * u_t + perp[None, ...]
 
 
-@dataclass
-class ParallelFrame:
-    """Orthonormal frame parallel-transported along one geodesic.
-
-    ``vectors[k, i]`` is the i-th frame vector at sample time ``times[k]``.
-    The first ``n_tangent`` vectors come from the tangent basis, the rest
-    from the normal basis.  ``velocities[k]`` is the geodesic velocity at
-    ``times[k]``.
-    """
-
-    manifold: ModelManifold
-    times: np.ndarray
-    velocities: np.ndarray
-    vectors: np.ndarray
-    n_tangent: int
-
-
 def build_parallel_frame(M: ModelManifold, x: np.ndarray, v: np.ndarray,
-                         tangent_basis: np.ndarray, normal_basis: np.ndarray,
-                         samples: int) -> ParallelFrame:
-    """Transport an orthonormal basis along exp_x(t v), t in [0, 1]."""
+                         basis: np.ndarray, samples: int):
+    """Transport the tangent vectors ``basis`` (d, D) along exp_x(t v) at
+    ``samples`` equal steps of t in [0, 1]: (velocities (T, D), vectors
+    (T, d, D)), ``vectors[k, i]`` the i-th vector at the k-th time.  The
+    reference the tests hold ``curvature_matrix`` to, along the geodesic."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    tangent_basis = np.atleast_2d(np.asarray(tangent_basis, dtype=float))
-    normal_basis = np.atleast_2d(np.asarray(normal_basis, dtype=float))
-    if normal_basis.size == 0:
-        basis = tangent_basis
-    elif tangent_basis.size == 0:
-        basis = normal_basis
-    else:
-        basis = np.vstack([tangent_basis, normal_basis])
-    G = metric_inner(M, basis[:, None, :], basis[None, :, :])
-    if np.abs(G - np.eye(len(basis))).max() > 1e-8:
-        raise NonOrthonormalPlaneError("basis not orthonormal at the base point")
     t = np.linspace(0.0, 1.0, samples)
-    vel = transport_along(M, x, v, np.asarray(v, dtype=float), t)
-    vecs = transport_along(M, x, v, basis, t)
-    return ParallelFrame(M, t, vel, vecs, n_tangent=len(tangent_basis))
+    return (transport_along(M, x, v, np.asarray(v, dtype=float), t),
+            transport_along(M, x, v, np.asarray(basis, dtype=float), t))
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +242,26 @@ def curvature_form(M: ModelManifold, a: np.ndarray, b: np.ndarray,
                 - metric_inner(M, a, d) * metric_inner(M, b, c))
 
 
-def curvature_matrix(M: ModelManifold, frame: ParallelFrame,
-                     t: float) -> np.ndarray:
-    """S_ij(t) = R(gamma'(t), E_i(t), gamma'(t), E_j(t)) in frame coordinates.
+def curvature_matrix(M: ModelManifold, E: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """S_ij = R(u, E_i, u, E_j) = K (<u, u> <E_i, E_j> - <u, E_i> <u, E_j>)
+    of a stack of velocities ``u`` (A, D) in frames ``E`` (A, d, D) at
+    their base points: (A, d, d).
 
-    Constant in t for model spaces (parallel frames in locally symmetric
-    spaces), so the sample nearest to t is exact.
+    On a model space S is constant along the geodesic exp(t u) in the
+    frame parallel-transported along it, so it is the S of every t.
+    Raises NonOrthonormalPlaneError where a frame's Gram matrix is more
+    than 1e-8 from the identity.
     """
-    if t < frame.times[0] - 1e-12 or t > frame.times[-1] + 1e-12:
-        raise ValueError("t outside the frame's sample range")
-    k = int(np.argmin(np.abs(frame.times - t)))
-    V = frame.vectors[k]
-    gv = frame.velocities[k]
+    G = metric_inner(M, E[:, :, None, :], E[:, None, :, :])
+    if np.abs(G - np.eye(E.shape[1])).max() > 1e-8:
+        raise NonOrthonormalPlaneError("frame not orthonormal at the base point")
     K = M.curvature
     if K == 0.0:
-        return np.zeros((V.shape[0], V.shape[0]))
-    gvv = metric_inner(M, gv, gv)
-    gvE = metric_inner(M, V, np.broadcast_to(gv, V.shape))
-    gEE = metric_inner(M, V[:, None, :], V[None, :, :])
-    S = K * (gvv * gEE - np.outer(gvE, gvE))
-    return 0.5 * (S + S.T)
+        return np.zeros_like(G)
+    uu = metric_inner(M, u, u)[:, None, None]
+    uE = metric_inner(M, E, u[:, None, :])
+    return K * (uu * G - uE[:, :, None] * uE[:, None, :])
 
 
 def intermediate_ricci(M: ModelManifold, x: np.ndarray, plane: np.ndarray,

@@ -335,9 +335,10 @@ def annulus_fiber_envelope(manifold: ModelManifold, mesh: SubmanifoldMesh,
 
 
 def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
-                        f: ScalarField, variant: str, params: dict,
+                        terms: dict, variant: str, params: dict,
                         domain: Optional[TargetDomain] = None) -> dict:
-    """Assemble LHS and RHS of one inequality variant with exact constants.
+    """Assemble LHS and RHS of one inequality variant with exact constants
+    from the field's integrals ``terms`` (``inequality_terms``).
 
     The curvature bounds k1 (tangential) and k2 (normal) of the positive
     and negative variants are the manifold's curvature K: on a model
@@ -352,7 +353,6 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
              f"{variant} holds on {', '.join(holds_on)}, "
              f"not on {manifold.variant}")
     n, m = mesh.n, mesh.m
-    terms = inequality_terms(manifold, mesh, f)
     fp = terms["int_f_power"] ** ((n - 1) / n)
     K = manifold.curvature
     _require(m >= 2 or variant == NEGATIVE_LOCAL,

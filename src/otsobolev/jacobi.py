@@ -1,12 +1,17 @@
 """Closed-form matrix Jacobi fields P'' = -PS along transport geodesics.
 
-``propagate`` stacks a chunk of atoms into one ``JacobiStack`` (P, P',
-Q = P^{-1} P' and the singular atoms).  Each measurement that
-``pipeline._jacobi`` compares with its bounds maps that stack to one
-value per atom: the symmetry and Riccati residuals, the determinant
-profile, the small-t normalization, the endpoint Jacobian bound and the
-trace comparison with the envelopes of ``ComparisonProfile``, which
-take one lam per atom.  ``plot_series`` gives one atom's curves.
+The inputs are arrays over a stack of atoms, built from the mesh's node
+frames: ``initial_conditions`` gives P(0), P'(0) and lam, and
+``geometry.curvature_matrix`` gives S in the node frame, which on a
+model space is S at every t (``geometry.build_parallel_frame`` is the
+tests' reference for that).  ``propagate`` stacks a chunk of atoms into
+one ``JacobiStack`` (P, P', Q = P^{-1} P' and the singular atoms).
+Each measurement that ``pipeline._jacobi`` compares with its bounds
+maps that stack to one value per atom: the symmetry and Riccati
+residuals, the determinant profile, the small-t normalization, the
+endpoint Jacobian bound and the trace comparison with the envelopes of
+``ComparisonProfile``, which take one lam per atom.  ``plot_series``
+gives one atom's curves.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 
 from . import geometry
 from .errors import NonSymmetricHessianError, UnsupportedVariantError
-from .geometry import ModelManifold
 from .submanifold import SubmanifoldMesh
 
 STEPS = 1000               # the checks sample P at t = k / STEPS, k = 0..STEPS
@@ -64,30 +68,38 @@ class JacobiStack:
 # initial conditions and propagation
 
 
-def initial_conditions(mesh: SubmanifoldMesh, node: int, v_normal: np.ndarray,
-                       hess_phi: np.ndarray, grad_phi: np.ndarray):
-    """Block initial data (P(0), P'(0)) for one transport atom.
+def initial_conditions(mesh: SubmanifoldMesh, nodes: np.ndarray,
+                       u: np.ndarray, hess_phi: np.ndarray,
+                       grad_phi: np.ndarray):
+    """Block initial data (P(0), P'(0), lam) of a stack of transport
+    atoms: (A, d, d), (A, d, d) and (A,).
 
-    ``v_normal`` holds normal-frame components of the atom's normal
-    velocity, ``hess_phi``/``grad_phi`` the frame-coordinate Hessian and
-    gradient of the potential at the node.
+    Atom a leaves mesh node ``nodes[a]`` with velocity ``u[a]`` (A, D);
+    ``hess_phi``/``grad_phi`` hold the frame-coordinate Hessian (N, n, n)
+    and gradient (N, n) of the potential at every node.  With v the
+    normal-frame components of u, P'(0) has the tangent block
+    -Hess phi - <II, v>, the off-diagonal block -II^T grad phi and the
+    normal block I, and lam = Delta phi + <H, v>.  Raises
+    NonSymmetricHessianError where a Hessian is more than 1e-8 from
+    symmetric.
     """
     n, m = mesh.n, mesh.m
-    hess_phi = np.asarray(hess_phi, dtype=float)
-    sym = np.abs(hess_phi - hess_phi.T).max()
+    hess = hess_phi[nodes]
+    sym = np.abs(hess - hess.swapaxes(1, 2)).max()
     if sym > 1e-8:
         raise NonSymmetricHessianError(f"Hessian asymmetry {sym:.2e}")
-    v_normal = np.asarray(v_normal, dtype=float)
-    grad_phi = np.asarray(grad_phi, dtype=float)
-    d = n + m
-    P0 = np.zeros((d, d))
-    P0[:n, :n] = np.eye(n)
-    P0p = np.zeros((d, d))
-    sff = mesh.sff[node]                     # (m, n, n)
-    P0p[:n, :n] = -hess_phi - np.einsum("aij,a->ij", sff, v_normal)
-    P0p[:n, n:] = -np.einsum("aij,j->ia", sff.transpose(0, 2, 1), grad_phi)
-    P0p[n:, n:] = np.eye(m)
-    return P0, P0p
+    nf = geometry.lower_index(mesh.manifold, mesh.normal_frames[nodes])
+    v_normal = np.einsum("akD,aD->ak", nf, u)
+    sff = mesh.sff[nodes]                    # (A, m, n, n)
+    P0 = np.zeros((len(nodes), n + m, n + m))
+    P0[:, :n, :n] = np.eye(n)
+    P0p = np.zeros_like(P0)
+    P0p[:, :n, :n] = -hess - np.einsum("akij,ak->aij", sff, v_normal)
+    P0p[:, :n, n:] = -np.einsum("akji,aj->aik", sff, grad_phi[nodes])
+    P0p[:, n:, n:] = np.eye(m)
+    lam = np.trace(hess, axis1=1, axis2=2) + np.einsum(
+        "ak,ak->a", mesh.mean_curvature_normal_components()[nodes], v_normal)
+    return P0, P0p, lam
 
 
 def closed_form_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray):
@@ -150,16 +162,15 @@ def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
     return ok
 
 
-def propagate(manifold: ModelManifold, frames: list, P0: np.ndarray,
-              P0p: np.ndarray, lam) -> JacobiStack:
+def propagate(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray, lam,
+              n: int) -> JacobiStack:
     """P'' = -PS in closed form on ``TIMES`` for a stack of atoms.
 
-    ``P0``/``P0p`` are (A, d, d), with one parallel frame and one value
-    of ``lam`` = Delta phi + <H, v> per atom; S is evaluated once per
-    frame, where it is constant for the model spaces.
+    ``S``, ``P0`` and ``P0p`` are (A, d, d): each atom's curvature matrix
+    (``geometry.curvature_matrix``) and initial data, with one value of
+    ``lam`` = Delta phi + <H, v> per atom; the first ``n`` of the d frame
+    vectors are tangent.
     """
-    S = np.stack([geometry.curvature_matrix(manifold, f, 0.0)
-                  for f in frames])
     P, Pp = closed_form_stack(S, P0, P0p)
     # det P and Q = P^{-1} P', matrix by matrix over the whole stack
     det_p = np.linalg.det(P)
@@ -170,7 +181,6 @@ def propagate(manifold: ModelManifold, frames: list, P0: np.ndarray,
     singular = np.any(det_p[:, TRIM_SAMPLES:] <= 0, axis=1) \
         | ~np.isfinite(P[:, TRIM_SAMPLES:]).all(axis=(1, 2, 3)) \
         | ~ok[:, TRIM_SAMPLES:].any(axis=1)
-    n = frames[0].n_tangent
     return JacobiStack(P, Pp, Q, det_p, ok, S, np.asarray(lam, dtype=float),
                        n, S.shape[1] - n, singular)
 

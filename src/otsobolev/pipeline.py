@@ -331,11 +331,12 @@ class RunReport:
 
 @dataclass
 class RunContext:
-    """What the checks of one run read.  The support certificate (with
-    phi^cc), the plan's marginals, the atom table (plan atoms, log_x zeta
-    and its length), the gradient and Hessian of phi^cc and the tangency
-    statistics are computed at most once, when a check first reads them.
-    ``coupling`` is None when no check needs transport."""
+    """What the checks of one run read.  The integrals of f, the support
+    certificate (with phi^cc), the plan's marginals, the atom table
+    (plan atoms, log_x zeta and its length), the gradient and Hessian of
+    phi^cc and the tangency statistics are computed at most once, when a
+    check first reads them.  ``coupling`` is None when no check needs
+    transport."""
 
     config: ScenarioConfig
     M: ModelManifold
@@ -344,6 +345,11 @@ class RunContext:
     domain: Optional[inequalities.TargetDomain]
     coupling: Optional[transport.DiscreteCoupling]
     report: RunReport
+
+    @cached_property
+    def terms(self) -> dict:
+        """The integrals of f that the inequalities take."""
+        return inequalities.inequality_terms(self.M, self.mesh, self.f)
 
     @cached_property
     def certificate(self) -> transport.Certificate:
@@ -465,20 +471,24 @@ FLAG_KEYS = ("flagged_normalization_drift", "flagged_denominator_vanishes",
 
 
 def _jacobi(ctx):
-    """Jacobi propagation and comparison checks on the heaviest atoms,
-    propagated JACOBI_CHUNK at a time; the plot series of the first
-    evaluated atom goes to the report.  Each count and metric of
-    ``_jacobi_chunk`` is reduced over all chunks: a metric is null when
-    its sub-check covered no atom, and the check fails when no atom was
-    evaluated."""
+    """Jacobi propagation and comparison checks on the heaviest atoms.
+    Their curvature matrices and initial data come from the node frames
+    in one stacked pass, with no frame transported (a parallel frame is
+    the tests' reference for S along the geodesic).  They are propagated
+    JACOBI_CHUNK at a time, and the plot series of the first evaluated
+    atom goes to the report.
+    Each count and metric of ``_jacobi_chunk`` is reduced over all
+    chunks: a metric is null when its sub-check covered no atom, and the
+    check fails when no atom was evaluated."""
     M, mesh = ctx.M, ctx.mesh
-    grad_phi, hess_phi = ctx.gradient[0], ctx.hess_phi
     ii, jj, mm = ctx.atoms
     # heaviest first, ties by index
     order = np.lexsort((jj, ii, -mm))[:ctx.config.jacobi_atoms]
     ii, logs = ii[order], ctx.atom_logs[order]
-    hn = mesh.mean_curvature_normal_components()
-    nf = geometry.lower_index(M, mesh.normal_frames)
+    S = geometry.curvature_matrix(M, np.concatenate(
+        [mesh.tangent_frames[ii], mesh.normal_frames[ii]], axis=1), logs)
+    P0, P0p, lam = jacobi.initial_conditions(mesh, ii, logs, ctx.hess_phi,
+                                             ctx.gradient[0])
     K = M.curvature
     # the K < 0 envelope takes the radius r of the geodesic_ball domain,
     # the only domain a hyperbolic run transports to
@@ -486,18 +496,8 @@ def _jacobi(ctx):
     chunks = []
     for start in range(0, len(ii), JACOBI_CHUNK):
         chunk = slice(start, start + JACOBI_CHUNK)
-        frames, P0, P0p, lam = [], [], [], []
-        for i, u in zip(ii[chunk].tolist(), logs[chunk]):
-            frames.append(geometry.build_parallel_frame(
-                M, mesh.points[i], u, list(mesh.tangent_frames[i]),
-                list(mesh.normal_frames[i]), samples=2))
-            v_norm = nf[i] @ u
-            p0, p0p = jacobi.initial_conditions(mesh, i, v_norm, hess_phi[i],
-                                                grad_phi[i])
-            P0.append(p0)
-            P0p.append(p0p)
-            lam.append(float(np.trace(hess_phi[i])) + float(hn[i] @ v_norm))
-        rec = jacobi.propagate(M, frames, np.stack(P0), np.stack(P0p), lam)
+        rec = jacobi.propagate(S[chunk], P0[chunk], P0p[chunk], lam[chunk],
+                               mesh.n)
         atoms, profile = _jacobi_chunk(rec, K, r)
         evaluated = np.flatnonzero(atoms["evaluated_atoms"])
         if "jacobi_profile" not in ctx.report.series and len(evaluated):
@@ -602,7 +602,7 @@ def _inequality(ctx):
     """Both sides of the configured inequality; the full record goes to
     ``report.inequality``.  It holds when LHS / RHS <= 1 + REPORT_TOL."""
     rec = inequalities.evaluate_inequality(
-        ctx.M, ctx.mesh, ctx.f, ctx.config.inequality_variant,
+        ctx.M, ctx.mesh, ctx.terms, ctx.config.inequality_variant,
         dict(ctx.config.domain_params), domain=ctx.domain)
     tol = inequalities.REPORT_TOL
     rec.update(passed=rec["ratio"] <= 1.0 + tol, report_tol=tol)
@@ -735,6 +735,8 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
         report.stage_seconds["transport"] = clock() - t
 
     ctx = RunContext(config, M, mesh, f, domain, coupling, report)
+    if config.field_kind != "constant":
+        ctx.terms = terms   # the mesh stage's, computed once per run
     for name, check in CHECKS.items():
         if not (config.checks.get(name) if check.configured
                 else coupling is not None):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import logsumexp as _scipy_logsumexp
+from scipy.special import logsumexp
 
 from . import geometry, submanifold
 from .errors import (
@@ -156,33 +156,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, C: np.ndarray,
     ii, jj = np.nonzero(plan > 0)
     return DiscreteCoupling(mu, nu, ii, jj, plan[ii, jj], C, cost,
                             phi, solver="exact", duality_gap=gap)
-
-
-def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=axis)`` for a real 2-D array,
-    bit for bit, in fewer passes; ``a`` is used as scratch space and
-    holds no meaningful values afterwards.
-
-    The operations are scipy's, in scipy's order: the maxima are split
-    off the sum and counted, the rest is shifted by the maximum,
-    exponentiated and summed, and the result is
-    ``log1p(s / m) + log(m) + max``.  An input whose maxima are not all
-    finite goes to scipy untouched.
-    """
-    amax = np.max(a, axis=axis, keepdims=True)
-    if not np.isfinite(amax).all():
-        return _scipy_logsumexp(a, axis=axis)
-    at_max = a == amax
-    if np.count_nonzero(at_max) == amax.size:  # no ties: one max per line
-        m = np.ones_like(amax)
-    else:
-        m = np.count_nonzero(at_max, axis=axis, keepdims=True).astype(float)
-    np.subtract(a, amax, out=a)
-    np.exp(a, out=a)
-    np.copyto(a, 0.0, where=at_max)
-    s = np.sum(a, axis=axis, keepdims=True)
-    np.divide(s, m, out=s, where=s != 0)
-    return (np.log1p(s) + np.log(m) + amax).squeeze(axis)
 
 
 # Range of the Sinkhorn scalings, [1/SCALING_RANGE, SCALING_RANGE];

@@ -31,15 +31,12 @@ def check_point(M: geometry.ModelManifold, x: np.ndarray,
             raise ValueError("hyperboloid normalization violated")
 
 
-def parallel_frame_gram_residual(frame: geometry.ParallelFrame) -> float:
-    """Worst deviation of the frame Gram matrix from the identity."""
-    M = frame.manifold
-    worst = 0.0
-    for k in range(len(frame.times)):
-        V = frame.vectors[k]
-        G = geometry.metric_inner(M, V[:, None, :], V[None, :, :])
-        worst = max(worst, float(np.abs(G - np.eye(V.shape[0])).max()))
-    return worst
+def parallel_frame_gram_residual(M: geometry.ModelManifold,
+                                 vectors: np.ndarray) -> float:
+    """Worst deviation from the identity of the Gram matrices of the
+    (T, d, D) frames ``vectors`` of ``geometry.build_parallel_frame``."""
+    g = np.einsum("tad,tbd->tab", geometry.lower_index(M, vectors), vectors)
+    return float(np.abs(g - np.eye(vectors.shape[1])).max())
 
 
 def mesh_frame_gram_residual(mesh) -> float:

@@ -51,7 +51,8 @@ def test_criterion_1_sharp_flat_disk(capsys):
     mesh = submanifold.build_submanifold(
         M, submanifold.FlatDisk(radius=1.0), 50)
     rep = inequalities.evaluate_inequality(
-        M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
+        M, mesh, inequalities.inequality_terms(
+            M, mesh, constant_field(mesh, 1.0)), inequalities.NONNEG_LIMIT, {})
     elapsed = time.perf_counter() - t0
     ok = (mesh.node_count >= 10_000
           and abs(rep["lhs"] - 2 * math.pi) < 0.02 * 2 * math.pi
@@ -98,29 +99,23 @@ def test_criterion_3_jacobi_oracles(capsys):
     """Closed-form solutions at 1000 steps; trimmed normalization."""
     worst = 0.0
     per_traj = []
-    basis = np.eye(4)[1:]
-    cases = []
     s = 0.8
+    basis, v = np.eye(4)[None, 1:], np.array([[0.0, s, 0.0, 0.0]])
     Ms = model_space(geometry.SPHERE, 3, 1.0)
-    fs = geometry.build_parallel_frame(
-        Ms, np.array([1.0, 0, 0, 0]), np.array([0.0, s, 0, 0]),
-        basis[:2], basis[2:], samples=5)
-    cases.append((Ms, fs, lambda t: np.sin(s * t) / s))
     Mh = model_space(geometry.HYPERBOLIC, 3, -1.0)
-    fh = geometry.build_parallel_frame(
-        Mh, np.array([1.0, 0, 0, 0]), np.array([0.0, s, 0, 0]),
-        basis[:2], basis[2:], samples=5)
-    cases.append((Mh, fh, lambda t: np.sinh(s * t) / s))
     Me = model_space(geometry.EUCLIDEAN, 3)
-    fe = geometry.build_parallel_frame(
-        Me, np.zeros(3), np.array([s, 0.0, 0.0]),
-        np.eye(3)[:2], np.eye(3)[2:], samples=5)
-    cases.append((Me, fe, lambda t: t))
+    cases = [
+        (Ms, geometry.curvature_matrix(Ms, basis, v),
+         lambda t: np.sin(s * t) / s),
+        (Mh, geometry.curvature_matrix(Mh, basis, v),
+         lambda t: np.sinh(s * t) / s),
+        (Me, geometry.curvature_matrix(Me, np.eye(3)[None], v[:, 1:]),
+         lambda t: t)]
     norm_worst = 0.0
-    for M, frame, sol in cases:
+    for M, S, sol in cases:
         t0 = time.perf_counter()
-        (P,) = jacobi.propagate(M, [frame], np.zeros((1, 3, 3)),
-                                np.eye(3)[None], [0.0]).P
+        (P,) = jacobi.propagate(S, np.zeros((1, 3, 3)), np.eye(3)[None],
+                                [0.0], 2).P
         per_traj.append(time.perf_counter() - t0)
         t = jacobi.TIMES
         oracle = np.zeros_like(P)
@@ -131,8 +126,8 @@ def test_criterion_3_jacobi_oracles(capsys):
         worst = max(worst, float(np.abs(P - oracle).max()))
         # block normalization: t^-m det P at the first trimmed sample
         block = jacobi.propagate(
-            M, [frame], np.diag([1.0, 1.0, 0.0])[None],
-            np.diag([0.0, 0.0, 1.0])[None], [0.0])
+            S, np.diag([1.0, 1.0, 0.0])[None],
+            np.diag([0.0, 0.0, 1.0])[None], [0.0], 2)
         i0 = jacobi.TRIM_SAMPLES
         first = block.det_p[0, i0] / t[i0] ** block.m
         norm_worst = max(norm_worst, abs(first - 1.0))
@@ -225,11 +220,11 @@ def test_criterion_7_tube_limit_consistency(capsys):
     M = model_space(geometry.SPHERE, 4)
     mesh = submanifold.build_submanifold(
         M, submanifold.GeodesicBallInSubsphere(math.pi / 2), 16)
-    f = constant_field(mesh, 1.0)
+    terms = inequalities.inequality_terms(M, mesh, constant_field(mesh, 1.0))
     closed = inequalities.evaluate_inequality(
-        M, mesh, f, inequalities.CLOSED_POSITIVE, {})
+        M, mesh, terms, inequalities.CLOSED_POSITIVE, {})
     zero = inequalities.evaluate_inequality(
-        M, mesh, f, inequalities.POSITIVE_TUBE, dict(eps=0.0))
+        M, mesh, terms, inequalities.POSITIVE_TUBE, dict(eps=0.0))
     exact_at_zero = all(zero[side] == pytest.approx(closed[side], abs=1e-12)
                         for side in ("lhs", "rhs"))
     diffs = []
@@ -238,7 +233,7 @@ def test_criterion_7_tube_limit_consistency(capsys):
             M, mesh, inequalities.COMPLEMENT_OF_TUBE, dict(eps=eps),
             800, 20240606)
         rep = inequalities.evaluate_inequality(
-            M, mesh, f, inequalities.POSITIVE_TUBE, dict(eps=eps),
+            M, mesh, terms, inequalities.POSITIVE_TUBE, dict(eps=eps),
             domain=dom)
         diffs.append(abs(rep["ratio"] - closed["ratio"]))
     ok = exact_at_zero and max(diffs) <= 1e-3
@@ -253,13 +248,13 @@ def test_criterion_8_hand_jacobian_equality(capsys):
     M = model_space(geometry.EUCLIDEAN, 4)
     mesh = submanifold.build_submanifold(
         M, submanifold.FlatDisk(radius=1.0), 8)
-    node = 0
-    P0, P0p = jacobi.initial_conditions(
-        mesh, node, np.zeros(2), -np.eye(2), np.zeros(2))
-    frame = geometry.build_parallel_frame(
-        M, mesh.points[node], np.zeros(4), list(mesh.tangent_frames[node]),
-        list(mesh.normal_frames[node]), samples=2)
-    rec = jacobi.propagate(M, [frame], P0[None], P0p[None], [-2.0])
+    node, u = np.zeros(1, dtype=int), np.zeros((1, 4))
+    N = mesh.node_count
+    P0, P0p, lam = jacobi.initial_conditions(
+        mesh, node, u, np.tile(-np.eye(2), (N, 1, 1)), np.zeros((N, 2)))
+    S = geometry.curvature_matrix(M, np.concatenate(
+        [mesh.tangent_frames[node], mesh.normal_frames[node]], axis=1), u)
+    rec = jacobi.propagate(S, P0, P0p, lam, mesh.n)
     (limit,) = jacobi.normalization_limit(rec)
     bound, det1 = (float(side[0]) for side in jacobi.jacobian_bound_check(rec))
     ok = abs(det1 - 4.0) <= 1e-9 and abs(bound - 4.0) <= 1e-9 \

@@ -123,43 +123,47 @@ def test_hyperbolic_distance_additive_along_geodesic():
     assert np.isclose(geometry.distance(M, a, b), 1.2, atol=1e-10)
 
 
-@pytest.mark.parametrize("M", MODELS, ids=lambda M: f"{M.variant}{M.ambient_dim}")
-def test_parallel_frame_gram_and_isometry(M):
-    rng = np.random.default_rng(21)
-    x = random_point(M, rng)
-    v = random_tangent(M, x, rng, scale=0.5)
-    # orthonormalize a random frame in the tangent space
-    d = M.embedding_dim
-    cand = [random_tangent(M, x, rng) for _ in range(d)]
+def orthonormal_frame(M, x, rng):
+    """An orthonormal basis (ambient_dim, D) of the tangent space at x,
+    by Gram-Schmidt on random tangent vectors."""
     basis = []
-    for w in cand:
+    while len(basis) < M.ambient_dim:
+        w = random_tangent(M, x, rng)
         for b in basis:
             w = w - geometry.metric_inner(M, w, b) * b
         nw = float(geometry.norm(M, w))
         if nw > 1e-6:
             basis.append(w / nw)
-    basis = np.array(basis[: M.ambient_dim])
-    frame = geometry.build_parallel_frame(M, x, v, basis[:2], basis[2:],
-                                          samples=9)
-    assert parallel_frame_gram_residual(frame) < 1e-10
+    return np.array(basis)
 
-    def components(k):
-        return geometry.metric_inner(M, frame.vectors[k],
-                                     np.broadcast_to(frame.velocities[k],
-                                                     frame.vectors[k].shape))
 
+@pytest.mark.parametrize("M", MODELS, ids=lambda M: f"{M.variant}{M.ambient_dim}")
+def test_parallel_frame_gram_and_isometry(M):
+    rng = np.random.default_rng(21)
+    x = random_point(M, rng)
+    v = random_tangent(M, x, rng, scale=0.5)
+    velocities, vectors = geometry.build_parallel_frame(
+        M, x, v, orthonormal_frame(M, x, rng), samples=9)
+    assert parallel_frame_gram_residual(M, vectors) < 1e-10
     # velocity components in the frame are constant along the geodesic
-    for k in range(len(frame.times)):
-        assert np.allclose(components(k), components(0), atol=1e-9)
+    components = geometry.metric_inner(M, vectors, velocities[:, None])
+    assert np.allclose(components, components[0], atol=1e-9)
 
 
 def test_non_orthonormal_frame_rejected():
+    """A frame of the stack whose Gram matrix is more than 1e-8 from the
+    identity is refused."""
     M = model_space(geometry.EUCLIDEAN, 3)
-    x = np.zeros(3)
-    v = np.array([1.0, 0.0, 0.0])
-    bad = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    E = np.tile(np.eye(3), (3, 1, 1))
+    u = np.ones((3, 3))
+    E[1, 1, 1] = 1.0 + 4e-9           # |G - I| = 8e-9
+    geometry.curvature_matrix(M, E, u)
+    E[1, 1, 1] = 1.0 + 6e-9           # |G - I| = 1.2e-8
     with pytest.raises(NonOrthonormalPlaneError):
-        geometry.build_parallel_frame(M, x, v, bad, np.zeros((0, 3)), samples=3)
+        geometry.curvature_matrix(M, E, u)
+    E[1, 1] = [1.0, 1.0, 0.0]
+    with pytest.raises(NonOrthonormalPlaneError):
+        geometry.curvature_matrix(M, E, u)
 
 
 @pytest.mark.parametrize("M,expected", [
@@ -188,32 +192,67 @@ def test_unknown_variant_rejected_at_construction(variant):
 
 
 def test_curvature_matrix_structure():
-    """S = K (s^2 I - w w^T) in a parallel frame, constant in t."""
+    """S = K (s^2 I - w w^T) in the frame of each atom of a stack, with
+    s = |u| and w the frame components of u; S >= 0 when K >= 0."""
     M = model_space(geometry.SPHERE, 3, 2.0)
     rng = np.random.default_rng(41)
-    x = random_point(M, rng)
-    v = random_tangent(M, x, rng, scale=0.4)
-    d = M.embedding_dim
-    cand = [random_tangent(M, x, rng) for _ in range(d)]
-    basis = []
-    for w in cand:
-        for b in basis:
-            w = w - geometry.metric_inner(M, w, b) * b
-        nw = float(geometry.norm(M, w))
-        if nw > 1e-6:
-            basis.append(w / nw)
-    basis = np.array(basis[:3])
-    frame = geometry.build_parallel_frame(M, x, v, basis[:1], basis[1:],
-                                          samples=11)
-    s2 = float(geometry.norm(M, v)) ** 2
-    w = geometry.metric_inner(M, frame.vectors[0],
-                              np.broadcast_to(v, frame.vectors[0].shape))
-    expected = M.curvature * (s2 * np.eye(3) - np.outer(w, w))
-    for t in (0.0, 0.3, 1.0):
-        S = geometry.curvature_matrix(M, frame, t)
-        assert np.allclose(S, expected, atol=1e-9)
-        ev = np.linalg.eigvalsh(S)
+    x = [random_point(M, rng) for _ in range(5)]
+    E = np.array([orthonormal_frame(M, p, rng) for p in x])
+    u = np.array([random_tangent(M, p, rng, scale=0.4) for p in x])
+    S = geometry.curvature_matrix(M, E, u)
+    assert S.shape == (5, 3, 3)
+    for a in range(5):
+        s2 = float(geometry.norm(M, u[a])) ** 2
+        w = geometry.metric_inner(M, E[a], np.broadcast_to(u[a], E[a].shape))
+        expected = M.curvature * (s2 * np.eye(3) - np.outer(w, w))
+        assert np.allclose(S[a], expected, atol=1e-9)
+        ev = np.linalg.eigvalsh(S[a])
         assert ev.min() >= -1e-9  # S >= 0 when K >= 0
+
+
+# S of the node frame against the parallel frame's, in rounding units of
+# the largest product S is formed from, |K| |u|^2 |E_i|^2 in embedding
+# coordinates: at most 1.5 max |S| on the sphere, but far more on the
+# hyperboloid, whose Minkowski products cancel.  Seen: 5.6 units.
+S_ULPS = 8
+
+
+def curvature_scale(K, E, u):
+    """|K| max |u|^2 |E_i|^2 over a stack of frames ``E`` (A, d, D) and
+    velocities ``u`` (A, D), in embedding coordinates."""
+    return abs(K) * (np.sum(u**2, axis=-1)
+                     * np.sum(E**2, axis=-1).max(axis=-1)).max()
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("variant, K", [(geometry.EUCLIDEAN, 0.0),
+                                        (geometry.SPHERE, 2.0),
+                                        (geometry.HYPERBOLIC, -0.5)])
+def test_curvature_matrix_is_constant_along_the_geodesic(variant, K, dim):
+    """S of a stack of atoms, taken in their frames at the base points,
+    is the S of each frame parallel-transported along the geodesic at
+    t = 0, 0.3 and 1, to S_ULPS rounding units; it has the sign of K,
+    and the trace of its tangent block (the first two frame vectors) is
+    the intermediate Ricci curvature of that plane."""
+    M = model_space(variant, dim, K)
+    rng = np.random.default_rng(41)
+    x = [random_point(M, rng) for _ in range(6)]
+    E = np.array([orthonormal_frame(M, p, rng) for p in x])
+    u = np.array([random_tangent(M, p, rng, scale=0.4) for p in x])
+    S = geometry.curvature_matrix(M, E, u)
+    ulp = S_ULPS * np.finfo(float).eps
+    assert (np.linalg.eigvalsh(S) * np.sign(K)
+            >= -ulp * curvature_scale(K, E, u)).all()
+    for a in range(len(x)):
+        velocities, vectors = geometry.build_parallel_frame(
+            M, x[a], u[a], E[a], samples=11)
+        k = [0, 3, 10]                  # t = 0, 0.3, 1
+        along = geometry.curvature_matrix(M, vectors[k], velocities[k])
+        bound = ulp * max(curvature_scale(K, E[a:a + 1], u[a:a + 1]),
+                          curvature_scale(K, vectors[k], velocities[k]))
+        assert np.abs(along - S[a]).max() <= bound
+        ricci = geometry.intermediate_ricci(M, x[a], E[a, :2], u[a])
+        assert abs(np.trace(S[a, :2, :2]) - ricci) <= bound
 
 
 def test_intermediate_ricci_model_values():

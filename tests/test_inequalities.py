@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from otsobolev import geometry, inequalities, submanifold
+from otsobolev import cli, geometry, inequalities, pipeline, submanifold
 from otsobolev.errors import (
     EmptyDomainError,
     HypothesisViolationError,
@@ -24,13 +24,20 @@ def flat_disk_mesh(radius=1.0, resolution=10, codim=2):
     return M, mesh
 
 
+def evaluate(M, mesh, f, variant, params, domain=None):
+    """``inequalities.evaluate_inequality`` on the integrals of ``f``."""
+    return inequalities.evaluate_inequality(
+        M, mesh, inequalities.inequality_terms(M, mesh, f), variant, params,
+        domain=domain)
+
+
 class TestNonnegLimit:
     def test_flat_disk_is_sharp(self):
         """Constant density on a flat disk achieves equality: both sides
         reduce to the boundary length 2*pi*rho."""
         rho = 0.8
         M, mesh = flat_disk_mesh(radius=rho)
-        rep = inequalities.evaluate_inequality(
+        rep = evaluate(
             M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
         assert abs(rep["lhs"] - 2 * math.pi * rho) < 1e-9
         assert abs(rep["rhs"] - 2 * math.pi * rho) < 1e-9
@@ -39,7 +46,7 @@ class TestNonnegLimit:
     def test_constant_matches_hand_value(self):
         """n = m = 2: the dimensional constant collapses to 2*sqrt(pi)."""
         M, mesh = flat_disk_mesh()
-        rep = inequalities.evaluate_inequality(
+        rep = evaluate(
             M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
         assert rep["constants"]["theta"] == 1.0
         assert np.isclose(rep["constants"]["lhs_constant"],
@@ -47,23 +54,23 @@ class TestNonnegLimit:
 
     def test_field_scaling_leaves_ratio_invariant(self):
         M, mesh = flat_disk_mesh()
-        r1 = inequalities.evaluate_inequality(
+        r1 = evaluate(
             M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
-        r2 = inequalities.evaluate_inequality(
+        r2 = evaluate(
             M, mesh, constant_field(mesh, 3.7), inequalities.NONNEG_LIMIT, {})
         assert np.isclose(r1["ratio"], r2["ratio"], atol=1e-12)
 
     def test_nonconstant_field_strictly_inside(self):
         M, mesh = flat_disk_mesh(resolution=14)
         f = field_from_expression(mesh, "1 + u1**2 + 2*u2**2")
-        rep = inequalities.evaluate_inequality(
+        rep = evaluate(
             M, mesh, f, inequalities.NONNEG_LIMIT, {})
         assert rep["ratio"] < 1.0
 
     def test_codimension_one_must_be_lifted(self):
         M, mesh = flat_disk_mesh(codim=1)
         with pytest.raises(HypothesisViolationError):
-            inequalities.evaluate_inequality(
+            evaluate(
                 M, mesh, constant_field(mesh, 1.0),
                 inequalities.NONNEG_LIMIT, {})
 
@@ -125,7 +132,7 @@ class TestNonnegFinite:
         sigma, r = 0.6, 6.0
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.ANNULUS, dict(sigma=sigma, r=r), 800, 5)
-        rep = inequalities.evaluate_inequality(
+        rep = evaluate(
             M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_FINITE,
             dict(sigma=sigma, r=r), domain=dom)
         V = dom.volume
@@ -139,7 +146,7 @@ class TestNonnegFinite:
     def test_requires_annulus_domain(self):
         M, mesh = flat_disk_mesh(resolution=8)
         with pytest.raises(ValueError):
-            inequalities.evaluate_inequality(
+            evaluate(
                 M, mesh, constant_field(mesh, 1.0),
                 inequalities.NONNEG_FINITE, dict(sigma=0.6, r=6.0))
 
@@ -163,7 +170,7 @@ def hyperbolic_setup():
 class TestPositiveVariants:
     def test_closed_positive_constants(self, hemisphere):
         M, mesh = hemisphere
-        rep = inequalities.evaluate_inequality(
+        rep = evaluate(
             M, mesh, constant_field(mesh, 1.0),
             inequalities.CLOSED_POSITIVE, {})
         assert np.isclose(rep["constants"]["diam"], math.pi, atol=1e-12)
@@ -174,9 +181,9 @@ class TestPositiveVariants:
     def test_tube_at_zero_equals_closed(self, hemisphere):
         M, mesh = hemisphere
         f = constant_field(mesh, 1.0)
-        closed = inequalities.evaluate_inequality(
+        closed = evaluate(
             M, mesh, f, inequalities.CLOSED_POSITIVE, {})
-        tube = inequalities.evaluate_inequality(
+        tube = evaluate(
             M, mesh, f, inequalities.POSITIVE_TUBE, dict(eps=0.0))
         assert tube["lhs"] == pytest.approx(closed["lhs"], abs=1e-12)
         assert tube["rhs"] == pytest.approx(closed["rhs"], abs=1e-12)
@@ -184,11 +191,11 @@ class TestPositiveVariants:
     def test_small_tube_close_to_closed(self, hemisphere):
         M, mesh = hemisphere
         f = constant_field(mesh, 1.0)
-        closed = inequalities.evaluate_inequality(
+        closed = evaluate(
             M, mesh, f, inequalities.CLOSED_POSITIVE, {})
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.COMPLEMENT_OF_TUBE, dict(eps=0.05), 1200, 2)
-        tube = inequalities.evaluate_inequality(
+        tube = evaluate(
             M, mesh, f, inequalities.POSITIVE_TUBE, dict(eps=0.05),
             domain=dom)
         assert tube["ratio"] <= 1.0 + inequalities.REPORT_TOL
@@ -197,14 +204,14 @@ class TestPositiveVariants:
     def test_tube_needs_domain_when_eps_positive(self, hemisphere):
         M, mesh = hemisphere
         with pytest.raises(ValueError):
-            inequalities.evaluate_inequality(
+            evaluate(
                 M, mesh, constant_field(mesh, 1.0),
                 inequalities.POSITIVE_TUBE, dict(eps=0.1))
 
     def test_wrong_ambient_rejected(self):
         M, mesh = flat_disk_mesh(resolution=8)
         with pytest.raises(HypothesisViolationError):
-            inequalities.evaluate_inequality(
+            evaluate(
                 M, mesh, constant_field(mesh, 1.0),
                 inequalities.CLOSED_POSITIVE, {})
 
@@ -232,7 +239,7 @@ class TestNegativeLocal:
         r = 2.0
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.GEODESIC_BALL, dict(r=r), 800, 4)
-        rep = inequalities.evaluate_inequality(
+        rep = evaluate(
             M, mesh, constant_field(mesh, 1.0), inequalities.NEGATIVE_LOCAL,
             dict(r=r), domain=dom)
         assert np.isclose(rep["constants"]["cosh_factor"], math.cosh(r),
@@ -268,12 +275,12 @@ class TestCrossVariantOracle:
         H = model_space(geometry.HYPERBOLIC, 4, -1e-6)
         hmesh = submanifold.build_submanifold(
             H, submanifold.GeodesicDiskInHyperbolicSubspace(0.5), resolution)
-        neg = inequalities.evaluate_inequality(
+        neg = evaluate(
             H, hmesh, field(hmesh), inequalities.NEGATIVE_LOCAL, dict(r=r),
             domain=self.domain(inequalities.GEODESIC_BALL, H.embedding_dim,
                                volume))
         E, emesh = flat_disk_mesh(radius=0.5, resolution=resolution)
-        fin = inequalities.evaluate_inequality(
+        fin = evaluate(
             E, emesh, field(emesh), inequalities.NONNEG_FINITE,
             dict(sigma=1e-6, r=r),
             domain=self.domain(inequalities.ANNULUS, 4, volume))
@@ -395,3 +402,19 @@ class TestScrambledHalton:
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
         assert u[0, 0] == 1e-12 and u[0, 1] == 1.0 - 1e-12
         assert inequalities.ndtri(u).tobytes() == norm.ppf(u).tobytes()
+
+
+@pytest.mark.parametrize("name", ["flat_graph", "flat_disk_sharp"])
+def test_a_run_integrates_its_field_once(monkeypatch, name):
+    """The integrals of the field are computed once per run: for an
+    expression field (flat_graph) by the mesh stage, whose overflow
+    check needs them, and the inequality check reuses them; for a
+    constant field (flat_disk_sharp) by the inequality check."""
+    calls = []
+    terms = inequalities.inequality_terms
+    monkeypatch.setattr(inequalities, "inequality_terms",
+                        lambda *args: calls.append(1) or terms(*args))
+    report = pipeline.run_scenario(pipeline.ScenarioConfig.load(
+        cli.bundled_scenario_path(f"{name}.cfg")))
+    assert report.ok and report.inequality["terms"]
+    assert len(calls) == 1

@@ -16,30 +16,31 @@ from otsobolev.fields import constant_field
 from chart_checks import model_space
 
 
-def sphere_frame(K=1.0, speed=0.5):
+# the frames below hold N_TANGENT tangent vectors, then the normal ones
+N_TANGENT = 2
+
+
+def node_curvature(M, basis, v):
+    """S (d, d) of an atom leaving a node with frame ``basis`` (d, D) at
+    velocity ``v``."""
+    return geometry.curvature_matrix(M, np.asarray(basis)[None],
+                                     np.asarray(v)[None])[0]
+
+
+def sphere_curvature(K=1.0, speed=0.5):
     M = model_space(geometry.SPHERE, 3, K)
-    R = M.radius
-    x = np.array([R, 0.0, 0.0, 0.0])
-    v = np.array([0.0, speed, 0.0, 0.0])
-    basis = np.eye(4)[1:]
-    return M, geometry.build_parallel_frame(M, x, v, basis[:2], basis[2:],
-                                            samples=5)
+    return node_curvature(M, np.eye(4)[1:], [0.0, speed, 0.0, 0.0])
 
 
-def hyperbolic_frame(K=-1.0, speed=0.5):
+def hyperbolic_curvature(K=-1.0, speed=0.5):
     M = model_space(geometry.HYPERBOLIC, 3, K)
-    R = M.radius
-    x = np.array([R, 0.0, 0.0, 0.0])
-    v = np.array([0.0, speed, 0.0, 0.0])
-    basis = np.eye(4)[1:]
-    return M, geometry.build_parallel_frame(M, x, v, basis[:2], basis[2:],
-                                            samples=5)
+    return node_curvature(M, np.eye(4)[1:], [0.0, speed, 0.0, 0.0])
 
 
-def propagate_one(M, frame, P0, P0p, lam=0.0):
+def propagate_one(S, P0, P0p, lam=0.0):
     """``jacobi.propagate`` on a one-atom stack."""
-    return jacobi.propagate(M, [frame], np.asarray(P0)[None],
-                            np.asarray(P0p)[None], [lam])
+    return jacobi.propagate(np.asarray(S)[None], np.asarray(P0)[None],
+                            np.asarray(P0p)[None], [lam], N_TANGENT)
 
 
 def nonincreasing(profile):
@@ -49,22 +50,19 @@ def nonincreasing(profile):
         pipeline.MONOTONICITY_TOL * abs(profile[0])
 
 
-def euclidean_frame(dim=4, speed=0.5):
+def euclidean_curvature(dim=4, speed=0.5):
     M = model_space(geometry.EUCLIDEAN, dim)
-    x = np.zeros(dim)
     v = np.zeros(dim)
     v[0] = speed
-    basis = np.eye(dim)
-    return M, geometry.build_parallel_frame(M, x, v, basis[:2], basis[2:],
-                                            samples=5)
+    return node_curvature(M, np.eye(dim), v)
 
 
 class TestClosedFormOracles:
     def test_flat_space_linear_solutions(self):
-        M, frame = euclidean_frame()
+        S = euclidean_curvature()
         P0 = np.eye(4)
         P0p = np.diag([0.3, -0.2, 1.0, 0.7])
-        rec = propagate_one(M, frame, P0, P0p)
+        rec = propagate_one(S, P0, P0p)
         for k in (0, 100, 400):
             t = jacobi.TIMES[k]
             assert np.allclose(rec.P[0, k], P0 + t * P0p, atol=1e-12)
@@ -72,8 +70,8 @@ class TestClosedFormOracles:
 
     def test_sphere_cosine_solutions(self):
         s = 0.8
-        M, frame = sphere_frame(K=1.0, speed=s)
-        rec = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
+        S = sphere_curvature(K=1.0, speed=s)
+        rec = propagate_one(S, np.eye(3), np.zeros((3, 3)))
         t = jacobi.TIMES
         # direction along the velocity is flat; others oscillate at rate s
         oracle = np.zeros((len(t), 3, 3))
@@ -84,8 +82,8 @@ class TestClosedFormOracles:
 
     def test_sphere_sine_solutions(self):
         s = 0.8
-        M, frame = sphere_frame(K=1.0, speed=s)
-        rec = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
+        S = sphere_curvature(K=1.0, speed=s)
+        rec = propagate_one(S, np.zeros((3, 3)), np.eye(3))
         t = jacobi.TIMES
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = t
@@ -95,8 +93,8 @@ class TestClosedFormOracles:
 
     def test_hyperbolic_sinh_solutions(self):
         s = 0.6
-        M, frame = hyperbolic_frame(K=-1.0, speed=s)
-        rec = propagate_one(M, frame, np.zeros((3, 3)), np.eye(3))
+        S = hyperbolic_curvature(K=-1.0, speed=s)
+        rec = propagate_one(S, np.zeros((3, 3)), np.eye(3))
         t = jacobi.TIMES
         oracle = np.zeros((len(t), 3, 3))
         oracle[:, 0, 0] = t
@@ -108,8 +106,8 @@ class TestClosedFormOracles:
     def test_curvature_scaling(self):
         """K = 4 doubles the oscillation rate of the K = 1 solution."""
         s = 0.5
-        M, frame = sphere_frame(K=4.0, speed=s)
-        rec = propagate_one(M, frame, np.eye(3), np.zeros((3, 3)))
+        S = sphere_curvature(K=4.0, speed=s)
+        rec = propagate_one(S, np.eye(3), np.zeros((3, 3)))
         t = jacobi.TIMES
         assert np.allclose(rec.P[0, :, 1, 1], np.cos(2 * s * t), atol=1e-8)
 
@@ -117,12 +115,12 @@ class TestClosedFormOracles:
 class TestStructuralChecks:
     def make_block_traj(self, p11=0.5, p22=0.5, lam=None):
         """Flat-space one-atom stack with the transport block structure."""
-        M, frame = euclidean_frame()
+        S = euclidean_curvature()
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([p11, p22, 1.0, 1.0])
         if lam is None:
             lam = -(p11 + p22)
-        return propagate_one(M, frame, P0, P0p, lam=lam)
+        return propagate_one(S, P0, P0p, lam=lam)
 
     def test_block_determinant_identity(self):
         """det P(1) = (1 + p11)(1 + p22) for flat diagonal data."""
@@ -140,10 +138,10 @@ class TestStructuralChecks:
         assert abs(limit - 1.0) < 1e-6
 
     def test_normalization_drift_detected(self):
-        M, frame = euclidean_frame()
+        S = euclidean_curvature()
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([0.5, 0.5, 2.0, 1.0])   # wrong normal-block scale
-        rec = propagate_one(M, frame, P0, P0p)
+        rec = propagate_one(S, P0, P0p)
         (limit,) = jacobi.normalization_limit(rec)
         assert abs(limit - 1.0) > pipeline.NORMALIZATION_TOL
 
@@ -172,26 +170,26 @@ class TestStructuralChecks:
         """Negative curvature violates the S >= 0 hypothesis: the profile
         must increase, and the check must say so."""
         s = 0.9
-        M, frame = hyperbolic_frame(K=-1.0, speed=s)
+        S = hyperbolic_curvature(K=-1.0, speed=s)
         P0 = np.diag([1.0, 1.0, 0.0])
         P0p = np.diag([0.0, 0.0, 1.0])
-        (prof,) = jacobi.monotonicity_profile(propagate_one(M, frame, P0, P0p))
+        (prof,) = jacobi.monotonicity_profile(propagate_one(S, P0, P0p))
         assert not nonincreasing(prof)
         assert prof[-1] > prof[0]
 
     def test_conjugate_point_detected(self):
         # det P = cos(2t) sin(2t)/2 turns negative past t = pi/4
-        M, frame = sphere_frame(K=1.0, speed=2.0)
+        S = sphere_curvature(K=1.0, speed=2.0)
         P0 = np.diag([1.0, 1.0, 0.0])
         P0p = np.diag([0.0, 0.0, 1.0])
-        assert propagate_one(M, frame, P0, P0p).singular.tolist() == [True]
+        assert propagate_one(S, P0, P0p).singular.tolist() == [True]
 
     def test_empty_window_is_singular(self):
         """P = diag(1 + 1e13 t, 1, t, t) keeps det P > 0, but cond P stays
         above COND_LIMIT on the whole trimmed window, so Q is defined on
         none of it: the atom is singular, not passed unchecked."""
-        M, frame = euclidean_frame()
-        rec = propagate_one(M, frame, np.diag([1.0, 1.0, 0.0, 0.0]),
+        S = euclidean_curvature()
+        rec = propagate_one(S, np.diag([1.0, 1.0, 0.0, 0.0]),
                             np.diag([1e13, 0.0, 1.0, 1.0]))
         assert (rec.det_p[0, jacobi.TRIM_SAMPLES:] > 0).all()
         assert not rec.q_defined[0, jacobi.TRIM_SAMPLES:].any()
@@ -201,9 +199,29 @@ class TestStructuralChecks:
         M = model_space(geometry.EUCLIDEAN, 4)
         mesh = submanifold.build_submanifold(
             M, submanifold.FlatDisk(radius=1.0), 8)
-        bad = np.array([[1.0, 0.5], [0.2, 1.0]])
+        hess = np.zeros((mesh.node_count, 2, 2))
+        hess[0] = [[1.0, 0.5], [0.2, 1.0]]
         with pytest.raises(NonSymmetricHessianError):
-            jacobi.initial_conditions(mesh, 0, np.zeros(2), bad, np.zeros(2))
+            jacobi.initial_conditions(mesh, np.array([1, 0]), np.zeros((2, 4)),
+                                      hess, np.zeros((mesh.node_count, 2)))
+
+    @pytest.mark.parametrize("asym, refused", [(0.8e-8, False), (1.2e-8, True)])
+    def test_hessian_symmetry_bound(self, asym, refused):
+        """The stack is refused when the Hessian at one atom's node is
+        more than 1e-8 from symmetric, and only then."""
+        M = model_space(geometry.EUCLIDEAN, 4)
+        mesh = submanifold.build_submanifold(
+            M, submanifold.FlatDisk(radius=1.0), 8)
+        hess = np.tile(np.eye(2), (mesh.node_count, 1, 1))
+        hess[5, 0, 1] += asym
+        args = (mesh, np.array([0, 3, 5, 7]), np.zeros((4, 4)), hess,
+                np.zeros((mesh.node_count, 2)))
+        if refused:
+            with pytest.raises(NonSymmetricHessianError):
+                jacobi.initial_conditions(*args)
+        else:
+            P0, P0p, lam = jacobi.initial_conditions(*args)
+            assert np.abs(P0p[2, :2, :2] + hess[5]).max() == 0.0
 
 
 class TestFiniteDifferences:
@@ -221,8 +239,8 @@ class TestFiniteDifferences:
     def test_riccati_residual_flags_wrong_curvature(self):
         """A trajectory propagated with S = 0 fails the Riccati identity
         when its stored S is falsified."""
-        M, frame = euclidean_frame()
-        rec = propagate_one(M, frame, np.diag([1.0, 1, 0, 0]),
+        S = euclidean_curvature()
+        rec = propagate_one(S, np.diag([1.0, 1, 0, 0]),
                             np.diag([0.3, 0.3, 1, 1]))
         rec.S = rec.S + 0.5 * np.eye(4)
         assert jacobi.riccati_residual(rec)[0] > 0.1
@@ -300,11 +318,11 @@ class TestComparisonProfiles:
 
     def test_trace_comparison_on_model_trajectory(self):
         """Flat block trajectory sits under the nonneg envelopes."""
-        M, frame = euclidean_frame()
+        S = euclidean_curvature()
         P0 = np.diag([1.0, 1.0, 0.0, 0.0])
         P0p = np.diag([0.4, 0.2, 1.0, 1.0])
         lam = -(0.4 + 0.2)
-        rec = propagate_one(M, frame, P0, P0p, lam=lam)
+        rec = propagate_one(S, P0, P0p, lam=lam)
         prof = jacobi.ComparisonProfile("nonneg", 2, 2, rec.lam)
         (trq1_excess,), (trq3_excess,) = jacobi.trace_comparison_check(
             rec, prof)
@@ -331,32 +349,31 @@ def rk4_reference(S, P0, P0p, steps):
     return np.array(P), np.array(Pp)
 
 
-def atom_stack(make_frame, count, seed=5):
-    """``count`` atoms on distinct geodesics, ``make_frame(speed)``, with
-    transport-shaped data: P0 = diag(1, 1, 0), P0' = diag(a, b, 1) plus
-    a symmetric tweak."""
+def atom_stack(make_curvature, count, seed=5):
+    """``count`` atoms on distinct geodesics, ``make_curvature(speed)``,
+    with transport-shaped data: P0 = diag(1, 1, 0), P0' = diag(a, b, 1)
+    plus a symmetric tweak."""
     rng = np.random.default_rng(seed)
-    frames, P0, P0p = [], [], []
+    S, P0, P0p = [], [], []
     for _ in range(count):
-        M, frame = make_frame(float(rng.uniform(0.2, 0.9)))
+        S.append(make_curvature(float(rng.uniform(0.2, 0.9))))
         tweak = 0.05 * rng.standard_normal((3, 3))
-        frames.append(frame)
         P0.append(np.diag([1.0, 1.0, 0.0]))
         P0p.append(np.diag([*rng.uniform(-0.5, 0.5, 2), 1.0])
                    + tweak + tweak.T)
-    return M, frames, np.array(P0), np.array(P0p)
+    return np.array(S), np.array(P0), np.array(P0p)
 
 
 def flat_atom(speed):
-    return euclidean_frame(3, speed)
+    return euclidean_curvature(3, speed)
 
 
 def positive_atom(speed):
-    return sphere_frame(1.0, speed)
+    return sphere_curvature(1.0, speed)
 
 
 def negative_atom(speed):
-    return hyperbolic_frame(-1.0, speed)
+    return hyperbolic_curvature(-1.0, speed)
 
 
 STACK_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "lam",
@@ -404,15 +421,15 @@ def with_singular_values(rng, sigma):
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("make_frame",
+    @pytest.mark.parametrize("make_curvature",
                              [flat_atom, positive_atom, negative_atom])
-    def test_stack_equals_single_atom_bitwise(self, make_frame):
-        M, frames, P0, P0p = atom_stack(make_frame, 17)
+    def test_stack_equals_single_atom_bitwise(self, make_curvature):
+        S, P0, P0p = atom_stack(make_curvature, 17)
         lam = np.linspace(-0.4, 0.4, 17)
-        stacked = jacobi.propagate(M, frames, P0, P0p, lam)
+        stacked = jacobi.propagate(S, P0, P0p, lam, N_TANGENT)
         assert (stacked.n, stacked.m) == (2, 1)
         for a in range(17):
-            single = propagate_one(M, frames[a], P0[a], P0p[a],
+            single = propagate_one(S[a], P0[a], P0p[a],
                                    lam=lam[a])
             assert_same_atoms(stacked, a, single, 0)
             # the closed form against RK4 on the same grid, to 1e-12 of
@@ -423,8 +440,8 @@ class TestBatchedKernel:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stack_shapes(self):
-        M, frames, P0, P0p = atom_stack(positive_atom, 3)
-        rec = jacobi.propagate(M, frames, P0, P0p, np.zeros(3))
+        S, P0, P0p = atom_stack(positive_atom, 3)
+        rec = jacobi.propagate(S, P0, P0p, np.zeros(3), N_TANGENT)
         T = jacobi.STEPS + 1
         for name in ("P", "Pp", "Q"):
             assert getattr(rec, name).shape == (3, T, 3, 3), name
@@ -435,26 +452,26 @@ class TestBatchedKernel:
 
     def test_singular_atom_mid_stack(self):
         """A conjugate point in one atom leaves its neighbours alone."""
-        M, frames, P0, P0p = atom_stack(positive_atom, 17)
-        _, frames[8] = sphere_frame(K=1.0, speed=2.0)
+        S, P0, P0p = atom_stack(positive_atom, 17)
+        S[8] = sphere_curvature(K=1.0, speed=2.0)
         P0[8], P0p[8] = np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])
-        rec = jacobi.propagate(M, frames, P0, P0p, np.zeros(17))
+        rec = jacobi.propagate(S, P0, P0p, np.zeros(17), N_TANGENT)
         assert np.flatnonzero(rec.singular).tolist() == [8]
-        assert propagate_one(M, frames[8], P0[8], P0p[8]).singular[0]
-        last = propagate_one(M, frames[16], P0[16], P0p[16])
+        assert propagate_one(S[8], P0[8], P0p[8]).singular[0]
+        last = propagate_one(S[16], P0[16], P0p[16])
         assert rec.Q[16].tobytes() == last.Q[0].tobytes()
 
     def test_stack_rejects_bad_shapes(self):
-        M, frames, P0, P0p = atom_stack(positive_atom, 2)
+        S, P0, P0p = atom_stack(positive_atom, 2)
         with pytest.raises(ValueError):
-            jacobi.propagate(M, frames, P0[:, :2, :2], P0p[:, :2, :2],
-                             np.zeros(2))
+            jacobi.propagate(S, P0[:, :2, :2], P0p[:, :2, :2],
+                             np.zeros(2), N_TANGENT)
 
     def test_curvature_off_the_model_form_raises(self):
         """A symmetric S that is not w^2 (I - Pi) has no closed form:
         the kernel refuses it instead of propagating it."""
         rng = np.random.default_rng(7)
-        _, _, P0, P0p = atom_stack(positive_atom, 2)
+        _, P0, P0p = atom_stack(positive_atom, 2)
         S = rng.standard_normal((2, 3, 3))
         with pytest.raises(UnsupportedVariantError):
             jacobi.closed_form_stack(S + S.transpose(0, 2, 1), P0, P0p)
@@ -533,9 +550,9 @@ class TestBatchedKernel:
         """An atom whose P turns NaN inside the trimmed window is
         singular, like a det sign change, and its neighbours are the ones
         the stack gives without it."""
-        M, frames, P0, P0p = atom_stack(positive_atom, 17)
+        S, P0, P0p = atom_stack(positive_atom, 17)
         zero = np.zeros(17)
-        clean = jacobi.propagate(M, frames, P0, P0p, zero)
+        clean = jacobi.propagate(S, P0, P0p, zero, N_TANGENT)
         kernel = jacobi.closed_form_stack
 
         def nan_in(atom):
@@ -547,13 +564,13 @@ class TestBatchedKernel:
 
         monkeypatch.setattr(jacobi, "closed_form_stack", nan_in(8))
         with np.errstate(invalid="ignore"):
-            rec = jacobi.propagate(M, frames, P0, P0p, zero)
+            rec = jacobi.propagate(S, P0, P0p, zero, N_TANGENT)
         assert np.flatnonzero(rec.singular).tolist() == [8]
         for a in (0, 7, 9, 16):
             assert_same_atoms(rec, a, clean, a)
         monkeypatch.setattr(jacobi, "closed_form_stack", nan_in(0))
         with np.errstate(invalid="ignore"):
-            assert propagate_one(M, frames[8], P0[8], P0p[8]).singular[0]
+            assert propagate_one(S[8], P0[8], P0p[8]).singular[0]
 
 
 
@@ -879,10 +896,10 @@ def planted_run(request):
     recs = []
     propagate = jacobi.propagate
 
-    def planted(M, frames, P0, P0p, lam):
+    def planted(S, P0, P0p, lam, n):
         if not recs:
-            P0, P0p, lam = plant_reasons(P0, P0p, lam, frames[0].n_tangent)
-        recs.append(propagate(M, frames, P0, P0p, lam))
+            P0, P0p, lam = plant_reasons(P0, P0p, lam, n)
+        recs.append(propagate(S, P0, P0p, lam, n))
         return recs[-1]
 
     with pytest.MonkeyPatch.context() as m:
@@ -1015,15 +1032,12 @@ def run_stage(inputs, atoms, monkeypatch, chunk):
 
 def plant_in_eighth(monkeypatch, plant):
     """Let ``plant(P0, P0p)`` change the initial data of atom 8 in place."""
-    seen = []
     initial = jacobi.initial_conditions
 
     def planted(*args):
-        P0, P0p = initial(*args)
-        seen.append(1)
-        if len(seen) == 9:
-            plant(P0, P0p)
-        return P0, P0p
+        P0, P0p, lam = initial(*args)
+        plant(P0[8], P0p[8])
+        return P0, P0p, lam
 
     monkeypatch.setattr(jacobi, "initial_conditions", planted)
 
@@ -1154,3 +1168,81 @@ def test_negative_curvature_leaves_nonneg_metrics_null():
         assert rec[key] is None, key
     assert rec["evaluated_atoms"] == rec["atom_count"] == 4
     assert rec["passed"] and rec["lap_margin_min"] is not None
+
+
+@pytest.mark.parametrize("name", ["sphere_transport", "hyperbolic_disk_r1",
+                                  "flat_disk_annulus"])
+def test_a_run_transports_no_frame(monkeypatch, name):
+    """The stage reads S from the node frames: a transport run, for K of
+    each sign, transports no frame along its geodesics."""
+    calls = []
+    for traced in ("build_parallel_frame", "transport_along"):
+        fn = getattr(geometry, traced)
+        monkeypatch.setattr(geometry, traced,
+                            lambda *args, fn=fn: calls.append(1) or fn(*args))
+    config = pipeline.ScenarioConfig.load(
+        cli.bundled_scenario_path(f"{name}.cfg"),
+        [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+         ("jacobi", "atoms", "20")])
+    rec = pipeline.run_scenario(config).checks["jacobi"]
+    assert rec["atom_count"] == 20 and rec["passed"]
+    assert calls == []
+
+
+def ref_initial_conditions(mesh, node, v_normal, hess_phi, grad_phi):
+    """Block initial data (P(0), P'(0)) of one transport atom: the
+    per-atom formula that the stacked ``jacobi.initial_conditions``
+    replaced, kept as its oracle."""
+    n, m = mesh.n, mesh.m
+    d = n + m
+    P0 = np.zeros((d, d))
+    P0[:n, :n] = np.eye(n)
+    P0p = np.zeros((d, d))
+    sff = mesh.sff[node]                     # (m, n, n)
+    P0p[:n, :n] = -hess_phi - np.einsum("aij,a->ij", sff, v_normal)
+    P0p[:n, n:] = -np.einsum("aij,j->ia", sff.transpose(0, 2, 1), grad_phi)
+    P0p[n:, n:] = np.eye(m)
+    return P0, P0p
+
+
+# (manifold variant, ambient dimension, chart, whether II and H are nonzero)
+INITIAL_DATA_MESHES = {
+    "graph_in_R5": (geometry.EUCLIDEAN, 5, submanifold.GraphOverDisk(
+        radius=1.0, height="u1*u2 + u1**2/5"), True),
+    "graph_in_R4": (geometry.EUCLIDEAN, 4, submanifold.GraphOverDisk(
+        radius=1.0, height="(u1**2 + u2**2) * 3 / 10"), True),
+    "sphere_ball": (geometry.SPHERE, 4,
+                    submanifold.GeodesicBallInSubsphere(radius=1.0), False),
+    "hyperbolic_disk": (geometry.HYPERBOLIC, 4,
+                        submanifold.GeodesicDiskInHyperbolicSubspace(0.5),
+                        False),
+}
+
+
+@pytest.mark.parametrize("mesh_name", list(INITIAL_DATA_MESHES))
+def test_initial_conditions_equal_the_per_atom_formula(mesh_name):
+    """The stacked P(0), P'(0) and lam of random atoms equal the
+    per-atom formula, with lam = Delta phi + <H, v> and v = the
+    normal-frame components of the velocity: on graphs over a disk,
+    whose second fundamental form and mean curvature do not vanish, and
+    on the totally geodesic disks of the curved model spaces."""
+    variant, dim, chart, bent = INITIAL_DATA_MESHES[mesh_name]
+    M = model_space(variant, dim)
+    mesh = submanifold.build_submanifold(M, chart, 8)
+    N = mesh.node_count
+    rng = np.random.default_rng(11)
+    nodes = rng.integers(0, N, 40)
+    u = rng.standard_normal((40, M.embedding_dim))
+    hess = rng.standard_normal((N, 2, 2))
+    hess += hess.transpose(0, 2, 1)
+    grad = rng.standard_normal((N, 2))
+    P0, P0p, lam = jacobi.initial_conditions(mesh, nodes, u, hess, grad)
+    nf = geometry.lower_index(M, mesh.normal_frames)
+    hn = mesh.mean_curvature_normal_components()
+    assert (np.abs(mesh.sff[nodes]).max() > 0.1) == bent
+    assert (np.abs(hn[nodes]).max() > 0.1) == bent
+    for a, i in enumerate(nodes.tolist()):
+        v_normal = nf[i] @ u[a]
+        want = ref_initial_conditions(mesh, i, v_normal, hess[i], grad[i])
+        assert same(P0[a], want[0]) and same(P0p[a], want[1]), a
+        assert same(lam[a], float(np.trace(hess[i])) + float(hn[i] @ v_normal))

@@ -206,7 +206,7 @@ def planted_verdict(monkeypatch, check, value):
     ctx = SimpleNamespace(config=config, coupling=coupling,
                           certificate=certificate, marginals=marginals,
                           report=pipeline.RunReport("planted", 0, {}),
-                          M=None, mesh=None, f=None,
+                          M=None, mesh=None, f=None, terms=None,
                           domain=SimpleNamespace(volume=1.0),
                           hess_phi=None, atoms=None,
                           atom_distances=np.ones(1))

@@ -407,45 +407,6 @@ class TestEntropicSolver:
         self.test_agrees_with_reference(instance, reg_factor, n - 1, False)
 
 
-def _lse_inputs():
-    """(label, array) pairs covering the cases the kernel must match."""
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((37, 53)) * 30.0
-    ties = np.round(rng.standard_normal((20, 30)))
-    ties[:, 3] = ties.max()                     # every row ties at the max
-    scattered = rng.standard_normal((25, 40))
-    scattered[rng.random(scattered.shape) < 0.3] = -np.inf
-    all_neg_inf = rng.standard_normal((6, 9))
-    all_neg_inf[2] = -np.inf
-    all_neg_inf[:, 4] = -np.inf
-    pos_inf = rng.standard_normal((5, 7))
-    pos_inf[1, 2] = np.inf
-    huge = 1e300 * (0.9 + 0.1 * rng.random((8, 11)))
-    huge[0] *= -1.0
-    return [("random", x), ("tied", ties), ("scattered_neg_inf", scattered),
-            ("all_neg_inf_row", all_neg_inf), ("pos_inf", pos_inf),
-            ("near_1e300", huge), ("one_column", x[:, :1]),
-            ("one_row", x[:1]), ("fortran_order", np.asfortranarray(x))]
-
-
-class TestLogSumExp:
-    @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("label, a", _lse_inputs(),
-                             ids=[label for label, _ in _lse_inputs()])
-    def test_bitwise_equal_to_scipy(self, label, a, axis):
-        with np.errstate(invalid="ignore"):
-            want = logsumexp(a, axis=axis)
-            got = transport.logsumexp(a.copy(order="K"), axis=axis)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_nonfinite_max_leaves_input_to_scipy(self):
-        a = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
-        before = a.copy()
-        transport.logsumexp(a, axis=1)
-        assert a.tobytes() == before.tobytes()
-
-
 class TestCTransform:
     def test_triple_transform_idempotent(self):
         rng = np.random.default_rng(3)
