@@ -438,11 +438,14 @@ def evaluate_inequality(manifold: ModelManifold, mesh: SubmanifoldMesh,
 
 
 def integration_by_parts_check(mesh: SubmanifoldMesh, f: ScalarField,
-                               hess: np.ndarray, r_bound: float):
+                               hess: np.ndarray, r_bound: float,
+                               terms: dict):
     """Both sides of -int f Lap phi <= r (int_boundary f + int |grad f|),
     r = ``r_bound``; ``hess`` is the fitted Hessian of phi
-    (``submanifold.lsq_hessian``).  Returns (lhs, rhs)."""
+    (``submanifold.lsq_hessian``), and the two integrals of the right
+    side are read from the field's ``terms`` (``inequality_terms``).
+    Returns (lhs, rhs)."""
     lap = np.einsum("naa->n", hess)
     lhs = -submanifold.integrate(mesh, f.values * lap)
-    bint, gint = _boundary_and_gradient_integrals(mesh, f)
-    return float(lhs), float(r_bound * (bint + gint))
+    return float(lhs), float(r_bound * (terms["int_boundary_f"]
+                                        + terms["int_grad_f"]))

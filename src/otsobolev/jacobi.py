@@ -6,6 +6,17 @@ frames: ``initial_conditions`` gives P(0), P'(0) and lam, and
 model space is S at every t (``geometry.build_parallel_frame`` is the
 tests' reference for that).  ``propagate`` stacks a chunk of atoms into
 one ``JacobiStack`` (P, P', Q = P^{-1} P' and the singular atoms).
+
+The trajectories are stored time-last, as (A, d, d, T) arrays, so each
+matrix entry is one contiguous (A, T) series.  All small-matrix work is
+done on these series, one vector operation over the whole stack per
+step: ``StackLU`` factors every sample of P once (Gaussian elimination
+with partial pivoting), which gives det P, Q and the P^{-1} P'' of the
+Riccati residual; the products Q^2 and P' P^T are sums over j taken in
+order.  No LAPACK routine or einsum runs per sample, and every sample's
+arithmetic reads only that sample, so an atom's values are bitwise the
+same in any stack.
+
 Each measurement that ``pipeline._jacobi`` compares with its bounds
 maps that stack to one value per atom: the symmetry and Riccati
 residuals, the determinant profile, the small-t normalization, the
@@ -35,16 +46,121 @@ S_FORM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
+# sample-by-sample small-matrix kernels on time-last (A, d, d, T) stacks
+
+
+def _sum_in_order(terms) -> np.ndarray:
+    """The sum of equal-shape arrays, left to right, in a new array."""
+    terms = iter(terms)
+    total = np.array(next(terms), dtype=float)
+    for term in terms:
+        total += term
+    return total
+
+
+def _entry(X: np.ndarray, Y: np.ndarray, i: int, k: int) -> np.ndarray:
+    """Entry (i, k) of X Y, (A, T), for two (A, d, d, T) stacks: the sum
+    over j taken in order."""
+    return _sum_in_order(X[:, i, j] * Y[:, j, k] for j in range(X.shape[2]))
+
+
+def _swap_rows(x: np.ndarray, k: int, rows: np.ndarray):
+    """Swap, in place, entry k of each sample of an (A, d, T) stack of
+    vectors with its entry ``rows`` (A, T), which is k where nothing
+    moves."""
+    for i in np.unique(rows[rows != k]).tolist():
+        at = rows == i
+        x_k = x[:, k].copy()
+        np.copyto(x[:, k], x[:, i], where=at)
+        np.copyto(x[:, i], x_k, where=at)
+
+
+class StackLU:
+    """PA = LU of every sample of an (A, d, d, T) stack, by Gaussian
+    elimination with partial pivoting, for any d.
+
+    Step k takes as pivot the first maximal |entry| of column k on and
+    below the diagonal (as LAPACK's idamax picks it), swaps that row
+    with row k and eliminates below it, one vector operation over the
+    (A, T) entry series each.  An exactly zero pivot is the largest
+    |entry| of its column, so the column is zero: its multipliers stay
+    0 instead of 0/0, as in LAPACK's dgetf2.  ``lu`` holds U on and
+    above the diagonal and the multipliers of L below it; ``swaps``
+    holds (k, rows) for each step at which some sample swapped row k
+    with ``rows`` (A, T); ``sign`` (A, T) is the sign of the
+    permutation.
+    """
+
+    def __init__(self, P: np.ndarray):
+        self.lu = lu = np.array(P, dtype=float)
+        A, d, _, T = lu.shape
+        self.swaps = []
+        self.sign = np.ones((A, T))
+        with np.errstate(invalid="ignore"):     # on non-finite samples
+            for k in range(d):
+                # the first row whose |entry| beats all above it
+                rows, largest = np.full((A, T), k), np.abs(lu[:, k, k])
+                for i in range(k + 1, d):
+                    entry = np.abs(lu[:, i, k])
+                    rows[entry > largest] = i
+                    np.maximum(largest, entry, out=largest)
+                if (rows != k).any():
+                    for j in range(d):
+                        _swap_rows(lu[:, :, j], k, rows)
+                    self.sign[rows != k] *= -1.0
+                    self.swaps.append((k, rows))
+                pivot = lu[:, k, k]
+                nonzero = pivot != 0.0
+                for i in range(k + 1, d):
+                    multiplier = lu[:, i, k]
+                    np.divide(multiplier, pivot, out=multiplier,
+                              where=nonzero)
+                    for j in range(k + 1, d):
+                        lu[:, i, j] -= multiplier * lu[:, k, j]
+
+    @property
+    def det(self) -> np.ndarray:
+        """(A, T) det P: the sign of the permutation times the product of
+        the pivots; exactly 0.0 (not -0.0) on a zero pivot."""
+        det = self.sign.copy()
+        for k in range(self.lu.shape[1]):
+            det *= self.lu[:, k, k]
+        det += 0.0
+        return det
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """Overwrite an (A, d, T) stack of vectors x with P^{-1} x, sample
+        by sample: the swaps, then forward and back substitution, each
+        sum over j taken in order.  A sample with a zero pivot gets inf
+        or NaN.  Returns x."""
+        lu, d = self.lu, self.lu.shape[1]
+        term = np.empty(x[:, 0].shape)
+        for k, rows in self.swaps:
+            _swap_rows(x, k, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(1, d):
+                for j in range(i):
+                    x[:, i] -= np.multiply(lu[:, i, j], x[:, j], out=term)
+            for i in reversed(range(d)):
+                for j in range(i + 1, d):
+                    x[:, i] -= np.multiply(lu[:, i, j], x[:, j], out=term)
+                x[:, i] /= lu[:, i, i]
+        return x
+
+
+# ---------------------------------------------------------------------------
 # the stacked trajectories of a chunk
 
 
 @dataclass
 class JacobiStack:
-    """P'' = -PS of A atoms sampled on ``TIMES`` (T samples)."""
+    """P'' = -PS of A atoms sampled on ``TIMES`` (T samples), time-last:
+    ``P[a, i, j]`` is the (T,) series of one entry of atom a."""
 
-    P: np.ndarray              # (A, T, d, d)
-    Pp: np.ndarray             # (A, T, d, d)
-    Q: np.ndarray              # (A, T, d, d), nan where not q_defined
+    P: np.ndarray              # (A, d, d, T)
+    Pp: np.ndarray             # (A, d, d, T)
+    Q: np.ndarray              # (A, d, d, T), nan where not q_defined
+    lu: StackLU                # of P, every sample
     det_p: np.ndarray          # (A, T)
     q_defined: np.ndarray      # (A, T) bool: cond(P) < COND_LIMIT
     S: np.ndarray              # (A, d, d), constant in the parallel frame
@@ -58,10 +174,10 @@ class JacobiStack:
     @cached_property
     def traces(self) -> tuple[np.ndarray, np.ndarray]:
         """(trQ1, trQ3), each (A, T): the traces of Q's tangent and
-        normal blocks."""
-        n = self.n
-        return (np.einsum("atii->at", self.Q[..., :n, :n]),
-                np.einsum("atii->at", self.Q[..., n:, n:]))
+        normal blocks, the diagonal summed in order."""
+        n, d = self.n, self.Q.shape[1]
+        return (_sum_in_order(self.Q[:, i, i] for i in range(n)),
+                _sum_in_order(self.Q[:, i, i] for i in range(n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +219,15 @@ def initial_conditions(mesh: SubmanifoldMesh, nodes: np.ndarray,
 
 
 def closed_form_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray):
-    """P and P', (A, STEPS + 1, d, d), of P'' = -PS on ``TIMES`` for a
+    """P and P', (A, d, d, STEPS + 1), of P'' = -PS on ``TIMES`` for a
     stack of atoms with (A, d, d) curvature matrices and initial data.
 
     On a model space S = w^2 N, with N = I - Pi, Pi the projection onto
     the velocity and w^2 = K L^2 = tr S / (d - 1).  So
     P = P0 Pi + t P0' Pi + c P0 N + s P0' N with c, s = cos wt, sin(wt)/w
     (cosh, sinh for K < 0; 1, t for K = 0), and P' = P0' Pi - w^2 s P0 N
-    + c P0' N.  Raises UnsupportedVariantError where
+    + c P0' N, each an elementwise multiply-add of the four products
+    with their series.  Raises UnsupportedVariantError where
     max |S S - w^2 S| > S_FORM_TOL max |S|^2.  An atom's trajectory is
     bitwise the same in any stack.
     """
@@ -124,23 +241,31 @@ def closed_form_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray):
     # N = S / w^2; at K = 0 S vanishes, and N = 0 gives P = P0 + t P0'
     N = np.divide(S, w2, out=np.zeros_like(S), where=w2 != 0)
     Pi = np.eye(d) - N
-    basis = np.stack([P0 @ Pi, P0p @ Pi, P0 @ N, P0p @ N], axis=1)
+    basis = P0 @ Pi, P0p @ Pi, P0 @ N, P0p @ N
     w2 = w2[:, :, 0]
     w, t = np.sqrt(np.abs(w2)), np.broadcast_to(TIMES, (A, STEPS + 1))
     c = np.where(w2 > 0, np.cos(w * t), np.cosh(w * t))
     with np.errstate(invalid="ignore"):
         s = np.where(w == 0, t, np.where(w2 > 0, np.sin(w * t),
                                          np.sinh(w * t)) / w)
-    one, zero = np.ones_like(t), np.zeros_like(t)
-    coef = np.stack([np.stack([one, t, c, s], -1),              # P
-                     np.stack([zero, one, -w2 * s, c], -1)])    # P'
-    P, Pp = coef @ basis.reshape(A, 4, d * d)[None]
-    return P.reshape(A, -1, d, d), Pp.reshape(A, -1, d, d)
+    ws = -w2 * s
+    P, Pp = np.empty((2, A, d, d, STEPS + 1))
+    term = np.empty((A, STEPS + 1))
+    for i, j in np.ndindex(d, d):
+        pi0, pi1, n0, n1 = (X[:, i, j, None] for X in basis)
+        p = np.multiply(t, pi1, out=P[:, i, j])
+        p += pi0
+        p += np.multiply(c, n0, out=term)
+        p += np.multiply(s, n1, out=term)
+        p = np.multiply(ws, n0, out=Pp[:, i, j])
+        p += pi1
+        p += np.multiply(c, n1, out=term)
+    return P, Pp
 
 
 def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
-    """``cond(P) < COND_LIMIT`` and finite, sample by sample, for a
-    stack of (d, d) matrices ``P`` with determinants ``det_p``.
+    """``cond(P) < COND_LIMIT`` and finite, sample by sample, for an
+    (A, d, d, T) stack ``P`` with determinants ``det_p`` (A, T).
 
     cond_2(P) <= ||P||_F^d / |det P|, so where that bound is below
     COND_LIMIT / 2 the answer is yes without an SVD; the factor 2 covers
@@ -149,16 +274,20 @@ def well_conditioned(P: np.ndarray, det_p: np.ndarray) -> np.ndarray:
     singular P(0), samples near a conjugate point) go to
     ``np.linalg.cond``, and the mask is the one it gives there.
     """
-    d = P.shape[-1]
+    d = P.shape[1]
     with np.errstate(all="ignore"):
-        bound = np.einsum("...ij,...ij->...", P, P) ** (0.5 * d) \
-            / np.abs(det_p)
+        frobenius2 = _sum_in_order(P[:, i, j] ** 2 for i in range(d)
+                                   for j in range(d))
+        bound = frobenius2 ** (0.5 * d) / np.abs(det_p)
         # a non-finite sample has a non-finite bound, so it is not ok here
         ok = bound < 0.5 * COND_LIMIT
-        rest = ~ok & np.isfinite(P).all(axis=(-2, -1))
-        if rest.any():
-            cond = np.linalg.cond(P[rest])
-            ok[rest] = np.isfinite(cond) & (cond < COND_LIMIT)
+        rest = np.nonzero(~ok)
+        samples = P.transpose(0, 3, 1, 2)[rest]
+        finite = np.isfinite(samples).all(axis=(1, 2))
+        if finite.any():
+            cond = np.linalg.cond(samples[finite])
+            ok[tuple(i[finite] for i in rest)] = \
+                np.isfinite(cond) & (cond < COND_LIMIT)
     return ok
 
 
@@ -172,17 +301,20 @@ def propagate(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray, lam,
     vectors are tangent.
     """
     P, Pp = closed_form_stack(S, P0, P0p)
-    # det P and Q = P^{-1} P', matrix by matrix over the whole stack
-    det_p = np.linalg.det(P)
-    Q = np.full(P.shape, np.nan)
+    # one LU per sample gives det P and Q = P^{-1} P', column by column
+    lu = StackLU(P)
+    det_p = lu.det
     ok = well_conditioned(P, det_p)
-    if ok.any():
-        Q[ok] = np.linalg.solve(P[ok], Pp[ok])
+    Q = Pp.copy()
+    for k in range(Q.shape[2]):
+        lu.solve(Q[:, :, k])
+    np.copyto(Q, np.nan, where=~ok[:, None, None])
     singular = np.any(det_p[:, TRIM_SAMPLES:] <= 0, axis=1) \
-        | ~np.isfinite(P[:, TRIM_SAMPLES:]).all(axis=(1, 2, 3)) \
+        | ~np.isfinite(P[..., TRIM_SAMPLES:]).all(axis=(1, 2, 3)) \
         | ~ok[:, TRIM_SAMPLES:].any(axis=1)
-    return JacobiStack(P, Pp, Q, det_p, ok, S, np.asarray(lam, dtype=float),
-                       n, S.shape[1] - n, singular)
+    return JacobiStack(P, Pp, Q, lu, det_p, ok, S,
+                       np.asarray(lam, dtype=float), n, S.shape[1] - n,
+                       singular)
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +323,24 @@ def propagate(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray, lam,
 
 def symmetry_residual(rec: JacobiStack) -> np.ndarray:
     """(A,) worst deviation of P'(t) P(t)^T from symmetry."""
-    B = np.einsum("atij,atkj->atik", rec.Pp, rec.P)
-    dev = B - B.swapaxes(-1, -2)
-    return np.abs(dev, out=dev).max(axis=(1, 2, 3))
+    d, Pt = rec.P.shape[1], rec.P.swapaxes(1, 2)
+    worst = np.zeros(rec.det_p.shape)
+    for i in range(d):
+        for k in range(i, d):
+            dev = _entry(rec.Pp, Pt, i, k) - _entry(rec.Pp, Pt, k, i)
+            np.maximum(worst, np.abs(dev, out=dev), out=worst)
+    return worst.max(axis=1)
 
 
 def q_symmetry_residual(rec: JacobiStack) -> np.ndarray:
     """(A,) worst deviation of Q from symmetry where it is defined; 0 on
     an atom where it is defined nowhere."""
-    dev = rec.Q - rec.Q.swapaxes(-1, -2)
-    dev = np.abs(dev, out=dev).max(axis=(2, 3))
-    return np.where(rec.q_defined, dev, 0.0).max(axis=1)
+    d, Q = rec.Q.shape[1], rec.Q
+    worst = np.zeros(rec.det_p.shape)
+    for i in range(d):
+        for k in range(i, d):
+            np.maximum(worst, np.abs(Q[:, i, k] - Q[:, k, i]), out=worst)
+    return np.where(rec.q_defined, worst, 0.0).max(axis=1)
 
 
 # points of the finite-difference stencil of ``second_derivative``
@@ -224,47 +363,54 @@ def _second_derivative_weights(dt: float) -> dict:
 
 
 def second_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """4th-order-accurate d^2/dt^2 of data sampled uniformly along axis 1
-    of an (A, T, ...) stack.
+    """4th-order-accurate d^2/dt^2 of data sampled uniformly along the
+    last axis of a (..., T) stack.
 
-    Centered stencils inside, one-sided near the ends.  An end sample is
-    one matrix-vector product per atom, which rounds alike in any stack.
+    Centered stencils inside, one-sided near the ends; each sample's sum
+    over its stencil is taken in order, so it rounds alike in any stack.
     """
     values = np.asarray(values, dtype=float)
-    A, T = values.shape[:2]
+    T = values.shape[-1]
     half = STENCIL // 2
-    out = np.zeros_like(values)
+    out = np.empty_like(values)
     weights = _second_derivative_weights(dt)
     interior = weights[-half]
-    mid = out[:, half:T - half]
-    for k in range(STENCIL):
-        mid += interior[k] * values[:, k:T - STENCIL + 1 + k]
+    mid = out[..., half:T - half]
+    np.multiply(values[..., :T - STENCIL + 1], interior[0], out=mid)
+    term = np.empty_like(mid)
+    for k in range(1, STENCIL):
+        mid += np.multiply(values[..., k:T - STENCIL + 1 + k], interior[k],
+                           out=term)
     for j in list(range(half)) + list(range(T - half, T)):
         lo = min(max(j - half, 0), T - STENCIL)
-        stencil = values[:, lo:lo + STENCIL].reshape(A, STENCIL, -1)
-        out[:, j] = (weights[lo - j] @ stencil).reshape(out[:, j].shape)
+        out[..., j] = _sum_in_order(w * values[..., lo + k]
+                                    for k, w in enumerate(weights[lo - j]))
     return out
 
 
 def riccati_residual(rec: JacobiStack) -> np.ndarray:
     """(A,) max over the trimmed window of ||Q' + S + Q^2|| (max-abs
     entry), Q' = P^{-1} P'' - Q^2 with P'' from finite differences of the
-    P; -inf on a singular atom."""
+    P; -inf on a singular atom.  It runs column by column, so no
+    (A, d, d, T) temporary is formed."""
     window = slice(TRIM_SAMPLES, None)
     ok = rec.q_defined[:, window] & ~rec.singular[:, None]
-    # I x = 0 where Q is undefined or the atom singular: the stacked
-    # solve, matrix by matrix, rounds each sample alike in any stack
-    P = rec.P[:, window].copy()
-    Ppp = second_derivative(rec.P, TIMES[1] - TIMES[0])[:, window]
-    P[~ok], Ppp[~ok] = np.eye(P.shape[-1]), 0.0
-    res = np.linalg.solve(P, Ppp)
-    del P, Ppp          # the chunk's peak memory stays propagate's
-    q2 = np.einsum("atij,atjk->atik", rec.Q[:, window], rec.Q[:, window])
-    # Q' + S + Q^2 in this order: cancelling Q^2 moves the last bits
-    res -= q2
-    res += rec.S[:, None]
-    res += q2
-    worst = np.abs(res, out=res).max(axis=(2, 3))
+    d, Q = rec.P.shape[1], rec.Q[..., window]
+    worst = np.zeros(ok.shape)
+    with np.errstate(invalid="ignore"):
+        for k in range(d):
+            # column k of P^{-1} P'' from the LU that formed Q; the
+            # samples off ``ok`` (inf or NaN on a zero pivot) are dropped
+            x = rec.lu.solve(second_derivative(rec.P[:, :, k],
+                                               TIMES[1] - TIMES[0]))
+            for i in range(d):
+                q2 = _entry(Q, Q, i, k)
+                # Q' + S + Q^2 in this order: cancelling Q^2 moves the
+                # last bits
+                res = x[:, i, window] - q2
+                res += rec.S[:, i, k, None]
+                res += q2
+                np.maximum(worst, np.abs(res, out=res), out=worst)
     return np.where(ok, worst, -np.inf).max(axis=1)
 
 

@@ -447,8 +447,10 @@ def _semiconcavity(ctx):
     return {"passed": margin >= 0.0, "worst_margin": margin}
 
 
-# Atoms the Jacobi stage propagates together: the bound keeps the stacked
-# (atoms, STEPS + 1, d, d) trajectories of one chunk at a few MB.
+# Atoms the Jacobi stage propagates together.  One chunk holds four
+# time-last (atoms, d, d, STEPS + 1) arrays: P, P', Q and the LU factors
+# of P, 2 MB each at d = 4, so about 8 MB; the residuals run column by
+# column and add no array of that size.
 JACOBI_CHUNK = 16
 
 
@@ -592,7 +594,7 @@ def _ibp(ctx):
     atom, with 5 % slack covering the discrete Hessian-trace surrogate."""
     r_bound = float(ctx.atom_distances.max())
     lhs, rhs = inequalities.integration_by_parts_check(
-        ctx.mesh, ctx.f, ctx.hess_phi, r_bound)
+        ctx.mesh, ctx.f, ctx.hess_phi, r_bound, ctx.terms)
     margin = rhs * 1.05 - lhs
     return {"passed": margin >= 0.0, "margin": margin, "lhs": lhs,
             "rhs": rhs, "r_bound": r_bound}

@@ -118,10 +118,10 @@ def test_criterion_3_jacobi_oracles(capsys):
                                 [0.0], 2).P
         per_traj.append(time.perf_counter() - t0)
         t = jacobi.TIMES
-        oracle = np.zeros_like(P)
-        oracle[:, 0, 0] = t
+        oracle = np.zeros_like(P)          # (d, d, T), time-last
+        oracle[0, 0] = t
         for i in (1, 2):
-            oracle[:, i, i] = sol(t) if M.variant != geometry.EUCLIDEAN \
+            oracle[i, i] = sol(t) if M.variant != geometry.EUCLIDEAN \
                 else t
         worst = max(worst, float(np.abs(P - oracle).max()))
         # block normalization: t^-m det P at the first trimmed sample

@@ -369,7 +369,8 @@ class TestIntegrationByParts:
         f = constant_field(mesh, 1.0)
         phi = -0.5 * np.sum(mesh.stencil_coords**2, axis=1)
         lhs, rhs = inequalities.integration_by_parts_check(
-            mesh, f, submanifold.lsq_hessian(mesh, phi), r_bound=rho)
+            mesh, f, submanifold.lsq_hessian(mesh, phi), r_bound=rho,
+            terms=inequalities.inequality_terms(M, mesh, f))
         assert np.isclose(lhs, 2 * math.pi * rho**2, atol=1e-9)
         assert np.isclose(rhs, 2 * math.pi * rho, atol=1e-9)
 
@@ -417,4 +418,21 @@ def test_a_run_integrates_its_field_once(monkeypatch, name):
     report = pipeline.run_scenario(pipeline.ScenarioConfig.load(
         cli.bundled_scenario_path(f"{name}.cfg")))
     assert report.ok and report.inequality["terms"]
+    assert len(calls) == 1
+
+
+def test_a_transport_run_integrates_the_gradient_once(monkeypatch):
+    """The integration-by-parts check reads int_boundary f and int |grad
+    f| from the run's field terms: a shrunk flat_disk_annulus run, which
+    runs that check, computes the two integrals once."""
+    calls = []
+    integrals = inequalities._boundary_and_gradient_integrals
+    monkeypatch.setattr(inequalities, "_boundary_and_gradient_integrals",
+                        lambda *args: calls.append(1) or integrals(*args))
+    config = pipeline.ScenarioConfig.load(
+        cli.bundled_scenario_path("flat_disk_annulus.cfg"),
+        [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+         ("jacobi", "atoms", "20")])
+    report = pipeline.run_scenario(config)
+    assert report.checks["ibp"]["passed"]
     assert len(calls) == 1

@@ -2,6 +2,7 @@
 and the per-atom reference that the stacked measurements equal."""
 
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -65,7 +66,7 @@ class TestClosedFormOracles:
         rec = propagate_one(S, P0, P0p)
         for k in (0, 100, 400):
             t = jacobi.TIMES[k]
-            assert np.allclose(rec.P[0, k], P0 + t * P0p, atol=1e-12)
+            assert np.allclose(rec.P[0, ..., k], P0 + t * P0p, atol=1e-12)
         assert jacobi.riccati_residual(rec)[0] < 1e-8
 
     def test_sphere_cosine_solutions(self):
@@ -74,10 +75,10 @@ class TestClosedFormOracles:
         rec = propagate_one(S, np.eye(3), np.zeros((3, 3)))
         t = jacobi.TIMES
         # direction along the velocity is flat; others oscillate at rate s
-        oracle = np.zeros((len(t), 3, 3))
-        oracle[:, 0, 0] = 1.0
+        oracle = np.zeros((3, 3, len(t)))
+        oracle[0, 0] = 1.0
         for i in (1, 2):
-            oracle[:, i, i] = np.cos(s * t)
+            oracle[i, i] = np.cos(s * t)
         assert np.abs(rec.P[0] - oracle).max() < 1e-8
 
     def test_sphere_sine_solutions(self):
@@ -85,10 +86,10 @@ class TestClosedFormOracles:
         S = sphere_curvature(K=1.0, speed=s)
         rec = propagate_one(S, np.zeros((3, 3)), np.eye(3))
         t = jacobi.TIMES
-        oracle = np.zeros((len(t), 3, 3))
-        oracle[:, 0, 0] = t
+        oracle = np.zeros((3, 3, len(t)))
+        oracle[0, 0] = t
         for i in (1, 2):
-            oracle[:, i, i] = np.sin(s * t) / s
+            oracle[i, i] = np.sin(s * t) / s
         assert np.abs(rec.P[0] - oracle).max() < 1e-8
 
     def test_hyperbolic_sinh_solutions(self):
@@ -96,10 +97,10 @@ class TestClosedFormOracles:
         S = hyperbolic_curvature(K=-1.0, speed=s)
         rec = propagate_one(S, np.zeros((3, 3)), np.eye(3))
         t = jacobi.TIMES
-        oracle = np.zeros((len(t), 3, 3))
-        oracle[:, 0, 0] = t
+        oracle = np.zeros((3, 3, len(t)))
+        oracle[0, 0] = t
         for i in (1, 2):
-            oracle[:, i, i] = np.sinh(s * t) / s
+            oracle[i, i] = np.sinh(s * t) / s
         assert np.abs(rec.P[0] - oracle).max() < 1e-8
         assert jacobi.riccati_residual(rec)[0] < 1e-6
 
@@ -109,7 +110,7 @@ class TestClosedFormOracles:
         S = sphere_curvature(K=4.0, speed=s)
         rec = propagate_one(S, np.eye(3), np.zeros((3, 3)))
         t = jacobi.TIMES
-        assert np.allclose(rec.P[0, :, 1, 1], np.cos(2 * s * t), atol=1e-8)
+        assert np.allclose(rec.P[0, 1, 1], np.cos(2 * s * t), atol=1e-8)
 
 
 class TestStructuralChecks:
@@ -333,7 +334,8 @@ class TestComparisonProfiles:
 
 def rk4_reference(S, P0, P0p, steps):
     """One atom's classical RK4 on (d, d) matrices over ``steps`` equal
-    steps of [0, 1]: the oracle of the closed-form kernel."""
+    steps of [0, 1]: the oracle of the closed-form kernel, time-last
+    (d, d, steps + 1) like the stack."""
     dt = 1.0 / steps
     P, Pp = [P0], [P0p]
     p, pp = P0.copy(), P0p.copy()
@@ -346,7 +348,7 @@ def rk4_reference(S, P0, P0p, steps):
         pp = pp + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         P.append(p)
         Pp.append(pp)
-    return np.array(P), np.array(Pp)
+    return np.stack(P, axis=-1), np.stack(Pp, axis=-1)
 
 
 def atom_stack(make_curvature, count, seed=5):
@@ -382,10 +384,10 @@ STACK_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "lam",
 
 def atom_arrays(rec, a):
     """Atom ``a``'s slice of each per-atom array of a stack, its traces
-    included."""
+    and its LU factors included."""
     trq1, trq3 = rec.traces
     return {**{name: getattr(rec, name)[a] for name in STACK_ARRAYS},
-            "trq1": trq1[a], "trq3": trq3[a]}
+            "trq1": trq1[a], "trq3": trq3[a], "lu": rec.lu.lu[a]}
 
 
 def assert_same_atoms(rec, a, other, b):
@@ -397,9 +399,9 @@ def assert_same_atoms(rec, a, other, b):
 
 
 def cond_mask(P):
-    """The Q mask from one SVD per sample."""
+    """The Q mask of a time-last stack from one SVD per sample."""
     with np.errstate(all="ignore"):
-        cond = np.linalg.cond(P)
+        cond = np.linalg.cond(np.moveaxis(P, -1, 1))
     return np.isfinite(cond) & (cond < jacobi.COND_LIMIT)
 
 
@@ -444,7 +446,7 @@ class TestBatchedKernel:
         rec = jacobi.propagate(S, P0, P0p, np.zeros(3), N_TANGENT)
         T = jacobi.STEPS + 1
         for name in ("P", "Pp", "Q"):
-            assert getattr(rec, name).shape == (3, T, 3, 3), name
+            assert getattr(rec, name).shape == (3, 3, 3, T), name
         assert rec.det_p.shape == rec.q_defined.shape == (3, T)
         assert rec.S.shape == (3, 3, 3)
         assert rec.lam.shape == rec.singular.shape == (3,)
@@ -519,13 +521,15 @@ class TestBatchedKernel:
         }
         for (a, t), value in planted.items():
             P[a, t] = value
+        with np.errstate(invalid="ignore"):
+            det_p = np.linalg.det(P)
+        P = np.moveaxis(P, 1, -1)      # time-last, as in the stack
         want = cond_mask(P)
         assert [bool(want[k]) for k in planted] == \
             [False, False, True, False, True, False]
-        assert want.sum() == P.shape[0] * P.shape[1] - 4
+        assert want.sum() == want.size - 4
         counts = svd_counting(monkeypatch)
-        with np.errstate(invalid="ignore"):
-            got = jacobi.well_conditioned(P, np.linalg.det(P))
+        got = jacobi.well_conditioned(P, det_p)
         assert got.tobytes() == want.tobytes()
         assert sum(counts) == len(planted) - 1   # not the infinite one
 
@@ -536,11 +540,13 @@ class TestBatchedKernel:
         P[1, 3, 0, 2] = np.nan
         P[0, 2, 1, 1] = np.inf
         P[1, 0] = np.diag([1.0, 1.0, 0.0])
+        with np.errstate(invalid="ignore"):
+            det_p = np.linalg.det(P)
+        P = np.moveaxis(P, 1, -1)      # time-last, as in the stack
         with pytest.raises(np.linalg.LinAlgError):
             cond_mask(P)
         counts = svd_counting(monkeypatch)
-        with np.errstate(invalid="ignore"):
-            got = jacobi.well_conditioned(P, np.linalg.det(P))
+        got = jacobi.well_conditioned(P, det_p)
         want = np.ones((2, 5), dtype=bool)
         want[1, 3] = want[0, 2] = want[1, 0] = False
         assert got.tobytes() == want.tobytes()
@@ -558,7 +564,7 @@ class TestBatchedKernel:
         def nan_in(atom):
             def planted(*args):
                 P, Pp = kernel(*args)
-                P[atom, 150, 0, 1] = np.nan
+                P[atom, 0, 1, 150] = np.nan
                 return P, Pp
             return planted
 
@@ -574,11 +580,140 @@ class TestBatchedKernel:
 
 
 
+def lapack_samples(P):
+    """The (A, T, d, d) samples of a time-last stack, LAPACK's layout."""
+    return np.moveaxis(P, -1, 1)
+
+
+def solve_columns(lu, B):
+    """P^{-1} B for an (A, d, r, T) stack B, one column at a time."""
+    X = np.array(B, dtype=float)
+    for k in range(X.shape[2]):
+        lu.solve(X[:, :, k])
+    return X
+
+
+class TestStackLU:
+    """The stacked LU against LAPACK (``np.linalg.det``/``solve``): the
+    oracle that pins the kernel of det P, Q and the Riccati solve."""
+
+    @staticmethod
+    def assert_near_lapack(M, B):
+        """The kernel on the (A, T, d, d) samples M and right sides B:
+        per sample, |det - det_LAPACK| <= 4 eps cond(P) |det_LAPACK| and
+        max |X - X_LAPACK| <= 4 eps cond(P) max |X_LAPACK|.  The worst
+        seen over 40 random seeds was 1.8 eps cond(P) for det and 1.7 for
+        the solve.  Returns the factors."""
+        lu = jacobi.StackLU(np.moveaxis(M, 1, -1))
+        X = lapack_samples(solve_columns(lu, np.moveaxis(B, 1, -1)))
+        want_det, want_x = np.linalg.det(M), np.linalg.solve(M, B)
+        scale = 4.0 * np.finfo(float).eps * np.linalg.cond(M)
+        assert (np.abs(lu.det - want_det) <= scale * np.abs(want_det)).all()
+        assert (np.abs(X - want_x).max(axis=(2, 3))
+                <= scale * np.abs(want_x).max(axis=(2, 3))).all()
+        return lu
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_det_and_solve_equal_lapack(self, d):
+        """Random stacks of (d, d) samples, near the identity and not."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            M = rng.standard_normal((4, 30, d, d))
+            if seed % 2:
+                M = np.eye(d) + 0.3 * M
+            self.assert_near_lapack(M, rng.standard_normal((4, 30, d, d)))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_pivot_swaps(self, d):
+        """Samples that force row swaps: a zero leading entry beside
+        unswapped samples, within the bounds above; and permutation
+        matrices, whose det (+-1) and solve (a reordering) are exact."""
+        rng = np.random.default_rng(d)
+        M = np.eye(d) + 0.3 * rng.standard_normal((3, 20, d, d))
+        M[:, ::2, 0, 0] = 0.0
+        lu = self.assert_near_lapack(M, rng.standard_normal((3, 20, d, d)))
+        assert lu.swaps and lu.swaps[0][0] == 0
+        perms = np.array([np.eye(d)[rng.permutation(d)] for _ in range(12)])
+        perms = perms.reshape(3, 4, d, d)
+        lu = jacobi.StackLU(np.moveaxis(perms, 1, -1))
+        assert lu.det.tobytes() == np.linalg.det(perms).tobytes()
+        B = rng.standard_normal((3, 4, d, d))
+        X = lapack_samples(solve_columns(lu, np.moveaxis(B, 1, -1)))
+        assert X.tobytes() == (perms.swapaxes(2, 3) @ B).tobytes()
+
+    def test_singular_p0_has_det_exactly_zero(self):
+        """P(0) = diag(I, 0), and a sign-flipped copy whose pivots
+        multiply to -0.0: det is exactly 0.0, as numpy gives it, not NaN
+        or -0.0, and the rest of the stack is unaffected."""
+        M = np.tile(np.eye(4), (2, 3, 1, 1))
+        M[0, 0] = np.diag([1.0, 1.0, 0.0, 0.0])
+        M[1, 0] = np.diag([-1.0, 1.0, 0.0, 0.0])
+        det = jacobi.StackLU(np.moveaxis(M, 1, -1)).det
+        assert det[:, 0].tolist() == np.linalg.det(M[:, 0]).tolist() \
+            == [0.0, 0.0]
+        assert not np.signbit(det).any()
+        assert (det[:, 1:] == 1.0).all()
+
+    def test_nan_sample_leaves_the_others_bitwise(self):
+        """A NaN entry in one sample, in the column the pivot is chosen
+        from, changes no bit of any other sample's factors, det or
+        solve."""
+        rng = np.random.default_rng(4)
+        P = np.eye(4)[..., None] + 0.3 * rng.standard_normal((3, 4, 4, 20))
+        B = rng.standard_normal((3, 4, 4, 20))
+        clean = jacobi.StackLU(P)
+        P[1, 2, 0, 7] = np.nan
+        planted = jacobi.StackLU(P)
+        others = np.ones((3, 20), dtype=bool)
+        others[1, 7] = False
+        assert np.isnan(planted.det[1, 7])
+        for got, want in ((planted.det, clean.det),
+                          (solve_columns(planted, B), solve_columns(clean, B)),
+                          (planted.lu, clean.lu)):
+            got, want = np.moveaxis(got, -1, 1), np.moveaxis(want, -1, 1)
+            assert got[others].tobytes() == want[others].tobytes()
+
+    @pytest.mark.parametrize("name", ["flat_disk_annulus", "sphere_transport",
+                                      "hyperbolic_disk_r1"])
+    def test_pipeline_stacks_equal_lapack(self, monkeypatch, name):
+        """On the stacks of shrunk K = 0, K > 0 and K < 0 runs: Q within
+        2e-15 max |Q| of LAPACK's P^{-1} P' on each sample where it is
+        defined, det P within 1e-14 of numpy's det relative, and 0.0
+        where numpy's is; no sample swaps a row.  The worst seen on the
+        bundled stacks was 5.5e-16 for Q and 2.6e-15 for det."""
+        config = pipeline.ScenarioConfig.load(
+            cli.bundled_scenario_path(f"{name}.cfg"),
+            [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+             ("jacobi", "atoms", "20")])
+        recs = []
+        propagate = jacobi.propagate
+        monkeypatch.setattr(jacobi, "propagate",
+                            lambda *args: recs.append(propagate(*args))
+                            or recs[-1])
+        pipeline.run_scenario(config)
+        assert sum(len(rec.lam) for rec in recs) == 20
+        for rec in recs:
+            assert rec.lu.swaps == []
+            P, ok = lapack_samples(rec.P), rec.q_defined
+            want_q = np.linalg.solve(P[ok], lapack_samples(rec.Pp)[ok])
+            err = np.abs(lapack_samples(rec.Q)[ok] - want_q).max(axis=(1, 2))
+            assert (err <= 2e-15 * np.abs(want_q).max(axis=(1, 2))).all()
+            want_det = np.linalg.det(P)
+            assert (np.abs(rec.det_p - want_det)
+                    <= 1e-14 * np.abs(want_det)).all()
+            assert rec.det_p[want_det == 0.0].tobytes() == \
+                want_det[want_det == 0.0].tobytes()
+
+
+
 
 # ---------------------------------------------------------------------------
 # per-atom reference: the measurement code and the running fold of the
 # Jacobi stage as they were before the stage was stacked, one atom at a
-# time, kept as the oracle of the stacked functions
+# time, kept as the oracle of the stacked functions.  It reads the
+# time-last layout; its products are sums over j in order, and its solves
+# run the kernel on one-atom stacks (``TestStackLU`` pins that kernel to
+# LAPACK)
 
 
 TRIM = jacobi.TRIM_SAMPLES
@@ -592,24 +727,40 @@ class ArgOutOfDomain(Exception):
     """An envelope argument leaves the domain of arctan/artanh."""
 
 
+def ref_sum(terms):
+    """The sum of the arrays ``terms``, left to right."""
+    terms = list(terms)
+    total = np.array(terms[0], dtype=float)
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def ref_product(X, Y):
+    """X Y of two time-last (d, d, T) trajectories, sample by sample, the
+    sum over j taken in order."""
+    return ref_sum(X[:, j, None] * Y[None, j] for j in range(X.shape[1]))
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray          # (T,)
-    P: np.ndarray              # (T, d, d)
-    Pp: np.ndarray             # (T, d, d)
+    P: np.ndarray              # (d, d, T)
+    Pp: np.ndarray             # (d, d, T)
     n: int
     m: int
     lam: float
     S: np.ndarray              # (d, d)
     det_p: np.ndarray          # (T,)
-    Q: np.ndarray              # (T, d, d), nan where undefined
+    Q: np.ndarray              # (d, d, T), nan where undefined
     q_defined: np.ndarray      # (T,) bool
     trq1: np.ndarray = field(init=False)
     trq3: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.trq1 = np.einsum("tii->t", self.Q[:, :self.n, :self.n])
-        self.trq3 = np.einsum("tii->t", self.Q[:, self.n:, self.n:])
+        d = self.n + self.m
+        self.trq1 = ref_sum(self.Q[i, i] for i in range(self.n))
+        self.trq3 = ref_sum(self.Q[i, i] for i in range(self.n, d))
 
     @property
     def window(self):
@@ -618,14 +769,14 @@ class Trajectory:
         return ok
 
     def symmetry_residual(self):
-        A = np.einsum("tij,tkj->tik", self.Pp, self.P)
-        return float(np.abs(A - A.transpose(0, 2, 1)).max())
+        A = ref_product(self.Pp, self.P.transpose(1, 0, 2))
+        return float(np.abs(A - A.transpose(1, 0, 2)).max())
 
     def q_symmetry_residual(self):
-        Q = self.Q[self.q_defined]
-        if len(Q) == 0:
+        Q = self.Q[..., self.q_defined]
+        if Q.shape[-1] == 0:
             return 0.0
-        return float(np.abs(Q - Q.transpose(0, 2, 1)).max())
+        return float(np.abs(Q - Q.transpose(1, 0, 2)).max())
 
 
 def trajectory(rec, a):
@@ -637,29 +788,30 @@ def trajectory(rec, a):
 
 
 def ref_second_derivative(values, dt):
+    """d^2/dt^2 along the last axis of one trajectory, each stencil sum
+    taken in order."""
     values = np.asarray(values, dtype=float)
-    T = values.shape[0]
+    T = values.shape[-1]
     half = jacobi.STENCIL // 2
-    out = np.empty_like(values)
     weights = jacobi._second_derivative_weights(dt)
-    interior = weights[-half]
-    mid = np.zeros_like(values[half:T - half])
-    for k in range(jacobi.STENCIL):
-        mid += interior[k] * values[k:T - jacobi.STENCIL + 1 + k]
-    out[half:T - half] = mid
-    for j in list(range(half)) + list(range(T - half, T)):
+    out = np.empty_like(values)
+    for j in range(T):
         lo = min(max(j - half, 0), T - jacobi.STENCIL)
-        w = weights[lo - j]
-        out[j] = np.tensordot(w, values[lo:lo + jacobi.STENCIL], axes=(0, 0))
+        out[..., j] = ref_sum(w * values[..., lo + k]
+                              for k, w in enumerate(weights[lo - j]))
     return out
 
 
 def ref_riccati_residual(traj):
-    """Raises ValueError on an empty window (a zero-size max)."""
+    """The kernel on a one-atom stack of the window's samples; raises
+    ValueError on an empty window (a zero-size max)."""
     Ppp = ref_second_derivative(traj.P, traj.times[1] - traj.times[0])
     ok = traj.window
-    q2 = np.einsum("tij,tjk->tik", traj.Q[ok], traj.Q[ok])
-    res = np.linalg.solve(traj.P[ok], Ppp[ok]) - q2 + traj.S[None] + q2
+    Q = traj.Q[..., ok]
+    q2 = ref_product(Q, Q)
+    x = solve_columns(jacobi.StackLU(traj.P[None, ..., ok]),
+                      Ppp[None, ..., ok])
+    res = x[0] - q2 + traj.S[..., None] + q2
     return float(np.abs(res).max())
 
 
@@ -667,7 +819,7 @@ def ref_singular(rec, a):
     """A det sign change or a non-finite P on the trimmed window, or an
     empty window, on which the reference's Riccati residual raises."""
     if np.any(rec.det_p[a, TRIM:] <= 0) \
-            or not np.isfinite(rec.P[a, TRIM:]).all():
+            or not np.isfinite(rec.P[a, ..., TRIM:]).all():
         return True
     try:
         ref_riccati_residual(trajectory(rec, a))
@@ -1180,6 +1332,40 @@ def test_a_run_transports_no_frame(monkeypatch, name):
         fn = getattr(geometry, traced)
         monkeypatch.setattr(geometry, traced,
                             lambda *args, fn=fn: calls.append(1) or fn(*args))
+    config = pipeline.ScenarioConfig.load(
+        cli.bundled_scenario_path(f"{name}.cfg"),
+        [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
+         ("jacobi", "atoms", "20")])
+    rec = pipeline.run_scenario(config).checks["jacobi"]
+    assert rec["atom_count"] == 20 and rec["passed"]
+    assert calls == []
+
+
+# the Jacobi functions whose work is per sample
+HOT_PATH = ("propagate", "riccati_residual", "symmetry_residual",
+            "q_symmetry_residual")
+
+
+@pytest.mark.parametrize("name", ["sphere_transport", "hyperbolic_disk_r1",
+                                  "flat_disk_annulus"])
+def test_the_hot_path_calls_no_lapack_or_einsum(monkeypatch, name):
+    """The per-sample work is the stacked kernel: on a shrunk transport
+    run, no ``np.linalg.solve``, ``np.linalg.det`` or ``np.einsum`` call
+    is made from within the hot-path functions.  The stencil weights,
+    one cached 5 x 5 solve per step size, are computed first."""
+    jacobi._second_derivative_weights(jacobi.TIMES[1] - jacobi.TIMES[0])
+    hot = {getattr(jacobi, fn).__code__: fn for fn in HOT_PATH}
+    calls = []
+    for module, attr in ((np.linalg, "solve"), (np.linalg, "det"),
+                         (np, "einsum")):
+        def traced(*args, fn=getattr(module, attr), attr=attr, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in hot:
+                    calls.append((hot[frame.f_code], attr))
+                frame = frame.f_back
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, traced)
     config = pipeline.ScenarioConfig.load(
         cli.bundled_scenario_path(f"{name}.cfg"),
         [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
