@@ -60,8 +60,12 @@ def _sum_in_order(terms) -> np.ndarray:
 
 def _entry(X: np.ndarray, Y: np.ndarray, i: int, k: int) -> np.ndarray:
     """Entry (i, k) of X Y, (A, T), for two (A, d, d, T) stacks: the sum
-    over j taken in order."""
-    return _sum_in_order(X[:, i, j] * Y[:, j, k] for j in range(X.shape[2]))
+    over j taken in order, in the first product."""
+    total = X[:, i, 0] * Y[:, 0, k]
+    term = np.empty_like(total)
+    for j in range(1, X.shape[2]):
+        total += np.multiply(X[:, i, j], Y[:, j, k], out=term)
+    return total
 
 
 def _swap_rows(x: np.ndarray, k: int, rows: np.ndarray):
@@ -244,10 +248,14 @@ def closed_form_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray):
     basis = P0 @ Pi, P0p @ Pi, P0 @ N, P0p @ N
     w2 = w2[:, :, 0]
     w, t = np.sqrt(np.abs(w2)), np.broadcast_to(TIMES, (A, STEPS + 1))
-    c = np.where(w2 > 0, np.cos(w * t), np.cosh(w * t))
-    with np.errstate(invalid="ignore"):
-        s = np.where(w == 0, t, np.where(w2 > 0, np.sin(w * t),
-                                         np.sinh(w * t)) / w)
+    # c, s = 1, t where w = 0; each other atom takes one branch: cos, sin
+    # where w^2 > 0, cosh, sinh on the rest (a NaN w^2 among them)
+    c, s = np.ones((A, STEPS + 1)), np.array(t)
+    positive = w2[:, 0] > 0
+    for atoms, cos, sin in ((positive, np.cos, np.sin),
+                            (~positive & (w[:, 0] != 0), np.cosh, np.sinh)):
+        wt = w[atoms] * TIMES
+        c[atoms], s[atoms] = cos(wt), sin(wt) / w[atoms]
     ws = -w2 * s
     P, Pp = np.empty((2, A, d, d, STEPS + 1))
     term = np.empty((A, STEPS + 1))
@@ -322,23 +330,26 @@ def propagate(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray, lam,
 
 
 def symmetry_residual(rec: JacobiStack) -> np.ndarray:
-    """(A,) worst deviation of P'(t) P(t)^T from symmetry."""
+    """(A,) worst deviation of P'(t) P(t)^T from symmetry, over the pairs
+    i < k: a diagonal entry is computed alike on both sides, so its
+    deviation is 0."""
     d, Pt = rec.P.shape[1], rec.P.swapaxes(1, 2)
     worst = np.zeros(rec.det_p.shape)
     for i in range(d):
-        for k in range(i, d):
-            dev = _entry(rec.Pp, Pt, i, k) - _entry(rec.Pp, Pt, k, i)
+        for k in range(i + 1, d):
+            dev = _entry(rec.Pp, Pt, i, k)
+            dev -= _entry(rec.Pp, Pt, k, i)
             np.maximum(worst, np.abs(dev, out=dev), out=worst)
     return worst.max(axis=1)
 
 
 def q_symmetry_residual(rec: JacobiStack) -> np.ndarray:
-    """(A,) worst deviation of Q from symmetry where it is defined; 0 on
-    an atom where it is defined nowhere."""
+    """(A,) worst deviation of Q from symmetry where it is defined, over
+    the pairs i < k; 0 on an atom where it is defined nowhere."""
     d, Q = rec.Q.shape[1], rec.Q
     worst = np.zeros(rec.det_p.shape)
     for i in range(d):
-        for k in range(i, d):
+        for k in range(i + 1, d):
             np.maximum(worst, np.abs(Q[:, i, k] - Q[:, k, i]), out=worst)
     return np.where(rec.q_defined, worst, 0.0).max(axis=1)
 

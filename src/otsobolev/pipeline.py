@@ -483,10 +483,8 @@ def _jacobi(ctx):
     chunks: a metric is null when its sub-check covered no atom, and the
     check fails when no atom was evaluated."""
     M, mesh = ctx.M, ctx.mesh
-    ii, jj, mm = ctx.atoms
-    # heaviest first, ties by index
-    order = np.lexsort((jj, ii, -mm))[:ctx.config.jacobi_atoms]
-    ii, logs = ii[order], ctx.atom_logs[order]
+    order = transport.heaviest_atoms(ctx.atoms, ctx.config.jacobi_atoms)
+    ii, logs = ctx.atoms[0][order], ctx.atom_logs[order]
     S = geometry.curvature_matrix(M, np.concatenate(
         [mesh.tangent_frames[ii], mesh.normal_frames[ii]], axis=1), logs)
     P0, P0p, lam = jacobi.initial_conditions(mesh, ii, logs, ctx.hess_phi,

@@ -376,6 +376,36 @@ def tangency_residuals(mesh: SubmanifoldMesh, nodes: np.ndarray,
             "atom_count": int(len(tau))}
 
 
+def heaviest_atoms(atoms, k: int) -> np.ndarray:
+    """Indices of the ``k`` heaviest of the plan's ``atoms`` (all of them
+    if there are fewer), heaviest first, ties by node, then target, then
+    index: ``np.lexsort((jj, ii, -mm))[:k]``, in time linear in the atom
+    count.  Only the atoms at least as heavy as the k-th heaviest, ties
+    at that threshold included, are sorted."""
+    ii, jj, mm = atoms
+    kth = len(mm) - min(k, len(mm))     # the k-th heaviest, in ascending order
+    threshold = np.partition(mm, kth)[kth]
+    heavy = np.flatnonzero(mm >= threshold)
+    return heavy[np.lexsort((jj[heavy], ii[heavy], -mm[heavy]))[:k]]
+
+
+def assigned_distances(atoms, atom_distances: np.ndarray,
+                       node_count: int) -> np.ndarray:
+    """(node_count,) the length (from ``atom_distances``) of each node's
+    heaviest atom, the first of equals, in time linear in the atom count;
+    0 on a node with no atom."""
+    ii, _, mm = atoms
+    heaviest = np.full(node_count, -np.inf)
+    np.maximum.at(heaviest, ii, mm)
+    first = np.full(node_count, len(mm))
+    at_max = np.flatnonzero(mm == heaviest[ii])
+    np.minimum.at(first, ii[at_max], at_max)
+    nodes = np.flatnonzero(first < len(mm))
+    d = np.zeros(node_count)
+    d[nodes] = atom_distances[first[nodes]]
+    return d
+
+
 def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
                         hess: np.ndarray, atoms,
                         atom_distances: np.ndarray) -> float:
@@ -392,11 +422,7 @@ def semiconcavity_check(manifold: ModelManifold, mesh: SubmanifoldMesh,
     """
     second_diff = np.einsum("naa->na", hess)
     # heaviest atom per node (the first of equals) picks the assigned target
-    ii, _, mm = atoms
-    order = np.lexsort((-mm, ii))
-    nodes, first = np.unique(ii[order], return_index=True)
-    d = np.zeros(mesh.node_count)
-    d[nodes] = atom_distances[order[first]]
+    d = assigned_distances(atoms, atom_distances, mesh.node_count)
     kneg = min(manifold.curvature, 0.0)
 
     def b(s):

@@ -441,6 +441,35 @@ class TestBatchedKernel:
             for got, want in ((single.P[0], P), (single.Pp[0], Pp)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_stack_equals_the_two_branch_form_bitwise(self):
+        """Oracle: on a stack that mixes K > 0, K = 0 and K < 0 atoms, the
+        kernel, which takes one branch of c and s per atom, is bitwise
+        the form it replaced, which computed both and chose by
+        ``np.where``."""
+        parts = [atom_stack(make, 6, seed) for seed, make in
+                 enumerate((positive_atom, flat_atom, negative_atom))]
+        mix = np.random.default_rng(3).permutation(18)
+        S, P0, P0p = (np.concatenate(arrays)[mix] for arrays in zip(*parts))
+        A, d, _ = S.shape
+        w2 = np.trace(S, axis1=1, axis2=2)[:, None] / (d - 1)
+        N = np.divide(S, w2[:, :, None], out=np.zeros_like(S),
+                      where=w2[:, :, None] != 0)
+        Pi = np.eye(d) - N
+        basis = P0 @ Pi, P0p @ Pi, P0 @ N, P0p @ N
+        w, t = np.sqrt(np.abs(w2)), np.broadcast_to(jacobi.TIMES,
+                                                    (A, jacobi.STEPS + 1))
+        c = np.where(w2 > 0, np.cos(w * t), np.cosh(w * t))
+        with np.errstate(invalid="ignore"):
+            s = np.where(w == 0, t, np.where(w2 > 0, np.sin(w * t),
+                                             np.sinh(w * t)) / w)
+        P, Pp = jacobi.closed_form_stack(S, P0, P0p)
+        for i, j in np.ndindex(d, d):
+            pi0, pi1, n0, n1 = (X[:, i, j, None] for X in basis)
+            assert P[:, i, j].tobytes() == (
+                t * pi1 + pi0 + c * n0 + s * n1).tobytes()
+            assert Pp[:, i, j].tobytes() == (
+                -w2 * s * n0 + pi1 + c * n1).tobytes()
+
     def test_stack_shapes(self):
         S, P0, P0p = atom_stack(positive_atom, 3)
         rec = jacobi.propagate(S, P0, P0p, np.zeros(3), N_TANGENT)

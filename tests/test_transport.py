@@ -511,3 +511,71 @@ class TestFiberChecks:
             M, mesh, submanifold.lsq_hessian(mesh, phi_cc), cpl.atoms(),
             atom_table(M, mesh, cpl)[2])
         assert margin >= 0.0
+
+
+def tied_atom_table(seed, size, nodes=12, targets=15):
+    """A random (nodes, targets, masses) atom table whose masses take five
+    values, so that ties are common; (node, target) pairs repeat too, so
+    some ties are broken by the index alone."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, nodes, size), rng.integers(0, targets, size),
+            rng.choice([0.1, 0.2, 0.3, 0.4, 0.5], size))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heaviest_atoms_equal_the_full_sort(seed):
+    """Oracle: the heaviest-atom selection is the first k of the full
+    lexsort it replaced, heaviest first, then by node, target and index,
+    for k = 1, at the end of a run of equal masses, inside one, N - 1, N
+    and beyond N."""
+    ii, jj, mm = atoms = tied_atom_table(seed, 200)
+    oracle = np.lexsort((jj, ii, -mm))
+    # the end of the first run of equal masses in heaviest-first order
+    run_end = int(np.sum(mm == mm.max()))
+    assert 1 < run_end < len(mm) - 1
+    for k in (1, run_end, run_end + 1, run_end - 1, len(mm) - 1, len(mm),
+              len(mm) + 7):
+        np.testing.assert_array_equal(transport.heaviest_atoms(atoms, k),
+                                      oracle[:k])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_assigned_distances_equal_lexsort_and_unique(seed):
+    """Oracle: each node's assigned atom is the one the lexsort and unique
+    it replaced picked, the first of the heaviest.  Node 3 has two
+    equally heavy atoms above all others, and the last node has no atom,
+    so its distance stays 0."""
+    ii, jj, mm = tied_atom_table(seed, 150)
+    ii, jj = np.append(ii, [3, 3]), np.append(jj, [0, 1])
+    mm = np.append(mm, [0.9, 0.9])
+    node_count = ii.max() + 2
+    # each atom's distance names it
+    lengths = np.arange(1.0, len(mm) + 1.0)
+    order = np.lexsort((-mm, ii))
+    nodes, first = np.unique(ii[order], return_index=True)
+    expected = np.zeros(node_count)
+    expected[nodes] = lengths[order[first]]
+    got = transport.assigned_distances((ii, jj, mm), lengths, node_count)
+    np.testing.assert_array_equal(got, expected)
+    assert got[3] == len(mm) - 1 and got[-1] == 0.0
+
+
+def test_no_sort_of_the_atom_table(monkeypatch):
+    """Atom selection is linear in the atom count: on a shrunk entropic
+    run, whose plan is dense, no ``np.lexsort``, ``np.argsort`` or
+    ``np.unique`` call receives an array as long as the atom table."""
+    shapes = []
+    for name in ("lexsort", "argsort", "unique"):
+        def traced(a, *args, fn=getattr(np, name), **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, traced)
+    config = ScenarioConfig.load(
+        cli.bundled_scenario_path("flat_disk_annulus.cfg"),
+        [("solver", "method", "entropic"), ("submanifold", "resolution", "6"),
+         ("domain", "samples", "150"), ("jacobi", "atoms", "20")])
+    checks = pipeline.run_scenario(config).checks
+    atom_count = checks["certification"]["atom_count"]
+    assert checks["jacobi"]["atom_count"] == 20 and atom_count > 1000
+    assert "semiconcavity" in checks and shapes
+    assert [shape for shape in shapes if atom_count in shape] == []
