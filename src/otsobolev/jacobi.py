@@ -5,22 +5,23 @@ frames: ``initial_conditions`` gives P(0), P'(0) and lam, and
 ``geometry.curvature_matrix`` gives S in the node frame, which on a
 model space is S at every t (``geometry.build_parallel_frame`` is the
 tests' reference for that).  ``propagate`` stacks a chunk of atoms into
-one ``JacobiStack`` (P, P', Q = P^{-1} P' and the singular atoms).
+one ``JacobiStack``: P, the LU factors and det of P, the traces of the
+blocks of Q = P^{-1} P' and the singular atoms.  P' and Q live only
+inside ``propagate``.
 
 The trajectories are stored time-last, as (A, d, d, T) arrays, so each
 matrix entry is one contiguous (A, T) series.  All small-matrix work is
 done on these series, one vector operation over the whole stack per
 step: ``StackLU`` factors every sample of P once (Gaussian elimination
 with partial pivoting), which gives det P, Q and the P^{-1} P'' of the
-Riccati residual; the products Q^2 and P' P^T are sums over j taken in
-order.  No LAPACK routine or einsum runs per sample, and every sample's
-arithmetic reads only that sample, so an atom's values are bitwise the
-same in any stack.
+Riccati residual.  No LAPACK routine or einsum runs per sample, and
+every sample's arithmetic reads only that sample, so an atom's values
+are bitwise the same in any stack.
 
 Each measurement that ``pipeline._jacobi`` compares with its bounds
-maps that stack to one value per atom: the symmetry and Riccati
-residuals, the determinant profile, the small-t normalization, the
-endpoint Jacobian bound and the trace comparison with the envelopes of
+maps that stack to one value per atom: the Riccati residual, the
+determinant profile, the small-t normalization, the endpoint Jacobian
+bound and the trace comparison with the envelopes of
 ``ComparisonProfile``, which take one lam per atom.  ``plot_series``
 gives one atom's curves.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .submanifold import SubmanifoldMesh
 STEPS = 1000               # the checks sample P at t = k / STEPS, k = 0..STEPS
 TIMES = np.linspace(0.0, 1.0, STEPS + 1)
 TRIM_SAMPLES = 10          # trimmed window starts at t0 = 10 / STEPS = 0.01
-COND_LIMIT = 1e12          # Q is only formed where cond(P) stays below this
+COND_LIMIT = 1e12          # Q is only defined where cond(P) stays below this
 # S S = w^2 S to this share of max |S|^2; bundled runs: 5.1e-16 at worst
 S_FORM_TOL = 1e-12
 
@@ -55,16 +56,6 @@ def _sum_in_order(terms) -> np.ndarray:
     total = np.array(next(terms), dtype=float)
     for term in terms:
         total += term
-    return total
-
-
-def _entry(X: np.ndarray, Y: np.ndarray, i: int, k: int) -> np.ndarray:
-    """Entry (i, k) of X Y, (A, T), for two (A, d, d, T) stacks: the sum
-    over j taken in order, in the first product."""
-    total = X[:, i, 0] * Y[:, 0, k]
-    term = np.empty_like(total)
-    for j in range(1, X.shape[2]):
-        total += np.multiply(X[:, i, j], Y[:, j, k], out=term)
     return total
 
 
@@ -162,11 +153,13 @@ class JacobiStack:
     ``P[a, i, j]`` is the (T,) series of one entry of atom a."""
 
     P: np.ndarray              # (A, d, d, T)
-    Pp: np.ndarray             # (A, d, d, T)
-    Q: np.ndarray              # (A, d, d, T), nan where not q_defined
     lu: StackLU                # of P, every sample
     det_p: np.ndarray          # (A, T)
     q_defined: np.ndarray      # (A, T) bool: cond(P) < COND_LIMIT
+    # (A, T) traces of the tangent and normal blocks of Q = P^{-1} P',
+    # the diagonal summed in order; nan where not q_defined
+    trq1: np.ndarray
+    trq3: np.ndarray
     S: np.ndarray              # (A, d, d), constant in the parallel frame
     lam: np.ndarray            # (A,) Delta phi + <H, v>, scalar of the bounds
     n: int
@@ -174,14 +167,6 @@ class JacobiStack:
     # (A,) bool: det P changes sign or P is not finite on the trimmed
     # window (a conjugate-point degeneracy), or Q is defined nowhere on it
     singular: np.ndarray
-
-    @cached_property
-    def traces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(trQ1, trQ3), each (A, T): the traces of Q's tangent and
-        normal blocks, the diagonal summed in order."""
-        n, d = self.n, self.Q.shape[1]
-        return (_sum_in_order(self.Q[:, i, i] for i in range(n)),
-                _sum_in_order(self.Q[:, i, i] for i in range(n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +242,8 @@ def closed_form_stack(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray):
         wt = w[atoms] * TIMES
         c[atoms], s[atoms] = cos(wt), sin(wt) / w[atoms]
     ws = -w2 * s
-    P, Pp = np.empty((2, A, d, d, STEPS + 1))
+    # two buffers, so that P can outlive P'
+    P, Pp = (np.empty((A, d, d, STEPS + 1)) for _ in range(2))
     term = np.empty((A, STEPS + 1))
     for i, j in np.ndindex(d, d):
         pi0, pi1, n0, n1 = (X[:, i, j, None] for X in basis)
@@ -309,49 +295,27 @@ def propagate(S: np.ndarray, P0: np.ndarray, P0p: np.ndarray, lam,
     vectors are tangent.
     """
     P, Pp = closed_form_stack(S, P0, P0p)
-    # one LU per sample gives det P and Q = P^{-1} P', column by column
+    # one LU per sample gives det P and, column by column in the place
+    # of P', Q = P^{-1} P', of which only the diagonal is kept
     lu = StackLU(P)
     det_p = lu.det
     ok = well_conditioned(P, det_p)
-    Q = Pp.copy()
-    for k in range(Q.shape[2]):
-        lu.solve(Q[:, :, k])
-    np.copyto(Q, np.nan, where=~ok[:, None, None])
+    d = P.shape[1]
+    for k in range(d):
+        lu.solve(Pp[:, :, k])
+    trq1, trq3 = (_sum_in_order(Pp[:, i, i] for i in block)
+                  for block in (range(n), range(n, d)))
+    for tr in trq1, trq3:
+        np.copyto(tr, np.nan, where=~ok)
     singular = np.any(det_p[:, TRIM_SAMPLES:] <= 0, axis=1) \
         | ~np.isfinite(P[..., TRIM_SAMPLES:]).all(axis=(1, 2, 3)) \
         | ~ok[:, TRIM_SAMPLES:].any(axis=1)
-    return JacobiStack(P, Pp, Q, lu, det_p, ok, S,
-                       np.asarray(lam, dtype=float), n, S.shape[1] - n,
-                       singular)
+    return JacobiStack(P, lu, det_p, ok, trq1, trq3, S,
+                       np.asarray(lam, dtype=float), n, d - n, singular)
 
 
 # ---------------------------------------------------------------------------
-# residuals (the derivative from independent finite differences of P)
-
-
-def symmetry_residual(rec: JacobiStack) -> np.ndarray:
-    """(A,) worst deviation of P'(t) P(t)^T from symmetry, over the pairs
-    i < k: a diagonal entry is computed alike on both sides, so its
-    deviation is 0."""
-    d, Pt = rec.P.shape[1], rec.P.swapaxes(1, 2)
-    worst = np.zeros(rec.det_p.shape)
-    for i in range(d):
-        for k in range(i + 1, d):
-            dev = _entry(rec.Pp, Pt, i, k)
-            dev -= _entry(rec.Pp, Pt, k, i)
-            np.maximum(worst, np.abs(dev, out=dev), out=worst)
-    return worst.max(axis=1)
-
-
-def q_symmetry_residual(rec: JacobiStack) -> np.ndarray:
-    """(A,) worst deviation of Q from symmetry where it is defined, over
-    the pairs i < k; 0 on an atom where it is defined nowhere."""
-    d, Q = rec.Q.shape[1], rec.Q
-    worst = np.zeros(rec.det_p.shape)
-    for i in range(d):
-        for k in range(i + 1, d):
-            np.maximum(worst, np.abs(Q[:, i, k] - Q[:, k, i]), out=worst)
-    return np.where(rec.q_defined, worst, 0.0).max(axis=1)
+# the Riccati residual (P'' from finite differences of P)
 
 
 # points of the finite-difference stencil of ``second_derivative``
@@ -400,28 +364,25 @@ def second_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def riccati_residual(rec: JacobiStack) -> np.ndarray:
-    """(A,) max over the trimmed window of ||Q' + S + Q^2|| (max-abs
-    entry), Q' = P^{-1} P'' - Q^2 with P'' from finite differences of the
-    P; -inf on a singular atom.  It runs column by column, so no
-    (A, d, d, T) temporary is formed."""
+    """(A,) max over the trimmed window of |P^{-1} P'' + S| (max-abs
+    entry), P'' from finite differences of P; -inf on a singular atom.
+
+    P solves P'' = -PS exactly in closed form, so this measures the
+    finite-difference error of ``closed_form_stack`` and cannot see a
+    wrong S or wrong initial data.  It stays only while the benchmark
+    reads it (``riccati_residual_max`` and the span of this function).
+    It runs column by column, so no (A, d, d, T) temporary is formed."""
     window = slice(TRIM_SAMPLES, None)
     ok = rec.q_defined[:, window] & ~rec.singular[:, None]
-    d, Q = rec.P.shape[1], rec.Q[..., window]
     worst = np.zeros(ok.shape)
     with np.errstate(invalid="ignore"):
-        for k in range(d):
-            # column k of P^{-1} P'' from the LU that formed Q; the
-            # samples off ``ok`` (inf or NaN on a zero pivot) are dropped
+        for k in range(rec.P.shape[1]):
+            # column k of P^{-1} P''; the samples off ``ok`` (inf or NaN
+            # on a zero pivot) are dropped
             x = rec.lu.solve(second_derivative(rec.P[:, :, k],
                                                TIMES[1] - TIMES[0]))
-            for i in range(d):
-                q2 = _entry(Q, Q, i, k)
-                # Q' + S + Q^2 in this order: cancelling Q^2 moves the
-                # last bits
-                res = x[:, i, window] - q2
-                res += rec.S[:, i, k, None]
-                res += q2
-                np.maximum(worst, np.abs(res, out=res), out=worst)
+            res = x[..., window] + rec.S[:, :, k, None]
+            np.maximum(worst, np.abs(res, out=res).max(axis=1), out=worst)
     return np.where(ok, worst, -np.inf).max(axis=1)
 
 
@@ -562,7 +523,7 @@ def trace_comparison_check(rec: JacobiStack, profile: ComparisonProfile):
     which the Jacobi check records without gating."""
     t = TIMES[TRIM_SAMPLES:]
     ok = rec.q_defined[:, TRIM_SAMPLES:]
-    trq1, trq3 = (tr[:, TRIM_SAMPLES:] for tr in rec.traces)
+    trq1, trq3 = rec.trq1[:, TRIM_SAMPLES:], rec.trq3[:, TRIM_SAMPLES:]
     return (np.where(ok, trq1 - profile.trq1_bound(t), -np.inf).max(axis=1),
             np.where(ok, trq3 - profile.trq3_bound(t), -np.inf).max(axis=1))
 
@@ -571,7 +532,7 @@ def plot_series(rec: JacobiStack, profile: ComparisonProfile, a: int):
     """The plot series of atom ``a`` on the trimmed window: det P, trQ1
     and trQ3, each beside its envelope."""
     t = TIMES[TRIM_SAMPLES:]
-    trq1, trq3 = (tr[a, TRIM_SAMPLES:] for tr in rec.traces)
+    trq1, trq3 = rec.trq1[a, TRIM_SAMPLES:], rec.trq3[a, TRIM_SAMPLES:]
     return {"t": t.tolist(),
             "det_p": rec.det_p[a, TRIM_SAMPLES:].tolist(),
             "det_envelope": profile.det_envelope(t)[a].tolist(),

@@ -447,10 +447,11 @@ def _semiconcavity(ctx):
     return {"passed": margin >= 0.0, "worst_margin": margin}
 
 
-# Atoms the Jacobi stage propagates together.  One chunk holds four
-# time-last (atoms, d, d, STEPS + 1) arrays: P, P', Q and the LU factors
-# of P, 2 MB each at d = 4, so about 8 MB; the residuals run column by
-# column and add no array of that size.
+# Atoms the Jacobi stage propagates together.  A chunk's record holds
+# two time-last (atoms, d, d, STEPS + 1) arrays, P and its LU factors,
+# 2 MB each at d = 4, so about 4 MB; P' adds a third while ``propagate``
+# runs, and the Riccati residual runs column by column and adds no array
+# of that size.
 JACOBI_CHUNK = 16
 
 
@@ -515,7 +516,6 @@ def _jacobi(ctx):
     stats["flagged_atoms"] = sum(stats[key] for key in FLAG_KEYS)
     # mono_failures and bound_margin_min are null on the K < 0 path
     passed = (stats["evaluated_atoms"] >= 1
-              and stats["sym_residual_max"] <= 1e-8
               and stats["riccati_residual_max"] <= 1e-6
               and not stats["mono_failures"]
               and stats["singular_atoms"] == 0
@@ -529,7 +529,7 @@ def _jacobi_chunk(rec, K, r):
     """The Jacobi record of one chunk atom by atom, and its comparison
     profile.  A count is the (A,) mask of the atoms it counts, a metric
     an (A,) masked array unmasked on the atoms its sub-check covers.
-    The residuals and the margin n - delta_phi - <H, v> cover every
+    The Riccati residual and the margin n - delta_phi - <H, v> cover every
     non-singular atom.  An envelope out of its domain flags an atom (on
     the K >= 0 path, 1 - t lam / n vanishes), and so, after the
     determinant profile ran on it, does normalization drift (K >= 0).
@@ -552,8 +552,6 @@ def _jacobi_chunk(rec, K, r):
     mono = evaluated = ok & ~out
     atoms = {"singular_atoms": rec.singular, **dict.fromkeys(FLAG_KEYS, none),
              reason: out,
-             "sym_residual_max": on(ok, jacobi.symmetry_residual(rec)),
-             "q_sym_residual_max": on(ok, jacobi.q_symmetry_residual(rec)),
              "riccati_residual_max": on(ok, jacobi.riccati_residual(rec)),
              "lap_margin_min": on(ok, rec.n - rec.lam),
              # the K >= 0 sub-checks cover no atom on the K < 0 path

@@ -44,6 +44,28 @@ def propagate_one(S, P0, P0p, lam=0.0):
                             np.asarray(P0p)[None], [lam], N_TANGENT)
 
 
+def propagate_with_pp(S, P0, P0p):
+    """``jacobi.propagate`` on a stack at lam = 0, and the P' that the
+    stack does not keep, from ``closed_form_stack`` on the same data."""
+    return (jacobi.propagate(S, P0, P0p, np.zeros(len(S)), N_TANGENT),
+            jacobi.closed_form_stack(S, P0, P0p)[1])
+
+
+def recording_propagate(stacks, plant=None):
+    """A ``jacobi.propagate`` that appends (stack, P') of each call to
+    ``stacks``; ``plant``, if given, changes the data of the first."""
+    propagate = jacobi.propagate
+
+    def recording(S, P0, P0p, lam, n):
+        if plant is not None and not stacks:
+            P0, P0p, lam = plant(P0, P0p, lam, n)
+        stacks.append((propagate(S, P0, P0p, lam, n),
+                       jacobi.closed_form_stack(S, P0, P0p)[1]))
+        return stacks[-1][0]
+
+    return recording
+
+
 def nonincreasing(profile):
     """No step of ``profile`` rises by more than the pipeline's
     monotonicity tolerance of its first value."""
@@ -129,9 +151,9 @@ class TestStructuralChecks:
         assert abs(rec.det_p[0, -1] - 4.0) < 1e-9
 
     def test_symmetry_residuals_vanish(self):
-        rec = self.make_block_traj()
-        assert jacobi.symmetry_residual(rec)[0] < 1e-12
-        assert jacobi.q_symmetry_residual(rec)[0] < 1e-9
+        S = euclidean_curvature()
+        P0, P0p = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.5, 0.5, 1, 1])
+        assert_symmetric(*propagate_with_pp(S[None], P0[None], P0p[None]))
 
     def test_normalization_limit(self):
         rec = self.make_block_traj()
@@ -378,16 +400,15 @@ def negative_atom(speed):
     return hyperbolic_curvature(-1.0, speed)
 
 
-STACK_ARRAYS = ("P", "Pp", "S", "det_p", "Q", "q_defined", "lam",
+STACK_ARRAYS = ("P", "S", "det_p", "q_defined", "trq1", "trq3", "lam",
                 "singular")
 
 
 def atom_arrays(rec, a):
-    """Atom ``a``'s slice of each per-atom array of a stack, its traces
-    and its LU factors included."""
-    trq1, trq3 = rec.traces
+    """Atom ``a``'s slice of each per-atom array of a stack, its LU
+    factors included."""
     return {**{name: getattr(rec, name)[a] for name in STACK_ARRAYS},
-            "trq1": trq1[a], "trq3": trq3[a], "lu": rec.lu.lu[a]}
+            "lu": rec.lu.lu[a]}
 
 
 def assert_same_atoms(rec, a, other, b):
@@ -430,16 +451,31 @@ class TestBatchedKernel:
         lam = np.linspace(-0.4, 0.4, 17)
         stacked = jacobi.propagate(S, P0, P0p, lam, N_TANGENT)
         assert (stacked.n, stacked.m) == (2, 1)
+        _, stacked_pp = jacobi.closed_form_stack(S, P0, P0p)
         for a in range(17):
             single = propagate_one(S[a], P0[a], P0p[a],
                                    lam=lam[a])
             assert_same_atoms(stacked, a, single, 0)
+            _, single_pp = jacobi.closed_form_stack(S[a, None], P0[a, None],
+                                                    P0p[a, None])
+            assert stacked_pp[a].tobytes() == single_pp[0].tobytes()
             # the closed form against RK4 on the same grid, to 1e-12 of
             # the largest entry: RK4's rounding over STEPS steps is most
             # of the difference (about 3e-14)
             P, Pp = rk4_reference(single.S[0], P0[a], P0p[a], jacobi.STEPS)
-            for got, want in ((single.P[0], P), (single.Pp[0], Pp)):
+            for got, want in ((single.P[0], P), (single_pp[0], Pp)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("make_curvature",
+                             [flat_atom, positive_atom, negative_atom])
+    def test_closed_form_keeps_the_symmetries(self, make_curvature):
+        """Oracle: P'' = -PS with S symmetric conserves P' P^T - P P'^T,
+        so on the stack's atoms, with P0' P0^T made symmetric (the
+        transport data's zero lower-left block of P0'), P' P^T and Q stay
+        symmetric to the bounds of the transport stacks."""
+        S, P0, P0p = atom_stack(make_curvature, 17)
+        P0p[:, N_TANGENT:, :N_TANGENT] = 0.0
+        assert_symmetric(*propagate_with_pp(S, P0, P0p))
 
     def test_stack_equals_the_two_branch_form_bitwise(self):
         """Oracle: on a stack that mixes K > 0, K = 0 and K < 0 atoms, the
@@ -474,12 +510,11 @@ class TestBatchedKernel:
         S, P0, P0p = atom_stack(positive_atom, 3)
         rec = jacobi.propagate(S, P0, P0p, np.zeros(3), N_TANGENT)
         T = jacobi.STEPS + 1
-        for name in ("P", "Pp", "Q"):
-            assert getattr(rec, name).shape == (3, 3, 3, T), name
+        assert rec.P.shape == rec.lu.lu.shape == (3, 3, 3, T)
         assert rec.det_p.shape == rec.q_defined.shape == (3, T)
+        assert rec.trq1.shape == rec.trq3.shape == (3, T)
         assert rec.S.shape == (3, 3, 3)
         assert rec.lam.shape == rec.singular.shape == (3,)
-        assert all(tr.shape == (3, T) for tr in rec.traces)
 
     def test_singular_atom_mid_stack(self):
         """A conjugate point in one atom leaves its neighbours alone."""
@@ -489,8 +524,7 @@ class TestBatchedKernel:
         rec = jacobi.propagate(S, P0, P0p, np.zeros(17), N_TANGENT)
         assert np.flatnonzero(rec.singular).tolist() == [8]
         assert propagate_one(S[8], P0[8], P0p[8]).singular[0]
-        last = propagate_one(S[16], P0[16], P0p[16])
-        assert rec.Q[16].tobytes() == last.Q[0].tobytes()
+        assert_same_atoms(rec, 16, propagate_one(S[16], P0[16], P0p[16]), 0)
 
     def test_stack_rejects_bad_shapes(self):
         S, P0, P0p = atom_stack(positive_atom, 2)
@@ -705,28 +739,32 @@ class TestStackLU:
     @pytest.mark.parametrize("name", ["flat_disk_annulus", "sphere_transport",
                                       "hyperbolic_disk_r1"])
     def test_pipeline_stacks_equal_lapack(self, monkeypatch, name):
-        """On the stacks of shrunk K = 0, K > 0 and K < 0 runs: Q within
-        2e-15 max |Q| of LAPACK's P^{-1} P' on each sample where it is
-        defined, det P within 1e-14 of numpy's det relative, and 0.0
-        where numpy's is; no sample swaps a row.  The worst seen on the
-        bundled stacks was 5.5e-16 for Q and 2.6e-15 for det."""
+        """On the stacks of shrunk K = 0, K > 0 and K < 0 runs: the
+        kernel's Q = P^{-1} P' within 2e-15 max |Q| of LAPACK's on each
+        sample where it is defined, and the stored traces its diagonal
+        summed in order; det P within 1e-14 of numpy's det relative, and
+        0.0 where numpy's is; no sample swaps a row.  The worst seen on
+        the bundled stacks was 5.5e-16 for Q and 2.6e-15 for det."""
         config = pipeline.ScenarioConfig.load(
             cli.bundled_scenario_path(f"{name}.cfg"),
             [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
              ("jacobi", "atoms", "20")])
-        recs = []
-        propagate = jacobi.propagate
-        monkeypatch.setattr(jacobi, "propagate",
-                            lambda *args: recs.append(propagate(*args))
-                            or recs[-1])
+        stacks = []
+        monkeypatch.setattr(jacobi, "propagate", recording_propagate(stacks))
         pipeline.run_scenario(config)
-        assert sum(len(rec.lam) for rec in recs) == 20
-        for rec in recs:
+        assert sum(len(rec.lam) for rec, _ in stacks) == 20
+        for rec, Pp in stacks:
             assert rec.lu.swaps == []
             P, ok = lapack_samples(rec.P), rec.q_defined
-            want_q = np.linalg.solve(P[ok], lapack_samples(rec.Pp)[ok])
-            err = np.abs(lapack_samples(rec.Q)[ok] - want_q).max(axis=(1, 2))
+            Q = solve_columns(rec.lu, Pp)
+            want_q = np.linalg.solve(P[ok], lapack_samples(Pp)[ok])
+            err = np.abs(lapack_samples(Q)[ok] - want_q).max(axis=(1, 2))
             assert (err <= 2e-15 * np.abs(want_q).max(axis=(1, 2))).all()
+            n, d = rec.n, Q.shape[1]
+            for got, block in ((rec.trq1, range(n)), (rec.trq3, range(n, d))):
+                want = ref_sum(Q[:, i, i] for i in block)
+                want[~ok] = np.nan
+                assert got.tobytes() == want.tobytes()
             want_det = np.linalg.det(P)
             assert (np.abs(rec.det_p - want_det)
                     <= 1e-14 * np.abs(want_det)).all()
@@ -781,13 +819,16 @@ class Trajectory:
     lam: float
     S: np.ndarray              # (d, d)
     det_p: np.ndarray          # (T,)
-    Q: np.ndarray              # (d, d, T), nan where undefined
     q_defined: np.ndarray      # (T,) bool
+    Q: np.ndarray = field(init=False)      # (d, d, T), nan where undefined
     trq1: np.ndarray = field(init=False)
     trq3: np.ndarray = field(init=False)
 
     def __post_init__(self):
         d = self.n + self.m
+        # Q = P^{-1} P' from the kernel on a one-atom stack
+        self.Q = solve_columns(jacobi.StackLU(self.P[None]), self.Pp[None])[0]
+        self.Q[..., ~self.q_defined] = np.nan
         self.trq1 = ref_sum(self.Q[i, i] for i in range(self.n))
         self.trq3 = ref_sum(self.Q[i, i] for i in range(self.n, d))
 
@@ -808,12 +849,22 @@ class Trajectory:
         return float(np.abs(Q - Q.transpose(1, 0, 2)).max())
 
 
-def trajectory(rec, a):
-    """Atom ``a`` of a stack as one trajectory: views of the stacked
-    arrays, and lam as a Python float."""
-    return Trajectory(jacobi.TIMES, rec.P[a], rec.Pp[a], rec.n, rec.m,
-                      float(rec.lam[a]), rec.S[a], rec.det_p[a], rec.Q[a],
+def trajectory(rec, Pp, a):
+    """Atom ``a`` of a stack, whose P' is ``Pp``, as one trajectory: views
+    of the stacked arrays, and lam as a Python float."""
+    return Trajectory(jacobi.TIMES, rec.P[a], Pp[a], rec.n, rec.m,
+                      float(rec.lam[a]), rec.S[a], rec.det_p[a],
                       rec.q_defined[a])
+
+
+def assert_symmetric(rec, Pp):
+    """The symmetry oracles of ``closed_form_stack`` on each non-singular
+    atom of a stack: P' P^T within 1e-12 of symmetric, and Q within 1e-9
+    where it is defined."""
+    for a in np.flatnonzero(~rec.singular):
+        traj = trajectory(rec, Pp, a)
+        assert traj.symmetry_residual() < 1e-12, a
+        assert traj.q_symmetry_residual() < 1e-9, a
 
 
 def ref_second_derivative(values, dt):
@@ -836,22 +887,19 @@ def ref_riccati_residual(traj):
     ValueError on an empty window (a zero-size max)."""
     Ppp = ref_second_derivative(traj.P, traj.times[1] - traj.times[0])
     ok = traj.window
-    Q = traj.Q[..., ok]
-    q2 = ref_product(Q, Q)
     x = solve_columns(jacobi.StackLU(traj.P[None, ..., ok]),
                       Ppp[None, ..., ok])
-    res = x[0] - q2 + traj.S[..., None] + q2
-    return float(np.abs(res).max())
+    return float(np.abs(x[0] + traj.S[..., None]).max())
 
 
-def ref_singular(rec, a):
+def ref_singular(rec, Pp, a):
     """A det sign change or a non-finite P on the trimmed window, or an
     empty window, on which the reference's Riccati residual raises."""
     if np.any(rec.det_p[a, TRIM:] <= 0) \
             or not np.isfinite(rec.P[a, ..., TRIM:]).all():
         return True
     try:
-        ref_riccati_residual(trajectory(rec, a))
+        ref_riccati_residual(trajectory(rec, Pp, a))
     except ValueError:
         return True
     return False
@@ -970,9 +1018,7 @@ def ref_flag(stats, key):
 def ref_atom(traj, K, r, stats, series):
     """One atom's sub-checks, folded into ``stats``; the first evaluated
     atom writes ``series``."""
-    ref_fold(stats, sym_residual_max=traj.symmetry_residual(),
-             q_sym_residual_max=traj.q_symmetry_residual(),
-             riccati_residual_max=ref_riccati_residual(traj),
+    ref_fold(stats, riccati_residual_max=ref_riccati_residual(traj),
              lap_margin_min=float(traj.n - traj.lam))
     try:
         if K >= 0.0:
@@ -1012,34 +1058,32 @@ def ref_atom(traj, K, r, stats, series):
             trq3_bound=np.asarray(profile.trq3_bound(t)).tolist())
 
 
-def ref_stage(recs, K, r):
+def ref_stage(stacks, K, r):
     """The Jacobi record and plot series of the per-atom fold over the
-    stacks ``recs`` of one run."""
-    stats = {"atom_count": sum(len(rec.lam) for rec in recs),
+    (stack, P') pairs ``stacks`` of one run."""
+    stats = {"atom_count": sum(len(rec.lam) for rec, _ in stacks),
              "evaluated_atoms": 0, "singular_atoms": 0, "flagged_atoms": 0,
              **dict.fromkeys(pipeline.FLAG_KEYS, 0),
              **dict.fromkeys((
-                 "sym_residual_max", "q_sym_residual_max",
                  "riccati_residual_max", "lap_margin_min",
                  "mono_worst_increase", "mono_failures", "bound_margin_min",
                  "normalization_worst", "trq1_excess_max",
                  "trq3_excess_max"))}
     series = {}
-    for rec in recs:
+    for rec, Pp in stacks:
         for a in range(len(rec.lam)):
-            if ref_singular(rec, a):
+            if ref_singular(rec, Pp, a):
                 stats["singular_atoms"] += 1
             else:
-                ref_atom(trajectory(rec, a), K, r, stats, series)
+                ref_atom(trajectory(rec, Pp, a), K, r, stats, series)
     passed = (stats["evaluated_atoms"] >= 1
-              and stats["sym_residual_max"] <= 1e-8
               and stats["riccati_residual_max"] <= 1e-6
               and not stats["mono_failures"]
               and stats["singular_atoms"] == 0
               and (stats["bound_margin_min"] is None
                    or stats["bound_margin_min"] >= 0.0)
               and stats["lap_margin_min"]
-              >= -pipeline.LAP_SLACK_FACTOR * recs[0].n)
+              >= -pipeline.LAP_SLACK_FACTOR * stacks[0][0].n)
     return {"passed": bool(passed), **stats}, series
 
 
@@ -1069,27 +1113,21 @@ PLANTED_RUNS = {"flat_disk_annulus": 0.0, "sphere_transport": 1.0,
 def planted_run(request):
     """A shrunk bundled run at 20 atoms, whose first chunk holds the atoms
     of ``plant_reasons``: its Jacobi record and series, the curvature,
-    the domain radius, and every stack the stage propagated."""
+    the domain radius, and (stack, P') of every stack the stage
+    propagated."""
     config = pipeline.ScenarioConfig.load(
         cli.bundled_scenario_path(f"{request.param}.cfg"),
         [("submanifold", "resolution", "6"), ("domain", "samples", "150"),
          ("jacobi", "atoms", "20")])
-    recs = []
-    propagate = jacobi.propagate
-
-    def planted(S, P0, P0p, lam, n):
-        if not recs:
-            P0, P0p, lam = plant_reasons(P0, P0p, lam, n)
-        recs.append(propagate(S, P0, P0p, lam, n))
-        return recs[-1]
-
+    stacks = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(jacobi, "propagate", planted)
+        m.setattr(jacobi, "propagate",
+                  recording_propagate(stacks, plant_reasons))
         report = pipeline.run_scenario(config)
     K = PLANTED_RUNS[request.param]
     assert config.build_manifold().curvature == K
     return (report.checks["jacobi"], report.series["jacobi_profile"], K,
-            config.domain_params.get("r"), recs)
+            config.domain_params.get("r"), stacks)
 
 
 def same(x, y):
@@ -1099,22 +1137,22 @@ def same(x, y):
 
 class TestPerAtomOracle:
     def test_stacked_measurements_equal_the_reference(self, planted_run):
-        """Every stacked measurement of every stack of the run is bitwise
-        the reference's on each atom that is not singular, and each
-        out-of-domain mask is the set of atoms on which the reference
-        raises; the "positive" envelopes are compared on the K > 0 run,
-        which checks with "nonneg"."""
-        _, _, K, r, recs = planted_run
+        """Every stacked measurement of every stack of the run, the traces
+        included, is bitwise the reference's on each atom that is not
+        singular, where P' P^T and Q are also symmetric to the bounds of
+        ``assert_symmetric``; each out-of-domain mask is the set of atoms
+        on which the reference raises; the "positive" envelopes are
+        compared on the K > 0 run, which checks with "nonneg"."""
+        _, _, K, r, stacks = planted_run
         profiles = {"nonneg": {}} if K == 0 else \
             {"nonneg": {}, "positive": dict(k1=K, k2=K, eps=0.5)} if K > 0 \
             else {"negative": dict(k1=K, k2=K, r=r)}
         t = jacobi.TIMES[TRIM:]
-        for rec in recs:
+        for rec, Pp in stacks:
             A = len(rec.lam)
-            singular = [ref_singular(rec, a) for a in range(A)]
+            singular = [ref_singular(rec, Pp, a) for a in range(A)]
             assert rec.singular.tolist() == singular
-            sym = jacobi.symmetry_residual(rec)
-            q_sym = jacobi.q_symmetry_residual(rec)
+            assert_symmetric(rec, Pp)
             riccati = jacobi.riccati_residual(rec)
             mono = jacobi.monotonicity_profile(rec)
             limit = jacobi.normalization_limit(rec)
@@ -1125,9 +1163,9 @@ class TestPerAtomOracle:
             excess = {case: jacobi.trace_comparison_check(rec, profile)
                       for case, profile in stacked.items()}
             for a in np.flatnonzero(~rec.singular):
-                traj = trajectory(rec, a)
-                assert same(sym[a], traj.symmetry_residual())
-                assert same(q_sym[a], traj.q_symmetry_residual())
+                traj = trajectory(rec, Pp, a)
+                assert same(rec.trq1[a], traj.trq1)
+                assert same(rec.trq3[a], traj.trq3)
                 assert same(riccati[a], ref_riccati_residual(traj))
                 assert same(limit[a], ref_normalization_limit(traj))
                 assert same((bound[a], det1[a]),
@@ -1157,8 +1195,8 @@ class TestPerAtomOracle:
         """The stage's record and plot series are the per-atom fold's, and
         the planted chunk holds two singular atoms and a flagged atom of
         each reason the run's curvature checks."""
-        rec, series, K, r, recs = planted_run
-        want, want_series = ref_stage(recs, K, r)
+        rec, series, K, r, stacks = planted_run
+        want, want_series = ref_stage(stacks, K, r)
         assert rec == want
         assert series == want_series
         assert rec["singular_atoms"] == 2 and not rec["passed"]
@@ -1371,8 +1409,7 @@ def test_a_run_transports_no_frame(monkeypatch, name):
 
 
 # the Jacobi functions whose work is per sample
-HOT_PATH = ("propagate", "riccati_residual", "symmetry_residual",
-            "q_symmetry_residual")
+HOT_PATH = ("propagate", "riccati_residual")
 
 
 @pytest.mark.parametrize("name", ["sphere_transport", "hyperbolic_disk_r1",
