@@ -1,12 +1,15 @@
 """Positive scalar fields on submanifold meshes.
 
-An expression (a field, or a graph chart's height) is parsed by ``ast``,
-never evaluated, in a grammar closed under differentiation: finite
-numeric literals (not ``bool`` or ``complex``); the names ``u1`` and
-``u2``; unary ``+`` and ``-``; binary ``+``, ``-`` and ``*``; ``/``
-whose divisor contains neither name; ``**`` with a non-negative integer
-literal exponent; ``exp(x)`` with one argument; nesting at most
-``MAX_DEPTH`` deep.  Any other node is a ``ConfigError``.
+Every field is an expression of the stencil coordinates
+(``field_from_expression``); a constant field is a numeric literal, such
+as the config default ``1.0``.  An expression (a field, or a graph
+chart's height) is parsed by ``ast``, never evaluated, in a grammar
+closed under differentiation: finite numeric literals (not ``bool`` or
+``complex``); the names ``u1`` and ``u2``; unary ``+`` and ``-``; binary
+``+``, ``-`` and ``*``; ``/`` whose divisor contains neither name; ``**``
+with a non-negative integer literal exponent; ``exp(x)`` with one
+argument; nesting at most ``MAX_DEPTH`` deep.  Any other node is a
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -62,13 +65,16 @@ def parse_expression(text: str) -> ast.expr:
 
 
 def derivatives(tree: ast.expr, u):
-    """Value, gradient and Hessian of a parsed expression at ``u`` (..., 2)."""
+    """Value, gradient and Hessian of a parsed expression at ``u`` (..., 2),
+    as views (of ``u`` itself for a bare name): copy the ones you keep."""
     u = np.asarray(u, dtype=float)
     shape = u.shape[:-1]
-    g0, H0 = np.zeros((2, *shape)), np.zeros((2, 2, *shape))
+    g0, H0 = (np.broadcast_to(0.0, (2, *shape)),
+              np.broadcast_to(0.0, (2, 2, *shape)))
 
     # each partial leads its array, so a value scales it by broadcasting;
-    # no step writes in place, so the constants share g0 and H0
+    # no step writes in place, so the constants share the read-only zero
+    # views g0 and H0
     def walk(node):
         if isinstance(node, ast.Constant):
             return np.full(shape, float(node.value)), g0, H0
@@ -100,8 +106,7 @@ def derivatives(tree: ast.expr, u):
                 Ha * vb + va * Hb + ga[:, None] * gb + gb[:, None] * ga)
 
     v, g, H = walk(tree)
-    return (v.copy(), np.moveaxis(g, 0, -1).copy(),
-            np.moveaxis(H, (0, 1), (-2, -1)).copy())
+    return v, np.moveaxis(g, 0, -1), np.moveaxis(H, (0, 1), (-2, -1))
 
 
 @dataclass
@@ -124,15 +129,6 @@ class ScalarField:
                              "positive")
 
 
-def constant_field(mesh, value: float) -> ScalarField:
-    n = len(mesh.points)
-    return ScalarField(
-        np.full(n, float(value)),
-        grad_chart=lambda u: np.zeros_like(np.asarray(u, float)),
-        value_chart=lambda u: np.full(np.asarray(u, float).shape[:-1],
-                                      float(value)))
-
-
 def field_from_expression(mesh, text: str) -> ScalarField:
     """The field of a grammar expression of the stencil coordinates."""
     value, grad, _ = height_from_expression(text)
@@ -142,6 +138,8 @@ def field_from_expression(mesh, text: str) -> ScalarField:
 
 def height_from_expression(text: str):
     """(value, gradient, Hessian) functions of an expression of the
-    stencil coordinates, such as a graph chart's height."""
+    stencil coordinates, such as a graph chart's height.  Each copies
+    only the derivative it returns."""
     tree = parse_expression(text)
-    return tuple(lambda u, i=i: derivatives(tree, u)[i] for i in range(3))
+    return tuple(lambda u, i=i: derivatives(tree, u)[i].copy()
+                 for i in range(3))

@@ -1,8 +1,13 @@
 """Scenario orchestration: mesh -> domain -> transport -> the checks of
 the registry ``CHECKS`` -> report.
 
-Configs are line-oriented INI files; every random draw derives from the
-scenario seed, so a fixed (config, seed) pair yields identical reports.
+The mesh stage also builds the field f, always from its ``[field]
+expression`` (default ``1.0``), its integrals and the source measure
+f^{n/(n-1)} vol_Sigma, and refuses a field whose integrals are not
+finite or whose node weights are not positive as a ``field`` config
+error.  Configs are line-oriented INI files; every random draw derives
+from the scenario seed, so a fixed (config, seed) pair yields identical
+reports.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .errors import (
     SizeCapError,
     UnsupportedChartError,
 )
-from .fields import ScalarField, constant_field, field_from_expression
+from .fields import ScalarField, field_from_expression
 from .geometry import ModelManifold
 
 _REQUIRED = object()  # no fallback: a config must set the key
@@ -40,13 +45,11 @@ class ScenarioConfig:
     chart: str
     chart_params: dict
     resolution: int
-    field_kind: str
     field_spec: str
     domain_variant: Optional[str]
     domain_params: dict
     domain_samples: int
     solver: str
-    eps_reg: Optional[float]
     checks: dict
     inequality_variant: Optional[str]
     jacobi_atoms: int
@@ -122,13 +125,7 @@ class ScenarioConfig:
                         for f in dataclasses.fields(chart_type)}
         resolution = get("submanifold", "resolution", int)
 
-        field_kind = get("field", "kind", fallback="constant")
-        if field_kind == "constant":
-            field_spec = get("field", "value", fallback="1.0")
-        elif field_kind == "expression":
-            field_spec = get("field", "expression")
-        else:
-            raise ConfigError(f"field.kind: unknown kind {field_kind!r}")
+        field_spec = get("field", "expression", fallback="1.0")
 
         checks = {key: get("checks", key, bool, False)
                   for key in CHECK_NAMES if key != "inequality"}
@@ -158,15 +155,13 @@ class ScenarioConfig:
         solver = get("solver", "method", fallback="exact", used=transported)
         if solver not in ("exact", "entropic"):
             raise ConfigError(f"solver.method: unknown method {solver!r}")
-        eps_reg = get("solver", "eps_reg", float, None,
-                      used=solver == "entropic")
         jacobi_atoms = get("jacobi", "atoms", int, 200, used=checks["jacobi"])
 
         raw = {s: dict(cp.items(s)) for s in cp.sections()}
         config = cls(name, seed, variant, curvature, ambient_dim, chart,
-                     chart_params, resolution, field_kind, field_spec,
+                     chart_params, resolution, field_spec,
                      domain_variant, domain_params, domain_samples,
-                     solver, eps_reg, checks, inequality_variant,
+                     solver, checks, inequality_variant,
                      jacobi_atoms, raw, frozenset(read))
         config.validate()
         unread = [f"{s}.{k}" for s in cp.sections() for k in cp[s]
@@ -177,18 +172,23 @@ class ScenarioConfig:
         return config
 
     def validate(self) -> None:
-        """Raise ConfigError for values a run would die on (counts and
-        sizes below their least value, curvature sign, a hypersurface
-        outside Euclidean space, [domain] section and ranges, a
-        non-positive solver.eps_reg, a sphere curvature whose volume
-        overflows, a geodesic-ball radius whose scale-free constants
-        overflow), for an inequality whose manifold or [domain] variant
-        it does not hold on or read (``inequalities.INEQUALITY_SCOPE``),
-        for a [domain] variant not built for the manifold
-        (``inequalities.DOMAIN_SCOPE``) or around a hypersurface, for
-        fiber_mass without the annulus domain its envelope needs, and for
-        a negative_local submanifold of radius above r / 2.
+        """Raise ConfigError for values a run would die on (a scenario
+        name that is not a plain file name, counts and sizes below their
+        least value, curvature sign, a hypersurface outside Euclidean
+        space, [domain] section and ranges, a sphere curvature whose
+        volume overflows, a geodesic-ball radius whose scale-free
+        constants overflow), for an inequality whose manifold or [domain]
+        variant it does not hold on or read
+        (``inequalities.INEQUALITY_SCOPE``), for a [domain] variant not
+        built for the manifold (``inequalities.DOMAIN_SCOPE``) or around
+        a hypersurface, for fiber_mass without the annulus domain its
+        envelope needs, and for a negative_local submanifold of radius
+        above r / 2.
         Runs in ``load``, after the overrides are set."""
+        # the report is written to <out>/<name>.jsonl
+        if self.name in ("", ".", "..") or set("/\\") & set(self.name):
+            raise ConfigError(f"scenario.name: {self.name!r} is not a plain "
+                              "file name")
         least = {"scenario.seed": (self.seed, 0),
                  "manifold.ambient_dim": (self.ambient_dim, 3),
                  "jacobi.atoms": (self.jacobi_atoms, 1)}
@@ -260,9 +260,6 @@ class ScenarioConfig:
         if not self.domain_params.get("eps", 0.0) >= 0:
             raise ConfigError(f"domain.eps: value {self.domain_params['eps']}"
                               " is negative")
-        if self.eps_reg is not None and not self.eps_reg > 0:
-            raise ConfigError(f"solver.eps_reg: value {self.eps_reg} is not "
-                              "positive")
         # model-space constants the run takes in floats: the sphere's
         # volume; for a geodesic ball of radius r in R^d,
         # (R sinh(r / R))^(d-1): when it is finite, so is every power
@@ -331,7 +328,8 @@ class RunReport:
 
 @dataclass
 class RunContext:
-    """What the checks of one run read.  The integrals of f, the support
+    """What the checks of one run read.  ``terms`` are the integrals of f
+    that the inequalities take, computed in the mesh stage.  The support
     certificate (with phi^cc), the plan's marginals, the atom table
     (plan atoms, log_x zeta and its length), the gradient and Hessian of
     phi^cc and the tangency statistics are computed at most once, when a
@@ -342,14 +340,10 @@ class RunContext:
     M: ModelManifold
     mesh: submanifold.SubmanifoldMesh
     f: ScalarField
+    terms: dict
     domain: Optional[inequalities.TargetDomain]
     coupling: Optional[transport.DiscreteCoupling]
     report: RunReport
-
-    @cached_property
-    def terms(self) -> dict:
-        """The integrals of f that the inequalities take."""
-        return inequalities.inequality_terms(self.M, self.mesh, self.f)
 
     @cached_property
     def certificate(self) -> transport.Certificate:
@@ -671,18 +665,17 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
                           "finite, or its quadrature weights not all finite "
                           "and positive")
     try:
-        if config.field_kind == "constant":
-            f = constant_field(mesh, float(config.field_spec))
-        else:
-            # values the floats cannot hold fail ScalarField's check, and
-            # integrands they cannot hold (f^{n/(n-1)}, |grad f|) the one
-            # below, with no numpy warning on the way
-            with np.errstate(all="ignore"):
-                f = field_from_expression(mesh, config.field_spec)
-                terms = inequalities.inequality_terms(M, mesh, f)
+        # values the floats cannot hold fail ScalarField's check,
+        # integrands they cannot hold (f^{n/(n-1)}, |grad f|) the one
+        # below, and a node weight w f^{n/(n-1)} that underflows to 0 the
+        # source measure's, with no numpy warning on the way
+        with np.errstate(all="ignore"):
+            f = field_from_expression(mesh, config.field_spec)
+            terms = inequalities.inequality_terms(M, mesh, f)
             if not np.isfinite(list(terms.values())).all():
-                raise ValueError(f"its integrals overflow: {terms}")
-    # not a number, not finite and positive, or outside the grammar
+                raise ValueError(f"its integrals are not all finite: {terms}")
+            mu = transport.source_measure(mesh, f)
+    # outside the grammar, not finite and positive, or too small
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"field: {exc}") from exc
     report.stage_seconds["mesh"] = clock() - t
@@ -702,7 +695,6 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
     coupling = None
     if config.needs_transport():
         t = clock()
-        mu = transport.source_measure(mesh, f)
         nu = transport.target_measure(domain.points)
         C = transport.cost_matrix(M, mu, nu)
         if config.solver == "exact":
@@ -726,15 +718,11 @@ def run_scenario(config: ScenarioConfig, strict: bool = False) -> RunReport:
                     f"cap {transport.EXACT_SIZE_CAP}; lower them or set "
                     "solver.method = entropic") from exc
         else:
-            eps_reg = config.eps_reg
-            if eps_reg is None:
-                eps_reg = 5e-3 * float(C.mean())
-            coupling = transport.solve_entropic(mu, nu, C, eps_reg)
+            coupling = transport.solve_entropic(mu, nu, C,
+                                                5e-3 * float(C.mean()))
         report.stage_seconds["transport"] = clock() - t
 
-    ctx = RunContext(config, M, mesh, f, domain, coupling, report)
-    if config.field_kind != "constant":
-        ctx.terms = terms   # the mesh stage's, computed once per run
+    ctx = RunContext(config, M, mesh, f, terms, domain, coupling, report)
     for name, check in CHECKS.items():
         if not (config.checks.get(name) if check.configured
                 else coupling is not None):

@@ -39,15 +39,15 @@ class DiscreteMeasure:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        # every point keeps its index (a plan's rows name mesh nodes), so
+        # a zero weight is refused, not dropped; NaN fails both tests
+        bad = np.count_nonzero(~(self.weights > 0))
+        if bad:
+            raise ValueError(f"weights must be positive: {bad} of "
+                             f"{self.size} are not")
         total = self.weights.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
-        keep = self.weights > 0
-        if not keep.all():
-            self.points = self.points[keep]
-            self.weights = self.weights[keep]
 
     @property
     def size(self) -> int:
@@ -60,10 +60,15 @@ class DiscreteMeasure:
 
 
 def source_measure(mesh: SubmanifoldMesh, f: ScalarField) -> DiscreteMeasure:
-    """mu = f^{n/(n-1)} vol_Sigma, normalized."""
+    """mu = f^{n/(n-1)} vol_Sigma, normalized, on every node: a
+    ValueError when a node's weight is not positive."""
     p = mesh.n / (mesh.n - 1)
     w = mesh.weights * f.values**p
-    return DiscreteMeasure(mesh.points, w / w.sum())
+    try:
+        return DiscreteMeasure(mesh.points, w / w.sum())
+    except ValueError as exc:
+        raise ValueError(f"the source measure f^(n/(n-1)) vol_Sigma: {exc}") \
+            from exc
 
 
 def target_measure(points: np.ndarray) -> DiscreteMeasure:

@@ -30,8 +30,7 @@ radius = 1.0
 resolution = 10
 
 [field]
-kind = constant
-value = 1.0
+expression = 1.0
 
 [checks]
 inequality = nonneg_limit
@@ -134,12 +133,14 @@ UNREAD_KEYS = [
      "domain.samples"),
     ("sphere_ball_closed", "[checks]",
      "[domain]\nvariant = whole_manifold\n\n[checks]", "domain.variant"),
-    # keys with no effect on the run: eps_reg without the entropic
-    # solver, [jacobi] without the jacobi check, lift, which a
-    # hypersurface (ambient_dim = 3) no longer needs, and codim, which a
-    # disk chart takes from ambient_dim
+    # keys with no effect on the run: eps_reg, which no solver reads (the
+    # entropic solver runs at 5e-3 times the mean cost), [jacobi] without
+    # the jacobi check, lift, which a hypersurface (ambient_dim = 3) no
+    # longer needs, and codim, which a disk chart takes from ambient_dim
     ("flat_disk_annulus", "method = exact", "method = exact\neps_reg = 0.01",
      "solver.eps_reg"),
+    ("flat_disk_annulus", "method = exact",
+     "method = entropic\neps_reg = 0.01", "solver.eps_reg"),
     ("flat_disk_sharp", "[checks]", "[jacobi]\natoms = 50\n\n[checks]",
      "jacobi.atoms"),
     ("flat_disk_sharp", "ambient_dim = 4", "ambient_dim = 3\nlift = true",
@@ -306,8 +307,8 @@ class TestRunCommand:
          "scenario.seed"),
         ("flat_disk_sharp", "ambient_dim = 4", "ambient_dim = 0",
          "manifold.ambient_dim"),
-        ("flat_disk_sharp", "value = 1.0", "value = 0", "field"),
-        ("flat_disk_sharp", "value = 1.0", "value = abc", "field"),
+        ("flat_disk_sharp", "expression = 1.0", "expression = 0", "field"),
+        ("flat_disk_sharp", "expression = 1.0", "expression = abc", "field"),
         ("flat_graph", "expression = 1 + u1 * u2 / 4", "expression = -1",
          "field"),
         ("flat_disk_annulus", "samples = 1000", "samples = 0",
@@ -326,14 +327,11 @@ class TestRunCommand:
          "manifold.ambient_dim"),
         ("hyperbolic_disk_r2", "ambient_dim = 4", "ambient_dim = 3",
          "manifold.ambient_dim"),
-        # a regularization the Sinkhorn solver cannot run at
-        *(("flat_disk_annulus", "method = exact",
-           f"method = entropic\neps_reg = {value}", "solver.eps_reg")
-          for value in ("-1", "0", "nan", "inf")),
         # non-finite floats, in the chart, the field and the domain
         ("flat_disk_sharp", "radius = 1.0", "radius = inf",
          "submanifold.radius"),
-        ("flat_disk_sharp", "value = 1.0", "value = inf", "field"),
+        ("flat_disk_sharp", "expression = 1.0", "expression = inf",
+         "field"),
         ("hyperbolic_disk_r2", "r = 2.0", "r = inf", "domain.r"),
         ("sphere_tube_005", "eps = 0.05", "eps = inf", "domain.eps"),
         # finite values whose model-space constants overflow: the
@@ -402,6 +400,23 @@ class TestRunCommand:
         # overflow
         ("flat_graph", "expression = 1 + u1 * u2 / 4",
          "expression = exp(709 * u1**2)", "field"),
+        # a constant whose f^{n/(n-1)} overflows, or underflows to 0 (the
+        # run would pass on a zero left-hand side)
+        *(("flat_disk_sharp", ("resolution = 50", "expression = 1.0"),
+           ("resolution = 8", f"expression = {value}"), "field")
+          for value in ("1e200", "1e-200")),
+        # source weights w f^{n/(n-1)} that underflow to 0 on some nodes
+        # or on all: the source measure keeps every node, so its plan's
+        # rows name mesh nodes
+        *(("flat_disk_annulus",
+           ("resolution = 11", "samples = 1000", "atoms = 250",
+            "expression = 1.0"),
+           ("resolution = 6", "samples = 150", "atoms = 20",
+            f"expression = {value}"), "field")
+          for value in ("exp(-460*u1**2)", "1e-200")),
+        # a report name that is not a plain file name under --out
+        *(("flat_disk_sharp", "name = flat_disk_sharp", f"name = {name}",
+           "scenario.name") for name in ("sub/dir", "../escaped", "", "..")),
     ])
     def test_bad_config_value_exit_two(self, runner, tmp_path, scenario, old,
                                        new, named):
@@ -803,7 +818,7 @@ class TestSweepCommand:
 
     def test_unsupported_target_exit_two(self, runner, tiny_cfg, tmp_path):
         res = runner.invoke(cli.main, [
-            "sweep", tiny_cfg, "--grid", "field.value=1,2",
+            "sweep", tiny_cfg, "--grid", "field.expression=1,2",
             "--out", str(tmp_path / "rep")])
         assert res.exit_code == 2
 

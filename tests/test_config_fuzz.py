@@ -13,7 +13,7 @@ from otsobolev import cli
 
 SCENARIOS = sorted(p.name[:-len(".cfg")] for p in
                    Path(cli.bundled_scenario_path("")).glob("*.cfg"))
-VALUES = ("0", "-1", "abc", "")
+VALUES = ("0", "-1", "abc", "", "1e200", "1e-200")
 # caps that keep one run of any bundled scenario near a second
 CAPS = {("submanifold", "resolution"): 6, ("domain", "samples"): 200,
         ("jacobi", "atoms"): 4}

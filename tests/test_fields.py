@@ -9,7 +9,6 @@ from otsobolev import fields, geometry, submanifold
 from otsobolev.errors import ConfigError
 from otsobolev.fields import (
     ScalarField,
-    constant_field,
     field_from_expression,
     height_from_expression,
     parse_expression,
@@ -106,7 +105,8 @@ class TestScalarField:
             ScalarField(np.array([1.0, -0.5]), np.zeros_like, np.zeros_like)
 
     def test_constant_field(self, mesh):
-        f = constant_field(mesh, 2.5)
+        """A constant is the expression of one literal."""
+        f = field_from_expression(mesh, "2.5")
         assert np.all(f.values == 2.5)
         u = mesh.stencil_coords[:7]
         assert np.all(f.grad_chart(u) == 0.0)

@@ -291,7 +291,7 @@ def test_runs_without_the_lp_leave_deferred_imports_unloaded():
         "graph = ScenarioConfig.load(\n"
         "    cli.bundled_scenario_path('flat_graph.cfg'),\n"
         "    [('submanifold', 'resolution', '10')])\n"
-        "assert graph.field_kind == 'expression'\n"
+        "assert graph.field_spec == '1 + u1 * u2 / 4'\n"
         "for config in (annulus, ball, graph):\n"
         "    assert pipeline.run_scenario(config).checks\n"
         f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n")

@@ -12,7 +12,7 @@ from otsobolev.errors import (
     HypothesisViolationError,
     UnsupportedVariantError,
 )
-from otsobolev.fields import constant_field, field_from_expression
+from otsobolev.fields import field_from_expression
 
 from chart_checks import model_space
 
@@ -38,7 +38,8 @@ class TestNonnegLimit:
         rho = 0.8
         M, mesh = flat_disk_mesh(radius=rho)
         rep = evaluate(
-            M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
+            M, mesh, field_from_expression(mesh, "1.0"),
+            inequalities.NONNEG_LIMIT, {})
         assert abs(rep["lhs"] - 2 * math.pi * rho) < 1e-9
         assert abs(rep["rhs"] - 2 * math.pi * rho) < 1e-9
         assert abs(rep["ratio"] - 1.0) < 1e-9
@@ -47,7 +48,8 @@ class TestNonnegLimit:
         """n = m = 2: the dimensional constant collapses to 2*sqrt(pi)."""
         M, mesh = flat_disk_mesh()
         rep = evaluate(
-            M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
+            M, mesh, field_from_expression(mesh, "1.0"),
+            inequalities.NONNEG_LIMIT, {})
         assert rep["constants"]["theta"] == 1.0
         assert np.isclose(rep["constants"]["lhs_constant"],
                           2.0 * math.sqrt(math.pi), atol=1e-12)
@@ -55,9 +57,11 @@ class TestNonnegLimit:
     def test_field_scaling_leaves_ratio_invariant(self):
         M, mesh = flat_disk_mesh()
         r1 = evaluate(
-            M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_LIMIT, {})
+            M, mesh, field_from_expression(mesh, "1.0"),
+            inequalities.NONNEG_LIMIT, {})
         r2 = evaluate(
-            M, mesh, constant_field(mesh, 3.7), inequalities.NONNEG_LIMIT, {})
+            M, mesh, field_from_expression(mesh, "3.7"),
+            inequalities.NONNEG_LIMIT, {})
         assert np.isclose(r1["ratio"], r2["ratio"], atol=1e-12)
 
     def test_nonconstant_field_strictly_inside(self):
@@ -71,7 +75,7 @@ class TestNonnegLimit:
         M, mesh = flat_disk_mesh(codim=1)
         with pytest.raises(HypothesisViolationError):
             evaluate(
-                M, mesh, constant_field(mesh, 1.0),
+                M, mesh, field_from_expression(mesh, "1.0"),
                 inequalities.NONNEG_LIMIT, {})
 
 
@@ -133,8 +137,8 @@ class TestNonnegFinite:
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.ANNULUS, dict(sigma=sigma, r=r), 800, 5)
         rep = evaluate(
-            M, mesh, constant_field(mesh, 1.0), inequalities.NONNEG_FINITE,
-            dict(sigma=sigma, r=r), domain=dom)
+            M, mesh, field_from_expression(mesh, "1.0"),
+            inequalities.NONNEG_FINITE, dict(sigma=sigma, r=r), domain=dom)
         V = dom.volume
         want = 2.0 * math.sqrt(2.0 * V / (2.0 * math.pi * (1 - sigma**2)))
         assert np.isclose(rep["constants"]["lhs_constant"], want, atol=1e-12)
@@ -147,7 +151,7 @@ class TestNonnegFinite:
         M, mesh = flat_disk_mesh(resolution=8)
         with pytest.raises(ValueError):
             evaluate(
-                M, mesh, constant_field(mesh, 1.0),
+                M, mesh, field_from_expression(mesh, "1.0"),
                 inequalities.NONNEG_FINITE, dict(sigma=0.6, r=6.0))
 
 
@@ -171,7 +175,7 @@ class TestPositiveVariants:
     def test_closed_positive_constants(self, hemisphere):
         M, mesh = hemisphere
         rep = evaluate(
-            M, mesh, constant_field(mesh, 1.0),
+            M, mesh, field_from_expression(mesh, "1.0"),
             inequalities.CLOSED_POSITIVE, {})
         assert np.isclose(rep["constants"]["diam"], math.pi, atol=1e-12)
         assert np.isclose(rep["constants"]["volume"], 8 * math.pi**2 / 3,
@@ -180,7 +184,7 @@ class TestPositiveVariants:
 
     def test_tube_at_zero_equals_closed(self, hemisphere):
         M, mesh = hemisphere
-        f = constant_field(mesh, 1.0)
+        f = field_from_expression(mesh, "1.0")
         closed = evaluate(
             M, mesh, f, inequalities.CLOSED_POSITIVE, {})
         tube = evaluate(
@@ -190,7 +194,7 @@ class TestPositiveVariants:
 
     def test_small_tube_close_to_closed(self, hemisphere):
         M, mesh = hemisphere
-        f = constant_field(mesh, 1.0)
+        f = field_from_expression(mesh, "1.0")
         closed = evaluate(
             M, mesh, f, inequalities.CLOSED_POSITIVE, {})
         dom = inequalities.build_target_domain(
@@ -205,14 +209,14 @@ class TestPositiveVariants:
         M, mesh = hemisphere
         with pytest.raises(ValueError):
             evaluate(
-                M, mesh, constant_field(mesh, 1.0),
+                M, mesh, field_from_expression(mesh, "1.0"),
                 inequalities.POSITIVE_TUBE, dict(eps=0.1))
 
     def test_wrong_ambient_rejected(self):
         M, mesh = flat_disk_mesh(resolution=8)
         with pytest.raises(HypothesisViolationError):
             evaluate(
-                M, mesh, constant_field(mesh, 1.0),
+                M, mesh, field_from_expression(mesh, "1.0"),
                 inequalities.CLOSED_POSITIVE, {})
 
 
@@ -240,8 +244,8 @@ class TestNegativeLocal:
         dom = inequalities.build_target_domain(
             M, mesh, inequalities.GEODESIC_BALL, dict(r=r), 800, 4)
         rep = evaluate(
-            M, mesh, constant_field(mesh, 1.0), inequalities.NEGATIVE_LOCAL,
-            dict(r=r), domain=dom)
+            M, mesh, field_from_expression(mesh, "1.0"),
+            inequalities.NEGATIVE_LOCAL, dict(r=r), domain=dom)
         assert np.isclose(rep["constants"]["cosh_factor"], math.cosh(r),
                           atol=1e-12)
         assert np.isclose(rep["constants"]["sinh_factor"],
@@ -269,8 +273,7 @@ class TestCrossVariantOracle:
         r, volume, resolution = 2.0, 10.0, 10
 
         def field(mesh):
-            return constant_field(mesh, 1.0) if expression is None \
-                else field_from_expression(mesh, expression)
+            return field_from_expression(mesh, expression or "1.0")
 
         H = model_space(geometry.HYPERBOLIC, 4, -1e-6)
         hmesh = submanifold.build_submanifold(
@@ -366,7 +369,7 @@ class TestIntegrationByParts:
         two sides agree exactly."""
         rho = 1.0
         M, mesh = flat_disk_mesh(radius=rho, resolution=12)
-        f = constant_field(mesh, 1.0)
+        f = field_from_expression(mesh, "1.0")
         phi = -0.5 * np.sum(mesh.stencil_coords**2, axis=1)
         lhs, rhs = inequalities.integration_by_parts_check(
             mesh, f, submanifold.lsq_hessian(mesh, phi), r_bound=rho,

@@ -12,7 +12,7 @@ import pytest
 from otsobolev import (cli, geometry, inequalities, jacobi, pipeline,
                        submanifold, transport)
 from otsobolev.errors import NonSymmetricHessianError, UnsupportedVariantError
-from otsobolev.fields import constant_field
+from otsobolev.fields import field_from_expression
 
 from chart_checks import model_space
 
@@ -1219,7 +1219,7 @@ def annulus_transport():
     params = dict(sigma=0.6, r=6.0)
     dom = inequalities.build_target_domain(
         M, mesh, inequalities.ANNULUS, params, 200, 20240602)
-    mu = transport.source_measure(mesh, constant_field(mesh, 1.0))
+    mu = transport.source_measure(mesh, field_from_expression(mesh, "1.0"))
     nu = transport.target_measure(dom.points)
     C = transport.cost_matrix(M, mu, nu)
     cpl = transport.solve_exact(mu, nu, C)
@@ -1243,7 +1243,7 @@ def run_stage(inputs, atoms, monkeypatch, chunk):
                         lambda rec: calls.append(1) or residual(rec))
     monkeypatch.setattr(pipeline, "JACOBI_CHUNK", chunk)
     report = pipeline.RunReport("stage", 0, {})
-    ctx = pipeline.RunContext(config, M, mesh, None, None, cpl, report)
+    ctx = pipeline.RunContext(config, M, mesh, None, None, None, cpl, report)
     ctx.gradient, ctx.hess_phi = (grad, None), hess
     report.checks["jacobi"] = pipeline.CHECKS["jacobi"].run(ctx)
     return report, len(calls)

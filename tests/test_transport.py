@@ -23,7 +23,7 @@ from otsobolev.errors import (
     CutLocusError,
     SizeCapError,
 )
-from otsobolev.fields import constant_field
+from otsobolev.fields import field_from_expression
 from otsobolev.pipeline import ScenarioConfig
 
 from chart_checks import model_space
@@ -63,7 +63,7 @@ def shell_instance(npts):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = (3.0**4 + rng.random(npts) * (5.0**4 - 3.0**4)) ** 0.25
     zs = radii[:, None] * dirs
-    mu = transport.source_measure(mesh, constant_field(mesh, 1.0))
+    mu = transport.source_measure(mesh, field_from_expression(mesh, "1.0"))
     nu = transport.target_measure(zs)
     return M, mesh, mu, nu, transport.cost_matrix(M, mu, nu)
 
@@ -147,16 +147,23 @@ class TestMeasures:
             transport.DiscreteMeasure(np.zeros((2, 3)),
                                       np.array([1.5, -0.5]))
 
-    def test_zero_weights_dropped(self):
-        m = transport.DiscreteMeasure(np.zeros((3, 2)),
-                                      np.array([0.5, 0.0, 0.5]))
-        assert m.size == 2
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.0, 0.5], "1 of 3 are not"),
+        ([0.5, np.nan, 0.5], "1 of 3 are not"),
+        ([np.nan] * 3, "3 of 3 are not"),
+        ([np.inf, 0.5, 0.5], "sum to inf")])
+    def test_zero_or_nan_weights_rejected(self, weights, message):
+        """Every point keeps its index, so a zero weight is refused, not
+        dropped; a NaN weight is not positive, and a NaN or infinite sum
+        is not 1."""
+        with pytest.raises(ValueError, match=message):
+            transport.DiscreteMeasure(np.zeros((3, 2)), np.array(weights))
 
     def test_source_measure_power_weighting(self):
         M = model_space(geometry.EUCLIDEAN, 4)
         mesh = submanifold.build_submanifold(
             M, submanifold.FlatDisk(radius=1.0), 8)
-        f = constant_field(mesh, 3.0)
+        f = field_from_expression(mesh, "3.0")
         mu = transport.source_measure(mesh, f)
         # constant f: weights proportional to the quadrature weights
         assert np.allclose(mu.weights, mesh.weights / mesh.weights.sum())
@@ -244,7 +251,7 @@ class TestExactSolver:
         dom = inequalities.build_target_domain(
             M, mesh, config.domain_variant, config.domain_params,
             config.domain_samples, config.seed)
-        mu = transport.source_measure(mesh, constant_field(mesh, 1.0))
+        mu = transport.source_measure(mesh, field_from_expression(mesh, "1.0"))
         nu = transport.target_measure(dom.points)
         cpl = transport.solve_exact(mu, nu, transport.cost_matrix(M, mu, nu))
         assert (mu.size, nu.size) == (256, 600)
