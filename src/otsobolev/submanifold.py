@@ -32,11 +32,15 @@ from .fields import ScalarField, height_from_expression
 from .geometry import ModelManifold
 
 MIN_INTERIOR_NODES = 16
-# points per chart parameter of the micro-grid that refines
-# ``distance_to_mesh`` around the nearest node
+# points per chart parameter of the micro-grid that refines a query
+# point's distance around its nearest node; odd, so the grid's centre is
+# the node itself
 REFINE_GRID = 5
-# float64 entries (2 MB) of one dense distance block of
-# ``distance_to_mesh``, the size of one Jacobi chunk's P array
+# float64 entries (2 MB), the size of one Jacobi chunk's P array, of one
+# block of micro-grid candidates and of one dense sample-by-node distance
+# block of ``distance_to_mesh``.  Only readers of the farthest node form
+# dense blocks: the rejection samplers of ``inequalities``, through
+# ``distance_to_mesh``, and ``inequalities._resample_away_from_cut``
 DENSE_BLOCK = 2**18
 
 
@@ -493,35 +497,53 @@ def _refine_candidates(mesh: SubmanifoldMesh, params: np.ndarray) -> np.ndarray:
     return mesh.embed(cand)
 
 
+def _refined_distance(mesh: SubmanifoldMesh, pts: np.ndarray,
+                      node: np.ndarray) -> np.ndarray:
+    """Per query point, the min geodesic distance to the REFINE_GRID x
+    REFINE_GRID micro-grid in the chart cell around its nearest ``node``.
+    The grid's centre embeds to the node itself, bit for bit, so the
+    minimum covers the node.  Points go in blocks whose candidates take
+    at most ``DENSE_BLOCK`` entries, and a row takes the same operations
+    in any block, so the memory does not grow with the number of points
+    and neither do the bits depend on it."""
+    M = mesh.manifold
+    out = np.empty(len(pts))
+    step = max(DENSE_BLOCK // (REFINE_GRID**2 * M.embedding_dim), 1)
+    for k in range(0, len(pts), step):
+        cpts = _refine_candidates(mesh, mesh.params[node[k:k + step]])
+        out[k:k + step] = geometry.distance(
+            M, pts[k:k + step, None, :], cpts).min(axis=1)
+    return out
+
+
 def distance_to_mesh(mesh: SubmanifoldMesh,
                      pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nearest, farthest): per query point, the min geodesic distance
-    to the submanifold and the max to a node, from one distance matrix
+    to the submanifold and the max to a node.
+
+    The rejection samplers of ``inequalities`` read ``farthest``, so
+    this pass stays dense (as ``_resample_away_from_cut``'s own, which
+    reads the farthest node alone): one sample-by-node distance matrix
     per block of at most ``DENSE_BLOCK // nodes`` query points, so a
     call takes about ``DENSE_BLOCK`` entries at a time whatever the
-    number of points.
-
-    The nearest-node distance is refined by a REFINE_GRID x REFINE_GRID
-    micro-grid in the chart cell around the nearest node.  A row takes
-    the same operations in any block, but the BLAS product inside
-    ``geometry.pairwise_distances`` rounds an entry by its place in the
-    product, so another blocking may move a distance by a rounding
-    unit.
+    number of points.  Its argmin is the nearest node, which
+    ``_refined_distance`` refines as it does for ``tubular_volume``.  A
+    row takes the same operations in any block, but the BLAS product
+    inside ``geometry.pairwise_distances`` rounds an entry by its place
+    in the product, so another blocking may move a distance by a
+    rounding unit.
     """
     M = mesh.manifold
     pts = np.asarray(pts, float)
-    nearest, farthest = np.empty(len(pts)), np.empty(len(pts))
+    node = np.empty(len(pts), dtype=np.intp)
+    base, farthest = np.empty(len(pts)), np.empty(len(pts))
     step = max(DENSE_BLOCK // mesh.node_count, 1)
     for k in range(0, len(pts), step):
-        block = pts[k:k + step]
-        D = geometry.pairwise_distances(M, block, mesh.points)
-        node = np.argmin(D, axis=1)
-        base = D[np.arange(len(block)), node]
+        D = geometry.pairwise_distances(M, pts[k:k + step], mesh.points)
+        node[k:k + step] = np.argmin(D, axis=1)
+        base[k:k + step] = D[np.arange(len(D)), node[k:k + step]]
         farthest[k:k + step] = D.max(axis=1)
-        cpts = _refine_candidates(mesh, mesh.params[node])
-        dists = geometry.distance(M, block[:, None, :], cpts)
-        nearest[k:k + step] = np.minimum(base, dists.min(axis=1))
-    return nearest, farthest
+    return np.minimum(base, _refined_distance(mesh, pts, node)), farthest
 
 
 def ambient_samples(M: ModelManifold, n: int, rng: np.random.Generator):
@@ -539,19 +561,23 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
     """Monte Carlo estimate of vol(N_eps) and its standard error,
     reproducible for a fixed seed.
 
-    A sample is inside when ``distance_to_mesh`` puts it within ``eps``.
-    Only the band of samples that may be inside goes to that dense
-    pass.  Every candidate of ``distance_to_mesh`` lies within ``reach``
-    (the largest distance from a node to its own refinement candidates)
-    of a node, so by the triangle inequality a sample farther than
-    ``eps + reach`` from every node is farther than ``eps`` from every
-    candidate too, and the dense pass would call it outside.  A KD-tree
-    on the embedded nodes finds these samples by the chord of that
-    distance.  The other samples take the dense pass unchanged, so the
-    estimate is the one the dense pass over all samples gives.  The band
-    grows with ``eps``, up to every sample, but ``distance_to_mesh``
-    takes it in blocks of ``DENSE_BLOCK`` entries, so the memory does
-    not.
+    A sample is inside when its distance to the submanifold, refined
+    around its nearest node by ``_refined_distance``, is within
+    ``eps``.  A KD-tree on the embedded nodes gives each sample's
+    nearest node by chord length.  ``ambient_samples`` admits only the
+    sphere, where the chord 2 R sin(theta / (2 R)) is strictly
+    increasing in the geodesic distance theta on [0, pi R], so the
+    chord-nearest node is the geodesic-nearest node, and no
+    sample-by-node matrix is formed.
+
+    The tree query also finds the band of samples that may be inside.
+    Every refinement candidate lies within ``reach`` (the largest
+    distance from a node to its own candidates) of a node, so by the
+    triangle inequality a sample farther than ``eps + reach`` from every
+    node is farther than ``eps`` from every candidate too, and is
+    outside.  The band grows with ``eps``, up to every sample, but
+    ``_refined_distance`` takes it in blocks of ``DENSE_BLOCK``
+    entries, so the memory does not.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -562,15 +588,15 @@ def tubular_volume(manifold: ModelManifold, mesh: SubmanifoldMesh, eps: float,
         manifold, mesh.points[:, None, :],
         _refine_candidates(mesh, mesh.params)).max())
     theta = min(eps + reach, geometry.manifold_diameter(manifold))
-    # widened because reach and the dense pass are arccos distances and
+    # widened because reach and the refinement are arccos distances and
     # the tree compares float chords: 1e-6 relative plus 1e-9 absolute
     # is far above the rounding of either at distances of eps or more
     bound = 2 * R * math.sin(theta / (2 * R)) * (1 + 1e-6) + 1e-9
-    gap, _ = cKDTree(mesh.points).query(pts, k=1, distance_upper_bound=bound)
+    gap, node = cKDTree(mesh.points).query(pts, k=1,
+                                           distance_upper_bound=bound)
     band = np.flatnonzero(np.isfinite(gap))
     inside = np.zeros(n_samples, dtype=bool)
-    dist, _ = distance_to_mesh(mesh, pts[band])
-    inside[band] = dist <= eps
+    inside[band] = _refined_distance(mesh, pts[band], node[band]) <= eps
     p = inside.mean()
     est = vol_ambient * p
     se = vol_ambient * math.sqrt(max(p * (1 - p), 0.0) / n_samples)

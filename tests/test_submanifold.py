@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate as scint
+from scipy.spatial import cKDTree
 
 from otsobolev import geometry, submanifold
 from otsobolev.errors import (
@@ -25,6 +26,16 @@ from chart_checks import check_point, mesh_frame_gram_residual, model_space
 TESTS = Path(__file__).resolve().parent
 # the thread-count variables of the BLAS builds numpy may load
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(threads):
+    """The environment of a fresh process with ``threads`` BLAS threads
+    (set before numpy loads) that imports the package and these tests."""
+    return {**os.environ,
+            **dict.fromkeys(BLAS_THREADS, str(threads)),
+            "PYTHONPATH": os.pathsep.join(filter(None, [
+                str(TESTS.parent / "src"), str(TESTS),
+                os.environ.get("PYTHONPATH")]))}
 
 
 def flat_disk_mesh(res=12, radius=1.0, codim=2):
@@ -209,15 +220,10 @@ class TestDerivatives:
         gradient at 2 h and the Hessians at 3 h and 4 h, on flat, graph,
         sphere and hyperbolic meshes, with 1 and 2 BLAS threads (set
         before numpy loads, so in a fresh process)."""
-        env = {**os.environ,
-               **dict.fromkeys(BLAS_THREADS, str(threads)),
-               "PYTHONPATH": os.pathsep.join(filter(None, [
-                   str(TESTS.parent / "src"), str(TESTS),
-                   os.environ.get("PYTHONPATH")]))}
         out = subprocess.run(
             [sys.executable, "-c", "import test_submanifold as t; "
              "print(t.fits_unlike_the_loops())"],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=blas_env(threads))
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
 
@@ -348,11 +354,17 @@ def tube_meshes():
             for name, (M, chart, res) in TUBE_MESHES.items()}
 
 
+def dense_distances(mesh, pts):
+    """The (points, nodes) geodesic distance matrix in one pass."""
+    return geometry.pairwise_distances(mesh.manifold, np.asarray(pts, float),
+                                       mesh.points)
+
+
 def reference_distance_to_mesh(mesh, pts):
     """``distance_to_mesh`` in one pass: one distance matrix over every
     query point, the oracle of its blocking."""
     M = mesh.manifold
-    D = geometry.pairwise_distances(M, np.asarray(pts, float), mesh.points)
+    D = dense_distances(mesh, pts)
     nearest = np.argmin(D, axis=1)
     base = D[np.arange(len(pts)), nearest]
     farthest = D.max(axis=1)
@@ -388,27 +400,35 @@ class TestTubeBand:
         assert tube.hex() == vol.hex()
         assert tube_se.hex() == se.hex()
 
-    def test_dense_rows_through_the_traced_name(self, tube_meshes,
-                                                monkeypatch):
-        """On the s4_hemisphere_24 mesh (2304 nodes) at eps 0.05, fewer
-        than 1000 of the 20000 samples reach ``distance_to_mesh``, which
-        is looked up as the module attribute, where a tracer wraps it;
-        ``pairwise_distances`` takes them at most ``DENSE_BLOCK //
-        nodes`` rows a call, each row once."""
-        rows, dense_rows = [], []
-        dense = submanifold.distance_to_mesh
-        monkeypatch.setattr(submanifold, "distance_to_mesh",
-                            lambda mesh, pts: rows.append(len(pts))
-                            or dense(mesh, pts))
-        pairwise = geometry.pairwise_distances
-        monkeypatch.setattr(geometry, "pairwise_distances",
-                            lambda M, X, Y: dense_rows.append(len(X))
-                            or pairwise(M, X, Y))
+    @pytest.mark.parametrize("eps", [0.05, 3.0])
+    def test_no_dense_pass(self, tube_meshes, monkeypatch, eps):
+        """On the s4_hemisphere_24 mesh (2304 nodes), neither with few
+        samples in the band (eps 0.05) nor with every one (eps 3.0) does
+        ``tubular_volume`` call ``distance_to_mesh`` or
+        ``pairwise_distances``, looked up as the module attributes where
+        a tracer wraps them: the KD-tree gives the nearest node."""
+        calls = []
+        for module, name in ((submanifold, "distance_to_mesh"),
+                             (geometry, "pairwise_distances")):
+            monkeypatch.setattr(
+                module, name, lambda *args, name=name, f=getattr(module, name):
+                calls.append(name) or f(*args))
         mesh = tube_meshes["s4_hemisphere_24"]
-        submanifold.tubular_volume(mesh.manifold, mesh, 0.05, seed=11)
-        assert 0 < sum(rows) < 1000
-        assert sum(dense_rows) == sum(rows)
-        assert max(dense_rows) <= submanifold.DENSE_BLOCK // mesh.node_count
+        submanifold.tubular_volume(mesh.manifold, mesh, eps, seed=11)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(TUBE_MESHES))
+    def test_tree_node_is_the_dense_argmin(self, tube_meshes, name):
+        """On every one of the 20000 samples of ``tubular_volume``, the
+        chord-nearest node of the KD-tree is the argmin of the dense
+        geodesic distance matrix, in 2000-row chunks."""
+        M, mesh = TUBE_MESHES[name][0], tube_meshes[name]
+        pts, _ = submanifold.ambient_samples(M, 20000,
+                                             np.random.default_rng(11))
+        _, node = cKDTree(mesh.points).query(pts, k=1)
+        for k in range(0, len(pts), 2000):
+            D = dense_distances(mesh, pts[k:k + 2000])
+            assert np.array_equal(node[k:k + 2000], np.argmin(D, axis=1))
 
     def test_memory_does_not_grow_with_the_band(self, tube_meshes):
         """At eps 1.0 nearly every sample of the 2304-node
@@ -427,6 +447,25 @@ class TestTubeBand:
         vol, se = dense_tubular_volume(mesh.manifold, mesh, 1.0, 11, 20000)
         assert tube.hex() == vol.hex()
         assert tube_se.hex() == se.hex()
+
+    @pytest.mark.parametrize("config", ["sphere_tube_005", "sphere_tube_02"])
+    def test_report_bytes_do_not_depend_on_blas_threads(self, config,
+                                                        tmp_path):
+        """The bundled tube configs, each run in fresh processes with 1
+        and 2 BLAS threads (set before numpy loads), write the same
+        report bytes."""
+        cfg = TESTS.parent / "src" / "otsobolev" / "scenarios" / f"{config}.cfg"
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            run = subprocess.run(
+                [sys.executable, "-m", "otsobolev.cli", "run", str(cfg),
+                 "--out", str(out)], capture_output=True, text=True,
+                env=blas_env(threads))
+            assert run.returncode == 0, run.stderr
+            reports.append({path.name: path.read_bytes()
+                            for path in sorted(out.iterdir())})
+        assert reports[0] and reports[0] == reports[1]
 
 
 def query_points(M, n, rng):
